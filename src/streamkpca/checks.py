@@ -84,6 +84,7 @@ class CheckReport:
 
 
 def _jsonable(v):
+    """JSON-safe copy: NaN -> None, +-inf -> "inf"/"-inf", numpy -> Python."""
     if isinstance(v, float):
         if math.isnan(v):
             return None
@@ -91,8 +92,14 @@ def _jsonable(v):
             return "inf" if v > 0 else "-inf"
     if isinstance(v, np.floating):
         return _jsonable(float(v))
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return int(v)
+    if isinstance(v, np.ndarray):
+        return [_jsonable(x) for x in v.tolist()]
+    if isinstance(v, list):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     return v
 
 

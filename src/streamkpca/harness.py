@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .checks import CheckReport, run_all_checks
+from .checks import CheckReport, _jsonable, run_all_checks
 from .datagen import SpikedSpec, make_spiked_stream
 from .featuremaps import FeatureMapSpec
 from .oja import (
@@ -171,25 +173,6 @@ class TrialArtifacts:
     check_report: CheckReport | None = None
     final: StreamState | None = None
     x_star: np.ndarray | None = None
-
-
-def _jsonable(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-    if isinstance(v, np.floating):
-        return _jsonable(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
 
 
 def trial_seeds(config: RunConfig, trial: int) -> tuple[int, int]:
@@ -522,6 +505,7 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
+    _validate_meta(meta, meta_file)
 
     raw = csv_path.read_bytes()
     try:
@@ -558,6 +542,9 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     m_cols = len(snap_cols)
 
     records = []
+    # NaN or inf in any field makes this sum non-finite. As with a field
+    # that does not parse, the offending field is located only on failure.
+    total = 0.0
     for row_idx, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -565,35 +552,36 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
                 f"row {row_idx} at byte {offsets[row_idx]}: expected "
                 f"{len(header)} fields, found {len(cells)}"
             )
-        parsed = []
-        for j, cell in enumerate(cells):
-            try:
-                parsed.append(int(cell) if j == 0 else float(cell))
-            except ValueError:
-                byte_off = offsets[row_idx] + len(
-                    ",".join(cells[:j]).encode("utf-8")
-                ) + (1 if j > 0 else 0)
-                raise TrajectoryParseError(
-                    f"unparseable field {cell!r} at byte {byte_off}"
-                ) from None
-        if parsed[0] != row_idx:
+        try:
+            step = int(cells[0])
+            values = list(map(float, cells[1:]))
+        except ValueError:
+            _raise_on_unparseable(cells, offsets[row_idx])
+        total += sum(values)
+        if step != row_idx:
             raise TrajectoryParseError(
                 f"non-consecutive step index at byte {offsets[row_idx]}"
             )
-        snapshot = (
-            np.array(parsed[4 : 4 + m_cols]) if m_cols else None
-        )
         records.append(
             StepRecord(
-                step=parsed[0],
-                s=parsed[1],
-                phi_norm_sq=parsed[2],
-                log_ratio=parsed[3],
-                v_hat=snapshot,
+                step=step,
+                s=values[0],
+                phi_norm_sq=values[1],
+                log_ratio=values[2],
+                v_hat=np.array(values[3:]) if m_cols else None,
             )
         )
 
-    feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
+    if not math.isfinite(total):
+        _raise_on_non_finite(lines, offsets)
+
+    try:
+        feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad trajectory metadata {meta_file.name}: key 'feature_map': "
+            f"{exc}"
+        ) from exc
     config = OjaConfig(
         eta=float(meta["eta"]),
         feature_map=feature_map,
@@ -626,10 +614,99 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     return traj, meta
 
 
+def _field_offset(row_offset: int, cells: list[str], j: int) -> int:
+    """Byte offset of field j of a row split into cells."""
+    return row_offset + len(",".join(cells[:j]).encode("utf-8")) + (
+        1 if j > 0 else 0
+    )
+
+
+def _raise_on_unparseable(cells: list[str], row_offset: int) -> NoReturn:
+    """Raise on the first field of a row that does not parse."""
+    for j, cell in enumerate(cells):
+        try:
+            int(cell) if j == 0 else float(cell)
+        except ValueError:
+            raise TrajectoryParseError(
+                f"unparseable field {cell!r} at byte "
+                f"{_field_offset(row_offset, cells, j)}"
+            ) from None
+
+
+def _raise_on_non_finite(lines: list[str], offsets: list[int]) -> None:
+    """Raise on the first NaN or infinite field. Returns when there is none
+    (finite fields whose sum overflowed)."""
+    for row_idx, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        for j in range(1, len(cells)):
+            if not math.isfinite(float(cells[j])):
+                raise TrajectoryParseError(
+                    f"non-finite field {cells[j]!r} at byte "
+                    f"{_field_offset(offsets[row_idx], cells, j)}"
+                )
+
+
+def _is_finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_finite_vector(v) -> bool:
+    return isinstance(v, list) and all(_is_finite_number(x) for x in v)
+
+
+def _nullable(test):
+    return lambda v: v is None or test(v)
+
+
+# Meta sidecar key -> (required, test, what the test accepts).
+_META_KEYS = {
+    "eta": (True, _is_finite_number, "a finite number"),
+    "feature_map": (True, lambda v: isinstance(v, dict), "an object"),
+    "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
+    "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
+    "init_log_norm": (False, _is_finite_number, "a finite number"),
+    "seed": (
+        False,
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "an integer",
+    ),
+    "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
+    "alpha": (False, _nullable(_is_finite_number), "null or finite"),
+    "beta": (False, _nullable(_is_finite_number), "null or finite"),
+    "v_star": (
+        False,
+        _nullable(_is_finite_vector),
+        "null or a list of finite numbers",
+    ),
+}
+
+
+def _validate_meta(meta, meta_file: Path) -> None:
+    """Reject a sidecar with a missing or mistyped key, naming the key."""
+    where = f"bad trajectory metadata {meta_file.name}"
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    for key, (required, test, accepts) in _META_KEYS.items():
+        if key not in meta:
+            if required:
+                raise ConfigError(f"{where}: missing key {key!r}")
+            continue
+        if not test(meta[key]):
+            raise ConfigError(
+                f"{where}: key {key!r} must be {accepts}, "
+                f"got {reprlib.repr(meta[key])}"
+            )
+
+
 def check_trajectory_file(csv_path) -> CheckReport:
     """Load a persisted trajectory and run the full invariant suite."""
     traj, meta = read_trajectory(csv_path)
-    if meta.get("v_star") is None or meta.get("alpha") is None:
+    if any(meta.get(k) is None for k in ("v_star", "alpha", "beta")):
         raise ConfigError("trajectory metadata lacks v_star/alpha/beta")
     v_star = np.array(meta["v_star"], dtype=np.float64)
     return run_all_checks(

@@ -1,11 +1,14 @@
-"""Dense vector/matrix primitives and a small symmetric eigensolver.
+"""Dense vector/matrix primitives and symmetric eigensolvers.
 
 Vectors are plain 1-D float64 numpy arrays. Symmetric matrices store only
 the upper triangle (row-major), so symmetry holds by construction. The
-eigensolver is a cyclic Jacobi sweep: slow past a few hundred dimensions,
-but it produces high-accuracy orthonormal eigenvectors, which is what the
-offline ground-truth role requires. Power iteration is kept alongside as
-an independent cross-check for the top eigenpair.
+oracle eigensolver, ``eigendecomposition``, is LAPACK's symmetric solver
+(``numpy.linalg.eigh``) wrapped in the oracle's contracts: descending
+order, a sign convention, a dimension cap and orthonormality and
+reconstruction postconditions. Cyclic Jacobi rotations and power
+iteration stay as independent pure-numpy references: slow past a few
+hundred dimensions, but they share no code path with LAPACK, so tests
+and demos can cross-check the oracle against them.
 """
 
 from __future__ import annotations
@@ -54,20 +57,6 @@ def dot(a, b) -> float:
             f"length mismatch: {va.shape[0]} vs {vb.shape[0]}"
         )
     return float(va @ vb)
-
-
-def norm(a) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(as_vector(a)))
-
-
-def normalize(a) -> np.ndarray:
-    """Return a / ||a||, raising on the zero vector."""
-    v = as_vector(a)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
 
 
 def packed_length(dim: int) -> int:
@@ -170,8 +159,8 @@ def jacobi_eigendecomposition(
 ) -> EigenDecomposition:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
-    Intended as a desk-scale ground-truth oracle: accurate and
-    deterministic, not fast. Dimension is capped at 2048.
+    An independent pure-numpy reference for eigendecomposition: accurate
+    and deterministic, not fast. Dimension is capped at 2048.
 
     Raises:
         ValueError: dimension above the oracle cap.
@@ -207,9 +196,35 @@ def jacobi_eigendecomposition(
                 f"jacobi did not converge in {max_sweeps} sweeps"
             )
 
-    order = np.argsort(-np.diag(m), kind="stable")
-    values = np.diag(m)[order].copy()
-    vectors = v[:, order].copy()
+    return _oracle_result(a, np.diag(m), v)
+
+
+def eigendecomposition(a: SymmetricMatrix) -> EigenDecomposition:
+    """Full eigendecomposition by LAPACK's symmetric solver (numpy eigh).
+
+    The offline oracle: same contracts as jacobi_eigendecomposition
+    (descending order, sign convention, dimension cap, postconditions),
+    at BLAS speed.
+
+    Raises:
+        ValueError: dimension above the oracle cap.
+        ConvergenceError: postconditions (orthonormality, reconstruction)
+            violated.
+    """
+    if a.dim > MAX_ORACLE_DIM:
+        raise ValueError(f"oracle eigensolver capped at dim {MAX_ORACLE_DIM}")
+    values, vectors = np.linalg.eigh(a.to_dense())
+    return _oracle_result(a, values, vectors)
+
+
+def _oracle_result(
+    a: SymmetricMatrix, values: np.ndarray, vectors: np.ndarray
+) -> EigenDecomposition:
+    # Sort descending (stable), fix signs, then verify the postconditions.
+    n = a.dim
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
     _fix_signs(vectors)
 
     gram_err = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
@@ -268,7 +283,7 @@ def power_iteration_top(
     A spectral gap is the caller's responsibility.
 
     Returns:
-        (eigenvalue, unit eigenvector), sign-fixed like the Jacobi oracle.
+        (eigenvalue, unit eigenvector), sign-fixed like the oracle.
 
     Raises:
         ConvergenceError: Rayleigh quotient failed to stabilize within

@@ -3,7 +3,10 @@
 Everything here is deliberately offline and desk-scale. One pass over a
 replayed stream accumulates the feature-space second moment exactly
 (Kahan-compensated, so accumulation order cannot drift entries past the
-stated tolerances), and the Jacobi oracle turns it into eigenpairs.
+stated tolerances), and one LAPACK eigensolve (``linalg.eigendecomposition``,
+checked by its orthonormality and reconstruction postconditions) turns
+it into eigenpairs. alpha is the top eigenvalue of a deflated second
+moment, taken with ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .linalg import (
     MAX_ORACLE_DIM,
     SymmetricMatrix,
     as_vector,
-    jacobi_eigendecomposition,
+    eigendecomposition,
 )
 
 # lambda_2 below this multiple of lambda_1 is treated as zero: the
@@ -98,7 +101,7 @@ def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
 
     second_moment = SymmetricMatrix(dim=m, packed=acc)
     covariance = second_moment.scaled(1.0 / n)
-    eig = jacobi_eigendecomposition(covariance)
+    eig = eigendecomposition(covariance)
     lam1 = float(eig.eigenvalues[0])
     if lam1 <= 0.0:
         raise ValueError("degenerate stream: top eigenvalue is not positive")
@@ -146,8 +149,9 @@ def compute_alpha_beta(
         + float(v @ mv) * np.outer(v, v)
     )
     deflated = 0.5 * (deflated + deflated.T)
-    eig = jacobi_eigendecomposition(SymmetricMatrix.from_dense(deflated))
-    alpha = eta * max(0.0, float(eig.eigenvalues[0]))
+    if not np.isfinite(deflated).all():
+        raise ValueError("deflated second moment has non-finite entries")
+    alpha = eta * max(0.0, float(np.linalg.eigvalsh(deflated)[-1]))
     return AlphaBeta(alpha=alpha, beta=beta, v_star=v)
 
 

@@ -196,6 +196,74 @@ class TestTrajectoryFiles:
         raw = csv_path.read_bytes()
         assert raw[offset : offset + 12] == b"not-a-number"
 
+    @pytest.mark.parametrize("column", ["s", "vhat_0"])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_field_names_byte_offset(self, saved, column, token):
+        csv_path, _ = saved
+        lines = csv_path.read_text().split("\n")
+        j = lines[0].split(",").index(column)
+        cells = lines[2].split(",")
+        cells[j] = token
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines))
+        with pytest.raises(TrajectoryParseError) as err:
+            read_trajectory(csv_path)
+        msg = str(err.value)
+        assert "non-finite" in msg
+        offset = int(msg.rsplit("byte", 1)[1].strip())
+        raw = csv_path.read_bytes()
+        assert raw[offset : offset + len(token) + 1] == token.encode() + b","
+        assert main(["check", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["eta", "feature_map", "init", "init_v_hat"])
+    def test_meta_missing_key(self, saved, key):
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        del meta[key]
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            read_trajectory(csv_path)
+        assert main(["check", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eta", "0.01"),
+            ("eta", float("nan")),
+            ("init_v_hat", 1.0),
+            ("init", "warm"),
+            ("seed", 1.5),
+            ("beta", [1.0]),
+            ("feature_map", {"kind": "identity"}),
+        ],
+    )
+    def test_meta_mistyped_key(self, saved, key, value):
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            read_trajectory(csv_path)
+        assert main(["check", str(csv_path)]) == 2
+
+    def test_meta_not_an_object(self, saved):
+        csv_path, _ = saved
+        harness.meta_path_for(csv_path).write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            read_trajectory(csv_path)
+
+    def test_check_needs_beta(self, saved):
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        del meta["beta"]
+        meta_file.write_text(json.dumps(meta))
+        read_trajectory(csv_path)
+        with pytest.raises(ConfigError, match="beta"):
+            check_trajectory_file(csv_path)
+
     def test_bad_header(self, saved):
         csv_path, _ = saved
         body = csv_path.read_text().split("\n", 1)[1]

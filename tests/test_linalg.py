@@ -10,6 +10,7 @@ from streamkpca.linalg import (
     DimensionError,
     SymmetricMatrix,
     dot,
+    eigendecomposition,
     jacobi_eigendecomposition,
     power_iteration_top,
 )
@@ -130,6 +131,82 @@ class TestJacobi:
     def test_zero_matrix(self):
         eig = jacobi_eigendecomposition(SymmetricMatrix.zeros(4))
         assert np.array_equal(eig.eigenvalues, np.zeros(4))
+
+
+class TestEigendecomposition:
+    def test_diagonal_input(self):
+        eig = eigendecomposition(sym_from([[1.0, 0.0], [0.0, 4.0]]))
+        assert np.array_equal(eig.eigenvalues, [4.0, 1.0])
+        assert np.array_equal(eig.eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_2x2_analytic(self):
+        eig = eigendecomposition(sym_from([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-14)
+        expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        assert np.allclose(eig.top_vector, expected, atol=1e-14)
+
+    def test_sorted_descending_and_sign_convention(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((12, 12))
+        eig = eigendecomposition(SymmetricMatrix.from_dense(g + g.T))
+        assert np.all(np.diff(eig.eigenvalues) <= 0)
+        for k in range(12):
+            col = eig.eigenvectors[:, k]
+            assert col[np.nonzero(col)[0][0]] > 0
+
+    def test_repeated_eigenvalues_keep_a_stable_order(self):
+        eig = eigendecomposition(SymmetricMatrix.from_dense(np.eye(3)))
+        assert np.array_equal(eig.eigenvalues, np.ones(3))
+        assert np.array_equal(eig.eigenvectors, np.eye(3))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            eigendecomposition(SymmetricMatrix.zeros(2049))
+
+    def test_zero_matrix(self):
+        eig = eigendecomposition(SymmetricMatrix.zeros(4))
+        assert np.array_equal(eig.eigenvalues, np.zeros(4))
+
+    def test_postconditions_reject_a_bad_solve(self, monkeypatch):
+        a = sym_from([[2.0, 1.0], [1.0, 2.0]])
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (np.array([1.0, 3.0]), np.eye(2))
+        )
+        with pytest.raises(ConvergenceError, match="reconstruction"):
+            eigendecomposition(a)
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (np.array([1.0, 3.0]), 2.0 * np.eye(2))
+        )
+        with pytest.raises(ConvergenceError, match="orthonormal"):
+            eigendecomposition(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 16))
+    def test_agrees_with_jacobi(self, seed, k):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3)
+        a = SymmetricMatrix.from_dense(g + g.T)
+        lapack = eigendecomposition(a)
+        jacobi = jacobi_eigendecomposition(a)
+        # Entries span six decades, so tolerances and the 1e-6 gap are
+        # relative to the largest |eigenvalue|.
+        scale = max(float(np.abs(jacobi.eigenvalues).max()), 1e-300)
+        assert (
+            np.abs(lapack.eigenvalues - jacobi.eigenvalues).max()
+            <= 1e-12 * scale
+        )
+        values = jacobi.eigenvalues
+        for i in range(k):
+            gap = min(
+                [abs(values[i] - values[j]) for j in range(k) if j != i],
+                default=math.inf,
+            )
+            if gap < 1e-6 * scale:
+                continue
+            u = lapack.eigenvectors[:, i]
+            v = jacobi.eigenvectors[:, i]
+            tol = 1e-12 * scale / gap
+            assert min(np.abs(u - v).max(), np.abs(u + v).max()) <= tol
 
 
 class TestPowerIteration:

@@ -44,6 +44,21 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([E1], spec)
 
+    def test_feature_dim_1024(self):
+        # Far past what the Jacobi reference solves in test time.
+        rng = np.random.default_rng(9)
+        n = 32
+        xs = rng.standard_normal((n, 4))
+        summary = summarize(xs, FeatureMapSpec.rff(4, 1024, 2.0, 3))
+        values = summary.eig.eigenvalues
+        assert values.shape == (1024,)
+        assert np.all(np.diff(values) <= 0)
+        # n samples span at most n directions.
+        assert np.abs(values[n:]).max() <= 1e-12 * summary.lambda1
+        ab = compute_alpha_beta(summary, 1e-3, summary.top_vector)
+        assert abs(ab.beta - 1e-3 * n * summary.lambda1) <= 1e-9 * ab.beta
+        assert abs(ab.alpha - 1e-3 * n * summary.lambda2) <= 1e-9 * ab.beta
+
     def test_second_moment_unnormalized(self):
         summary = summarize([E1, E1, E2], FeatureMapSpec.identity(2))
         assert np.allclose(
