@@ -53,12 +53,11 @@ for entry in report.entries:
     margin = "" if entry.margin != entry.margin else f"  margin={entry.margin:+.3e}"
     print(f"  {entry.name:32s} {entry.status}{margin}")
 
-# Corrupt one recorded log ratio by a part in a thousand.
-records = list(traj.records)
-records[100] = dataclasses.replace(
-    records[100], log_ratio=records[100].log_ratio * 1.001
-)
-tampered = dataclasses.replace(traj, records=records)
+# Corrupt one recorded log ratio (step 101) by a part in a thousand, in a
+# copy of the column; the fresh trajectory is left as it was.
+log_ratio = traj.log_ratio.copy()
+log_ratio[100] *= 1.001
+tampered = dataclasses.replace(traj, log_ratio=log_ratio)
 report = run_all_checks(tampered, summary.top_vector, energies.alpha, energies.beta)
 print("\nafter perturbing one log ratio by 1e-3 relative:")
 for entry in report.failures():

@@ -103,33 +103,10 @@ def _jsonable(v):
     return v
 
 
-class _Series:
-    """Arrays derived from a trajectory; log norms are relative to step 0."""
-
-    def __init__(self, traj: Trajectory):
-        n = traj.n
-        self.n = n
-        self.m = traj.m
-        self.eta = traj.config.eta
-        self.s = np.array([r.s for r in traj.records])
-        self.phi2 = np.array([r.phi_norm_sq for r in traj.records])
-        self.log_ratio = np.array([r.log_ratio for r in traj.records])
-        self.log_norm = np.concatenate(
-            ([0.0], 0.5 * np.cumsum(self.log_ratio))
-        )
-        if traj.has_snapshots and n > 0:
-            self.snapshots = np.vstack(
-                [traj.init_v_hat] + [r.v_hat for r in traj.records]
-            )
-        elif n == 0:
-            self.snapshots = traj.init_v_hat[None, :]
-        else:
-            self.snapshots = None
-
-    def require_snapshots(self) -> np.ndarray:
-        if self.snapshots is None:
-            raise ValueError("trajectory has no direction snapshots")
-        return self.snapshots
+def _snapshots(traj: Trajectory) -> np.ndarray:
+    if traj.snapshots is None:
+        raise ValueError("trajectory has no direction snapshots")
+    return traj.snapshots
 
 
 def _unit_v_star(v_star) -> np.ndarray:
@@ -165,9 +142,9 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
     evaluation reconstructed from consecutive direction snapshots via
     ||u_i|| = (1 + eta*s_i^2) / <v_hat_i, v_hat_{i-1}>.
     """
-    ser = _Series(traj)
-    snaps = ser.require_snapshots()
-    n, eta = ser.n, ser.eta
+    snaps = _snapshots(traj)
+    n, eta = traj.n, traj.config.eta
+    s, log_ratio = traj.s, traj.log_ratio
     results: list[CheckResult] = []
 
     if n == 0:
@@ -184,13 +161,13 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
         return results
 
     # Norm-update identity, both routes.
-    closed = np.log1p((2.0 * eta + eta * eta * ser.phi2) * ser.s**2)
-    diff_closed = np.abs(ser.log_ratio - closed)
+    closed = np.log1p((2.0 * eta + eta * eta * traj.phi_norm_sq) * s**2)
+    diff_closed = np.abs(log_ratio - closed)
     dots = np.einsum("ij,ij->i", snaps[1:], snaps[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_norm = np.where(dots > 0, (1.0 + eta * ser.s**2) / dots, np.nan)
+        u_norm = np.where(dots > 0, (1.0 + eta * s**2) / dots, np.nan)
         direct = 2.0 * np.log(u_norm)
-    diff_direct = np.abs(ser.log_ratio - direct)
+    diff_direct = np.abs(log_ratio - direct)
     diff_direct = np.where(np.isfinite(diff_direct), diff_direct, np.inf)
     worst = np.maximum(diff_closed, diff_direct)
     loc = int(np.argmax(worst)) + 1
@@ -210,8 +187,8 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
     )
 
     # Norm never decreases: every per-step log ratio is nonnegative.
-    margin = float(ser.log_ratio.min())
-    loc = int(np.argmin(ser.log_ratio)) + 1
+    margin = float(log_ratio.min())
+    loc = int(np.argmin(log_ratio)) + 1
     results.append(
         CheckResult(
             "norm_never_decreases",
@@ -224,8 +201,8 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
     # Per-step growth floor. The statement uses coefficient 1 on
     # eta*s^2; the conservative proof constant is 1/2. Both margins are
     # reported so either reading is visible in the output.
-    floor_stated = ser.log_ratio - eta * ser.s**2
-    floor_half = ser.log_ratio - 0.5 * eta * ser.s**2
+    floor_stated = log_ratio - eta * s**2
+    floor_half = log_ratio - 0.5 * eta * s**2
     margin = float(floor_stated.min())
     loc = int(np.argmin(floor_stated)) + 1
     results.append(
@@ -243,8 +220,8 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
 
     # Interval growth floor for every pair a < b, via prefix sums:
     # 2(L_b - L_a) >= sum_{i=a+1}^{b} eta*s_i^2.
-    energy = np.concatenate(([0.0], np.cumsum(eta * ser.s**2)))
-    d_arr = 2.0 * ser.log_norm - energy
+    energy = np.concatenate(([0.0], np.cumsum(eta * s**2)))
+    d_arr = 2.0 * traj.log_norm - energy
     run_max = np.maximum.accumulate(d_arr)[:-1]
     margins = d_arr[1:] - run_max
     b_worst = int(np.argmin(margins)) + 1
@@ -260,34 +237,35 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
     )
 
     # Explicit unnormalized reconstruction, desk scale only.
-    results.append(_check_increment_reconstruction(ser))
+    results.append(_check_increment_reconstruction(traj))
     return results
 
 
-def _check_increment_reconstruction(ser: _Series) -> CheckResult:
+def _check_increment_reconstruction(traj: Trajectory) -> CheckResult:
     name = "increment_reconstruction"
-    if ser.m > RECON_MAX_M or ser.n > RECON_MAX_N:
+    n, m = traj.n, traj.m
+    if m > RECON_MAX_M or n > RECON_MAX_N:
         return CheckResult(
             name,
             VACUOUS,
             details={
                 "reason": (
                     f"explicit reconstruction gated to m<={RECON_MAX_M}, "
-                    f"n<={RECON_MAX_N}; trajectory has m={ser.m}, n={ser.n}"
+                    f"n<={RECON_MAX_N}; trajectory has m={m}, n={n}"
                 )
             },
         )
-    snaps = ser.snapshots
-    scale = np.exp(ser.log_norm)
+    snaps = traj.snapshots
+    scale = np.exp(traj.log_norm)
     v_full = snaps * scale[:, None]
     deltas = np.diff(v_full, axis=0)
-    eta = ser.eta
+    eta, s = traj.config.eta, traj.s
 
     # Each increment must have the norm and the alignment the update
     # rule dictates: delta_i = eta * s_i * ||v_{i-1}|| * f_i.
-    expected_norm = eta * np.abs(ser.s) * scale[:-1] * np.sqrt(ser.phi2)
+    expected_norm = eta * np.abs(s) * scale[:-1] * np.sqrt(traj.phi_norm_sq)
     norm_err = np.abs(np.linalg.norm(deltas, axis=1) - expected_norm)
-    expected_proj = eta * ser.s**2 * scale[:-1]
+    expected_proj = eta * s**2 * scale[:-1]
     proj_err = np.abs(
         np.einsum("ij,ij->i", deltas, snaps[:-1]) - expected_proj
     )
@@ -295,9 +273,9 @@ def _check_increment_reconstruction(ser: _Series) -> CheckResult:
     worst_step = float(np.max(np.maximum(norm_err, proj_err) - tol_steps))
 
     # Entrywise telescoping over every pair a < b.
-    cum = np.vstack([np.zeros(ser.m), np.cumsum(deltas, axis=0)])
+    cum = np.vstack([np.zeros(m), np.cumsum(deltas, axis=0)])
     worst_pair = -math.inf
-    for a in range(ser.n):
+    for a in range(n):
         lhs = v_full[a + 1 :] - v_full[a]
         rhs = cum[a + 1 :] - cum[a]
         tol = RECONSTRUCTION_REL_TOL * np.maximum(1.0, scale[a + 1 :])
@@ -323,10 +301,9 @@ def check_growth_implies_correctness(
     initial residual shrunk by the accumulated norm growth; for at-v*
     starts the bound tightens to sqrt(alpha) alone."""
     v = _unit_v_star(v_star)
-    ser = _Series(traj)
-    snaps = ser.require_snapshots()
+    snaps = _snapshots(traj)
     residuals = np.linalg.norm(_orthogonal_parts(snaps, v), axis=1)
-    shrink = np.exp(-ser.log_norm)
+    shrink = np.exp(-traj.log_norm)
     bounds = math.sqrt(alpha) + residuals[0] * shrink
     margins = bounds - residuals
     margin = float(margins.min())
@@ -355,20 +332,19 @@ def check_two_time_steps(
     if traj.init_kind != "vstar":
         raise ValueError("two-time-step drift bound requires an at-v* start")
     v = _unit_v_star(v_star)
-    ser = _Series(traj)
-    snaps = ser.require_snapshots()
-    if ser.n == 0:
+    snaps = _snapshots(traj)
+    if traj.n == 0:
         return CheckResult(
             "drift_requires_growth",
             VACUOUS,
             details={"reason": "empty trajectory"},
         )
     orth = _orthogonal_parts(snaps, v)
-    pairs = sample_check_pairs(ser.n, traj.seed, pair_count)
+    pairs = sample_check_pairs(traj.n, traj.seed, pair_count)
     a_idx = np.array([p[0] for p in pairs])
     b_idx = np.array([p[1] for p in pairs])
     lhs = np.linalg.norm(orth[b_idx] - orth[a_idx], axis=1) ** 2
-    rhs = 50.0 * alpha * (ser.log_norm[b_idx] - ser.log_norm[a_idx])
+    rhs = 50.0 * alpha * (traj.log_norm[b_idx] - traj.log_norm[a_idx])
     margins = rhs - lhs
     margin = float(margins.min())
     worst = int(np.argmin(margins))
@@ -394,23 +370,23 @@ def check_projected_energy(
     if traj.init_kind != "vstar":
         raise ValueError("projected-energy bound requires an at-v* start")
     v = _unit_v_star(v_star)
-    ser = _Series(traj)
-    snaps = ser.require_snapshots()
-    if ser.n == 0:
+    snaps = _snapshots(traj)
+    n, s = traj.n, traj.s
+    if n == 0:
         return CheckResult(
             "orthogonal_energy_budget",
             VACUOUS,
             details={"reason": "empty trajectory"},
         )
-    eta = ser.eta
-    growth = np.exp(0.5 * ser.log_ratio)
-    nonzero = ser.s != 0.0
+    eta = traj.config.eta
+    growth = np.exp(0.5 * traj.log_ratio)
+    nonzero = s != 0.0
     skipped = int(np.count_nonzero(~nonzero))
     lhs = 0.0
     if np.any(nonzero):
         feats = (
             growth[nonzero, None] * snaps[1:][nonzero] - snaps[:-1][nonzero]
-        ) / (eta * ser.s[nonzero, None])
+        ) / (eta * s[nonzero, None])
         orth_prev = _orthogonal_parts(snaps[:-1][nonzero], v)
         lhs = eta * float(
             np.sum(np.einsum("ij,ij->i", feats, orth_prev) ** 2)
@@ -418,9 +394,9 @@ def check_projected_energy(
     rhs = (
         100.0
         * alpha**2
-        * math.log(ser.n) ** 2
-        * ser.log_norm[-1]
-        if ser.n > 1
+        * math.log(n) ** 2
+        * traj.log_norm[-1]
+        if n > 1
         else 0.0
     )
     margin = rhs - lhs
@@ -438,7 +414,7 @@ def check_norm_lower_bounds(
     """Two log-norm floors: the aligned-energy growth floor (at-v* starts
     with alpha < 0.1 only) and the unconditional inner-product floor,
     the latter evaluated fully in the log domain."""
-    ser = _Series(traj)
+    n, s, log_norm = traj.n, traj.s, traj.log_norm
     results: list[CheckResult] = []
 
     if traj.init_kind != "vstar":
@@ -459,7 +435,7 @@ def check_norm_lower_bounds(
                 },
             )
         )
-    elif ser.n == 0:
+    elif n == 0:
         results.append(
             CheckResult(
                 "aligned_energy_growth_floor",
@@ -468,19 +444,19 @@ def check_norm_lower_bounds(
             )
         )
     else:
-        log_n = math.log(ser.n) if ser.n > 1 else 0.0
+        log_n = math.log(n) if n > 1 else 0.0
         floor = (beta / 8.0) / (1.0 + GROWTH_FLOOR_C1 * alpha**2 * log_n**2)
-        margin = float(ser.log_norm[-1]) - floor
+        margin = float(log_norm[-1]) - floor
         results.append(
             CheckResult(
                 "aligned_energy_growth_floor",
                 PASS if margin >= -SLACK else FAIL,
                 margin=margin,
-                details={"log_norm": float(ser.log_norm[-1]), "floor": floor},
+                details={"log_norm": float(log_norm[-1]), "floor": floor},
             )
         )
 
-    if ser.n == 0:
+    if n == 0:
         results.append(
             CheckResult(
                 "final_norm_floor",
@@ -489,17 +465,15 @@ def check_norm_lower_bounds(
             )
         )
         return results
-    nonzero = ser.s != 0.0
+    nonzero = s != 0.0
     if np.any(nonzero):
-        terms = 2.0 * np.log(np.abs(ser.s[nonzero])) + 2.0 * ser.log_norm[
-            :-1
-        ][nonzero]
+        terms = 2.0 * np.log(np.abs(s[nonzero])) + 2.0 * log_norm[:-1][nonzero]
         peak = float(terms.max())
         lse = peak + math.log(float(np.sum(np.exp(terms - peak))))
-        rhs = math.log(ser.eta) + lse
+        rhs = math.log(traj.config.eta) + lse
     else:
         rhs = -math.inf
-    margin = 2.0 * float(ser.log_norm[-1]) - rhs
+    margin = 2.0 * float(log_norm[-1]) - rhs
     results.append(
         CheckResult(
             "final_norm_floor",
@@ -523,13 +497,11 @@ def check_final_bound(
     multi-seed aggregate level in the harness. The guarantee's
     large-constant hypotheses on alpha and beta are evaluated and the
     result is labeled "certified" only when they hold, "empirical"
-    otherwise.
+    otherwise. The final direction is the last snapshot row.
     """
     v = _unit_v_star(v_star)
-    final = traj.final
-    if final is None:
-        raise ValueError("trajectory has no final state")
-    resid_vec = final.v_hat - float(final.v_hat @ v) * v
+    final = _snapshots(traj)[-1]
+    resid_vec = final - float(final @ v) * v
     observed = float(np.linalg.norm(resid_vec))
     sqrt_alpha = math.sqrt(alpha)
     envelope = sqrt_alpha + math.exp(-beta / 200.0)

@@ -1,8 +1,9 @@
 """Command-line front end: run experiments, sweep the spectral ratio,
 certify persisted trajectories.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 numeric abort
-in every trial. A config file (--config) merges with flags; flags win.
+Exit codes: 0 success, 1 check failure, 2 config, input or OS error,
+3 numeric abort in every trial. A config file (--config) merges with
+flags; flags win.
 """
 
 from __future__ import annotations
@@ -229,9 +230,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_check(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, TrajectoryParseError and the library's input errors
-        # are all configuration problems from the CLI's point of view.
+    except (ValueError, OSError) as exc:
+        # ConfigError, TrajectoryParseError, the library's input errors and
+        # unreadable or unwritable paths are all configuration problems
+        # from the CLI's point of view; exit 1 stays "a check failed".
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

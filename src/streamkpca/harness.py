@@ -8,7 +8,8 @@ and reports. Nothing time- or host-dependent is ever written.
 File formats:
   * run config and reports -- JSON (UTF-8, sorted keys);
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
-    plus optional snapshot columns ``vhat_0..vhat_{m-1}``;
+    plus optional snapshot columns ``vhat_0..vhat_{m-1}``; row i holds
+    step i of the Trajectory's columns (its snapshot row i);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     oracle alpha/beta and v*).
@@ -30,9 +31,9 @@ from .checks import CheckReport, _jsonable, run_all_checks
 from .datagen import SpikedSpec, make_spiked_stream
 from .featuremaps import FeatureMapSpec
 from .oja import (
+    STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    StepRecord,
     StreamState,
     Trajectory,
     init_state,
@@ -45,7 +46,8 @@ from .spectral import alignment_error, compute_alpha_beta, summarize
 OUT_DIR_ENV = "STREAMKPCA_OUT"
 REPORT_SCHEMA_ID = "streamkpca-run-report/1"
 
-TRAJECTORY_HEADER = ["step", "s", "phi_norm_sq", "log_ratio"]
+TRAJECTORY_HEADER = ["step", *STEP_COLUMNS]
+WRITE_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -296,12 +298,27 @@ def run(config: RunConfig, out_dir=None) -> dict:
 
     Returns the report as a plain dict (already JSON-safe). When an
     output directory resolves (argument, config, or the STREAMKPCA_OUT
-    environment variable), report.json is written there along with any
-    requested trajectory CSVs and check reports.
+    environment variable), each trial's requested trajectory CSV and
+    check report are written there as soon as the trial ends (so memory
+    does not grow with the trial count), and report.json last.
     """
     resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
-    artifacts = [run_trial(config, t) for t in range(config.trials)]
-    results = [a.result for a in artifacts]
+    if resolved is not None:
+        resolved.mkdir(parents=True, exist_ok=True)
+    results = []
+    for t in range(config.trials):
+        a = run_trial(config, t)
+        results.append(a.result)
+        if resolved is None:
+            continue
+        if a.trajectory is not None:
+            base = resolved / f"trial_{t:03d}.csv"
+            write_trajectory(base, a.trajectory)
+            write_trajectory_meta(base, a.trajectory, a.result, a.x_star)
+        if a.check_report is not None:
+            _write_json(
+                resolved / f"trial_{t:03d}.checks.json", a.check_report.to_dict()
+            )
     n_stream = config.generator.n
     agg = aggregate_trials(results)
     agg["alpha_hypothesis_fraction"] = _fraction(
@@ -323,20 +340,7 @@ def run(config: RunConfig, out_dir=None) -> dict:
         "aggregate": _jsonable(agg),
     }
     if resolved is not None:
-        resolved.mkdir(parents=True, exist_ok=True)
         _write_json(resolved / "report.json", report)
-        for a in artifacts:
-            if a.trajectory is not None and (
-                config.save_trajectories or config.run_checks
-            ):
-                base = resolved / f"trial_{a.result.trial:03d}.csv"
-                write_trajectory(base, a.trajectory)
-                write_trajectory_meta(base, a.trajectory, a.result, a.x_star)
-            if a.check_report is not None:
-                _write_json(
-                    resolved / f"trial_{a.result.trial:03d}.checks.json",
-                    a.check_report.to_dict(),
-                )
     return report
 
 
@@ -445,24 +449,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    """Write the step records as CSV; snapshots become vhat_* columns."""
-    path = Path(path)
-    with_snapshots = traj.has_snapshots and traj.n > 0
+    """Write the step columns as CSV; snapshots become vhat_* columns.
+
+    Rows are formatted WRITE_BLOCK_ROWS at a time, so the Python floats
+    and text of the whole file never exist at once.
+    """
     header = list(TRAJECTORY_HEADER)
-    if with_snapshots:
+    columns = [traj.s, traj.phi_norm_sq, traj.log_ratio]
+    if traj.snapshots is not None and traj.n > 0:
         header += [f"vhat_{k}" for k in range(traj.m)]
-    lines = [",".join(header)]
-    for rec in traj.records:
-        cells = [
-            str(rec.step),
-            repr(rec.s),
-            repr(rec.phi_norm_sq),
-            repr(rec.log_ratio),
-        ]
-        if with_snapshots:
-            cells += [repr(float(v)) for v in rec.v_hat]
-        lines.append(",".join(cells))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        columns.append(traj.snapshots[1:])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, traj.n, WRITE_BLOCK_ROWS):
+            block = np.column_stack(
+                [c[start : start + WRITE_BLOCK_ROWS] for c in columns]
+            )
+            text = "".join(
+                f"{step}," + ",".join(map(repr, row)) + "\n"
+                for step, row in enumerate(block.tolist(), start=start + 1)
+            )
+            fh.write(text.encode("utf-8"))
 
 
 def meta_path_for(path) -> Path:
@@ -507,73 +514,74 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     _validate_meta(meta, meta_file)
 
-    raw = csv_path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        lines = csv_path.read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise TrajectoryParseError(
             f"invalid UTF-8 at byte {exc.start}"
         ) from exc
-
-    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise TrajectoryParseError("empty trajectory file at byte 0")
 
-    offsets = []
-    pos = 0
-    for line in lines:
-        offsets.append(pos)
-        pos += len(line.encode("utf-8")) + 1
-
     header = lines[0].split(",")
-    if header[: len(TRAJECTORY_HEADER)] != TRAJECTORY_HEADER:
+    width = len(TRAJECTORY_HEADER)
+    if header[:width] != TRAJECTORY_HEADER:
         raise TrajectoryParseError(
             f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
         )
-    snap_cols = header[len(TRAJECTORY_HEADER) :]
-    for k, name in enumerate(snap_cols):
+    for k, name in enumerate(header[width:]):
         if name != f"vhat_{k}":
             raise TrajectoryParseError(
                 f"bad snapshot column {name!r} at byte "
-                f"{offsets[0] + len(','.join(header[: len(TRAJECTORY_HEADER) + k]).encode('utf-8')) + 1}"
+                f"{_byte_offset(lines, 0, width + k)}"
             )
-    m_cols = len(snap_cols)
+    m_cols = len(header) - width
+    init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
+    if m_cols and init_v_hat.shape[0] != m_cols:
+        raise ConfigError("metadata init vector does not match snapshot width")
 
-    records = []
-    # NaN or inf in any field makes this sum non-finite. As with a field
-    # that does not parse, the offending field is located only on failure.
-    total = 0.0
+    # Preallocated, filled row by row: the file is parsed once, with no
+    # per-row objects kept.
+    n = len(lines) - 1
+    steps = np.empty((width - 1, n))
+    snapshots = np.empty((n + 1, m_cols)) if m_cols else None
+    if snapshots is not None:
+        snapshots[0] = init_v_hat
     for row_idx, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
             raise TrajectoryParseError(
-                f"row {row_idx} at byte {offsets[row_idx]}: expected "
-                f"{len(header)} fields, found {len(cells)}"
+                f"row {row_idx} at byte {_byte_offset(lines, row_idx)}: "
+                f"expected {len(header)} fields, found {len(cells)}"
             )
         try:
             step = int(cells[0])
             values = list(map(float, cells[1:]))
         except ValueError:
-            _raise_on_unparseable(cells, offsets[row_idx])
-        total += sum(values)
+            _raise_on_unparseable(lines, row_idx)
         if step != row_idx:
             raise TrajectoryParseError(
-                f"non-consecutive step index at byte {offsets[row_idx]}"
+                f"non-consecutive step index at byte {_byte_offset(lines, row_idx)}"
             )
-        records.append(
-            StepRecord(
-                step=step,
-                s=values[0],
-                phi_norm_sq=values[1],
-                log_ratio=values[2],
-                v_hat=np.array(values[3:]) if m_cols else None,
-            )
-        )
+        steps[:, row_idx - 1] = values[: width - 1]
+        if snapshots is not None:
+            snapshots[row_idx] = values[width - 1 :]
 
-    if not math.isfinite(total):
-        _raise_on_non_finite(lines, offsets)
+    # NaN or inf anywhere: the arrays find the first such row, and only
+    # that row is split again to locate the field.
+    finite = np.isfinite(steps).all(axis=0)
+    if snapshots is not None:
+        finite &= np.isfinite(snapshots[1:]).all(axis=1)
+    if not finite.all():
+        row_idx = int(np.argmin(finite)) + 1
+        cells = lines[row_idx].split(",")
+        j = next(j for j in range(1, len(cells)) if not math.isfinite(float(cells[j])))
+        raise TrajectoryParseError(
+            f"non-finite field {cells[j]!r} at byte "
+            f"{_byte_offset(lines, row_idx, j)}"
+        )
 
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
@@ -589,61 +597,37 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         snapshots=m_cols > 0,
         norm_bound=meta.get("norm_bound"),
     )
-    init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
-    if m_cols and init_v_hat.shape[0] != m_cols:
-        raise ConfigError("metadata init vector does not match snapshot width")
-    log_norm = float(meta.get("init_log_norm", 0.0)) + 0.5 * sum(
-        r.log_ratio for r in records
-    )
-    final_v = records[-1].v_hat if (records and m_cols) else init_v_hat
-    final = StreamState(
-        v_hat=np.array(final_v, dtype=np.float64),
-        log_norm=log_norm,
-        step=len(records),
-        origin=meta["init"],
-    )
     traj = Trajectory(
         config=config,
         init_kind=meta["init"],
         init_v_hat=init_v_hat,
         init_log_norm=float(meta.get("init_log_norm", 0.0)),
-        records=records,
-        final=final,
+        s=steps[0],
+        phi_norm_sq=steps[1],
+        log_ratio=steps[2],
+        snapshots=snapshots,
         seed=int(meta.get("seed", 0)),
     )
     return traj, meta
 
 
-def _field_offset(row_offset: int, cells: list[str], j: int) -> int:
-    """Byte offset of field j of a row split into cells."""
-    return row_offset + len(",".join(cells[:j]).encode("utf-8")) + (
-        1 if j > 0 else 0
-    )
+def _byte_offset(lines: list[str], row_idx: int, j: int = 0) -> int:
+    """Byte offset of field j of line row_idx of a file split on newlines."""
+    fields = lines[row_idx].split(",")
+    before = "\n".join(lines[:row_idx] + [",".join(fields[:j])])
+    return len(before.encode("utf-8")) + (1 if j > 0 else 0)
 
 
-def _raise_on_unparseable(cells: list[str], row_offset: int) -> NoReturn:
+def _raise_on_unparseable(lines: list[str], row_idx: int) -> NoReturn:
     """Raise on the first field of a row that does not parse."""
-    for j, cell in enumerate(cells):
+    for j, cell in enumerate(lines[row_idx].split(",")):
         try:
             int(cell) if j == 0 else float(cell)
         except ValueError:
             raise TrajectoryParseError(
                 f"unparseable field {cell!r} at byte "
-                f"{_field_offset(row_offset, cells, j)}"
+                f"{_byte_offset(lines, row_idx, j)}"
             ) from None
-
-
-def _raise_on_non_finite(lines: list[str], offsets: list[int]) -> None:
-    """Raise on the first NaN or infinite field. Returns when there is none
-    (finite fields whose sum overflowed)."""
-    for row_idx, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        for j in range(1, len(cells)):
-            if not math.isfinite(float(cells[j])):
-                raise TrajectoryParseError(
-                    f"non-finite field {cells[j]!r} at byte "
-                    f"{_field_offset(offsets[row_idx], cells, j)}"
-                )
 
 
 def _is_finite_number(v) -> bool:

@@ -10,6 +10,11 @@ to ||v_0|| = 1). The per-step log increment uses the closed form
 with f = phi(x_i) and s = <f, v_hat_{i-1}>, evaluated through log1p so tiny
 increments do not lose precision. The direction itself is renormalized
 every step from the directly computed ||u||.
+
+A recorded run is a columnar Trajectory: the per-step scalars s,
+||f||^2 and the log ratio as float64 arrays of length n, plus (checker
+mode) an (n+1, m) array of directions whose row 0 is the start. The
+checker and the CSV writer and reader work on these arrays directly.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class OjaConfig:
 
     ``norm_bound``, when given, is the certified bound B on ||phi(x)||^2
     and enforces the eta <= 0.1/B precondition the growth guarantees
-    need. ``snapshots`` stores a copy of v_hat in every step record
+    need. ``snapshots`` also records the direction after every step
     (checker mode); it implies record_trajectory.
     """
 
@@ -95,43 +100,74 @@ class StepRecord:
     """Per-step scalars sufficient to recheck every growth inequality.
 
     log_ratio is log(||v_i||^2 / ||v_{i-1}||^2) from the closed form.
-    v_hat is a snapshot of the post-step direction (checker mode only).
     """
 
-    step: int
     s: float
     phi_norm_sq: float
     log_ratio: float
-    v_hat: np.ndarray | None = None
+
+
+STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
 
 
 @dataclass
 class Trajectory:
-    """A recorded run: config, initial state, per-step records, final state.
+    """A recorded run: config, initial state and per-step columns.
 
-    ``seed`` keys deterministic pair sampling in the post-hoc checker;
-    the harness sets it to the trial seed.
+    Index i of ``s``, ``phi_norm_sq`` and ``log_ratio`` is step i+1.
+    ``snapshots``, when present, is (n+1, m): the initial direction, then
+    the direction after each step; an empty trajectory always has that
+    one row. ``log_norm`` (n+1 entries, relative to step 0) is derived
+    from ``log_ratio``. ``seed`` keys deterministic pair sampling in the
+    post-hoc checker; the harness sets it to the trial seed.
+
+    Raises:
+        ValueError: a misshapen or non-finite array, or snapshots not
+            starting at init_v_hat. Valid arrays are made read-only.
     """
 
     config: OjaConfig
     init_kind: str
     init_v_hat: np.ndarray
     init_log_norm: float
-    records: list[StepRecord] = field(default_factory=list)
-    final: StreamState | None = None
+    s: np.ndarray
+    phi_norm_sq: np.ndarray
+    log_ratio: np.ndarray
+    snapshots: np.ndarray | None = None
     seed: int = 0
+    log_norm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, m = self.n, self.m
+        if self.snapshots is None and n == 0:
+            self.snapshots = self.init_v_hat[None, :]
+        shapes = {name: (n,) for name in STEP_COLUMNS}
+        shapes.update(init_v_hat=(m,), snapshots=(n + 1, m))
+        # The checks' inequalities compare against NaN as false or pass
+        # it through min/max, so a non-finite value is refused here.
+        for name, shape in shapes.items():
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, not {shape}")
+            if not np.isfinite(values).all():
+                index = np.argwhere(~np.isfinite(values))[0].tolist()
+                raise ValueError(f"non-finite value in {name} at index {index}")
+            values.flags.writeable = False
+        if self.snapshots is not None and not np.array_equal(
+            self.snapshots[0], self.init_v_hat
+        ):
+            raise ValueError("snapshot row 0 is not the initial direction")
+        self.log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(self.log_ratio)))
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return int(self.s.shape[0])
 
     @property
     def m(self) -> int:
         return int(self.init_v_hat.shape[0])
-
-    @property
-    def has_snapshots(self) -> bool:
-        return all(r.v_hat is not None for r in self.records)
 
 
 def init_state(m: int, seed: int) -> StreamState:
@@ -201,14 +237,7 @@ def oja_step(
         step=state.step + 1,
         origin=state.origin,
     )
-    record = StepRecord(
-        step=new_state.step,
-        s=s,
-        phi_norm_sq=phi_norm_sq,
-        log_ratio=log_ratio,
-        v_hat=v_hat.copy() if cfg.snapshots else None,
-    )
-    return new_state, record
+    return new_state, StepRecord(s, phi_norm_sq, log_ratio)
 
 
 def run_stream(
@@ -218,24 +247,36 @@ def run_stream(
 
     ``xs`` is any iterable of input vectors (rows of an (n, d) array
     work). An empty stream returns ``init`` unchanged. When
-    cfg.record_trajectory is set, the full record sequence is returned
-    as a Trajectory; otherwise the second element is None.
+    cfg.record_trajectory is set, every step's record (and, with
+    cfg.snapshots, its new direction) is written into the columns of
+    the returned Trajectory; otherwise the second element is None.
     """
     state = init
-    records: list[StepRecord] | None = [] if cfg.record_trajectory else None
-    for x in xs:
-        state, record = oja_step(state, x, cfg)
-        if records is not None:
-            records.append(record)
-    if records is None:
+    if not cfg.record_trajectory:
+        for x in xs:
+            state, _ = oja_step(state, x, cfg)
         return state, None
+    if not hasattr(xs, "__len__"):
+        xs = list(xs)
+    steps = np.empty((len(STEP_COLUMNS), len(xs)))
+    snapshots = None
+    if cfg.snapshots:
+        snapshots = np.empty((len(xs) + 1, init.v_hat.shape[0]))
+        snapshots[0] = init.v_hat
+    for i, x in enumerate(xs):
+        state, record = oja_step(state, x, cfg)
+        steps[:, i] = record.s, record.phi_norm_sq, record.log_ratio
+        if snapshots is not None:
+            snapshots[i + 1] = state.v_hat
     traj = Trajectory(
         config=cfg,
         init_kind=init.origin,
         init_v_hat=init.v_hat.copy(),
         init_log_norm=init.log_norm,
-        records=records,
-        final=state,
+        s=steps[0],
+        phi_norm_sq=steps[1],
+        log_ratio=steps[2],
+        snapshots=snapshots,
         seed=seed,
     )
     return state, traj

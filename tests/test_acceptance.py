@@ -105,9 +105,9 @@ def test_criterion_1_update_property_ledger():
     for phi, d, n, init_kind, seed in _mixed_configs():
         xs, traj, eta = _record_run(phi, d, n, init_kind, seed)
         feats = np.array([phi.apply(x) for x in xs])
-        snaps = np.vstack([traj.init_v_hat] + [r.v_hat for r in traj.records])
-        s_rec = np.array([r.s for r in traj.records])
-        log_ratio = np.array([r.log_ratio for r in traj.records])
+        snaps = traj.snapshots
+        s_rec = traj.s
+        log_ratio = traj.log_ratio
 
         # Property 1: closed-form log ratio vs a direct norm evaluation of
         # the materialized unnormalized update.

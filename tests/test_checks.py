@@ -146,12 +146,7 @@ class TestHypothesisGating:
 
     def test_missing_snapshots_is_an_input_error(self):
         traj, v_star, ab = make_run("vstar")
-        stripped = dataclasses.replace(
-            traj,
-            records=[
-                dataclasses.replace(r, v_hat=None) for r in traj.records
-            ],
-        )
+        stripped = dataclasses.replace(traj, snapshots=None)
         with pytest.raises(ValueError):
             check_update_properties(stripped)
 
@@ -188,42 +183,40 @@ class TestPairSampling:
 
 
 class TestFaultInjection:
-    """Perturbing any recorded scalar by 1e-3 relative must trip a check."""
+    """Perturbing any recorded scalar by 1e-3 relative must trip a check.
+    Each perturbation edits a copy of one column; the original trajectory
+    is left as it was."""
 
     def _perturbed(self, traj, field, factor=1.001):
-        idx = int(
-            np.argmax([abs(getattr(r, field)) for r in traj.records])
-        )
-        records = list(traj.records)
-        records[idx] = dataclasses.replace(
-            records[idx], **{field: getattr(records[idx], field) * factor}
-        )
-        return dataclasses.replace(traj, records=records)
+        column = getattr(traj, field).copy()
+        idx = int(np.argmax(np.abs(column)))
+        column[idx] *= factor
+        return dataclasses.replace(traj, **{field: column})
 
     @pytest.mark.parametrize("field", ["s", "phi_norm_sq", "log_ratio"])
     def test_scalar_perturbation_detected(self, vstar_run, field):
         traj, v_star, ab = vstar_run
+        before = getattr(traj, field).copy()
         bad = self._perturbed(traj, field)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert not report.ok
+        assert np.array_equal(getattr(traj, field), before)
 
     def test_snapshot_perturbation_detected(self, vstar_run):
         traj, v_star, ab = vstar_run
-        records = list(traj.records)
-        mid = len(records) // 2
-        v = records[mid].v_hat.copy()
-        k = int(np.argmax(np.abs(v)))
-        v[k] *= 1.001
-        records[mid] = dataclasses.replace(records[mid], v_hat=v)
-        bad = dataclasses.replace(traj, records=records)
+        snaps = traj.snapshots.copy()
+        mid = traj.n // 2 + 1
+        k = int(np.argmax(np.abs(snaps[mid])))
+        snaps[mid, k] *= 1.001
+        bad = dataclasses.replace(traj, snapshots=snaps)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert not report.ok
 
     def test_negative_log_ratio_fails_monotonicity(self, vstar_run):
         traj, v_star, ab = vstar_run
-        records = list(traj.records)
-        records[3] = dataclasses.replace(records[3], log_ratio=-1e-6)
-        bad = dataclasses.replace(traj, records=records)
+        log_ratio = traj.log_ratio.copy()
+        log_ratio[3] = -1e-6
+        bad = dataclasses.replace(traj, log_ratio=log_ratio)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         names = {e.name for e in report.failures()}
         assert "norm_never_decreases" in names

@@ -13,6 +13,7 @@ from streamkpca.harness import (
     ConfigError,
     RunConfig,
     TrajectoryParseError,
+    TrialResult,
     check_trajectory_file,
     read_trajectory,
     run,
@@ -21,7 +22,7 @@ from streamkpca.harness import (
     write_trajectory,
     write_trajectory_meta,
 )
-from streamkpca.oja import NumericError
+from streamkpca.oja import NumericError, OjaConfig, init_state, run_stream
 
 from schema_util import validate
 
@@ -132,6 +133,22 @@ class TestRun:
         run(small_config(trials=1))
         assert (tmp_path / "envout" / "report.json").exists()
 
+    def test_trial_files_written_when_the_trial_ends(self, tmp_path, monkeypatch):
+        present = []
+        real_run_trial = harness.run_trial
+
+        def spy(config, trial):
+            present.append(sorted(p.name for p in tmp_path.iterdir()))
+            return real_run_trial(config, trial)
+
+        monkeypatch.setattr(harness, "run_trial", spy)
+        run(small_config(trials=2), out_dir=tmp_path)
+        assert present == [
+            [],
+            ["trial_000.checks.json", "trial_000.csv", "trial_000.meta.json"],
+        ]
+        assert (tmp_path / "report.json").exists()
+
     def test_no_output_without_destination(self, tmp_path, monkeypatch):
         monkeypatch.delenv("STREAMKPCA_OUT", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -149,19 +166,34 @@ class TestTrajectoryFiles:
         write_trajectory_meta(csv_path, art.trajectory, art.result, art.x_star)
         return csv_path, art
 
-    def test_round_trip(self, saved):
-        csv_path, art = saved
+    @pytest.mark.parametrize("snapshots", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 120])
+    def test_round_trip(self, tmp_path, n, snapshots):
+        rng = np.random.default_rng(n)
+        cfg = OjaConfig(
+            eta=0.01,
+            feature_map=FeatureMapSpec.identity(4),
+            record_trajectory=True,
+            snapshots=snapshots,
+        )
+        _, traj = run_stream(
+            rng.standard_normal((n, 4)), cfg, init_state(4, 3), seed=17
+        )
+        csv_path = tmp_path / "traj.csv"
+        write_trajectory(csv_path, traj)
+        result = TrialResult(trial=0, sample_seed=17, init_seed=3)
+        write_trajectory_meta(csv_path, traj, result, None)
         loaded, meta = read_trajectory(csv_path)
-        assert loaded.n == art.trajectory.n
-        assert loaded.config.eta == art.trajectory.config.eta
-        assert loaded.init_kind == art.trajectory.init_kind
-        for a, b in zip(loaded.records, art.trajectory.records):
-            assert a.step == b.step
-            assert a.s == b.s
-            assert a.phi_norm_sq == b.phi_norm_sq
-            assert a.log_ratio == b.log_ratio
-            assert np.array_equal(a.v_hat, b.v_hat)
-        assert np.array_equal(loaded.init_v_hat, art.trajectory.init_v_hat)
+        assert loaded.n == traj.n == n
+        assert loaded.config.eta == traj.config.eta
+        assert loaded.init_kind == traj.init_kind
+        assert loaded.seed == traj.seed
+        for name in ("s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat"):
+            assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
+        if snapshots or n == 0:
+            assert loaded.snapshots.tobytes() == traj.snapshots.tobytes()
+        else:
+            assert loaded.snapshots is None and traj.snapshots is None
 
     def test_checks_identical_after_round_trip(self, saved):
         csv_path, art = saved
@@ -446,6 +478,45 @@ class TestCli:
         assert code == 0
         code = main(["check", str(tmp_path / "out" / "trial_000.csv")])
         assert code == 2
+
+    def _assert_os_error_exit(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_check_out_is_a_directory(self, saved_pair, capsys):
+        csv_path, out_dir = saved_pair
+        self._assert_os_error_exit(
+            ["check", str(csv_path), "--out", str(out_dir)], capsys
+        )
+
+    def test_check_trajectory_is_a_directory(self, saved_pair, capsys):
+        csv_path, out_dir = saved_pair
+        as_dir = out_dir / "dir.csv"
+        as_dir.mkdir()
+        harness.meta_path_for(as_dir).write_bytes(
+            harness.meta_path_for(csv_path).read_bytes()
+        )
+        self._assert_os_error_exit(["check", str(as_dir)], capsys)
+
+    def test_run_out_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        self._assert_os_error_exit(
+            ["run", "--phi", "identity", "--dim", "4", "--n", "20",
+             "--out", str(target)],
+            capsys,
+        )
+        assert target.read_text() == ""
+
+    @pytest.fixture()
+    def saved_pair(self, tmp_path):
+        cfg = small_config(trials=1)
+        run(cfg, out_dir=tmp_path / "run")
+        out_dir = tmp_path / "elsewhere"
+        out_dir.mkdir()
+        return tmp_path / "run" / "trial_000.csv", out_dir
 
     def test_config_file_merge_flags_win(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

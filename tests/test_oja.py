@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.oja import (
     ETA_CEILING,
     NumericError,
     OjaConfig,
+    StepRecord,
     init_state,
     init_state_at,
     oja_step,
@@ -153,7 +157,7 @@ class TestRunStream:
         cfg = identity_config(2, eta, record_trajectory=True, snapshots=True)
         xs = np.tile([1.0, 0.0], (30, 1))
         final, traj = run_stream(xs, cfg, init_state_at([1.0, 1.0]))
-        aligns = [float(r.v_hat[0]) ** 2 for r in traj.records]
+        aligns = [float(v[0]) ** 2 for v in traj.snapshots[1:]]
         for i, a in enumerate(aligns, start=1):
             g = (1.0 + eta) ** (2 * i)
             assert abs(a - g / (g + 1.0)) <= 1e-12
@@ -174,8 +178,8 @@ class TestRunStream:
         cfg = identity_config(5, 0.01, record_trajectory=True, snapshots=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(2.0 * v0))
-        for r1, r2 in zip(t1.records, t2.records):
-            assert np.array_equal(r1.v_hat, r2.v_hat)
+        for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
+            assert np.array_equal(v1, v2)
 
     def test_scale_invariance_generic(self):
         rng = np.random.default_rng(9)
@@ -184,13 +188,123 @@ class TestRunStream:
         cfg = identity_config(4, 0.02, record_trajectory=True, snapshots=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(3.0 * v0))
-        for r1, r2 in zip(t1.records, t2.records):
-            assert np.allclose(r1.v_hat, r2.v_hat, atol=1e-13)
+        for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
+            assert np.allclose(v1, v2, atol=1e-13)
 
     def test_records_disabled_by_default(self):
         cfg = identity_config(2, 0.05)
         _, traj = run_stream(np.tile([1.0, 0.0], (3, 1)), cfg, init_state_at([1.0, 0.0]))
         assert traj is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=25),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        snapshots=st.booleans(),
+        poly2=st.booleans(),
+    )
+    def test_columns_equal_a_fold_of_oja_step(self, n, d, seed, snapshots, poly2):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, d))
+        phi = FeatureMapSpec.poly2(d) if poly2 else FeatureMapSpec.identity(d)
+        cfg = OjaConfig(
+            eta=0.01, feature_map=phi, record_trajectory=True, snapshots=snapshots
+        )
+        init = init_state(phi.feature_dim, seed)
+        final, traj = run_stream(xs, cfg, init, seed=seed)
+
+        state, records, directions = init, [], [init.v_hat]
+        for x in xs:
+            state, record = oja_step(state, x, cfg)
+            records.append(record)
+            directions.append(state.v_hat)
+        for name in ("s", "phi_norm_sq", "log_ratio"):
+            expected = np.array([getattr(r, name) for r in records])
+            assert getattr(traj, name).tobytes() == expected.tobytes()
+        if snapshots or n == 0:
+            assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+        else:
+            assert traj.snapshots is None
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm and final.step == n
+        assert traj.seed == seed
+
+    def test_step_record_holds_three_scalars(self):
+        assert [f.name for f in dataclasses.fields(StepRecord)] == [
+            "s",
+            "phi_norm_sq",
+            "log_ratio",
+        ]
+
+
+@pytest.fixture()
+def short_run():
+    rng = np.random.default_rng(12)
+    cfg = identity_config(3, 0.02, record_trajectory=True, snapshots=True)
+    _, traj = run_stream(rng.standard_normal((8, 3)), cfg, init_state(3, 4))
+    return traj
+
+
+class TestTrajectoryValidation:
+    """A trajectory with a non-finite or misshapen column never reaches
+    the checker: construction (and dataclasses.replace) refuses it."""
+
+    @pytest.mark.parametrize(
+        "column, index",
+        [
+            ("s", 5),
+            ("phi_norm_sq", 5),
+            ("log_ratio", 5),
+            ("snapshots", (5, 1)),
+            ("init_v_hat", 0),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, short_run, column, index, value):
+        bad = getattr(short_run, column).copy()
+        bad[index] = value
+        changes = {column: bad}
+        if column == "init_v_hat":
+            changes["snapshots"] = None
+        with pytest.raises(ValueError, match=f"non-finite value in {column}"):
+            dataclasses.replace(short_run, **changes)
+
+    @pytest.mark.parametrize("column", ["s", "phi_norm_sq", "log_ratio"])
+    def test_short_column_rejected(self, short_run, column):
+        with pytest.raises(ValueError, match=column):
+            dataclasses.replace(
+                short_run, **{column: getattr(short_run, column)[:-1]}
+            )
+
+    def test_snapshot_shape_rejected(self, short_run):
+        with pytest.raises(ValueError, match="snapshots has shape"):
+            dataclasses.replace(short_run, snapshots=short_run.snapshots[:-1])
+
+    def test_snapshot_row_zero_must_be_the_start(self, short_run):
+        snaps = short_run.snapshots.copy()
+        snaps[0] = snaps[1]
+        with pytest.raises(ValueError, match="row 0"):
+            dataclasses.replace(short_run, snapshots=snaps)
+
+    @pytest.mark.parametrize(
+        "column", ["s", "phi_norm_sq", "log_ratio", "snapshots", "init_v_hat"]
+    )
+    def test_columns_cannot_be_edited_in_place(self, short_run, column):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(short_run, column)[1] = math.nan
+
+    def test_log_norm_derived_from_log_ratio(self, short_run):
+        expected = np.concatenate(([0.0], 0.5 * np.cumsum(short_run.log_ratio)))
+        assert np.array_equal(short_run.log_norm, expected)
+        doubled = dataclasses.replace(short_run, log_ratio=2 * short_run.log_ratio)
+        assert np.array_equal(doubled.log_norm, 2 * expected)
+
+    def test_empty_trajectory_snapshot_is_the_start(self):
+        cfg = identity_config(2, 0.05, record_trajectory=True)
+        _, traj = run_stream(np.empty((0, 2)), cfg, init_state_at([0.6, 0.8]))
+        assert np.array_equal(traj.snapshots, [[0.6, 0.8]])
+        assert traj.log_norm.tolist() == [0.0]
 
 
 @pytest.fixture(scope="module")
@@ -220,29 +334,24 @@ class TestUpdateInvariants:
 
     def test_property_norm_identity_direct(self, recorded):
         traj, feats, eta = recorded
-        v_hat = traj.init_v_hat
-        for rec, f in zip(traj.records, feats):
-            u = v_hat + eta * rec.s * f
+        for i, f in enumerate(feats):
+            u = traj.snapshots[i] + eta * traj.s[i] * f
             direct = math.log(float(u @ u))
-            assert abs(rec.log_ratio - direct) <= 1e-12
-            v_hat = rec.v_hat
+            assert abs(traj.log_ratio[i] - direct) <= 1e-12
 
     def test_property_monotone_norm(self, recorded):
         traj, _, _ = recorded
-        assert all(r.log_ratio >= 0.0 for r in traj.records)
+        assert all(r >= 0.0 for r in traj.log_ratio)
 
     def test_property_step_floor(self, recorded):
         traj, _, eta = recorded
-        for rec in traj.records:
-            assert rec.log_ratio >= eta * rec.s**2 - 1e-12
+        for s, log_ratio in zip(traj.s, traj.log_ratio):
+            assert log_ratio >= eta * s**2 - 1e-12
 
     def test_property_interval_floor_all_pairs(self, recorded):
         traj, _, eta = recorded
-        log_ratio = np.array([r.log_ratio for r in traj.records])
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio)))
-        energy = np.concatenate(
-            ([0.0], np.cumsum([eta * r.s**2 for r in traj.records]))
-        )
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
+        energy = np.concatenate(([0.0], np.cumsum(eta * traj.s**2)))
         n = traj.n
         for a in range(n):
             for b in range(a + 1, n + 1):
@@ -252,10 +361,8 @@ class TestUpdateInvariants:
 
     def test_property_increment_reconstruction(self, recorded):
         traj, feats, eta = recorded
-        log_ratio = np.array([r.log_ratio for r in traj.records])
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio)))
-        snaps = np.vstack([traj.init_v_hat] + [r.v_hat for r in traj.records])
-        v_full = snaps * np.exp(log_norm)[:, None]
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
+        v_full = traj.snapshots * np.exp(log_norm)[:, None]
         n = traj.n
         increments = np.array(
             [
@@ -274,9 +381,8 @@ class TestUpdateInvariants:
     def test_log_domain_norm_floor(self, recorded):
         # 2 L_n >= log(eta) + logsumexp_i(log s_i^2 + 2 L_{i-1})
         traj, _, eta = recorded
-        log_ratio = np.array([r.log_ratio for r in traj.records])
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio)))
-        s = np.array([r.s for r in traj.records])
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
+        s = traj.s
         mask = s != 0.0
         terms = 2.0 * np.log(np.abs(s[mask])) + 2.0 * log_norm[:-1][mask]
         peak = terms.max()
