@@ -2,8 +2,9 @@
 certify persisted trajectories.
 
 Exit codes: 0 success, 1 check failure, 2 config, input or OS error,
-3 numeric abort in every trial. A config file (--config) merges with
-flags; flags win.
+3 numeric abort in every trial, 4 internal error (any other exception,
+reported as one line without a traceback). A config file (--config)
+merges with flags; flags win.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ABORT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,6 +238,10 @@ def main(argv=None) -> int:
         # from the CLI's point of view; exit 1 stays "a check failed".
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as exc:
+        # A bug, not a verdict on the input: it must not read as exit 1.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ i.i.d. Gaussian coefficients from another, giving a spiked covariance
 whose top-two eigenvalue ratio is a direct knob. Samples whose squared
 norm exceeds the certified guard bound (a <0.01% event) are skipped and
 redrawn from the same seed stream, so the guard holds exactly and the
-learning-rate precondition is never violated by an outlier.
+learning-rate precondition is never violated by an outlier. Samples are
+drawn ``linalg.BLOCK_ROWS`` at a time; the draws, their order and the
+samples kept are the same as one draw per sample would give.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import as_vector
 
 
@@ -131,12 +134,18 @@ def make_spiked_stream(spec: SpikedSpec) -> tuple[np.ndarray, SpikedGroundTruth]
     mix = basis * sqrt_lam  # column k is sqrt(lambda_k) * u_k
     count = 0
     while count < spec.n:
-        g = rng.standard_normal(spec.input_dim)
-        x = mix @ g
-        if float(x @ x) > guard:
-            continue  # skip the outlier, keep consuming the same seed stream
-        xs[count] = x
-        count += 1
+        # Never more draws than samples still missing, so the seed stream
+        # is consumed exactly as far as a per-sample loop would.
+        k = min(linalg.BLOCK_ROWS, spec.n - count)
+        g = rng.standard_normal((k, spec.input_dim))
+        # Batched GEMV and dot products: the same bits as mix @ g and
+        # x @ x per row, which one GEMM would not give.
+        x = np.matmul(mix, g[:, :, None])[:, :, 0]
+        norms_sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+        # Outliers are skipped; the stream keeps its place in the seed.
+        kept = x[norms_sq <= guard]
+        xs[count : count + kept.shape[0]] = kept
+        count += kept.shape[0]
     truth = SpikedGroundTruth(
         spectrum=lam,
         basis=basis,

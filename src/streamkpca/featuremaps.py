@@ -9,6 +9,10 @@ Three maps are shipped:
 * ``rff`` -- random Fourier cosine features approximating an RBF kernel;
   frequencies and phases are frozen from a seed at spec construction, so
   the map is one fixed deterministic function for the whole stream.
+
+``apply`` lifts one sample; ``apply_batch`` lifts a block of rows with
+one validation and one vectorized pass, and its rows equal ``apply`` of
+each input bit for bit.
 """
 
 from __future__ import annotations
@@ -98,6 +102,43 @@ class FeatureMapSpec:
             return w * v[i] * v[j]
         w_freq, b = rff_parameters(self)
         return cosine_features(w_freq, b, v)
+
+    def apply_batch(self, xs) -> np.ndarray:
+        """Map a (k, input_dim) block of inputs to (k, feature_dim) rows.
+
+        Shape and finiteness are checked once for the block. The result
+        is a new C-contiguous array whose row i equals apply(xs[i]) bit
+        for bit: each row's numbers come from the same per-sample
+        operations, and a later dot product over a contiguous row rounds
+        as it would over apply's vector.
+
+        Raises:
+            DimensionError: xs is not 2-D with input_dim columns.
+            ValueError: an entry is NaN or infinite.
+        """
+        try:
+            x = np.array(xs, dtype=np.float64, order="C")
+        except ValueError as exc:  # ragged rows
+            raise DimensionError(f"input block is not a 2-D array: {exc}") from exc
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(
+                f"expected a (k, {self.input_dim}) block, got shape {x.shape}"
+            )
+        if not np.isfinite(x).all():
+            raise ValueError("input block has non-finite entries")
+        if self.kind == "identity":
+            return x
+        if self.kind == "poly2":
+            i, j, w = _poly2_layout(self.input_dim)
+            # w * x[:, i] * x[:, j] alone would come out column-major.
+            out = np.empty((x.shape[0], self.feature_dim))
+            np.multiply(w * x[:, i], x[:, j], out=out)
+            return out
+        w_freq, b = rff_parameters(self)
+        # One GEMV per row, as in apply; x @ w_freq.T (one GEMM) would
+        # round differently.
+        proj = np.matmul(w_freq, x[:, :, None])[:, :, 0]
+        return math.sqrt(2.0 / self.feature_dim) * np.cos(proj + b)
 
     def norm_bound(self, generator_bound: float) -> float:
         """Certified bound on ||phi(x)||^2 given a bound on ||x||^2.

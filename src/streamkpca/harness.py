@@ -17,16 +17,19 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import reprlib
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
+from . import linalg
 from .checks import CheckReport, _jsonable, run_all_checks
 from .datagen import SpikedSpec, make_spiked_stream
 from .featuremaps import FeatureMapSpec
@@ -47,7 +50,6 @@ OUT_DIR_ENV = "STREAMKPCA_OUT"
 REPORT_SCHEMA_ID = "streamkpca-run-report/1"
 
 TRAJECTORY_HEADER = ["step", *STEP_COLUMNS]
-WRITE_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -370,7 +372,10 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
         generator = replace(
             config.generator, lambda2=config.generator.lambda1 / target
         )
-        sub = replace(config, generator=generator, out_dir=None)
+        # Nothing is written, so only the checks need a recorded run.
+        sub = replace(
+            config, generator=generator, out_dir=None, save_trajectories=False
+        )
         report = run(sub, out_dir=False)
         good = [t for t in report["trials"] if t["error"] is None]
         ratios_emp = [
@@ -451,7 +456,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write the step columns as CSV; snapshots become vhat_* columns.
 
-    Rows are formatted WRITE_BLOCK_ROWS at a time, so the Python floats
+    Rows are formatted linalg.BLOCK_ROWS at a time, so the Python floats
     and text of the whole file never exist at once.
     """
     header = list(TRAJECTORY_HEADER)
@@ -461,9 +466,9 @@ def write_trajectory(path, traj: Trajectory) -> None:
         columns.append(traj.snapshots[1:])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, traj.n, WRITE_BLOCK_ROWS):
+        for start in range(0, traj.n, linalg.BLOCK_ROWS):
             block = np.column_stack(
-                [c[start : start + WRITE_BLOCK_ROWS] for c in columns]
+                [c[start : start + linalg.BLOCK_ROWS] for c in columns]
             )
             text = "".join(
                 f"{step}," + ",".join(map(repr, row)) + "\n"
@@ -514,73 +519,30 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     _validate_meta(meta, meta_file)
 
-    try:
-        lines = csv_path.read_bytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise TrajectoryParseError(
-            f"invalid UTF-8 at byte {exc.start}"
-        ) from exc
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise TrajectoryParseError("empty trajectory file at byte 0")
-
-    header = lines[0].split(",")
-    width = len(TRAJECTORY_HEADER)
-    if header[:width] != TRAJECTORY_HEADER:
-        raise TrajectoryParseError(
-            f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
-        )
-    for k, name in enumerate(header[width:]):
-        if name != f"vhat_{k}":
-            raise TrajectoryParseError(
-                f"bad snapshot column {name!r} at byte "
-                f"{_byte_offset(lines, 0, width + k)}"
-            )
-    m_cols = len(header) - width
     init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
-    if m_cols and init_v_hat.shape[0] != m_cols:
-        raise ConfigError("metadata init vector does not match snapshot width")
-
-    # Preallocated, filled row by row: the file is parsed once, with no
-    # per-row objects kept.
-    n = len(lines) - 1
-    steps = np.empty((width - 1, n))
-    snapshots = np.empty((n + 1, m_cols)) if m_cols else None
-    if snapshots is not None:
-        snapshots[0] = init_v_hat
-    for row_idx, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise TrajectoryParseError(
-                f"row {row_idx} at byte {_byte_offset(lines, row_idx)}: "
-                f"expected {len(header)} fields, found {len(cells)}"
-            )
-        try:
-            step = int(cells[0])
-            values = list(map(float, cells[1:]))
-        except ValueError:
-            _raise_on_unparseable(lines, row_idx)
-        if step != row_idx:
-            raise TrajectoryParseError(
-                f"non-consecutive step index at byte {_byte_offset(lines, row_idx)}"
-            )
-        steps[:, row_idx - 1] = values[: width - 1]
-        if snapshots is not None:
-            snapshots[row_idx] = values[width - 1 :]
+    try:
+        steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat)
+    except (TrajectoryParseError, ConfigError, UnicodeDecodeError):
+        # Invalid UTF-8 anywhere in the file is reported first, located
+        # by a scan of the raw lines.
+        with closing(_raw_lines(csv_path)) as lines:
+            for line_start, raw in lines:
+                _decode_line(raw, line_start)
+        raise
 
     # NaN or inf anywhere: the arrays find the first such row, and only
-    # that row is split again to locate the field.
+    # that row is read and split again to locate the field.
     finite = np.isfinite(steps).all(axis=0)
     if snapshots is not None:
         finite &= np.isfinite(snapshots[1:]).all(axis=1)
     if not finite.all():
         row_idx = int(np.argmin(finite)) + 1
-        cells = lines[row_idx].split(",")
+        line_start, line = _line_at(csv_path, row_idx)
+        cells = line.split(",")
         j = next(j for j in range(1, len(cells)) if not math.isfinite(float(cells[j])))
         raise TrajectoryParseError(
             f"non-finite field {cells[j]!r} at byte "
-            f"{_byte_offset(lines, row_idx, j)}"
+            f"{_byte_offset(line_start, line, j)}"
         )
 
     try:
@@ -594,7 +556,7 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         eta=float(meta["eta"]),
         feature_map=feature_map,
         record_trajectory=True,
-        snapshots=m_cols > 0,
+        snapshots=snapshots is not None,
         norm_bound=meta.get("norm_bound"),
     )
     traj = Trajectory(
@@ -611,22 +573,118 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     return traj, meta
 
 
-def _byte_offset(lines: list[str], row_idx: int, j: int = 0) -> int:
-    """Byte offset of field j of line row_idx of a file split on newlines."""
-    fields = lines[row_idx].split(",")
-    before = "\n".join(lines[:row_idx] + [",".join(fields[:j])])
-    return len(before.encode("utf-8")) + (1 if j > 0 else 0)
+def _parse_trajectory_csv(
+    csv_path: Path, init_v_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fill the (3, n) step array and the (n+1, m) snapshots, or None.
+
+    The file is read a line at a time into arrays preallocated from a
+    line count, so the parse holds no more than the arrays and a buffer.
+    Snapshot row 0 is init_v_hat. Every malformed field but a non-finite
+    number raises here; a line's byte offset is found only then.
+
+    Raises:
+        UnicodeDecodeError: invalid UTF-8, at an offset within a buffer.
+    """
+    n_lines = _count_lines(csv_path)
+    if n_lines == 0:
+        raise TrajectoryParseError("empty trajectory file at byte 0")
+    # newline="\n": split on "\n" only; a "\r" stays part of its field.
+    with open(csv_path, encoding="utf-8", newline="\n") as fh:
+        header_line = fh.readline().removesuffix("\n")
+        header = header_line.split(",")
+        width = len(TRAJECTORY_HEADER)
+        if header[:width] != TRAJECTORY_HEADER:
+            raise TrajectoryParseError(
+                f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
+            )
+        for k, name in enumerate(header[width:]):
+            if name != f"vhat_{k}":
+                raise TrajectoryParseError(
+                    f"bad snapshot column {name!r} at byte "
+                    f"{_byte_offset(0, header_line, width + k)}"
+                )
+        m_cols = len(header) - width
+        if m_cols and init_v_hat.shape[0] != m_cols:
+            raise ConfigError("metadata init vector does not match snapshot width")
+
+        n = n_lines - 1
+        steps = np.empty((width - 1, n))
+        snapshots = np.empty((n + 1, m_cols)) if m_cols else None
+        if snapshots is not None:
+            snapshots[0] = init_v_hat
+        for row_idx, line in enumerate(fh, start=1):
+            cells = line.removesuffix("\n").split(",")
+            if len(cells) != len(header):
+                line_start, _ = _line_at(csv_path, row_idx)
+                raise TrajectoryParseError(
+                    f"row {row_idx} at byte {line_start}: "
+                    f"expected {len(header)} fields, found {len(cells)}"
+                )
+            try:
+                step = int(cells[0])
+                values = list(map(float, cells[1:]))
+            except ValueError:
+                _raise_on_unparseable(*_line_at(csv_path, row_idx))
+            if step != row_idx:
+                line_start, _ = _line_at(csv_path, row_idx)
+                raise TrajectoryParseError(
+                    f"non-consecutive step index at byte {line_start}"
+                )
+            steps[:, row_idx - 1] = values[: width - 1]
+            if snapshots is not None:
+                snapshots[row_idx] = values[width - 1 :]
+    return steps, snapshots
 
 
-def _raise_on_unparseable(lines: list[str], row_idx: int) -> NoReturn:
+def _count_lines(path: Path) -> int:
+    """Lines of a file split on newlines, not counting an empty last one."""
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh)
+
+
+def _raw_lines(path: Path):
+    """Yield (byte offset, bytes with newline) for each line of a file."""
+    line_start = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            yield line_start, raw
+            line_start += len(raw)
+
+
+def _decode_line(raw: bytes, line_start: int) -> str:
+    """A line read from the file, decoded, without its newline."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TrajectoryParseError(
+            f"invalid UTF-8 at byte {line_start + exc.start}"
+        ) from exc
+    return line[:-1] if line.endswith("\n") else line
+
+
+def _line_at(path: Path, row_idx: int) -> tuple[int, str]:
+    """(byte offset, decoded text) of line row_idx of a valid file."""
+    with closing(_raw_lines(path)) as lines:
+        line_start, raw = next(itertools.islice(lines, row_idx, None))
+    return line_start, _decode_line(raw, line_start)
+
+
+def _byte_offset(line_start: int, line: str, j: int) -> int:
+    """Byte offset of field j of a line that starts at byte line_start."""
+    before = ",".join(line.split(",")[:j])
+    return line_start + len(before.encode("utf-8")) + (1 if j > 0 else 0)
+
+
+def _raise_on_unparseable(line_start: int, line: str) -> NoReturn:
     """Raise on the first field of a row that does not parse."""
-    for j, cell in enumerate(lines[row_idx].split(",")):
+    for j, cell in enumerate(line.split(",")):
         try:
             int(cell) if j == 0 else float(cell)
         except ValueError:
             raise TrajectoryParseError(
                 f"unparseable field {cell!r} at byte "
-                f"{_byte_offset(lines, row_idx, j)}"
+                f"{_byte_offset(line_start, line, j)}"
             ) from None
 
 

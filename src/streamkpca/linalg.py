@@ -1,24 +1,35 @@
 """Dense vector/matrix primitives and symmetric eigensolvers.
 
-Vectors are plain 1-D float64 numpy arrays. Symmetric matrices store only
-the upper triangle (row-major), so symmetry holds by construction. The
-oracle eigensolver, ``eigendecomposition``, is LAPACK's symmetric solver
-(``numpy.linalg.eigh``) wrapped in the oracle's contracts: descending
-order, a sign convention, a dimension cap and orthonormality and
-reconstruction postconditions. Cyclic Jacobi rotations and power
-iteration stay as independent pure-numpy references: slow past a few
-hundred dimensions, but they share no code path with LAPACK, so tests
-and demos can cross-check the oracle against them.
+Vectors are plain 1-D float64 numpy arrays. A symmetric matrix is either
+a dense square array or a ``SymmetricMatrix``, which stores only the
+upper triangle (row-major), so symmetry holds by construction; every
+solver accepts both. The oracle eigensolver, ``eigendecomposition``, is
+LAPACK's symmetric solver (``numpy.linalg.eigh``) wrapped in the
+oracle's contracts: descending order, a sign convention, a dimension cap
+and orthonormality and reconstruction postconditions. Cyclic Jacobi
+rotations and power iteration stay as independent pure-numpy references:
+slow past a few hundred dimensions, but they share no code path with
+LAPACK, so tests and demos can cross-check the oracle against them.
+
+``BLOCK_ROWS`` is the one row count by which every stream layer batches
+its per-sample work (generation, lifting, the second moment, the Oja
+pass and the trajectory writer).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_ORACLE_DIM = 2048
+
+# Rows per block for every batched per-sample layer; read at call time
+# (``linalg.BLOCK_ROWS``) so a test can change it. Blocks of 256 rows
+# were as fast as 1024 and kept peak memory lower.
+BLOCK_ROWS = 256
 
 # Postcondition tolerances for eigendecompositions.
 ORTHONORMALITY_TOL = 1e-9
@@ -46,6 +57,21 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
+
+
+def row_blocks(xs):
+    """Yield the rows of ``xs`` in blocks of at most BLOCK_ROWS rows.
+
+    An ndarray is sliced without copying; any other iterable of rows is
+    grouped into lists. No empty block is yielded.
+    """
+    if isinstance(xs, np.ndarray) and xs.ndim > 0:
+        for start in range(0, xs.shape[0], BLOCK_ROWS):
+            yield xs[start : start + BLOCK_ROWS]
+        return
+    rows = iter(xs)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        yield block
 
 
 def dot(a, b) -> float:
@@ -95,17 +121,9 @@ class SymmetricMatrix:
         The stored triangle is taken from (A + A^T)/2 so tiny asymmetric
         float noise is symmetrized away rather than preserved.
         """
-        m = np.asarray(a, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-        if float(np.abs(m - m.T).max()) > sym_tol * scale:
-            raise ValueError("matrix is not symmetric")
-        sym = 0.5 * (m + m.T)
-        iu = np.triu_indices(m.shape[0])
-        return cls(dim=m.shape[0], packed=sym[iu])
+        sym = symmetric_dense(a, sym_tol=sym_tol)
+        iu = np.triu_indices(sym.shape[0])
+        return cls(dim=sym.shape[0], packed=sym[iu])
 
     @classmethod
     def zeros(cls, dim: int) -> "SymmetricMatrix":
@@ -121,8 +139,28 @@ class SymmetricMatrix:
     def max_abs(self) -> float:
         return float(np.abs(self.packed).max())
 
-    def scaled(self, factor: float) -> "SymmetricMatrix":
-        return SymmetricMatrix(dim=self.dim, packed=self.packed * factor)
+
+def symmetric_dense(a, *, sym_tol: float = 1e-9) -> np.ndarray:
+    """Dense (A + A^T)/2 of a SymmetricMatrix or a square array.
+
+    An exactly symmetric array comes back with the same values.
+
+    Raises:
+        DimensionError: not a non-empty square matrix.
+        ValueError: non-finite entries, or asymmetry above sym_tol
+            relative to max(1, max |a_ij|).
+    """
+    if isinstance(a, SymmetricMatrix):
+        return a.to_dense()
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionError(f"expected a square matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, float(np.abs(m).max()))
+    if float(np.abs(m - m.T).max()) > sym_tol * scale:
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -154,9 +192,7 @@ def _fix_signs(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def jacobi_eigendecomposition(
-    a: SymmetricMatrix, *, max_sweeps: int = 100
-) -> EigenDecomposition:
+def jacobi_eigendecomposition(a, *, max_sweeps: int = 100) -> EigenDecomposition:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     An independent pure-numpy reference for eigendecomposition: accurate
@@ -168,10 +204,11 @@ def jacobi_eigendecomposition(
             max_sweeps sweeps, or postconditions (orthonormality,
             reconstruction) violated.
     """
-    n = a.dim
+    dense = symmetric_dense(a)
+    n = dense.shape[0]
     if n > MAX_ORACLE_DIM:
         raise ValueError(f"oracle eigensolver capped at dim {MAX_ORACLE_DIM}")
-    m = a.to_dense()
+    m = dense.copy()
     v = np.eye(n)
     if n > 1:
         scale = float(np.abs(m).max())
@@ -196,10 +233,10 @@ def jacobi_eigendecomposition(
                 f"jacobi did not converge in {max_sweeps} sweeps"
             )
 
-    return _oracle_result(a, np.diag(m), v)
+    return _oracle_result(dense, np.diag(m), v)
 
 
-def eigendecomposition(a: SymmetricMatrix) -> EigenDecomposition:
+def eigendecomposition(a) -> EigenDecomposition:
     """Full eigendecomposition by LAPACK's symmetric solver (numpy eigh).
 
     The offline oracle: same contracts as jacobi_eigendecomposition
@@ -211,17 +248,18 @@ def eigendecomposition(a: SymmetricMatrix) -> EigenDecomposition:
         ConvergenceError: postconditions (orthonormality, reconstruction)
             violated.
     """
-    if a.dim > MAX_ORACLE_DIM:
+    dense = symmetric_dense(a)
+    if dense.shape[0] > MAX_ORACLE_DIM:
         raise ValueError(f"oracle eigensolver capped at dim {MAX_ORACLE_DIM}")
-    values, vectors = np.linalg.eigh(a.to_dense())
-    return _oracle_result(a, values, vectors)
+    values, vectors = np.linalg.eigh(dense)
+    return _oracle_result(dense, values, vectors)
 
 
 def _oracle_result(
-    a: SymmetricMatrix, values: np.ndarray, vectors: np.ndarray
+    a: np.ndarray, values: np.ndarray, vectors: np.ndarray
 ) -> EigenDecomposition:
     # Sort descending (stable), fix signs, then verify the postconditions.
-    n = a.dim
+    n = a.shape[0]
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
@@ -231,8 +269,8 @@ def _oracle_result(
     if gram_err > ORTHONORMALITY_TOL:
         raise ConvergenceError(f"eigenvectors not orthonormal: {gram_err:g}")
     recon = vectors @ (values[:, None] * vectors.T)
-    recon_err = float(np.abs(recon - a.to_dense()).max())
-    if recon_err > RECONSTRUCTION_TOL * max(1.0, a.max_abs()):
+    recon_err = float(np.abs(recon - a).max())
+    if recon_err > RECONSTRUCTION_TOL * max(1.0, float(np.abs(a).max())):
         raise ConvergenceError(f"reconstruction residual too large: {recon_err:g}")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
@@ -271,43 +309,41 @@ def _rotate(m: np.ndarray, v: np.ndarray, p: int, q: int, apq: float) -> None:
     v[:, q] = s * vp + c * vq
 
 
-def power_iteration_top(
-    a: SymmetricMatrix, tol: float, max_iters: int
-) -> tuple[float, np.ndarray]:
+def power_iteration_top(a, tol: float, max_iters: int) -> tuple[float, np.ndarray]:
     """Top (algebraically largest) eigenpair by shifted power iteration.
 
     The matrix is shifted by a Gershgorin bound when it might be
     indefinite, so iteration converges to the largest eigenvalue rather
-    than the largest in magnitude. Convergence means the Rayleigh
-    quotient stabilized to within tol on two consecutive iterations.
-    A spectral gap is the caller's responsibility.
+    than the largest in magnitude. Convergence means the residual
+    ||M v - lambda v|| is at most tol * max(1, ||M||_inf); by the
+    Davis-Kahan bound the angle to the top eigenvector is then at most
+    that residual over the spectral gap. A gap is the caller's
+    responsibility.
 
     Returns:
         (eigenvalue, unit eigenvector), sign-fixed like the oracle.
 
     Raises:
-        ConvergenceError: Rayleigh quotient failed to stabilize within
+        ConvergenceError: residual not below the tolerance within
             max_iters iterations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    m = a.to_dense()
-    n = a.dim
+    m = symmetric_dense(a)
+    n = m.shape[0]
 
-    gershgorin_low = float(
-        np.min(np.diag(m) - (np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))))
-    )
+    row_sums = np.sum(np.abs(m), axis=1)
+    gershgorin_low = float(np.min(np.diag(m) - (row_sums - np.abs(np.diag(m)))))
     shift = max(0.0, -gershgorin_low)
     ms = m + shift * np.eye(n)
+    stop = tol * max(1.0, float(row_sums.max()))
 
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(n)
     vec /= np.linalg.norm(vec)
 
-    lam_prev = math.inf
-    hits = 0
     for _ in range(max_iters):
         w = ms @ vec
         wn = float(np.linalg.norm(w))
@@ -317,17 +353,13 @@ def power_iteration_top(
             _fix_single_sign(vec)
             return lam, vec
         vec = w / wn
-        lam = float(vec @ (m @ vec))
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            hits += 1
-            if hits >= 2:
-                _fix_single_sign(vec)
-                return lam, vec
-        else:
-            hits = 0
-        lam_prev = lam
+        mv = m @ vec
+        lam = float(vec @ mv)
+        if float(np.linalg.norm(mv - lam * vec)) <= stop:
+            _fix_single_sign(vec)
+            return lam, vec
     raise ConvergenceError(
-        f"power iteration: Rayleigh quotient not stable after {max_iters} iters"
+        f"power iteration: residual above {stop:g} after {max_iters} iters"
     )
 
 

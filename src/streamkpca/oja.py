@@ -9,7 +9,10 @@ to ||v_0|| = 1). The per-step log increment uses the closed form
 
 with f = phi(x_i) and s = <f, v_hat_{i-1}>, evaluated through log1p so tiny
 increments do not lose precision. The direction itself is renormalized
-every step from the directly computed ||u||.
+every step from the directly computed ||u||. That arithmetic, with its
+non-finite guard, exists once, in ``_update``: ``oja_step`` applies it
+to one sample, and ``run_stream`` lifts the stream ``linalg.BLOCK_ROWS``
+rows at a time and runs it over the lifted rows in order.
 
 A recorded run is a columnar Trajectory: the per-step scalars s,
 ||f||^2 and the log ratio as float64 arrays of length n, plus (checker
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .featuremaps import FeatureMapSpec
 from .linalg import DimensionError, as_vector
 
@@ -193,31 +197,21 @@ def init_state_at(v0) -> StreamState:
     return StreamState(v_hat=v / n, log_norm=0.0, step=0, origin="vstar")
 
 
-def oja_step(
-    state: StreamState, x, cfg: OjaConfig
-) -> tuple[StreamState, StepRecord]:
-    """Advance the stream by one sample.
+def _update(
+    v_hat: np.ndarray, f: np.ndarray, eta: float, step: int
+) -> tuple[np.ndarray, float, float, float]:
+    """One update of unit direction v_hat by lifted sample f (step number
+    ``step``): returns (new v_hat, s, ||f||^2, log ratio).
 
-    Returns the new state and the step record. The record is produced
-    unconditionally; run_stream decides whether to keep it.
-
-    Raises:
-        NumericError: a non-finite value appeared in the update.
+    The caller suppresses numpy's overflow warnings: an overflow is not
+    a bug to warn about, it is detected here and turned into a
+    NumericError abort.
     """
-    f = cfg.feature_map.apply(x)
-    if f.shape != state.v_hat.shape:
-        raise DimensionError(
-            f"feature dim {f.shape[0]} does not match state dim {state.v_hat.shape[0]}"
-        )
-    eta = cfg.eta
-    # Overflow here is not a bug to warn about: it is detected below and
-    # turned into a NumericError abort.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = float(f @ state.v_hat)
-        phi_norm_sq = float(f @ f)
-        u = state.v_hat + (eta * s) * f
-        u_norm_sq = float(u @ u)
-        growth = (2.0 * eta + eta * eta * phi_norm_sq) * s * s
+    s = float(f.dot(v_hat))
+    phi_norm_sq = float(f.dot(f))
+    u = v_hat + (eta * s) * f
+    u_norm_sq = float(u.dot(u))
+    growth = (2.0 * eta + eta * eta * phi_norm_sq) * s * s
     log_ratio = math.log1p(growth) if math.isfinite(growth) else math.inf
     if not (
         math.isfinite(s)
@@ -227,10 +221,36 @@ def oja_step(
         and u_norm_sq > 0.0
     ):
         raise NumericError(
-            f"non-finite update at step {state.step + 1}: "
+            f"non-finite update at step {step}: "
             f"s={s}, phi_norm_sq={phi_norm_sq}, u_norm_sq={u_norm_sq}"
         )
-    v_hat = u / math.sqrt(u_norm_sq)
+    return u / math.sqrt(u_norm_sq), s, phi_norm_sq, log_ratio
+
+
+def _check_dims(cfg: OjaConfig, state: StreamState) -> None:
+    m = cfg.feature_map.feature_dim
+    if m != state.v_hat.shape[0]:
+        raise DimensionError(
+            f"feature dim {m} does not match state dim {state.v_hat.shape[0]}"
+        )
+
+
+def oja_step(
+    state: StreamState, x, cfg: OjaConfig
+) -> tuple[StreamState, StepRecord]:
+    """Advance the stream by one sample: the reference for run_stream.
+
+    Returns the new state and the step record.
+
+    Raises:
+        NumericError: a non-finite value appeared in the update.
+    """
+    f = cfg.feature_map.apply(x)
+    _check_dims(cfg, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_hat, s, phi_norm_sq, log_ratio = _update(
+            state.v_hat, f, cfg.eta, state.step + 1
+        )
     new_state = StreamState(
         v_hat=v_hat,
         log_norm=state.log_norm + 0.5 * log_ratio,
@@ -243,39 +263,64 @@ def oja_step(
 def run_stream(
     xs, cfg: OjaConfig, init: StreamState, *, seed: int = 0
 ) -> tuple[StreamState, Trajectory | None]:
-    """Fold oja_step over a finite stream in arrival order.
+    """Run the update over a finite stream in arrival order.
 
     ``xs`` is any iterable of input vectors (rows of an (n, d) array
-    work). An empty stream returns ``init`` unchanged. When
-    cfg.record_trajectory is set, every step's record (and, with
-    cfg.snapshots, its new direction) is written into the columns of
-    the returned Trajectory; otherwise the second element is None.
+    work). Each block of linalg.BLOCK_ROWS rows is lifted and validated
+    at once, so a malformed sample is reported before any step of its
+    block runs. The states and records are those of folding oja_step
+    over xs, bit for bit. An empty stream returns ``init`` itself. When
+    cfg.record_trajectory is set, every step's s, ||f||^2 and log ratio
+    (and, with cfg.snapshots, its new direction) are written into the
+    columns of the returned Trajectory; otherwise the second element is
+    None.
     """
-    state = init
-    if not cfg.record_trajectory:
-        for x in xs:
-            state, _ = oja_step(state, x, cfg)
-        return state, None
-    if not hasattr(xs, "__len__"):
+    _check_dims(cfg, init)
+    record = cfg.record_trajectory
+    if record and not hasattr(xs, "__len__"):
         xs = list(xs)
-    steps = np.empty((len(STEP_COLUMNS), len(xs)))
+    n = len(xs) if record else 0
+    s_col = np.empty(n)
+    phi_col = np.empty(n)
+    ratio_col = np.empty(n)
     snapshots = None
     if cfg.snapshots:
-        snapshots = np.empty((len(xs) + 1, init.v_hat.shape[0]))
+        snapshots = np.empty((n + 1, init.v_hat.shape[0]))
         snapshots[0] = init.v_hat
-    for i, x in enumerate(xs):
-        state, record = oja_step(state, x, cfg)
-        steps[:, i] = record.s, record.phi_norm_sq, record.log_ratio
-        if snapshots is not None:
-            snapshots[i + 1] = state.v_hat
+    eta = cfg.eta
+    v_hat = init.v_hat
+    log_norm = init.log_norm
+    i = 0  # steps taken
+    for block in linalg.row_blocks(xs):
+        feats = cfg.feature_map.apply_batch(block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in feats:
+                v_hat, s, phi_norm_sq, log_ratio = _update(
+                    v_hat, f, eta, init.step + i + 1
+                )
+                log_norm += 0.5 * log_ratio
+                if record:
+                    s_col[i] = s
+                    phi_col[i] = phi_norm_sq
+                    ratio_col[i] = log_ratio
+                    if snapshots is not None:
+                        snapshots[i + 1] = v_hat
+                i += 1
+    state = init
+    if i:
+        state = StreamState(
+            v_hat=v_hat, log_norm=log_norm, step=init.step + i, origin=init.origin
+        )
+    if not record:
+        return state, None
     traj = Trajectory(
         config=cfg,
         init_kind=init.origin,
         init_v_hat=init.v_hat.copy(),
         init_log_norm=init.log_norm,
-        s=steps[0],
-        phi_norm_sq=steps[1],
-        log_ratio=steps[2],
+        s=s_col,
+        phi_norm_sq=phi_col,
+        log_ratio=ratio_col,
         snapshots=snapshots,
         seed=seed,
     )

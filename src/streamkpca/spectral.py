@@ -1,12 +1,14 @@
 """Offline ground truth: second moments, eigenpairs, spectral ratio, energies.
 
 Everything here is deliberately offline and desk-scale. One pass over a
-replayed stream accumulates the feature-space second moment exactly
-(Kahan-compensated, so accumulation order cannot drift entries past the
-stated tolerances), and one LAPACK eigensolve (``linalg.eigendecomposition``,
-checked by its orthonormality and reconstruction postconditions) turns
-it into eigenpairs. alpha is the top eigenvalue of a deflated second
-moment, taken with ``numpy.linalg.eigvalsh``.
+replayed stream accumulates the feature-space second moment as a dense
+matrix: each block of ``linalg.BLOCK_ROWS`` lifted rows adds F^T F (one
+BLAS product), and Kahan compensation across blocks keeps the sum of
+blocks from drifting with the stream length. One LAPACK eigensolve
+(``linalg.eigendecomposition``, checked by its orthonormality and
+reconstruction postconditions) turns it into eigenpairs. alpha is the
+top eigenvalue of a deflated second moment, taken with
+``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .featuremaps import FeatureMapSpec
 from .linalg import (
     EigenDecomposition,
     MAX_ORACLE_DIM,
-    SymmetricMatrix,
     as_vector,
     eigendecomposition,
 )
@@ -37,12 +39,13 @@ class SpectralSummary:
     """Second moment, covariance, eigenpairs and spectral ratio of a stream.
 
     second_moment M = sum_i phi(x_i) phi(x_i)^T (unnormalized);
-    covariance = M / n; ratio = lambda_1/lambda_2 of the covariance,
-    +inf when the stream is numerically rank one.
+    covariance = M / n; both are dense, exactly symmetric (m, m) arrays.
+    ratio = lambda_1/lambda_2 of the covariance, +inf when the stream is
+    numerically rank one.
     """
 
-    second_moment: SymmetricMatrix
-    covariance: SymmetricMatrix
+    second_moment: np.ndarray
+    covariance: np.ndarray
     eig: EigenDecomposition
     ratio: float
     top_vector: np.ndarray
@@ -76,31 +79,34 @@ class AlphaBeta:
 def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
     """One-pass spectral summary of a replayed stream in feature space.
 
+    ``xs`` is any iterable of input vectors (rows of an (n, d) array
+    work).
+
     Raises:
         ValueError: empty or all-zero stream, or feature dim above the
             oracle cap.
+        DimensionError: a sample of the wrong length.
     """
     m = feature_map.feature_dim
     if m > MAX_ORACLE_DIM:
         raise ValueError(f"oracle summary capped at feature dim {MAX_ORACLE_DIM}")
-    iu_i, iu_j = np.triu_indices(m)
-    acc = np.zeros(iu_i.shape[0])
-    comp = np.zeros_like(acc)
+    second_moment = np.zeros((m, m))
+    comp = np.zeros((m, m))
     n = 0
-    for x in xs:
-        f = feature_map.apply(x)
-        term = f[iu_i] * f[iu_j]
-        # Kahan step, vectorized over the packed triangle.
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        n += 1
+    for block in linalg.row_blocks(xs):
+        f = feature_map.apply_batch(block)
+        # Kahan step over the blocks' (exactly symmetric) F^T F.
+        y = f.T @ f - comp
+        t = second_moment + y
+        comp = (t - second_moment) - y
+        second_moment = t
+        n += f.shape[0]
     if n == 0:
         raise ValueError("cannot summarize an empty stream")
 
-    second_moment = SymmetricMatrix(dim=m, packed=acc)
-    covariance = second_moment.scaled(1.0 / n)
+    covariance = second_moment * (1.0 / n)
+    second_moment.flags.writeable = False
+    covariance.flags.writeable = False
     eig = eigendecomposition(covariance)
     lam1 = float(eig.eigenvalues[0])
     if lam1 <= 0.0:
@@ -134,7 +140,7 @@ def compute_alpha_beta(
     v = as_vector(v_star)
     if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("v_star must have unit norm")
-    m_dense = summary.second_moment.to_dense()
+    m_dense = summary.second_moment
     if v.shape[0] != m_dense.shape[0]:
         raise ValueError("v_star dimension does not match the summary")
 

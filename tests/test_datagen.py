@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from streamkpca import linalg
 from streamkpca.datagen import (
     SpikedSpec,
     make_spiked_stream,
@@ -99,6 +102,64 @@ class TestStreamGeneration:
                 )
             medians.append(float(np.median(errs)))
         assert medians[0] >= medians[1] >= medians[2]
+
+
+def per_sample_stream(s: SpikedSpec) -> np.ndarray:
+    """The generator's reference: one draw, one GEMV and one guard test
+    per sample."""
+    mix = random_orthonormal_basis(s.input_dim, s.basis_seed) * np.sqrt(
+        s.spectrum()
+    )
+    rng = np.random.default_rng(s.sample_seed)
+    xs = np.empty((s.n, s.input_dim))
+    count = 0
+    while count < s.n:
+        x = mix @ rng.standard_normal(s.input_dim)
+        if float(x @ x) > s.norm_guard():
+            continue
+        xs[count] = x
+        count += 1
+    return xs
+
+
+class TightGuardSpec(SpikedSpec):
+    """A guard below the mean squared norm, so many draws are redrawn."""
+
+    def norm_guard(self) -> float:
+        return 0.8 * float(np.sum(self.spectrum()))
+
+
+class TestBlockedGeneration:
+    @pytest.mark.parametrize("block_rows", [1, 7, 1024])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(input_dim=1, n=30),
+            dict(input_dim=6, n=200),
+            dict(input_dim=20, n=2100, tail_decay=0.7),
+            dict(input_dim=64, n=50, lambda2=1.0),
+        ],
+    )
+    def test_equals_the_per_sample_reference(self, kw, block_rows):
+        s = spec(**kw)
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            xs, _ = make_spiked_stream(s)
+        assert xs.tobytes() == per_sample_stream(s).tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 1024])
+    def test_guard_redraws_match_the_reference(self, block_rows):
+        s = TightGuardSpec(
+            input_dim=5, n=300, lambda1=1.0, lambda2=1.0, basis_seed=4, sample_seed=9
+        )
+        reference = per_sample_stream(s)
+        # The guard rejects about half the draws here.
+        mix = random_orthonormal_basis(5, 4)
+        draws = np.random.default_rng(9).standard_normal((600, 5)) @ mix.T
+        assert np.mean(np.sum(draws**2, axis=1) > s.norm_guard()) > 0.2
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            xs, truth = make_spiked_stream(s)
+        assert xs.tobytes() == reference.tobytes()
+        assert np.sum(xs**2, axis=1).max() <= truth.norm_bound
 
 
 class TestOffsetNormMonteCarlo:

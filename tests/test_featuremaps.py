@@ -77,6 +77,60 @@ class TestApply:
         assert not np.array_equal(a, b)
 
 
+def _any_spec(kind: str, d: int, m: int, seed: int) -> FeatureMapSpec:
+    if kind == "identity":
+        return FeatureMapSpec.identity(d)
+    if kind == "poly2":
+        return FeatureMapSpec.poly2(d)
+    return FeatureMapSpec.rff(d, m, 0.5 + seed % 7, seed)
+
+
+class TestApplyBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["identity", "poly2", "rff"]),
+        k=st.integers(1, 40),
+        d=st.integers(1, 12),
+        m=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        fortran=st.booleans(),
+    )
+    def test_rows_equal_apply_bit_for_bit(self, kind, k, d, m, seed, fortran):
+        spec = _any_spec(kind, d, m, seed)
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
+        if fortran:
+            xs = np.asfortranarray(xs)
+        feats = spec.apply_batch(xs)
+        assert feats.shape == (k, spec.feature_dim)
+        assert feats.dtype == np.float64
+        assert feats.flags.c_contiguous
+        for x, row in zip(xs, feats):
+            assert row.tobytes() == spec.apply(x).tobytes()
+        assert not np.shares_memory(feats, xs)
+
+    def test_accepts_a_list_of_rows(self):
+        spec = FeatureMapSpec.poly2(2)
+        rows = [[1.0, 2.0], [3.0, -1.0]]
+        assert np.array_equal(
+            spec.apply_batch(rows), [spec.apply(r) for r in rows]
+        )
+
+    @pytest.mark.parametrize(
+        "block", [np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1)), [[1.0, 2.0, 3.0], [1.0]]]
+    )
+    def test_shape_checked_once_per_block(self, block):
+        with pytest.raises(DimensionError):
+            FeatureMapSpec.identity(3).apply_batch(block)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        block = np.ones((4, 3))
+        block[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMapSpec.rff(3, 8, 1.0, 0).apply_batch(block)
+
+
 class TestNormBound:
     def test_identity(self):
         assert FeatureMapSpec.identity(3).norm_bound(25.0) == 25.0

@@ -296,6 +296,18 @@ class TestTrajectoryFiles:
         with pytest.raises(ConfigError, match="beta"):
             check_trajectory_file(csv_path)
 
+    def test_invalid_utf8_reported_before_an_earlier_parse_error(self, saved):
+        # The whole file must be UTF-8 before its fields are judged, even
+        # though the reader stops at the first bad row.
+        csv_path, _ = saved
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[2] = b"2,not-a-number" + lines[2][lines[2].index(b",", 2) :]
+        lines[9] = b"\xff" + lines[9]
+        csv_path.write_bytes(b"\n".join(lines))
+        offset = len(b"\n".join(lines[:9])) + 1
+        with pytest.raises(TrajectoryParseError, match=f"invalid UTF-8 at byte {offset}$"):
+            read_trajectory(csv_path)
+
     def test_bad_header(self, saved):
         csv_path, _ = saved
         body = csv_path.read_text().split("\n", 1)[1]
@@ -509,6 +521,21 @@ class TestCli:
             capsys,
         )
         assert target.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_internal_error_exits_4(self, saved_pair, tmp_path, monkeypatch, capsys, command):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic internal failure")
+
+        monkeypatch.setattr(harness, "run_all_checks", broken)
+        if command == "run":
+            argv = ["run", "--phi", "identity", "--dim", "4", "--n", "20",
+                    "--check", "--out", str(tmp_path / "out")]
+        else:
+            argv = ["check", str(saved_pair[0])]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: synthetic internal failure\n"
 
     @pytest.fixture()
     def saved_pair(self, tmp_path):

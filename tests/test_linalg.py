@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamkpca.linalg import (
@@ -13,6 +13,7 @@ from streamkpca.linalg import (
     eigendecomposition,
     jacobi_eigendecomposition,
     power_iteration_top,
+    symmetric_dense,
 )
 
 
@@ -75,6 +76,40 @@ class TestSymmetricMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             sym_from([[1.0, math.inf], [math.inf, 1.0]])
+
+
+class TestDenseInput:
+    def test_solvers_accept_a_dense_array(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((6, 6))
+        dense = g + g.T
+        packed = SymmetricMatrix.from_dense(dense)
+        for solve in (eigendecomposition, jacobi_eigendecomposition):
+            a, b = solve(dense), solve(packed)
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert power_iteration_top(dense, 1e-12, 10**5)[0] == (
+            power_iteration_top(packed, 1e-12, 10**5)[0]
+        )
+
+    def test_exactly_symmetric_input_keeps_its_values(self):
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((5, 5))
+        dense = g + g.T
+        assert np.array_equal(symmetric_dense(dense), dense)
+
+    @pytest.mark.parametrize(
+        "a, error",
+        [
+            (np.zeros((2, 3)), DimensionError),
+            (np.zeros((0, 0)), DimensionError),
+            (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
+            (np.array([[math.nan, 0.0], [0.0, 1.0]]), ValueError),
+        ],
+    )
+    def test_rejects_a_non_symmetric_matrix(self, a, error):
+        with pytest.raises(error):
+            eigendecomposition(a)
 
 
 class TestJacobi:
@@ -255,6 +290,9 @@ class TestPowerIteration:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
+    # A shifted gap ratio near 1: a stalled Rayleigh quotient once stopped
+    # the iteration at 1 - <v, v_jacobi>^2 = 3e-8.
+    @example(162791)
     def test_agrees_with_jacobi(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 33))

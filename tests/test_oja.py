@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamkpca import linalg
 from streamkpca.featuremaps import FeatureMapSpec
+from streamkpca.linalg import DimensionError
 from streamkpca.oja import (
     ETA_CEILING,
     NumericError,
@@ -196,29 +199,51 @@ class TestRunStream:
         _, traj = run_stream(np.tile([1.0, 0.0], (3, 1)), cfg, init_state_at([1.0, 0.0]))
         assert traj is None
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=25),
         d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         snapshots=st.booleans(),
-        poly2=st.booleans(),
+        record=st.booleans(),
+        kind=st.sampled_from(["identity", "poly2", "rff"]),
+        block_rows=st.sampled_from([1, 3, 7, 1024]),
     )
-    def test_columns_equal_a_fold_of_oja_step(self, n, d, seed, snapshots, poly2):
+    def test_columns_equal_a_fold_of_oja_step(
+        self, n, d, seed, snapshots, record, kind, block_rows
+    ):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
-        phi = FeatureMapSpec.poly2(d) if poly2 else FeatureMapSpec.identity(d)
+        if kind == "identity":
+            phi = FeatureMapSpec.identity(d)
+        elif kind == "poly2":
+            phi = FeatureMapSpec.poly2(d)
+        else:
+            phi = FeatureMapSpec.rff(d, 1 + seed % 40, 1.5, seed)
         cfg = OjaConfig(
-            eta=0.01, feature_map=phi, record_trajectory=True, snapshots=snapshots
+            eta=0.01,
+            feature_map=phi,
+            record_trajectory=record,
+            snapshots=snapshots and record,
         )
         init = init_state(phi.feature_dim, seed)
-        final, traj = run_stream(xs, cfg, init, seed=seed)
+        # Blocks of 1, 3 and 7 rows make most streams cross block edges.
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            final, traj = run_stream(xs, cfg, init, seed=seed)
 
         state, records, directions = init, [], [init.v_hat]
         for x in xs:
-            state, record = oja_step(state, x, cfg)
-            records.append(record)
+            state, record_i = oja_step(state, x, cfg)
+            records.append(record_i)
             directions.append(state.v_hat)
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm and final.step == n
+        assert final.origin == init.origin
+        if n == 0:
+            assert final is init
+        if not record:
+            assert traj is None
+            return
         for name in ("s", "phi_norm_sq", "log_ratio"):
             expected = np.array([getattr(r, name) for r in records])
             assert getattr(traj, name).tobytes() == expected.tobytes()
@@ -226,9 +251,42 @@ class TestRunStream:
             assert traj.snapshots.tobytes() == np.array(directions).tobytes()
         else:
             assert traj.snapshots is None
-        assert final.v_hat.tobytes() == state.v_hat.tobytes()
-        assert final.log_norm == state.log_norm and final.step == n
         assert traj.seed == seed
+
+    def test_any_iterable_of_rows(self):
+        rng = np.random.default_rng(6)
+        xs = rng.standard_normal((12, 3))
+        cfg = identity_config(3, 0.02, record_trajectory=True, snapshots=True)
+        init = init_state(3, 1)
+        with mock.patch.object(linalg, "BLOCK_ROWS", 5):
+            _, from_array = run_stream(xs, cfg, init)
+            _, from_list = run_stream([list(x) for x in xs], cfg, init)
+            _, from_generator = run_stream((x for x in xs), cfg, init)
+        for other in (from_list, from_generator):
+            assert other.snapshots.tobytes() == from_array.snapshots.tobytes()
+            assert other.log_ratio.tobytes() == from_array.log_ratio.tobytes()
+
+    def test_numeric_abort_names_the_step(self):
+        cfg = identity_config(2, 0.01)
+        xs = np.ones((9, 2))
+        xs[6] = [1e200, 0.0]
+        with mock.patch.object(linalg, "BLOCK_ROWS", 4):
+            with pytest.raises(NumericError, match="at step 7:"):
+                run_stream(xs, cfg, init_state_at([1.0, 0.0]))
+
+    def test_malformed_sample_rejected(self):
+        cfg = identity_config(2, 0.01)
+        with pytest.raises(DimensionError):
+            run_stream(np.ones((3, 3)), cfg, init_state_at([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            run_stream([[1.0, 0.0], [math.nan, 0.0]], cfg, init_state_at([1.0, 0.0]))
+
+    def test_state_dimension_checked(self):
+        cfg = identity_config(3, 0.01)
+        with pytest.raises(DimensionError):
+            run_stream(np.ones((2, 3)), cfg, init_state_at([1.0, 0.0]))
+        with pytest.raises(DimensionError):
+            oja_step(init_state_at([1.0, 0.0]), [1.0, 0.0, 0.0], cfg)
 
     def test_step_record_holds_three_scalars(self):
         assert [f.name for f in dataclasses.fields(StepRecord)] == [

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from streamkpca import linalg
 
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
@@ -21,7 +24,7 @@ class TestSummarize:
     def test_axis_aligned_counting(self):
         summary = summarize([E1, E1, E2], FeatureMapSpec.identity(2))
         assert np.allclose(
-            summary.covariance.to_dense(), np.diag([2 / 3, 1 / 3]), atol=1e-15
+            summary.covariance, np.diag([2 / 3, 1 / 3]), atol=1e-15
         )
         assert abs(summary.ratio - 2.0) <= 1e-12
         assert np.allclose(summary.top_vector, E1, atol=1e-15)
@@ -62,17 +65,63 @@ class TestSummarize:
     def test_second_moment_unnormalized(self):
         summary = summarize([E1, E1, E2], FeatureMapSpec.identity(2))
         assert np.allclose(
-            summary.second_moment.to_dense(), np.diag([2.0, 1.0]), atol=0
+            summary.second_moment, np.diag([2.0, 1.0]), atol=0
         )
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((500, 6))
         phi = FeatureMapSpec.identity(6)
-        base = summarize(xs, phi).second_moment.packed
+        base = summarize(xs, phi).second_moment
         perm = rng.permutation(500)
-        shuffled = summarize(xs[perm], phi).second_moment.packed
+        shuffled = summarize(xs[perm], phi).second_moment
         assert np.abs(base - shuffled).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            FeatureMapSpec.identity(6),
+            FeatureMapSpec.poly2(4),
+            FeatureMapSpec.rff(6, 40, 2.0, 5),
+        ],
+        ids=["identity", "poly2", "rff"],
+    )
+    @pytest.mark.parametrize("block_rows", [7, 64, 1024])
+    def test_blocks_match_eigh_of_the_lifted_stream(self, phi, block_rows):
+        rng = np.random.default_rng(21)
+        xs = rng.standard_normal((500, phi.input_dim))
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            summary = summarize(xs, phi)
+        f = np.array([phi.apply(x) for x in xs])
+        reference = f.T @ f
+        scale = float(np.abs(reference).max())
+        assert np.abs(summary.second_moment - reference).max() <= 1e-12 * scale
+        assert np.array_equal(summary.second_moment, summary.second_moment.T)
+        values = np.linalg.eigh(reference / len(xs))[0][::-1]
+        assert (
+            np.abs(summary.eig.eigenvalues - values).max()
+            <= 1e-12 * values[0]
+        )
+        assert summary.n == 500
+
+    def test_any_iterable_of_rows(self):
+        rng = np.random.default_rng(3)
+        xs = rng.standard_normal((40, 3))
+        phi = FeatureMapSpec.poly2(3)
+        with mock.patch.object(linalg, "BLOCK_ROWS", 16):
+            from_array = summarize(xs, phi)
+            from_list = summarize([list(x) for x in xs], phi)
+            from_generator = summarize((x for x in xs), phi)
+        for other in (from_list, from_generator):
+            assert np.array_equal(other.second_moment, from_array.second_moment)
+            assert other.n == 40
+
+    def test_summary_matrices_are_read_only(self):
+        summary = summarize([E1, E2], FeatureMapSpec.identity(2))
+        with pytest.raises(ValueError, match="read-only"):
+            summary.second_moment[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            summary.covariance[0, 0] = 5.0
 
     def test_spiked_ratio_concentrates(self):
         # Monte Carlo oracle: the empirical ratio of a generated stream
