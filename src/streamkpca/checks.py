@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .linalg import as_vector
 from .oja import Trajectory
 
@@ -118,8 +119,19 @@ def _unit_v_star(v_star) -> np.ndarray:
 
 
 def _orthogonal_parts(snapshots: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    proj = snapshots @ v_star
-    return snapshots - proj[:, None] * v_star[None, :]
+    return _orthogonal_into(
+        np.empty_like(snapshots), snapshots, snapshots @ v_star, v_star
+    )
+
+
+def _orthogonal_into(out, rows, proj, v_star) -> np.ndarray:
+    """out = rows minus their v_star components, given proj = rows @ v_star.
+
+    Blocked callers compute proj once for all rows and pass a slice: the
+    BLAS product's last bits depend on how many rows it gets at once.
+    """
+    np.multiply(proj[:, None], v_star, out=out)
+    return np.subtract(rows, out, out=out)
 
 
 def sample_check_pairs(n: int, seed: int, count: int = 100) -> list[tuple[int, int]]:
@@ -339,11 +351,27 @@ def check_two_time_steps(
             VACUOUS,
             details={"reason": "empty trajectory"},
         )
-    orth = _orthogonal_parts(snaps, v)
     pairs = sample_check_pairs(traj.n, traj.seed, pair_count)
     a_idx = np.array([p[0] for p in pairs])
     b_idx = np.array([p[1] for p in pairs])
-    lhs = np.linalg.norm(orth[b_idx] - orth[a_idx], axis=1) ** 2
+    # Pair norms a block of pairs at a time into reused buffers, so no
+    # (n, m) temporary exists.
+    proj = snaps @ v
+    drift = np.empty(len(pairs))
+    picked, orth_a, orth_b = np.empty((3, min(len(pairs), linalg.BLOCK_ROWS), traj.m))
+    for start in range(0, len(pairs), linalg.BLOCK_ROWS):
+        a = a_idx[start : start + linalg.BLOCK_ROWS]
+        b = b_idx[start : start + linalg.BLOCK_ROWS]
+        k = len(a)
+        np.take(snaps, a, axis=0, out=picked[:k])
+        _orthogonal_into(orth_a[:k], picked[:k], proj[a], v)
+        np.take(snaps, b, axis=0, out=picked[:k])
+        diff = _orthogonal_into(orth_b[:k], picked[:k], proj[b], v)
+        diff -= orth_a[:k]
+        # np.linalg.norm(diff, axis=1), with the squares in place.
+        np.multiply(diff, diff, out=diff)
+        drift[start : start + k] = np.sqrt(np.add.reduce(diff, axis=1))
+    lhs = drift**2
     rhs = 50.0 * alpha * (traj.log_norm[b_idx] - traj.log_norm[a_idx])
     margins = rhs - lhs
     margin = float(margins.min())
@@ -384,13 +412,25 @@ def check_projected_energy(
     skipped = int(np.count_nonzero(~nonzero))
     lhs = 0.0
     if np.any(nonzero):
-        feats = (
-            growth[nonzero, None] * snaps[1:][nonzero] - snaps[:-1][nonzero]
-        ) / (eta * s[nonzero, None])
-        orth_prev = _orthogonal_parts(snaps[:-1][nonzero], v)
-        lhs = eta * float(
-            np.sum(np.einsum("ij,ij->i", feats, orth_prev) ** 2)
-        )
+        # Each step's <phi_i, P v_{i-1}>, a block of steps at a time into
+        # reused buffers, so no (n, m) temporary exists; the squares of
+        # the kept steps are summed once. A skipped step divides by 1.0
+        # in place of 0 and its value is dropped.
+        proj = snaps[:-1] @ v
+        divisor = np.where(nonzero, eta * s, 1.0)
+        energies = np.empty(n)
+        feats, orth = np.empty((2, min(n, linalg.BLOCK_ROWS), traj.m))
+        for start in range(0, n, linalg.BLOCK_ROWS):
+            rows = slice(start, start + linalg.BLOCK_ROWS)
+            prev = snaps[:-1][rows]
+            k = len(prev)
+            phi = np.multiply(growth[rows, None], snaps[1:][rows], out=feats[:k])
+            phi -= prev
+            phi /= divisor[rows, None]
+            energies[rows] = np.einsum(
+                "ij,ij->i", phi, _orthogonal_into(orth[:k], prev, proj[rows], v)
+            )
+        lhs = eta * float(np.sum(energies[nonzero] ** 2))
     rhs = (
         100.0
         * alpha**2

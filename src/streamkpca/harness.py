@@ -9,7 +9,8 @@ File formats:
   * run config and reports -- JSON (UTF-8, sorted keys);
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     plus optional snapshot columns ``vhat_0..vhat_{m-1}``; row i holds
-    step i of the Trajectory's columns (its snapshot row i);
+    step i of the Trajectory's columns (its snapshot row i), each cell
+    the text of Python's repr of the float64;
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     oracle alpha/beta and v*).
@@ -21,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import reprlib
 from contextlib import closing
 from dataclasses import dataclass, field, replace
@@ -28,6 +30,7 @@ from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
+import orjson
 
 from . import linalg
 from .checks import CheckReport, _jsonable, run_all_checks
@@ -456,8 +459,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write the step columns as CSV; snapshots become vhat_* columns.
 
-    Rows are formatted linalg.BLOCK_ROWS at a time, so the Python floats
-    and text of the whole file never exist at once.
+    Each cell is the text of Python's repr of the float64 (the shortest
+    digits that round-trip), written linalg.BLOCK_ROWS rows at a time by
+    one compiled pass per block (see _csv_rows), so the text of the
+    whole file never exists at once.
     """
     header = list(TRAJECTORY_HEADER)
     columns = [traj.s, traj.phi_norm_sq, traj.log_ratio]
@@ -470,11 +475,36 @@ def write_trajectory(path, traj: Trajectory) -> None:
             block = np.column_stack(
                 [c[start : start + linalg.BLOCK_ROWS] for c in columns]
             )
-            text = "".join(
-                f"{step}," + ",".join(map(repr, row)) + "\n"
-                for step, row in enumerate(block.tolist(), start=start + 1)
-            )
-            fh.write(text.encode("utf-8"))
+            fh.write(_csv_rows(block, start + 1))
+
+
+# orjson prints the same shortest round-trip digits as repr but spells
+# three kinds of number differently; these patterns rewrite them. Each
+# starts with a literal, which keeps its search fast where nothing
+# matches (a pattern starting with a lookbehind cost more per block than
+# formatting the block with repr).
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(\d)([,\n])")
+_SMALL_POSITIVE = re.compile(rb",0\.0000(\d)(\d*)")
+_SMALL_NEGATIVE = re.compile(rb",-0\.0000(\d)(\d*)")
+
+
+def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
+    """CSV lines ``step,cell,...`` of a finite float64 block, numbered
+    from first_step, each cell the bytes of repr(float(cell))."""
+    doc = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = b"".join(
+        b"%d,%b\n" % line
+        for line in enumerate(doc[2:-2].split(b"],["), first_step)
+    )
+    if b"e" in text:  # 1e16 -> 1e+16, 1e-7 -> 1e-07
+        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
+        text = _ONE_DIGIT_EXPONENT.sub(rb"e-0\1\2", text)
+    if b",0.0000" in text or b",-0.0000" in text:
+        # [1e-5, 1e-4): 0.000015 -> 1.5e-05, 0.00003 -> 3.e-05 -> 3e-05
+        text = _SMALL_POSITIVE.sub(rb",\1.\2e-05", text)
+        text = _SMALL_NEGATIVE.sub(rb",-\1.\2e-05", text)
+        text = text.replace(b".e-05", b"e-05")
+    return text
 
 
 def meta_path_for(path) -> Path:

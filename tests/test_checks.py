@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from streamkpca import linalg
 from streamkpca.checks import (
     PASS,
     VACUOUS,
@@ -261,6 +263,47 @@ class TestGrowthImpliesCorrectness:
         entry = check_projected_energy(traj, np.array([1.0, 0.0]), alpha=0.0)
         assert entry.status == PASS
         assert entry.details["lhs"] <= 1e-12
+
+
+class TestBlockedChecks:
+    @pytest.mark.parametrize(
+        "zero_steps", [[], [2, 9, 300]], ids=["all-steps", "zero-s-steps"]
+    )
+    def test_results_independent_of_block_rows(self, zero_steps):
+        # n is no multiple of a BLAS kernel's row group, and zeroed steps
+        # (skipped by the energy check) shift which rows share a block.
+        traj, v_star, energies = make_run("vstar", d=6, n=603)
+        s = traj.s.copy()
+        s[zero_steps] = 0.0
+        traj = dataclasses.replace(traj, s=s)
+
+        def results():
+            return [
+                check_projected_energy(traj, v_star, energies.alpha),
+                check_two_time_steps(traj, v_star, energies.alpha),
+            ]
+
+        expected = results()
+        assert expected[0].details["skipped_zero_s_steps"] == len(zero_steps)
+        for block_rows in (1, 7):
+            with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+                assert results() == expected
+
+        # Both against the whole-array formulas they were blocked from.
+        alpha, snaps, eta = energies.alpha, traj.snapshots, traj.config.eta
+        orth = snaps - (snaps @ v_star)[:, None] * v_star
+        keep = s != 0.0
+        feats = (
+            np.exp(0.5 * traj.log_ratio)[keep, None] * snaps[1:][keep]
+            - snaps[:-1][keep]
+        ) / (eta * s[keep, None])
+        lhs = eta * np.sum(np.einsum("ij,ij->i", feats, orth[:-1][keep]) ** 2)
+        assert expected[0].details["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
+        a, b = np.array(sample_check_pairs(traj.n, traj.seed)).T
+        margins = 50.0 * alpha * (traj.log_norm[b] - traj.log_norm[a]) - (
+            np.linalg.norm(orth[b] - orth[a], axis=1) ** 2
+        )
+        assert expected[1].margin == margins.min()
 
 
 class TestEmptyTrajectory:

@@ -1,11 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
+from streamkpca import linalg
 from streamkpca.cli import main
 from streamkpca.datagen import SpikedSpec
 from streamkpca.featuremaps import FeatureMapSpec
@@ -22,7 +30,13 @@ from streamkpca.harness import (
     write_trajectory,
     write_trajectory_meta,
 )
-from streamkpca.oja import NumericError, OjaConfig, init_state, run_stream
+from streamkpca.oja import (
+    NumericError,
+    OjaConfig,
+    Trajectory,
+    init_state,
+    run_stream,
+)
 
 from schema_util import validate
 
@@ -49,6 +63,70 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+# Floats at the edges of how repr spells a float: signed zeros, the
+# smallest subnormal and normal, the largest float, and both ends of the
+# [1e-4, 1e16) range repr writes without an exponent, with values just
+# outside it. The negated maximum keeps a cumulative log norm finite.
+EXTREME_CELLS = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-05,
+    9.999999999999999e-05,
+    1e-04,
+    1e16,
+    9999999999999998.0,
+    -1.5e-05,
+]
+
+
+def extreme_table(n: int, width: int) -> np.ndarray:
+    """An (n, width) table cycling through EXTREME_CELLS, shifted by one
+    per column, so every column holds every cell once n >= its length."""
+    i, j = np.indices((n, width))
+    return np.array(EXTREME_CELLS)[(i + j) % len(EXTREME_CELLS)]
+
+
+def repr_trajectory_csv(table: np.ndarray, snapshots: bool) -> bytes:
+    """The trajectory CSV format by its definition: a header, then
+    ``step,cell,...`` rows whose cells are Python's repr of each float."""
+    header = list(harness.TRAJECTORY_HEADER)
+    if snapshots:
+        header += [f"vhat_{k}" for k in range(table.shape[1] - 3)]
+    lines = [",".join(header)] + [
+        f"{step}," + ",".join(map(repr, row))
+        for step, row in enumerate(table.tolist(), start=1)
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def trajectory_of(table: np.ndarray, snapshots: bool) -> Trajectory:
+    """A trajectory whose columns are table's: s, phi_norm_sq, log_ratio,
+    then (with snapshots) the directions after each step."""
+    m = table.shape[1] - 3 if snapshots else 1
+    init = np.ones(m)
+    # The derived log norm of huge log_ratio cells may overflow to inf.
+    with np.errstate(over="ignore"):
+        return Trajectory(
+            config=OjaConfig(
+                eta=0.01,
+                feature_map=FeatureMapSpec.identity(m),
+                record_trajectory=True,
+                snapshots=snapshots,
+            ),
+            init_kind="random",
+            init_v_hat=init,
+            init_log_norm=0.0,
+            s=table[:, 0].copy(),
+            phi_norm_sq=table[:, 1].copy(),
+            log_ratio=table[:, 2].copy(),
+            snapshots=np.vstack([init, table[:, 3:]]) if snapshots else None,
+        )
 
 
 class TestRunConfig:
@@ -179,6 +257,27 @@ class TestTrajectoryFiles:
         _, traj = run_stream(
             rng.standard_normal((n, 4)), cfg, init_state(4, 3), seed=17
         )
+        self._assert_round_trip(tmp_path, traj, n, snapshots)
+        # The same shape again, every cell one of the extreme floats.
+        table = extreme_table(n, 3 + (traj.m if snapshots else 0))
+        self._assert_round_trip(
+            tmp_path,
+            dataclasses.replace(
+                traj,
+                s=table[:, 0],
+                phi_norm_sq=table[:, 1],
+                log_ratio=table[:, 2],
+                snapshots=(
+                    np.vstack([traj.snapshots[:1], table[:, 3:]])
+                    if snapshots
+                    else None
+                ),
+            ),
+            n,
+            snapshots,
+        )
+
+    def _assert_round_trip(self, tmp_path, traj, n, snapshots):
         csv_path = tmp_path / "traj.csv"
         write_trajectory(csv_path, traj)
         result = TrialResult(trial=0, sample_seed=17, init_seed=3)
@@ -194,6 +293,28 @@ class TestTrajectoryFiles:
             assert loaded.snapshots.tobytes() == traj.snapshots.tobytes()
         else:
             assert loaded.snapshots is None and traj.snapshots is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 9), st.integers(3, 12)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        snapshots=st.booleans(),
+        block_rows=st.sampled_from([1, 4, 256]),
+    )
+    @example(table=extreme_table(12, 12), snapshots=True, block_rows=5)
+    @example(table=extreme_table(12, 3), snapshots=False, block_rows=256)
+    @example(table=extreme_table(1, 15), snapshots=True, block_rows=256)
+    def test_cells_are_repr(self, tmp_path_factory, table, snapshots, block_rows):
+        snapshots = snapshots and table.shape[1] > 3
+        if not snapshots:
+            table = table[:, :3]
+        csv_path = tmp_path_factory.getbasetemp() / "parity.csv"
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            write_trajectory(csv_path, trajectory_of(table, snapshots))
+        assert csv_path.read_bytes() == repr_trajectory_csv(table, snapshots)
 
     def test_checks_identical_after_round_trip(self, saved):
         csv_path, art = saved
@@ -565,3 +686,52 @@ class TestCli:
         report = json.loads((report_dir / "report.json").read_text())
         assert report["config"]["generator"]["n"] == 60
         assert report["config"]["generator"]["basis_seed"] == 5
+
+
+@st.composite
+def corrupted(draw, raw: bytes) -> bytes:
+    """raw truncated, with its lines reordered, or with one byte flipped."""
+    kind = draw(st.sampled_from(["truncate", "reorder", "flip"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw)))]
+    if kind == "reorder":
+        return b"\n".join(draw(st.permutations(raw.split(b"\n"))))
+    if not raw:
+        return raw
+    pos = draw(st.integers(0, len(raw) - 1))
+    flipped = raw[pos] ^ draw(st.integers(1, 255))
+    return raw[:pos] + bytes([flipped]) + raw[pos + 1 :]
+
+
+class TestCheckFuzz:
+    """`check` of a corrupted trajectory or sidecar ends in a verdict or
+    a located input error: exit 0, 1 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz")
+        run(small_config(trials=1), out_dir=out)
+        csv_path = out / "trial_000.csv"
+        paths = (csv_path, harness.meta_path_for(csv_path))
+        return csv_path, {path: path.read_bytes() for path in paths}
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_message(self, saved, data):
+        csv_path, originals = saved
+        contents = dict(originals)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            path = data.draw(st.sampled_from(sorted(contents)), label="file")
+            contents[path] = data.draw(corrupted(contents[path]), label=path.name)
+        for path, raw in contents.items():
+            path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(csv_path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert ": fail" in out
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
