@@ -608,20 +608,23 @@ def _parse_trajectory_csv(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Fill the (3, n) step array and the (n+1, m) snapshots, or None.
 
-    The file is read a line at a time into arrays preallocated from a
-    line count, so the parse holds no more than the arrays and a buffer.
-    Snapshot row 0 is init_v_hat. Every malformed field but a non-finite
-    number raises here; a line's byte offset is found only then.
+    The file is read linalg.BLOCK_ROWS lines at a time into arrays
+    preallocated from a line count, so the parse holds no more than the
+    arrays and one block. Each block is parsed by _parse_block, or, where
+    that cannot vouch for its result, by the line loop _parse_lines,
+    which defines the format and raises every error. Snapshot row 0 is
+    init_v_hat. Every malformed field but a non-finite number raises
+    here; a line's byte offset is found only then.
 
     Raises:
-        UnicodeDecodeError: invalid UTF-8, at an offset within a buffer.
+        UnicodeDecodeError: invalid UTF-8, at an offset within a line.
     """
     n_lines = _count_lines(csv_path)
     if n_lines == 0:
         raise TrajectoryParseError("empty trajectory file at byte 0")
-    # newline="\n": split on "\n" only; a "\r" stays part of its field.
-    with open(csv_path, encoding="utf-8", newline="\n") as fh:
-        header_line = fh.readline().removesuffix("\n")
+    # Lines split on "\n" only; a "\r" stays part of its field.
+    with open(csv_path, "rb") as fh:
+        header_line = fh.readline().decode("utf-8").removesuffix("\n")
         header = header_line.split(",")
         width = len(TRAJECTORY_HEADER)
         if header[:width] != TRAJECTORY_HEADER:
@@ -643,28 +646,94 @@ def _parse_trajectory_csv(
         snapshots = np.empty((n + 1, m_cols)) if m_cols else None
         if snapshots is not None:
             snapshots[0] = init_v_hat
-        for row_idx, line in enumerate(fh, start=1):
-            cells = line.removesuffix("\n").split(",")
-            if len(cells) != len(header):
-                line_start, _ = _line_at(csv_path, row_idx)
-                raise TrajectoryParseError(
-                    f"row {row_idx} at byte {line_start}: "
-                    f"expected {len(header)} fields, found {len(cells)}"
-                )
-            try:
-                step = int(cells[0])
-                values = list(map(float, cells[1:]))
-            except ValueError:
-                _raise_on_unparseable(*_line_at(csv_path, row_idx))
-            if step != row_idx:
-                line_start, _ = _line_at(csv_path, row_idx)
-                raise TrajectoryParseError(
-                    f"non-consecutive step index at byte {line_start}"
-                )
-            steps[:, row_idx - 1] = values[: width - 1]
+        first = 1
+        while lines := list(itertools.islice(fh, linalg.BLOCK_ROWS)):
+            values = _parse_block(lines, first, len(header))
+            if values is None:
+                values = _parse_lines(csv_path, lines, first, len(header))
+            stop = first + len(lines)
+            steps[:, first - 1 : stop - 1] = values[:, : width - 1].T
             if snapshots is not None:
-                snapshots[row_idx] = values[width - 1 :]
+                snapshots[first:stop] = values[:, width - 1 :]
+            first = stop
     return steps, snapshots
+
+
+def _parse_lines(
+    csv_path: Path, lines: list[bytes], first_row: int, n_fields: int
+) -> np.ndarray:
+    """The (len(lines), n_fields - 1) values of data rows first_row, ...
+
+    This loop is the CSV format's definition: a row is n_fields cells,
+    the step int(cell) equal to the row's number, every other cell a
+    float(cell). A malformed row raises with its byte offset.
+    """
+    values = np.empty((len(lines), n_fields - 1))
+    for i, raw in enumerate(lines):
+        row_idx = first_row + i
+        cells = raw.decode("utf-8").removesuffix("\n").split(",")
+        if len(cells) != n_fields:
+            line_start, _ = _line_at(csv_path, row_idx)
+            raise TrajectoryParseError(
+                f"row {row_idx} at byte {line_start}: "
+                f"expected {n_fields} fields, found {len(cells)}"
+            )
+        try:
+            step = int(cells[0])
+            values[i] = list(map(float, cells[1:]))
+        except ValueError:
+            _raise_on_unparseable(*_line_at(csv_path, row_idx))
+        if step != row_idx:
+            line_start, _ = _line_at(csv_path, row_idx)
+            raise TrajectoryParseError(
+                f"non-consecutive step index at byte {line_start}"
+            )
+    return values
+
+
+# The bytes the writer puts in a data row, plus the brackets that frame
+# a block as JSON: a document of these holds only numbers and arrays.
+_BLOCK_BYTES = b"0123456789.e+-,\n[]"
+# orjson reads the cell -0 as the int 0, where float() reads -0.0.
+_NEGATIVE_ZERO_CELL = re.compile(rb"-0[,\n\]]")
+
+
+def _parse_block(
+    lines: list[bytes], first_row: int, n_fields: int
+) -> np.ndarray | None:
+    """_parse_lines' result for the same lines from one orjson parse, or
+    None where that parse cannot be shown to equal it.
+
+    The lines are framed as one JSON array of rows. Its result stands
+    when the document holds only the writer's bytes and brackets, parses
+    to k = len(lines) rows of n_fields numbers, has no cell -0, and its
+    step cells are the ints first_row, first_row + 1, ... Then no line
+    held a bracket (k rows of numbers take exactly the k + 1 opening
+    brackets of the frame), every cell is a JSON number, which is a
+    float() literal that orjson rounds to the same float64, and every
+    step is an int() literal. Anything else, every malformed row
+    included, is left to _parse_lines.
+    """
+    framed = [b"[[" + lines[0], *lines[1:]]
+    framed[-1] += b"]]"
+    doc = b"],[".join(framed)
+    if doc.translate(None, _BLOCK_BYTES):
+        return None
+    try:
+        rows = orjson.loads(doc)
+        block = np.array(rows, dtype=np.float64)
+    except ValueError:  # not JSON, or rows of unequal shape
+        return None
+    if block.shape != (len(lines), n_fields):
+        return None
+    if not block.all() and _NEGATIVE_ZERO_CELL.search(doc):
+        return None
+    row_steps = [row[0] for row in rows]
+    if row_steps != list(range(first_row, first_row + len(lines))) or not all(
+        type(step) is int for step in row_steps
+    ):
+        return None
+    return block[:, 1:]
 
 
 def _count_lines(path: Path) -> int:
@@ -727,6 +796,10 @@ def _is_finite_number(v) -> bool:
         return False
 
 
+def _is_nonnegative_number(v) -> bool:
+    return _is_finite_number(v) and v >= 0
+
+
 def _is_finite_vector(v) -> bool:
     return isinstance(v, list) and all(_is_finite_number(x) for x in v)
 
@@ -748,8 +821,8 @@ _META_KEYS = {
         "an integer",
     ),
     "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
-    "alpha": (False, _nullable(_is_finite_number), "null or finite"),
-    "beta": (False, _nullable(_is_finite_number), "null or finite"),
+    "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
+    "beta": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
     "v_star": (
         False,
         _nullable(_is_finite_vector),
@@ -781,6 +854,14 @@ def check_trajectory_file(csv_path) -> CheckReport:
     if any(meta.get(k) is None for k in ("v_star", "alpha", "beta")):
         raise ConfigError("trajectory metadata lacks v_star/alpha/beta")
     v_star = np.array(meta["v_star"], dtype=np.float64)
-    return run_all_checks(
-        traj, v_star, float(meta["alpha"]), float(meta["beta"])
-    )
+    try:
+        return run_all_checks(
+            traj, v_star, float(meta["alpha"]), float(meta["beta"])
+        )
+    except OverflowError as exc:
+        # Of the sidecar's values, only alpha meets a float operation
+        # that raises on overflow: the energy budget squares it.
+        raise ConfigError(
+            f"bad trajectory metadata {meta_path_for(csv_path).name}: "
+            f"key 'alpha' overflows the certificate: {exc}"
+        ) from exc

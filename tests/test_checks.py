@@ -7,6 +7,7 @@ import pytest
 
 from streamkpca import linalg
 from streamkpca.checks import (
+    FAIL,
     PASS,
     VACUOUS,
     check_final_bound,
@@ -160,6 +161,14 @@ class TestHypothesisGating:
         assert entry.status == VACUOUS
         assert entry.margin < 0
 
+    def test_final_bound_nan_margin_fails(self, random_run):
+        # A NaN margin compares false with everything; it must not read
+        # as an exceeded probabilistic envelope.
+        traj, v_star, _ = random_run
+        entry = check_final_bound(traj, v_star, alpha=math.nan, beta=1.0)
+        assert entry.status == FAIL
+        assert "NaN" in entry.details["reason"]
+
     def test_final_bound_labels_hypotheses(self, vstar_run):
         traj, v_star, ab = vstar_run
         entry = check_final_bound(traj, v_star, ab.alpha, ab.beta)
@@ -169,7 +178,27 @@ class TestHypothesisGating:
         assert entry.details["certification"] == "empirical"
 
 
+def set_sample_check_pairs(n, seed, count=100):
+    """The pair sample by its definition: a set of tuples, sorted."""
+    pairs = {(i - 1, i) for i in range(1, n + 1)}
+    if n >= 1:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(a + 1, n + 1))
+            pairs.add((a, b))
+    return sorted(pairs)
+
+
 class TestPairSampling:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 603])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_equals_the_set_reference(self, n, seed):
+        for count in (0, 1, 100):
+            assert sample_check_pairs(n, seed, count) == set_sample_check_pairs(
+                n, seed, count
+            )
+
     def test_deterministic_from_seed(self):
         assert sample_check_pairs(50, 7) == sample_check_pairs(50, 7)
 
@@ -272,7 +301,9 @@ class TestBlockedChecks:
     def test_results_independent_of_block_rows(self, zero_steps):
         # n is no multiple of a BLAS kernel's row group, and zeroed steps
         # (skipped by the energy check) shift which rows share a block.
-        traj, v_star, energies = make_run("vstar", d=6, n=603)
+        # At d=24, a projection taken per block moves the last bits of
+        # some rows; at d=6 it did not.
+        traj, v_star, energies = make_run("vstar", d=24, n=603)
         s = traj.s.copy()
         s[zero_steps] = 0.0
         traj = dataclasses.replace(traj, s=s)
@@ -281,6 +312,7 @@ class TestBlockedChecks:
             return [
                 check_projected_energy(traj, v_star, energies.alpha),
                 check_two_time_steps(traj, v_star, energies.alpha),
+                check_growth_implies_correctness(traj, v_star, energies.alpha),
             ]
 
         expected = results()
@@ -304,6 +336,13 @@ class TestBlockedChecks:
             np.linalg.norm(orth[b] - orth[a], axis=1) ** 2
         )
         assert expected[1].margin == margins.min()
+        residuals = np.linalg.norm(orth, axis=1)
+        corollary = math.sqrt(alpha) - residuals
+        assert expected[2].details["corollary_margin"] == corollary.min()
+        assert expected[2].margin == min(
+            corollary.min(),
+            (math.sqrt(alpha) + residuals[0] * np.exp(-traj.log_norm) - residuals).min(),
+        )
 
 
 class TestEmptyTrajectory:

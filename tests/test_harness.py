@@ -85,6 +85,71 @@ EXTREME_CELLS = [
 ]
 
 
+# Cells that JSON and float() or int() read differently, or that only
+# one of them accepts: -0 is the int 0 to JSON, a quoted number is a
+# string, 1.0 is no int() literal, null, true and brackets are JSON
+# tokens, and float() alone takes 1_0, +1, .5, 1., inf, nan, 1e400, 1E5
+# and surrounding spaces.
+JSON_EDGE_CELLS = [
+    "-0",
+    '"1.5"',
+    "1.0",
+    "null",
+    "true",
+    "[",
+    "]",
+    "1],[2",
+    "1_0",
+    "+1",
+    ".5",
+    "1.",
+    "inf",
+    "nan",
+    "1e400",
+    "1E5",
+    " 1",
+    "-0.0",
+    "1e-0",
+]
+
+
+@st.composite
+def json_numbers(draw) -> str:
+    """Any JSON number, with mantissas of up to 60 digits."""
+    digits = st.text("0123456789", min_size=1, max_size=30)
+    text = draw(st.sampled_from(["", "-"])) + str(draw(st.integers(0, 10**30)))
+    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if draw(st.booleans()):
+        text += "e" + draw(st.sampled_from(["", "+", "-"])) + draw(digits)[:4]
+    return text
+
+
+def read_outcome(csv_path, block_rows: int, line_parser_only: bool = False):
+    """read_trajectory's arrays as bytes, or its error's type and text,
+    with linalg.BLOCK_ROWS = block_rows; line_parser_only parses every
+    block with the line parser alone."""
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(linalg, "BLOCK_ROWS", block_rows))
+        if line_parser_only:
+            patches.enter_context(
+                mock.patch.object(harness, "_parse_block", lambda *args: None)
+            )
+        try:
+            traj, _ = read_trajectory(csv_path)
+        except (TrajectoryParseError, ConfigError) as exc:
+            return type(exc), str(exc)
+    columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots)
+    return [None if c is None else c.tobytes() for c in columns]
+
+
+def assert_blocked_read_is_line_read(csv_path) -> None:
+    for block_rows in (1, 7, 256):
+        assert read_outcome(csv_path, block_rows) == read_outcome(
+            csv_path, block_rows, line_parser_only=True
+        )
+
+
 def extreme_table(n: int, width: int) -> np.ndarray:
     """An (n, width) table cycling through EXTREME_CELLS, shifted by one
     per column, so every column holds every cell once n >= its length."""
@@ -282,17 +347,20 @@ class TestTrajectoryFiles:
         write_trajectory(csv_path, traj)
         result = TrialResult(trial=0, sample_seed=17, init_seed=3)
         write_trajectory_meta(csv_path, traj, result, None)
-        loaded, meta = read_trajectory(csv_path)
-        assert loaded.n == traj.n == n
-        assert loaded.config.eta == traj.config.eta
-        assert loaded.init_kind == traj.init_kind
-        assert loaded.seed == traj.seed
-        for name in ("s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat"):
-            assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
-        if snapshots or n == 0:
-            assert loaded.snapshots.tobytes() == traj.snapshots.tobytes()
-        else:
-            assert loaded.snapshots is None and traj.snapshots is None
+        # Reads whose blocks split the rows every which way.
+        for block_rows in (1, 7, 256):
+            with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+                loaded, meta = read_trajectory(csv_path)
+            assert loaded.n == traj.n == n
+            assert loaded.config.eta == traj.config.eta
+            assert loaded.init_kind == traj.init_kind
+            assert loaded.seed == traj.seed
+            for name in ("s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat"):
+                assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
+            if snapshots or n == 0:
+                assert loaded.snapshots.tobytes() == traj.snapshots.tobytes()
+            else:
+                assert loaded.snapshots is None and traj.snapshots is None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -315,6 +383,22 @@ class TestTrajectoryFiles:
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             write_trajectory(csv_path, trajectory_of(table, snapshots))
         assert csv_path.read_bytes() == repr_trajectory_csv(table, snapshots)
+
+    @pytest.mark.parametrize("column", ["step", "s", "vhat_3"])
+    @pytest.mark.parametrize("cell", JSON_EDGE_CELLS)
+    def test_json_edge_cells_read_as_the_line_parser(self, saved, column, cell):
+        # The cell goes into the first and the last row, and the file
+        # loses its final newline, so the cell ends a field, a line and
+        # the file in turn.
+        csv_path, _ = saved
+        lines = csv_path.read_bytes().split(b"\n")[:-1]
+        j = lines[0].split(b",").index(column.encode())
+        for row in (1, len(lines) - 1):
+            cells = lines[row].split(b",")
+            cells[j] = cell.encode()
+            lines[row] = b",".join(cells)
+        csv_path.write_bytes(b"\n".join(lines))
+        assert_blocked_read_is_line_read(csv_path)
 
     def test_checks_identical_after_round_trip(self, saved):
         csv_path, art = saved
@@ -389,6 +473,8 @@ class TestTrajectoryFiles:
             ("seed", 1.5),
             ("beta", [1.0]),
             ("feature_map", {"kind": "identity"}),
+            ("alpha", -1.0),
+            ("beta", -1e308),
         ],
     )
     def test_meta_mistyped_key(self, saved, key, value):
@@ -399,6 +485,16 @@ class TestTrajectoryFiles:
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             read_trajectory(csv_path)
+        assert main(["check", str(csv_path)]) == 2
+
+    def test_meta_alpha_overflow_names_the_key(self, saved):
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta["alpha"] = 1e308
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="key 'alpha'"):
+            check_trajectory_file(csv_path)
         assert main(["check", str(csv_path)]) == 2
 
     def test_meta_not_an_object(self, saved):
@@ -735,3 +831,53 @@ class TestCheckFuzz:
             assert ": fail" in out
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_blocked_read_equals_line_read(self, saved, data):
+        csv_path, originals = saved
+        raw = originals[csv_path]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            raw = data.draw(corrupted(raw), label="csv")
+        self._write(originals, csv_path, raw)
+        assert_blocked_read_is_line_read(csv_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(json_numbers(), min_size=7, max_size=7),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_json_numbers_read_as_the_line_parser(self, saved, rows):
+        csv_path, originals = saved
+        header = originals[csv_path].split(b"\n", 1)[0]
+        body = "".join(
+            f"{step}," + ",".join(row) + "\n" for step, row in enumerate(rows, 1)
+        )
+        self._write(originals, csv_path, header + b"\n" + body.encode())
+        assert_blocked_read_is_line_read(csv_path)
+
+    @staticmethod
+    def _write(originals, csv_path, raw: bytes) -> None:
+        """The trajectory as raw, beside its original sidecar."""
+        for path, original in originals.items():
+            path.write_bytes(raw if path == csv_path else original)
+
+    @pytest.mark.parametrize(
+        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta"]
+    )
+    def test_numeric_sidecar_values_never_exit_4(self, saved, key, capsys):
+        csv_path, originals = saved
+        self._write(originals, csv_path, originals[csv_path])
+        meta_file = harness.meta_path_for(csv_path)
+        for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200):
+            meta = json.loads(originals[meta_file])
+            meta[key] = value
+            meta_file.write_text(json.dumps(meta))
+            code = main(["check", str(csv_path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (value, err)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1
