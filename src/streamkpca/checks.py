@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_vector
+from .linalg import as_unit_vector
 from .oja import Trajectory
 
 PASS = "pass"
@@ -110,14 +110,6 @@ def _snapshots(traj: Trajectory) -> np.ndarray:
     return traj.snapshots
 
 
-def _unit_v_star(v_star) -> np.ndarray:
-    v = as_vector(v_star)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("v_star must have unit norm")
-    return v
-
-
 def _orthogonal_into(out, rows, proj, v_star) -> np.ndarray:
     """out = rows minus their v_star components, given proj = rows @ v_star.
 
@@ -134,14 +126,11 @@ def _row_norms_in_place(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows, axis=1))
 
 
-def sample_check_pairs(n: int, seed: int, count: int = 100) -> list[tuple[int, int]]:
-    """All adjacent index pairs plus ``count`` seeded random pairs in [0, n]."""
-    a, b = _check_pair_indices(n, seed, count)
-    return list(zip(a.tolist(), b.tolist()))
-
-
-def _check_pair_indices(n: int, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """sample_check_pairs as index arrays (a, b), in the same order."""
+def sample_check_pairs(
+    n: int, seed: int, count: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
+    """All adjacent index pairs plus ``count`` seeded random pairs in [0, n],
+    as index arrays (a, b) in ascending (a, b) order without repeats."""
     a, b = np.arange(n), np.arange(1, n + 1)
     if n >= 1:
         rng = np.random.default_rng(seed)
@@ -323,7 +312,7 @@ def check_growth_implies_correctness(
     """Residual orthogonal to v* is bounded by sqrt(alpha) plus the
     initial residual shrunk by the accumulated norm growth; for at-v*
     starts the bound tightens to sqrt(alpha) alone."""
-    v = _unit_v_star(v_star)
+    v = as_unit_vector(v_star, "v_star")
     snaps = _snapshots(traj)
     # Row norms of the orthogonal part, a block of rows at a time into a
     # reused buffer, so no (n+1, m) temporary exists.
@@ -363,7 +352,7 @@ def check_two_time_steps(
     without the log norm growing: ||P v_b - P v_a||^2 <= 50*alpha*(L_b - L_a)."""
     if traj.init_kind != "vstar":
         raise ValueError("two-time-step drift bound requires an at-v* start")
-    v = _unit_v_star(v_star)
+    v = as_unit_vector(v_star, "v_star")
     snaps = _snapshots(traj)
     if traj.n == 0:
         return CheckResult(
@@ -371,7 +360,7 @@ def check_two_time_steps(
             VACUOUS,
             details={"reason": "empty trajectory"},
         )
-    a_idx, b_idx = _check_pair_indices(traj.n, traj.seed, pair_count)
+    a_idx, b_idx = sample_check_pairs(traj.n, traj.seed, pair_count)
     # Pair norms a block of pairs at a time into reused buffers, so no
     # (n, m) temporary exists. The indices lie in [0, n]; np.take's
     # default mode="raise" would copy each block through a buffer.
@@ -414,7 +403,7 @@ def check_projected_energy(
     """
     if traj.init_kind != "vstar":
         raise ValueError("projected-energy bound requires an at-v* start")
-    v = _unit_v_star(v_star)
+    v = as_unit_vector(v_star, "v_star")
     snaps = _snapshots(traj)
     n, s = traj.n, traj.s
     if n == 0:
@@ -432,36 +421,44 @@ def check_projected_energy(
         # Each step's <phi_i, P v_{i-1}>, a block of steps at a time into
         # reused buffers, so no (n, m) temporary exists; the squares of
         # the kept steps are summed once. A skipped step divides by 1.0
-        # in place of 0 and its value is dropped.
+        # in place of 0 and its value is dropped. An eta * s that
+        # underflows to 0 makes lhs inf or NaN, reported below.
         proj = snaps[:-1] @ v
         divisor = np.where(nonzero, eta * s, 1.0)
         energies = np.empty(n)
         feats, orth = np.empty((2, min(n, linalg.BLOCK_ROWS), traj.m))
-        for start in range(0, n, linalg.BLOCK_ROWS):
-            rows = slice(start, start + linalg.BLOCK_ROWS)
-            prev = snaps[:-1][rows]
-            k = len(prev)
-            phi = np.multiply(growth[rows, None], snaps[1:][rows], out=feats[:k])
-            phi -= prev
-            phi /= divisor[rows, None]
-            energies[rows] = np.einsum(
-                "ij,ij->i", phi, _orthogonal_into(orth[:k], prev, proj[rows], v)
-            )
-        lhs = eta * float(np.sum(energies[nonzero] ** 2))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for start in range(0, n, linalg.BLOCK_ROWS):
+                rows = slice(start, start + linalg.BLOCK_ROWS)
+                prev = snaps[:-1][rows]
+                k = len(prev)
+                phi = np.multiply(growth[rows, None], snaps[1:][rows], out=feats[:k])
+                phi -= prev
+                phi /= divisor[rows, None]
+                energies[rows] = np.einsum(
+                    "ij,ij->i", phi, _orthogonal_into(orth[:k], prev, proj[rows], v)
+                )
+            lhs = eta * float(np.sum(energies[nonzero] ** 2))
     rhs = (
         100.0
         * alpha**2
         * math.log(n) ** 2
-        * traj.log_norm[-1]
+        * float(traj.log_norm[-1])
         if n > 1
         else 0.0
     )
+    if not math.isfinite(rhs):
+        # As alpha**2 raises for a larger alpha.
+        raise OverflowError(f"energy budget {rhs} is not finite")
     margin = rhs - lhs
+    details = {"lhs": lhs, "rhs": rhs, "skipped_zero_s_steps": skipped}
+    if not math.isfinite(lhs):
+        details["reason"] = "non-finite energy: eta * s underflows or a feature overflows"
     return CheckResult(
         "orthogonal_energy_budget",
         PASS if margin >= -SLACK else FAIL,
         margin=margin,
-        details={"lhs": lhs, "rhs": rhs, "skipped_zero_s_steps": skipped},
+        details=details,
     )
 
 
@@ -556,7 +553,7 @@ def check_final_bound(
     result is labeled "certified" only when they hold, "empirical"
     otherwise. The final direction is the last snapshot row.
     """
-    v = _unit_v_star(v_star)
+    v = as_unit_vector(v_star, "v_star")
     final = _snapshots(traj)[-1]
     resid_vec = final - float(final @ v) * v
     observed = float(np.linalg.norm(resid_vec))

@@ -10,7 +10,6 @@ merges with flags; flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ from .harness import (
     ConfigError,
     OUT_DIR_ENV,
     RunConfig,
+    _write_json,
     check_trajectory_file,
     run,
     sweep,
@@ -216,10 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         suffix = "" if margin != margin else f" (margin={margin:.6g})"
         print(f"{entry.name}: {entry.status}{suffix}")
     out_path = args.out or (args.trajectory + ".checks.json")
-    Path(out_path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(Path(out_path), report.to_dict())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILURE
 
 

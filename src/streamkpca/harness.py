@@ -40,7 +40,6 @@ from .oja import (
     STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    StreamState,
     Trajectory,
     init_state,
     init_state_at,
@@ -127,10 +126,7 @@ class RunConfig:
             raise ConfigError(f"bad config: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(Path(path), self.to_dict())
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -178,7 +174,6 @@ class TrialArtifacts:
     result: TrialResult
     trajectory: Trajectory | None = None
     check_report: CheckReport | None = None
-    final: StreamState | None = None
     x_star: np.ndarray | None = None
 
 
@@ -255,7 +250,6 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
         result=result,
         trajectory=trajectory,
         check_report=check_report,
-        final=final,
         x_star=x_star,
     )
 
@@ -810,7 +804,11 @@ def _nullable(test):
 
 # Meta sidecar key -> (required, test, what the test accepts).
 _META_KEYS = {
-    "eta": (True, _is_finite_number, "a finite number"),
+    "eta": (
+        True,
+        lambda v: _is_finite_number(v) and 0.0 < v < 0.1,
+        "a number strictly inside (0, 0.1)",
+    ),
     "feature_map": (True, lambda v: isinstance(v, dict), "an object"),
     "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
@@ -859,8 +857,8 @@ def check_trajectory_file(csv_path) -> CheckReport:
             traj, v_star, float(meta["alpha"]), float(meta["beta"])
         )
     except OverflowError as exc:
-        # Of the sidecar's values, only alpha meets a float operation
-        # that raises on overflow: the energy budget squares it.
+        # Of the sidecar's values, only alpha can overflow a check: the
+        # energy budget squares it and raises if that is not finite.
         raise ConfigError(
             f"bad trajectory metadata {meta_path_for(csv_path).name}: "
             f"key 'alpha' overflows the certificate: {exc}"

@@ -1,15 +1,15 @@
 """Dense vector/matrix primitives and symmetric eigensolvers.
 
-Vectors are plain 1-D float64 numpy arrays. A symmetric matrix is either
-a dense square array or a ``SymmetricMatrix``, which stores only the
-upper triangle (row-major), so symmetry holds by construction; every
-solver accepts both. The oracle eigensolver, ``eigendecomposition``, is
-LAPACK's symmetric solver (``numpy.linalg.eigh``) wrapped in the
-oracle's contracts: descending order, a sign convention, a dimension cap
-and orthonormality and reconstruction postconditions. Cyclic Jacobi
-rotations and power iteration stay as independent pure-numpy references:
-slow past a few hundred dimensions, but they share no code path with
-LAPACK, so tests and demos can cross-check the oracle against them.
+Vectors are plain 1-D float64 numpy arrays and matrices dense 2-D ones.
+Every solver takes a square array that is symmetric up to float noise
+and works on its exact symmetrization (``symmetric_dense``). The oracle
+eigensolver, ``eigendecomposition``, is LAPACK's symmetric solver
+(``numpy.linalg.eigh``) wrapped in the oracle's contracts: descending
+order, a sign convention, a dimension cap and orthonormality and
+reconstruction postconditions. Cyclic Jacobi rotations and power
+iteration stay as independent pure-numpy references: slow past a few
+hundred dimensions, but they share no code path with LAPACK, so tests
+and demos can cross-check the oracle against them.
 
 ``BLOCK_ROWS`` is the one row count by which every stream layer batches
 its per-sample work (generation, lifting, the second moment, the Oja
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ BLOCK_ROWS = 256
 # Postcondition tolerances for eigendecompositions.
 ORTHONORMALITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
+
+# How far from 1 the norm of a unit-vector argument may be.
+UNIT_NORM_TOL = 1e-9
 
 
 class DimensionError(ValueError):
@@ -59,6 +62,14 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_unit_vector(x, name: str) -> np.ndarray:
+    """as_vector, and a ValueError naming ``name`` unless the norm is 1."""
+    v = as_vector(x)
+    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"{name} must have unit norm")
+    return v
+
+
 def row_blocks(xs):
     """Yield the rows of ``xs`` in blocks of at most BLOCK_ROWS rows.
 
@@ -74,74 +85,8 @@ def row_blocks(xs):
         yield block
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionError(
-            f"length mismatch: {va.shape[0]} vs {vb.shape[0]}"
-        )
-    return float(va @ vb)
-
-
-def packed_length(dim: int) -> int:
-    return dim * (dim + 1) // 2
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Symmetric matrix storing the upper triangle row-major.
-
-    Attributes:
-        dim: matrix dimension (positive).
-        packed: upper-triangle entries in np.triu_indices order,
-            length dim*(dim+1)//2.
-    """
-
-    dim: int
-    packed: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError("dimension must be positive")
-        p = np.asarray(self.packed, dtype=np.float64)
-        if p.shape != (packed_length(self.dim),):
-            raise DimensionError(
-                f"packed storage must have length {packed_length(self.dim)}"
-            )
-        if not np.isfinite(p).all():
-            raise ValueError("matrix has non-finite entries")
-        object.__setattr__(self, "packed", p)
-
-    @classmethod
-    def from_dense(cls, a, *, sym_tol: float = 1e-9) -> "SymmetricMatrix":
-        """Build from a dense square array, validating near-symmetry.
-
-        The stored triangle is taken from (A + A^T)/2 so tiny asymmetric
-        float noise is symmetrized away rather than preserved.
-        """
-        sym = symmetric_dense(a, sym_tol=sym_tol)
-        iu = np.triu_indices(sym.shape[0])
-        return cls(dim=sym.shape[0], packed=sym[iu])
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SymmetricMatrix":
-        return cls(dim=dim, packed=np.zeros(packed_length(dim)))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        out[iu] = self.packed
-        out.T[iu] = self.packed
-        return out
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.packed).max())
-
-
 def symmetric_dense(a, *, sym_tol: float = 1e-9) -> np.ndarray:
-    """Dense (A + A^T)/2 of a SymmetricMatrix or a square array.
+    """(A + A^T)/2 of a near-symmetric square array, as float64.
 
     An exactly symmetric array comes back with the same values.
 
@@ -150,8 +95,6 @@ def symmetric_dense(a, *, sym_tol: float = 1e-9) -> np.ndarray:
         ValueError: non-finite entries, or asymmetry above sym_tol
             relative to max(1, max |a_ij|).
     """
-    if isinstance(a, SymmetricMatrix):
-        return a.to_dense()
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionError(f"expected a square matrix, got {m.shape}")
@@ -174,10 +117,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def top_value(self) -> float:
-        return float(self.eigenvalues[0])
 
     @property
     def top_vector(self) -> np.ndarray:
@@ -350,20 +289,15 @@ def power_iteration_top(a, tol: float, max_iters: int) -> tuple[float, np.ndarra
         if wn == 0.0:
             # Shifted matrix annihilates vec: the zero matrix case.
             lam = 0.0
-            _fix_single_sign(vec)
+            _fix_signs(vec[:, None])
             return lam, vec
         vec = w / wn
         mv = m @ vec
         lam = float(vec @ mv)
         if float(np.linalg.norm(mv - lam * vec)) <= stop:
-            _fix_single_sign(vec)
+            _fix_signs(vec[:, None])
             return lam, vec
     raise ConvergenceError(
         f"power iteration: residual above {stop:g} after {max_iters} iters"
     )
 
-
-def _fix_single_sign(vec: np.ndarray) -> None:
-    nz = np.nonzero(vec)[0]
-    if nz.size and vec[nz[0]] < 0:
-        vec *= -1.0

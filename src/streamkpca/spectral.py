@@ -23,6 +23,7 @@ from .featuremaps import FeatureMapSpec
 from .linalg import (
     EigenDecomposition,
     MAX_ORACLE_DIM,
+    as_unit_vector,
     as_vector,
     eigendecomposition,
 )
@@ -30,8 +31,6 @@ from .linalg import (
 # lambda_2 below this multiple of lambda_1 is treated as zero: the
 # spectral ratio becomes an infinity sentinel instead of a division.
 RANK_DEFICIENT_REL_TOL = 1e-12
-
-UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,7 @@ def compute_alpha_beta(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    v = as_vector(v_star)
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("v_star must have unit norm")
+    v = as_unit_vector(v_star, "v_star")
     m_dense = summary.second_moment
     if v.shape[0] != m_dense.shape[0]:
         raise ValueError("v_star dimension does not match the summary")
@@ -175,12 +172,8 @@ def projection_residual(v_star, u) -> float:
 
 def alignment_error(x_star, u) -> float:
     """1 - <x*, u>^2 for two unit vectors, clamped into [0, 1]."""
-    xs = as_vector(x_star)
-    uh = as_vector(u)
-    if abs(float(np.linalg.norm(xs)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("x_star must have unit norm")
-    if abs(float(np.linalg.norm(uh)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("u must have unit norm")
+    xs = as_unit_vector(x_star, "x_star")
+    uh = as_unit_vector(u, "u")
     if xs.shape != uh.shape:
         raise ValueError("vectors must have equal length")
     val = 1.0 - float(xs @ uh) ** 2

@@ -169,6 +169,19 @@ class TestHypothesisGating:
         assert entry.status == FAIL
         assert "NaN" in entry.details["reason"]
 
+    def test_projected_energy_non_finite_lhs_fails(self, vstar_run):
+        # eta * s underflows to 0 at a subnormal eta, so the features
+        # rebuilt from the snapshots are inf or NaN: a failure with a
+        # reason, and no numpy warning.
+        traj, v_star, ab = vstar_run
+        tiny = dataclasses.replace(
+            traj, config=dataclasses.replace(traj.config, eta=5e-324)
+        )
+        entry = check_projected_energy(tiny, v_star, ab.alpha)
+        assert not math.isfinite(entry.details["lhs"])
+        assert entry.status == FAIL
+        assert "non-finite" in entry.details["reason"]
+
     def test_final_bound_labels_hypotheses(self, vstar_run):
         traj, v_star, ab = vstar_run
         entry = check_final_bound(traj, v_star, ab.alpha, ab.beta)
@@ -190,20 +203,28 @@ def set_sample_check_pairs(n, seed, count=100):
     return sorted(pairs)
 
 
+def pair_list(n, seed, count=100):
+    """sample_check_pairs' index arrays as a list of (a, b) tuples."""
+    a, b = sample_check_pairs(n, seed, count)
+    assert a.dtype.kind == b.dtype.kind == "i" and a.shape == b.shape
+    return list(zip(a.tolist(), b.tolist()))
+
+
 class TestPairSampling:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 603])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_equals_the_set_reference(self, n, seed):
         for count in (0, 1, 100):
-            assert sample_check_pairs(n, seed, count) == set_sample_check_pairs(
+            assert pair_list(n, seed, count) == set_sample_check_pairs(
                 n, seed, count
             )
 
     def test_deterministic_from_seed(self):
-        assert sample_check_pairs(50, 7) == sample_check_pairs(50, 7)
+        first, again = sample_check_pairs(50, 7), sample_check_pairs(50, 7)
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
     def test_includes_adjacent_pairs(self):
-        pairs = set(sample_check_pairs(30, 1))
+        pairs = set(pair_list(30, 1))
         for i in range(1, 31):
             assert (i - 1, i) in pairs
 
@@ -331,7 +352,7 @@ class TestBlockedChecks:
         ) / (eta * s[keep, None])
         lhs = eta * np.sum(np.einsum("ij,ij->i", feats, orth[:-1][keep]) ** 2)
         assert expected[0].details["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
-        a, b = np.array(sample_check_pairs(traj.n, traj.seed)).T
+        a, b = sample_check_pairs(traj.n, traj.seed)
         margins = 50.0 * alpha * (traj.log_norm[b] - traj.log_norm[a]) - (
             np.linalg.norm(orth[b] - orth[a], axis=1) ** 2
         )

@@ -475,6 +475,8 @@ class TestTrajectoryFiles:
             ("feature_map", {"kind": "identity"}),
             ("alpha", -1.0),
             ("beta", -1e308),
+            ("eta", 0.2),
+            ("eta", 0.0),
         ],
     )
     def test_meta_mistyped_key(self, saved, key, value):
@@ -487,15 +489,18 @@ class TestTrajectoryFiles:
             read_trajectory(csv_path)
         assert main(["check", str(csv_path)]) == 2
 
-    def test_meta_alpha_overflow_names_the_key(self, saved):
+    def test_meta_alpha_overflow_names_the_key(self, saved, capsys):
+        # 1e308 overflows alpha**2; 1e154 squares to a finite float, and
+        # the energy budget built from it overflows to inf.
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
-        meta = json.loads(meta_file.read_text())
-        meta["alpha"] = 1e308
-        meta_file.write_text(json.dumps(meta))
-        with pytest.raises(ConfigError, match="key 'alpha'"):
-            check_trajectory_file(csv_path)
-        assert main(["check", str(csv_path)]) == 2
+        original = json.loads(meta_file.read_text())
+        for alpha in (1e308, 1e154):
+            meta_file.write_text(json.dumps({**original, "alpha": alpha}))
+            with pytest.raises(ConfigError, match="key 'alpha'"):
+                check_trajectory_file(csv_path)
+            assert main(["check", str(csv_path)]) == 2
+            assert "key 'alpha' overflows" in capsys.readouterr().err
 
     def test_meta_not_an_object(self, saved):
         csv_path, _ = saved

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from streamkpca.linalg import (
     ConvergenceError,
     DimensionError,
-    SymmetricMatrix,
-    dot,
     eigendecomposition,
     jacobi_eigendecomposition,
     power_iteration_top,
@@ -17,81 +15,7 @@ from streamkpca.linalg import (
 )
 
 
-def sym_from(entries):
-    return SymmetricMatrix.from_dense(np.array(entries, dtype=float))
-
-
-class TestDot:
-    def test_orthogonal_axes(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_self_inner_product(self):
-        assert dot([1.0, 2.0], [1.0, 2.0]) == 5.0
-
-    def test_coordinate_projection(self):
-        assert dot([3.0, 4.0], [1.0, 0.0]) == 3.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            dot([1.0, math.nan], [1.0, 2.0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_symmetric_and_bilinear(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 12))
-        a = rng.standard_normal(k)
-        b = rng.standard_normal(k)
-        c = rng.standard_normal(k)
-        for v in (a, b, c):
-            n = np.linalg.norm(v)
-            if n > 10.0:
-                v *= 10.0 / n
-        scale = max(1.0, abs(dot(a, b)))
-        assert abs(dot(a, b) - dot(b, a)) <= 1e-12 * scale
-        coeff = float(rng.uniform(-3, 3))
-        lhs = dot(coeff * a + b, c)
-        rhs = coeff * dot(a, c) + dot(b, c)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-
-
-class TestSymmetricMatrix:
-    def test_round_trip(self):
-        a = np.array([[1.0, 2.0], [2.0, 5.0]])
-        m = SymmetricMatrix.from_dense(a)
-        assert np.array_equal(m.to_dense(), a)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_from([[1.0, 2.0], [3.0, 5.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            SymmetricMatrix.from_dense(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            sym_from([[1.0, math.inf], [math.inf, 1.0]])
-
-
 class TestDenseInput:
-    def test_solvers_accept_a_dense_array(self):
-        rng = np.random.default_rng(8)
-        g = rng.standard_normal((6, 6))
-        dense = g + g.T
-        packed = SymmetricMatrix.from_dense(dense)
-        for solve in (eigendecomposition, jacobi_eigendecomposition):
-            a, b = solve(dense), solve(packed)
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        assert power_iteration_top(dense, 1e-12, 10**5)[0] == (
-            power_iteration_top(packed, 1e-12, 10**5)[0]
-        )
-
     def test_exactly_symmetric_input_keeps_its_values(self):
         rng = np.random.default_rng(1)
         g = rng.standard_normal((5, 5))
@@ -114,12 +38,12 @@ class TestDenseInput:
 
 class TestJacobi:
     def test_diagonal_input(self):
-        eig = jacobi_eigendecomposition(sym_from([[4.0, 0.0], [0.0, 1.0]]))
+        eig = jacobi_eigendecomposition(np.array([[4.0, 0.0], [0.0, 1.0]]))
         assert np.array_equal(eig.eigenvalues, [4.0, 1.0])
         assert np.array_equal(eig.eigenvectors, np.eye(2))
 
     def test_2x2_analytic(self):
-        eig = jacobi_eigendecomposition(sym_from([[2.0, 1.0], [1.0, 2.0]]))
+        eig = jacobi_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-14)
         expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert np.allclose(eig.top_vector, expected, atol=1e-14)
@@ -127,24 +51,24 @@ class TestJacobi:
     def test_random_8x8_reconstruction(self):
         rng = np.random.default_rng(7)
         g = rng.standard_normal((8, 8))
-        a = SymmetricMatrix.from_dense(g + g.T)
+        a = g + g.T
         eig = jacobi_eigendecomposition(a)
         recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-        limit = 1e-8 * max(1.0, a.max_abs())
-        assert np.abs(recon - a.to_dense()).max() <= limit
+        limit = 1e-8 * max(1.0, np.abs(a).max())
+        assert np.abs(recon - a).max() <= limit
         gram = eig.eigenvectors.T @ eig.eigenvectors
         assert np.abs(gram - np.eye(8)).max() <= 1e-9
 
     def test_eigenvalues_sorted_descending(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((12, 12))
-        eig = jacobi_eigendecomposition(SymmetricMatrix.from_dense(g + g.T))
+        eig = jacobi_eigendecomposition(g + g.T)
         assert np.all(np.diff(eig.eigenvalues) <= 0)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((6, 6))
-        eig = jacobi_eigendecomposition(SymmetricMatrix.from_dense(g + g.T))
+        eig = jacobi_eigendecomposition(g + g.T)
         for k in range(6):
             col = eig.eigenvectors[:, k]
             nz = np.nonzero(col)[0]
@@ -153,7 +77,7 @@ class TestJacobi:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((9, 9))
-        a = SymmetricMatrix.from_dense(g + g.T)
+        a = g + g.T
         e1 = jacobi_eigendecomposition(a)
         e2 = jacobi_eigendecomposition(a)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
@@ -161,21 +85,21 @@ class TestJacobi:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            jacobi_eigendecomposition(SymmetricMatrix.zeros(2049))
+            jacobi_eigendecomposition(np.zeros((2049, 2049)))
 
     def test_zero_matrix(self):
-        eig = jacobi_eigendecomposition(SymmetricMatrix.zeros(4))
+        eig = jacobi_eigendecomposition(np.zeros((4, 4)))
         assert np.array_equal(eig.eigenvalues, np.zeros(4))
 
 
 class TestEigendecomposition:
     def test_diagonal_input(self):
-        eig = eigendecomposition(sym_from([[1.0, 0.0], [0.0, 4.0]]))
+        eig = eigendecomposition(np.array([[1.0, 0.0], [0.0, 4.0]]))
         assert np.array_equal(eig.eigenvalues, [4.0, 1.0])
         assert np.array_equal(eig.eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_2x2_analytic(self):
-        eig = eigendecomposition(sym_from([[2.0, 1.0], [1.0, 2.0]]))
+        eig = eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-14)
         expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert np.allclose(eig.top_vector, expected, atol=1e-14)
@@ -183,27 +107,27 @@ class TestEigendecomposition:
     def test_sorted_descending_and_sign_convention(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((12, 12))
-        eig = eigendecomposition(SymmetricMatrix.from_dense(g + g.T))
+        eig = eigendecomposition(g + g.T)
         assert np.all(np.diff(eig.eigenvalues) <= 0)
         for k in range(12):
             col = eig.eigenvectors[:, k]
             assert col[np.nonzero(col)[0][0]] > 0
 
     def test_repeated_eigenvalues_keep_a_stable_order(self):
-        eig = eigendecomposition(SymmetricMatrix.from_dense(np.eye(3)))
+        eig = eigendecomposition(np.eye(3))
         assert np.array_equal(eig.eigenvalues, np.ones(3))
         assert np.array_equal(eig.eigenvectors, np.eye(3))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            eigendecomposition(SymmetricMatrix.zeros(2049))
+            eigendecomposition(np.zeros((2049, 2049)))
 
     def test_zero_matrix(self):
-        eig = eigendecomposition(SymmetricMatrix.zeros(4))
+        eig = eigendecomposition(np.zeros((4, 4)))
         assert np.array_equal(eig.eigenvalues, np.zeros(4))
 
     def test_postconditions_reject_a_bad_solve(self, monkeypatch):
-        a = sym_from([[2.0, 1.0], [1.0, 2.0]])
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
         monkeypatch.setattr(
             np.linalg, "eigh", lambda m: (np.array([1.0, 3.0]), np.eye(2))
         )
@@ -220,7 +144,7 @@ class TestEigendecomposition:
     def test_agrees_with_jacobi(self, seed, k):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3)
-        a = SymmetricMatrix.from_dense(g + g.T)
+        a = g + g.T
         lapack = eigendecomposition(a)
         jacobi = jacobi_eigendecomposition(a)
         # Entries span six decades, so tolerances and the 1e-6 gap are
@@ -247,14 +171,14 @@ class TestEigendecomposition:
 class TestPowerIteration:
     def test_diagonal_input(self):
         lam, vec = power_iteration_top(
-            sym_from([[4.0, 0.0], [0.0, 1.0]]), tol=1e-10, max_iters=10000
+            np.array([[4.0, 0.0], [0.0, 1.0]]), tol=1e-10, max_iters=10000
         )
         assert abs(lam - 4.0) <= 1e-9
         assert 1.0 - float(vec @ np.array([1.0, 0.0])) ** 2 <= 1e-9
 
     def test_2x2_analytic(self):
         lam, vec = power_iteration_top(
-            sym_from([[2.0, 1.0], [1.0, 2.0]]), tol=1e-12, max_iters=10000
+            np.array([[2.0, 1.0], [1.0, 2.0]]), tol=1e-12, max_iters=10000
         )
         assert abs(lam - 3.0) <= 1e-10
         expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -264,7 +188,7 @@ class TestPowerIteration:
         rng = np.random.default_rng(23)
         basis, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         spectrum = np.concatenate(([10.0], rng.uniform(0.1, 1.0, 15)))
-        a = SymmetricMatrix.from_dense(basis @ np.diag(spectrum) @ basis.T)
+        a = basis @ np.diag(spectrum) @ basis.T
         eig = jacobi_eigendecomposition(a)
         lam, vec = power_iteration_top(a, tol=1e-13, max_iters=100000)
         assert abs(lam - eig.eigenvalues[0]) <= 1e-8
@@ -274,19 +198,19 @@ class TestPowerIteration:
         # Largest eigenvalue must win even when a negative one dominates
         # in magnitude.
         lam, vec = power_iteration_top(
-            sym_from([[1.0, 0.0], [0.0, -5.0]]), tol=1e-12, max_iters=100000
+            np.array([[1.0, 0.0], [0.0, -5.0]]), tol=1e-12, max_iters=100000
         )
         assert abs(lam - 1.0) <= 1e-9
         assert abs(abs(vec[0]) - 1.0) <= 1e-6
 
     def test_convergence_error(self):
-        a = sym_from([[2.0, 1.0], [1.0, 2.0]])
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ConvergenceError):
             power_iteration_top(a, tol=1e-15, max_iters=2)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            power_iteration_top(sym_from([[1.0]]), tol=0.0, max_iters=10)
+            power_iteration_top(np.array([[1.0]]), tol=0.0, max_iters=10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
@@ -297,7 +221,7 @@ class TestPowerIteration:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 33))
         g = rng.standard_normal((k, k))
-        a = SymmetricMatrix.from_dense(g + g.T)
+        a = g + g.T
         eig = jacobi_eigendecomposition(a)
         gap = float(eig.eigenvalues[0] - eig.eigenvalues[1])
         assume(gap >= 1e-2)
