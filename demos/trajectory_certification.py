@@ -1,6 +1,6 @@
 """Every recorded trajectory can be certified after the fact.
 
-Runs one checker-mode stream, replays all the growth and drift
+Runs one recorded stream, replays all the growth and drift
 inequalities against the oracle-computed energies, then corrupts a
 single recorded scalar and shows that the suite notices.
 """
@@ -42,7 +42,6 @@ cfg = OjaConfig(
     eta=eta,
     feature_map=phi,
     record_trajectory=True,
-    snapshots=True,
     norm_bound=bound,
 )
 _, traj = run_stream(xs, cfg, init_state_at(summary.top_vector), seed=30)

@@ -41,6 +41,9 @@ RECON_MAX_N = 64
 GROWTH_FLOOR_C1 = 200.0
 HYPOTHESIS_C = 1000.0
 
+# Random index pairs the two-time-step drift check adds to the adjacent ones.
+CHECK_PAIR_COUNT = 100
+
 
 @dataclass
 class CheckResult:
@@ -104,12 +107,6 @@ def _jsonable(v):
     return v
 
 
-def _snapshots(traj: Trajectory) -> np.ndarray:
-    if traj.snapshots is None:
-        raise ValueError("trajectory has no direction snapshots")
-    return traj.snapshots
-
-
 def _orthogonal_into(out, rows, proj, v_star) -> np.ndarray:
     """out = rows minus their v_star components, given proj = rows @ v_star.
 
@@ -127,7 +124,7 @@ def _row_norms_in_place(rows: np.ndarray) -> np.ndarray:
 
 
 def sample_check_pairs(
-    n: int, seed: int, count: int = 100
+    n: int, seed: int, count: int = CHECK_PAIR_COUNT
 ) -> tuple[np.ndarray, np.ndarray]:
     """All adjacent index pairs plus ``count`` seeded random pairs in [0, n],
     as index arrays (a, b) in ascending (a, b) order without repeats."""
@@ -154,7 +151,7 @@ def check_update_properties(traj: Trajectory) -> list[CheckResult]:
     evaluation reconstructed from consecutive direction snapshots via
     ||u_i|| = (1 + eta*s_i^2) / <v_hat_i, v_hat_{i-1}>.
     """
-    snaps = _snapshots(traj)
+    snaps = traj.snapshots
     n, eta = traj.n, traj.config.eta
     s, log_ratio = traj.s, traj.log_ratio
     results: list[CheckResult] = []
@@ -313,7 +310,7 @@ def check_growth_implies_correctness(
     initial residual shrunk by the accumulated norm growth; for at-v*
     starts the bound tightens to sqrt(alpha) alone."""
     v = as_unit_vector(v_star, "v_star")
-    snaps = _snapshots(traj)
+    snaps = traj.snapshots
     # Row norms of the orthogonal part, a block of rows at a time into a
     # reused buffer, so no (n+1, m) temporary exists.
     proj = snaps @ v
@@ -345,22 +342,20 @@ def check_growth_implies_correctness(
     )
 
 
-def check_two_time_steps(
-    traj: Trajectory, v_star, alpha: float, pair_count: int = 100
-) -> CheckResult:
+def check_two_time_steps(traj: Trajectory, v_star, alpha: float) -> CheckResult:
     """Between any two recorded steps, the orthogonal part cannot drift
     without the log norm growing: ||P v_b - P v_a||^2 <= 50*alpha*(L_b - L_a)."""
     if traj.init_kind != "vstar":
         raise ValueError("two-time-step drift bound requires an at-v* start")
     v = as_unit_vector(v_star, "v_star")
-    snaps = _snapshots(traj)
+    snaps = traj.snapshots
     if traj.n == 0:
         return CheckResult(
             "drift_requires_growth",
             VACUOUS,
             details={"reason": "empty trajectory"},
         )
-    a_idx, b_idx = sample_check_pairs(traj.n, traj.seed, pair_count)
+    a_idx, b_idx = sample_check_pairs(traj.n, traj.seed)
     # Pair norms a block of pairs at a time into reused buffers, so no
     # (n, m) temporary exists. The indices lie in [0, n]; np.take's
     # default mode="raise" would copy each block through a buffer.
@@ -404,7 +399,7 @@ def check_projected_energy(
     if traj.init_kind != "vstar":
         raise ValueError("projected-energy bound requires an at-v* start")
     v = as_unit_vector(v_star, "v_star")
-    snaps = _snapshots(traj)
+    snaps = traj.snapshots
     n, s = traj.n, traj.s
     if n == 0:
         return CheckResult(
@@ -539,6 +534,31 @@ def check_norm_lower_bounds(
     return results
 
 
+def envelope_slack(beta: float) -> float:
+    """exp(-beta/200): the envelope's probabilistic term."""
+    return math.exp(-beta / 200.0)
+
+
+def envelope(alpha: float, beta: float) -> float:
+    """sqrt(alpha) + exp(-beta/200): the final residual's envelope."""
+    return math.sqrt(alpha) + envelope_slack(beta)
+
+
+def within_envelope(residual: float, alpha: float, beta: float) -> bool:
+    """The residual sits inside the envelope, up to SLACK."""
+    return envelope(alpha, beta) - residual >= -SLACK
+
+
+def alpha_hypothesis_ok(alpha: float, n: int) -> bool:
+    """The guarantee's alpha < 1 / (C log n) hypothesis, C = HYPOTHESIS_C."""
+    return n > 1 and alpha < 1.0 / (HYPOTHESIS_C * math.log(n))
+
+
+def beta_hypothesis_ok(beta: float, m: int) -> bool:
+    """The guarantee's beta >= C log m hypothesis, C = HYPOTHESIS_C."""
+    return m > 1 and beta >= HYPOTHESIS_C * math.log(m)
+
+
 def check_final_bound(
     traj: Trajectory, v_star, alpha: float, beta: float
 ) -> CheckResult:
@@ -554,19 +574,18 @@ def check_final_bound(
     otherwise. The final direction is the last snapshot row.
     """
     v = as_unit_vector(v_star, "v_star")
-    final = _snapshots(traj)[-1]
+    final = traj.snapshots[-1]
     resid_vec = final - float(final @ v) * v
     observed = float(np.linalg.norm(resid_vec))
     sqrt_alpha = math.sqrt(alpha)
-    envelope = sqrt_alpha + math.exp(-beta / 200.0)
-    n, m = traj.n, traj.m
-    alpha_ok = n > 1 and alpha < 1.0 / (HYPOTHESIS_C * math.log(n))
-    beta_ok = beta >= HYPOTHESIS_C * math.log(m) if m > 1 else False
+    bound = envelope(alpha, beta)
+    alpha_ok = alpha_hypothesis_ok(alpha, traj.n)
+    beta_ok = beta_hypothesis_ok(beta, traj.m)
     details = {
         "observed_residual": observed,
-        "envelope": envelope,
+        "envelope": bound,
         "sqrt_alpha": sqrt_alpha,
-        "probability_floor": 1.0 - math.exp(-beta / 200.0),
+        "probability_floor": 1.0 - envelope_slack(beta),
         "alpha_hypothesis_ok": alpha_ok,
         "beta_hypothesis_ok": beta_ok,
         "certification": "certified" if (alpha_ok and beta_ok) else "empirical",
@@ -579,8 +598,8 @@ def check_final_bound(
             margin=margin,
             details=details,
         )
-    margin = envelope - observed
-    if margin >= -SLACK:
+    margin = bound - observed
+    if within_envelope(observed, alpha, beta):
         return CheckResult(
             "final_residual_bound", PASS, margin=margin, details=details
         )
@@ -598,20 +617,13 @@ def check_final_bound(
     )
 
 
-def run_all_checks(
-    traj: Trajectory,
-    v_star,
-    alpha: float,
-    beta: float,
-    *,
-    pair_count: int = 100,
-) -> CheckReport:
+def run_all_checks(traj: Trajectory, v_star, alpha: float, beta: float) -> CheckReport:
     """Run every check exactly once, gating hypothesis-bound checks to
     vacuous (with the unmet hypothesis named) instead of erroring."""
     entries = list(check_update_properties(traj))
     entries.append(check_growth_implies_correctness(traj, v_star, alpha))
     if traj.init_kind == "vstar":
-        entries.append(check_two_time_steps(traj, v_star, alpha, pair_count))
+        entries.append(check_two_time_steps(traj, v_star, alpha))
         entries.append(check_projected_energy(traj, v_star, alpha))
     else:
         reason = {"reason": "initializer is not at-v*"}

@@ -8,12 +8,12 @@ and reports. Nothing time- or host-dependent is ever written.
 File formats:
   * run config and reports -- JSON (UTF-8, sorted keys);
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
-    plus optional snapshot columns ``vhat_0..vhat_{m-1}``; row i holds
-    step i of the Trajectory's columns (its snapshot row i), each cell
-    the text of Python's repr of the float64;
+    and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
+    of the Trajectory's columns (its snapshot row i), each cell the text
+    of Python's repr of the float64;
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
-    oracle alpha/beta and v*).
+    oracle alpha/beta and v*) and its row count n.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import os
 import re
 import reprlib
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NoReturn
@@ -33,7 +32,16 @@ import numpy as np
 import orjson
 
 from . import linalg
-from .checks import CheckReport, _jsonable, run_all_checks
+from .checks import (
+    CheckReport,
+    _jsonable,
+    alpha_hypothesis_ok,
+    beta_hypothesis_ok,
+    envelope,
+    envelope_slack,
+    run_all_checks,
+    within_envelope,
+)
 from .datagen import SpikedSpec, make_spiked_stream
 from .featuremaps import FeatureMapSpec
 from .oja import (
@@ -203,12 +211,10 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
     x_star = summary.top_vector
     energies = compute_alpha_beta(summary, eta, x_star)
 
-    want_records = config.run_checks or config.save_trajectories
     oja_config = OjaConfig(
         eta=eta,
         feature_map=phi,
-        record_trajectory=want_records,
-        snapshots=config.run_checks,
+        record_trajectory=config.run_checks or config.save_trajectories,
         norm_bound=feature_bound,
     )
     if config.init == "vstar":
@@ -234,10 +240,10 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
         )
     result.residual = math.sqrt(result.alignment_error)
     result.log_norm = final.log_norm
-    result.envelope = math.sqrt(energies.alpha) + math.exp(
-        -energies.beta / 200.0
+    result.envelope = envelope(energies.alpha, energies.beta)
+    result.within_envelope = within_envelope(
+        result.residual, energies.alpha, energies.beta
     )
-    result.within_envelope = result.residual <= result.envelope + 1e-9
 
     check_report = None
     if config.run_checks:
@@ -282,7 +288,7 @@ def aggregate_trials(results: list[TrialResult]) -> dict:
             1 for r in good if not r.within_envelope
         ) / len(good)
         agg["envelope_slack_median"] = _median(
-            [math.exp(-r.beta / 200.0) for r in good]
+            [envelope_slack(r.beta) for r in good]
         )
     return agg
 
@@ -322,15 +328,12 @@ def run(config: RunConfig, out_dir=None) -> dict:
     agg = aggregate_trials(results)
     agg["alpha_hypothesis_fraction"] = _fraction(
         results,
-        lambda r: r.alpha is not None
-        and n_stream > 1
-        and r.alpha < 1.0 / (1000.0 * math.log(n_stream)),
+        lambda r: r.alpha is not None and alpha_hypothesis_ok(r.alpha, n_stream),
     )
     agg["beta_hypothesis_fraction"] = _fraction(
         results,
         lambda r: r.beta is not None
-        and config.feature_map.feature_dim > 1
-        and r.beta >= 1000.0 * math.log(config.feature_map.feature_dim),
+        and beta_hypothesis_ok(r.beta, config.feature_map.feature_dim),
     )
     report = {
         "schema": REPORT_SCHEMA_ID,
@@ -451,18 +454,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    """Write the step columns as CSV; snapshots become vhat_* columns.
+    """Write the step columns and the directions after each step
+    (snapshot rows 1..n, as vhat_* columns) as CSV.
 
     Each cell is the text of Python's repr of the float64 (the shortest
     digits that round-trip), written linalg.BLOCK_ROWS rows at a time by
     one compiled pass per block (see _csv_rows), so the text of the
     whole file never exists at once.
     """
-    header = list(TRAJECTORY_HEADER)
-    columns = [traj.s, traj.phi_norm_sq, traj.log_ratio]
-    if traj.snapshots is not None and traj.n > 0:
-        header += [f"vhat_{k}" for k in range(traj.m)]
-        columns.append(traj.snapshots[1:])
+    header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
+    columns = [traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:]]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, traj.n, linalg.BLOCK_ROWS):
@@ -526,11 +527,12 @@ def write_trajectory_meta(
 
 
 def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
-    """Load a trajectory CSV plus its meta sidecar.
+    """Load a trajectory CSV plus its meta sidecar, in one pass over the CSV.
 
     Raises:
-        TrajectoryParseError: malformed CSV; the message names the byte
-            offset of the offending field.
+        TrajectoryParseError: malformed CSV, or a row count other than
+            the sidecar's n; the message names the byte offset of the
+            first defect in file order.
         ConfigError: missing or malformed meta sidecar.
     """
     csv_path = Path(csv_path)
@@ -544,31 +546,7 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     _validate_meta(meta, meta_file)
 
     init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
-    try:
-        steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat)
-    except (TrajectoryParseError, ConfigError, UnicodeDecodeError):
-        # Invalid UTF-8 anywhere in the file is reported first, located
-        # by a scan of the raw lines.
-        with closing(_raw_lines(csv_path)) as lines:
-            for line_start, raw in lines:
-                _decode_line(raw, line_start)
-        raise
-
-    # NaN or inf anywhere: the arrays find the first such row, and only
-    # that row is read and split again to locate the field.
-    finite = np.isfinite(steps).all(axis=0)
-    if snapshots is not None:
-        finite &= np.isfinite(snapshots[1:]).all(axis=1)
-    if not finite.all():
-        row_idx = int(np.argmin(finite)) + 1
-        line_start, line = _line_at(csv_path, row_idx)
-        cells = line.split(",")
-        j = next(j for j in range(1, len(cells)) if not math.isfinite(float(cells[j])))
-        raise TrajectoryParseError(
-            f"non-finite field {cells[j]!r} at byte "
-            f"{_byte_offset(line_start, line, j)}"
-        )
-
+    steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -580,7 +558,6 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         eta=float(meta["eta"]),
         feature_map=feature_map,
         record_trajectory=True,
-        snapshots=snapshots is not None,
         norm_bound=meta.get("norm_bound"),
     )
     traj = Trajectory(
@@ -598,29 +575,29 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
 
 
 def _parse_trajectory_csv(
-    csv_path: Path, init_v_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fill the (3, n) step array and the (n+1, m) snapshots, or None.
+    csv_path: Path, init_v_hat: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the (3, n) step array and the (n+1, m) snapshots in one pass.
 
-    The file is read linalg.BLOCK_ROWS lines at a time into arrays
-    preallocated from a line count, so the parse holds no more than the
-    arrays and one block. Each block is parsed by _parse_block, or, where
-    that cannot vouch for its result, by the line loop _parse_lines,
-    which defines the format and raises every error. Snapshot row 0 is
-    init_v_hat. Every malformed field but a non-finite number raises
-    here; a line's byte offset is found only then.
-
-    Raises:
-        UnicodeDecodeError: invalid UTF-8, at an offset within a line.
+    The arrays are preallocated from the sidecar's n, and the file is
+    read linalg.BLOCK_ROWS lines at a time, so the parse holds no more
+    than the arrays and one block. Each block is parsed by _parse_block,
+    or, where that cannot vouch for its result, by the line loop
+    _parse_lines, which defines the format and raises every error at
+    the byte offset the loop here tracks. Blocks are read in file order
+    and a row count other than n is found where the rows end, so the
+    error names the first defect in the file. Snapshot row 0 is
+    init_v_hat.
     """
-    n_lines = _count_lines(csv_path)
-    if n_lines == 0:
-        raise TrajectoryParseError("empty trajectory file at byte 0")
+    m = init_v_hat.shape[0]
+    width = len(TRAJECTORY_HEADER)
     # Lines split on "\n" only; a "\r" stays part of its field.
     with open(csv_path, "rb") as fh:
-        header_line = fh.readline().decode("utf-8").removesuffix("\n")
+        raw_header = fh.readline()
+        if not raw_header:
+            raise TrajectoryParseError("empty trajectory file at byte 0")
+        header_line = _decode_line(raw_header, 0)
         header = header_line.split(",")
-        width = len(TRAJECTORY_HEADER)
         if header[:width] != TRAJECTORY_HEADER:
             raise TrajectoryParseError(
                 f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
@@ -631,57 +608,75 @@ def _parse_trajectory_csv(
                     f"bad snapshot column {name!r} at byte "
                     f"{_byte_offset(0, header_line, width + k)}"
                 )
-        m_cols = len(header) - width
-        if m_cols and init_v_hat.shape[0] != m_cols:
-            raise ConfigError("metadata init vector does not match snapshot width")
-
-        n = n_lines - 1
+        if len(header) - width != m:
+            raise ConfigError(
+                f"metadata init vector has {m} entries, the trajectory "
+                f"{len(header) - width} vhat_* columns"
+            )
+        offset = len(raw_header)
+        # A row of len(header) cells takes at least 2 * len(header) - 1
+        # bytes: an n the file cannot hold is refused before allocating.
+        size = os.fstat(fh.fileno()).st_size
+        if n * (2 * len(header) - 1) > size - offset:
+            raise TrajectoryParseError(
+                f"trajectory ends at byte {size}, too short for the n = {n} "
+                f"rows its sidecar records"
+            )
         steps = np.empty((width - 1, n))
-        snapshots = np.empty((n + 1, m_cols)) if m_cols else None
-        if snapshots is not None:
-            snapshots[0] = init_v_hat
+        snapshots = np.empty((n + 1, m))
+        snapshots[0] = init_v_hat
         first = 1
-        while lines := list(itertools.islice(fh, linalg.BLOCK_ROWS)):
+        while first <= n:
+            lines = list(itertools.islice(fh, min(linalg.BLOCK_ROWS, n + 1 - first)))
+            if not lines:
+                raise TrajectoryParseError(
+                    f"trajectory ends at byte {offset} after row {first - 1}, "
+                    f"short of the n = {n} rows its sidecar records"
+                )
             values = _parse_block(lines, first, len(header))
             if values is None:
-                values = _parse_lines(csv_path, lines, first, len(header))
+                values = _parse_lines(lines, first, len(header), offset)
             stop = first + len(lines)
             steps[:, first - 1 : stop - 1] = values[:, : width - 1].T
-            if snapshots is not None:
-                snapshots[first:stop] = values[:, width - 1 :]
+            snapshots[first:stop] = values[:, width - 1 :]
+            offset += sum(map(len, lines))
             first = stop
+        if fh.read(1):
+            raise TrajectoryParseError(
+                f"row {n + 1} at byte {offset}: beyond the n = {n} rows its "
+                "sidecar records"
+            )
     return steps, snapshots
 
 
 def _parse_lines(
-    csv_path: Path, lines: list[bytes], first_row: int, n_fields: int
+    lines: list[bytes], first_row: int, n_fields: int, line_start: int
 ) -> np.ndarray:
-    """The (len(lines), n_fields - 1) values of data rows first_row, ...
+    """The (len(lines), n_fields - 1) values of data rows first_row, ...,
+    the first of which starts at byte line_start.
 
     This loop is the CSV format's definition: a row is n_fields cells,
     the step int(cell) equal to the row's number, every other cell a
-    float(cell). A malformed row raises with its byte offset.
+    finite float(cell). A malformed row raises with its byte offset.
     """
     values = np.empty((len(lines), n_fields - 1))
     for i, raw in enumerate(lines):
         row_idx = first_row + i
-        cells = raw.decode("utf-8").removesuffix("\n").split(",")
+        line = _decode_line(raw, line_start)
+        cells = line.split(",")
         if len(cells) != n_fields:
-            line_start, _ = _line_at(csv_path, row_idx)
             raise TrajectoryParseError(
                 f"row {row_idx} at byte {line_start}: "
                 f"expected {n_fields} fields, found {len(cells)}"
             )
         try:
-            step = int(cells[0])
+            in_order = int(cells[0]) == row_idx
             values[i] = list(map(float, cells[1:]))
         except ValueError:
-            _raise_on_unparseable(*_line_at(csv_path, row_idx))
-        if step != row_idx:
-            line_start, _ = _line_at(csv_path, row_idx)
-            raise TrajectoryParseError(
-                f"non-consecutive step index at byte {line_start}"
-            )
+            in_order = False
+        if not (in_order and np.isfinite(values[i]).all()):
+            _raise_on_bad_field(line_start, line, row_idx)
+        line_start += len(raw)
     return values
 
 
@@ -700,12 +695,12 @@ def _parse_block(
 
     The lines are framed as one JSON array of rows. Its result stands
     when the document holds only the writer's bytes and brackets, parses
-    to k = len(lines) rows of n_fields numbers, has no cell -0, and its
-    step cells are the ints first_row, first_row + 1, ... Then no line
-    held a bracket (k rows of numbers take exactly the k + 1 opening
-    brackets of the frame), every cell is a JSON number, which is a
-    float() literal that orjson rounds to the same float64, and every
-    step is an int() literal. Anything else, every malformed row
+    to k = len(lines) rows of n_fields finite numbers, has no cell -0,
+    and its step cells are the ints first_row, first_row + 1, ... Then
+    no line held a bracket (k rows of numbers take exactly the k + 1
+    opening brackets of the frame), every cell is a JSON number, which
+    is a float() literal that orjson rounds to the same float64, and
+    every step is an int() literal. Anything else, every malformed row
     included, is left to _parse_lines.
     """
     framed = [b"[[" + lines[0], *lines[1:]]
@@ -718,7 +713,7 @@ def _parse_block(
         block = np.array(rows, dtype=np.float64)
     except ValueError:  # not JSON, or rows of unequal shape
         return None
-    if block.shape != (len(lines), n_fields):
+    if block.shape != (len(lines), n_fields) or not np.isfinite(block).all():
         return None
     if not block.all() and _NEGATIVE_ZERO_CELL.search(doc):
         return None
@@ -728,21 +723,6 @@ def _parse_block(
     ):
         return None
     return block[:, 1:]
-
-
-def _count_lines(path: Path) -> int:
-    """Lines of a file split on newlines, not counting an empty last one."""
-    with open(path, "rb") as fh:
-        return sum(1 for _ in fh)
-
-
-def _raw_lines(path: Path):
-    """Yield (byte offset, bytes with newline) for each line of a file."""
-    line_start = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            yield line_start, raw
-            line_start += len(raw)
 
 
 def _decode_line(raw: bytes, line_start: int) -> str:
@@ -756,29 +736,32 @@ def _decode_line(raw: bytes, line_start: int) -> str:
     return line[:-1] if line.endswith("\n") else line
 
 
-def _line_at(path: Path, row_idx: int) -> tuple[int, str]:
-    """(byte offset, decoded text) of line row_idx of a valid file."""
-    with closing(_raw_lines(path)) as lines:
-        line_start, raw = next(itertools.islice(lines, row_idx, None))
-    return line_start, _decode_line(raw, line_start)
-
-
 def _byte_offset(line_start: int, line: str, j: int) -> int:
     """Byte offset of field j of a line that starts at byte line_start."""
     before = ",".join(line.split(",")[:j])
     return line_start + len(before.encode("utf-8")) + (1 if j > 0 else 0)
 
 
-def _raise_on_unparseable(line_start: int, line: str) -> NoReturn:
-    """Raise on the first field of a row that does not parse."""
+def _raise_on_bad_field(line_start: int, line: str, row_idx: int) -> NoReturn:
+    """Raise on the first field of row row_idx that is not the row's
+    number (the step field) or a finite float (every other field)."""
     for j, cell in enumerate(line.split(",")):
+        at = _byte_offset(line_start, line, j)
         try:
-            int(cell) if j == 0 else float(cell)
+            value = int(cell) if j == 0 else float(cell)
         except ValueError:
             raise TrajectoryParseError(
-                f"unparseable field {cell!r} at byte "
-                f"{_byte_offset(line_start, line, j)}"
+                f"unparseable field {cell!r} at byte {at}"
             ) from None
+        if j == 0:
+            if value != row_idx:
+                raise TrajectoryParseError(f"non-consecutive step index at byte {at}")
+        elif not math.isfinite(value):
+            raise TrajectoryParseError(f"non-finite field {cell!r} at byte {at}")
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_finite_number(v) -> bool:
@@ -813,11 +796,8 @@ _META_KEYS = {
     "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
     "init_log_norm": (False, _is_finite_number, "a finite number"),
-    "seed": (
-        False,
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "an integer",
-    ),
+    "seed": (False, _is_integer, "an integer"),
+    "n": (True, lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
     "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
     "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
     "beta": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
@@ -851,15 +831,25 @@ def check_trajectory_file(csv_path) -> CheckReport:
     traj, meta = read_trajectory(csv_path)
     if any(meta.get(k) is None for k in ("v_star", "alpha", "beta")):
         raise ConfigError("trajectory metadata lacks v_star/alpha/beta")
+    where = f"bad trajectory metadata {meta_path_for(csv_path).name}"
     v_star = np.array(meta["v_star"], dtype=np.float64)
-    try:
-        return run_all_checks(
-            traj, v_star, float(meta["alpha"]), float(meta["beta"])
+    alpha, beta = float(meta["alpha"]), float(meta["beta"])
+    # For a unit v*, alpha + beta <= eta * trace(M), and the trace of the
+    # second moment is the sum of the recorded ||phi||^2; the 1e-9
+    # relative slack absorbs the two sums' rounding.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.sum(traj.phi_norm_sq))
+    most = traj.config.eta * trace
+    if alpha + beta > most * (1.0 + 1e-9):
+        raise ConfigError(
+            f"{where}: key 'alpha' + key 'beta' = {alpha + beta!r} exceeds "
+            f"key 'eta' * sum(phi_norm_sq) = {most!r}, the most a run gives"
         )
+    try:
+        return run_all_checks(traj, v_star, alpha, beta)
     except OverflowError as exc:
         # Of the sidecar's values, only alpha can overflow a check: the
         # energy budget squares it and raises if that is not finite.
         raise ConfigError(
-            f"bad trajectory metadata {meta_path_for(csv_path).name}: "
-            f"key 'alpha' overflows the certificate: {exc}"
+            f"{where}: key 'alpha' overflows the certificate: {exc}"
         ) from exc

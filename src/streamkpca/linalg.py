@@ -38,6 +38,12 @@ RECONSTRUCTION_TOL = 1e-8
 # How far from 1 the norm of a unit-vector argument may be.
 UNIT_NORM_TOL = 1e-9
 
+# Largest asymmetry a solver input may have, relative to max(1, max |a_ij|).
+SYM_TOL = 1e-9
+
+# Cyclic Jacobi sweeps before the reference solver gives up.
+JACOBI_MAX_SWEEPS = 100
+
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes or lengths."""
@@ -85,14 +91,14 @@ def row_blocks(xs):
         yield block
 
 
-def symmetric_dense(a, *, sym_tol: float = 1e-9) -> np.ndarray:
+def symmetric_dense(a) -> np.ndarray:
     """(A + A^T)/2 of a near-symmetric square array, as float64.
 
     An exactly symmetric array comes back with the same values.
 
     Raises:
         DimensionError: not a non-empty square matrix.
-        ValueError: non-finite entries, or asymmetry above sym_tol
+        ValueError: non-finite entries, or asymmetry above SYM_TOL
             relative to max(1, max |a_ij|).
     """
     m = np.asarray(a, dtype=np.float64)
@@ -101,7 +107,7 @@ def symmetric_dense(a, *, sym_tol: float = 1e-9) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > sym_tol * scale:
+    if float(np.abs(m - m.T).max()) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (m + m.T)
 
@@ -131,7 +137,7 @@ def _fix_signs(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def jacobi_eigendecomposition(a, *, max_sweeps: int = 100) -> EigenDecomposition:
+def jacobi_eigendecomposition(a) -> EigenDecomposition:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     An independent pure-numpy reference for eigendecomposition: accurate
@@ -140,7 +146,7 @@ def jacobi_eigendecomposition(a, *, max_sweeps: int = 100) -> EigenDecomposition
     Raises:
         ValueError: dimension above the oracle cap.
         ConvergenceError: off-diagonal mass not annihilated within
-            max_sweeps sweeps, or postconditions (orthonormality,
+            JACOBI_MAX_SWEEPS sweeps, or postconditions (orthonormality,
             reconstruction) violated.
     """
     dense = symmetric_dense(a)
@@ -154,7 +160,7 @@ def jacobi_eigendecomposition(a, *, max_sweeps: int = 100) -> EigenDecomposition
         stop_tol = 1e-14 * scale
         skip_tol = 0.1 * stop_tol
         converged = scale == 0.0
-        for _ in range(max_sweeps):
+        for _ in range(JACOBI_MAX_SWEEPS):
             off = _max_offdiag(m)
             if off <= stop_tol:
                 converged = True
@@ -169,7 +175,7 @@ def jacobi_eigendecomposition(a, *, max_sweeps: int = 100) -> EigenDecomposition
             converged = _max_offdiag(m) <= stop_tol
         if not converged:
             raise ConvergenceError(
-                f"jacobi did not converge in {max_sweeps} sweeps"
+                f"jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
             )
 
     return _oracle_result(dense, np.diag(m), v)

@@ -15,9 +15,9 @@ to one sample, and ``run_stream`` lifts the stream ``linalg.BLOCK_ROWS``
 rows at a time and runs it over the lifted rows in order.
 
 A recorded run is a columnar Trajectory: the per-step scalars s,
-||f||^2 and the log ratio as float64 arrays of length n, plus (checker
-mode) an (n+1, m) array of directions whose row 0 is the start. The
-checker and the CSV writer and reader work on these arrays directly.
+||f||^2 and the log ratio as float64 arrays of length n, plus an
+(n+1, m) array of directions whose row 0 is the start. The checker and
+the CSV writer and reader work on these arrays directly.
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ def select_learning_rate(norm_bound: float, user_eta: float | None = None) -> fl
 
 @dataclass(frozen=True)
 class OjaConfig:
-    """Update configuration: learning rate, feature map, recording flags.
+    """Update configuration: learning rate, feature map, recording flag.
 
     ``norm_bound``, when given, is the certified bound B on ||phi(x)||^2
     and enforces the eta <= 0.1/B precondition the growth guarantees
-    need. ``snapshots`` also records the direction after every step
-    (checker mode); it implies record_trajectory.
+    need. ``record_trajectory`` records every step's scalars and the
+    direction after it.
     """
 
     eta: float
     feature_map: FeatureMapSpec
     record_trajectory: bool = False
-    snapshots: bool = False
     norm_bound: float | None = None
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class OjaConfig:
                 raise ValueError(
                     f"eta={self.eta} exceeds 0.1/B={0.1 / self.norm_bound}"
                 )
-        if self.snapshots and not self.record_trajectory:
-            object.__setattr__(self, "record_trajectory", True)
 
 
 @dataclass(frozen=True)
@@ -119,11 +116,10 @@ class Trajectory:
     """A recorded run: config, initial state and per-step columns.
 
     Index i of ``s``, ``phi_norm_sq`` and ``log_ratio`` is step i+1.
-    ``snapshots``, when present, is (n+1, m): the initial direction, then
-    the direction after each step; an empty trajectory always has that
-    one row. ``log_norm`` (n+1 entries, relative to step 0) is derived
-    from ``log_ratio``. ``seed`` keys deterministic pair sampling in the
-    post-hoc checker; the harness sets it to the trial seed.
+    ``snapshots`` is (n+1, m): the initial direction, then the direction
+    after each step. ``log_norm`` (n+1 entries, relative to step 0) is
+    derived from ``log_ratio``. ``seed`` keys deterministic pair sampling
+    in the post-hoc checker; the harness sets it to the trial seed.
 
     Raises:
         ValueError: a misshapen or non-finite array, or snapshots not
@@ -137,31 +133,25 @@ class Trajectory:
     s: np.ndarray
     phi_norm_sq: np.ndarray
     log_ratio: np.ndarray
-    snapshots: np.ndarray | None = None
+    snapshots: np.ndarray
     seed: int = 0
     log_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = self.n, self.m
-        if self.snapshots is None and n == 0:
-            self.snapshots = self.init_v_hat[None, :]
         shapes = {name: (n,) for name in STEP_COLUMNS}
         shapes.update(init_v_hat=(m,), snapshots=(n + 1, m))
         # The checks' inequalities compare against NaN as false or pass
         # it through min/max, so a non-finite value is refused here.
         for name, shape in shapes.items():
             values = getattr(self, name)
-            if values is None:
-                continue
-            if values.shape != shape:
-                raise ValueError(f"{name} has shape {values.shape}, not {shape}")
+            if np.shape(values) != shape:
+                raise ValueError(f"{name} has shape {np.shape(values)}, not {shape}")
             if not np.isfinite(values).all():
                 index = np.argwhere(~np.isfinite(values))[0].tolist()
                 raise ValueError(f"non-finite value in {name} at index {index}")
             values.flags.writeable = False
-        if self.snapshots is not None and not np.array_equal(
-            self.snapshots[0], self.init_v_hat
-        ):
+        if not np.array_equal(self.snapshots[0], self.init_v_hat):
             raise ValueError("snapshot row 0 is not the initial direction")
         self.log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(self.log_ratio)))
 
@@ -270,10 +260,9 @@ def run_stream(
     at once, so a malformed sample is reported before any step of its
     block runs. The states and records are those of folding oja_step
     over xs, bit for bit. An empty stream returns ``init`` itself. When
-    cfg.record_trajectory is set, every step's s, ||f||^2 and log ratio
-    (and, with cfg.snapshots, its new direction) are written into the
-    columns of the returned Trajectory; otherwise the second element is
-    None.
+    cfg.record_trajectory is set, every step's s, ||f||^2, log ratio and
+    new direction are written into the columns of the returned
+    Trajectory; otherwise the second element is None.
     """
     _check_dims(cfg, init)
     record = cfg.record_trajectory
@@ -283,10 +272,8 @@ def run_stream(
     s_col = np.empty(n)
     phi_col = np.empty(n)
     ratio_col = np.empty(n)
-    snapshots = None
-    if cfg.snapshots:
-        snapshots = np.empty((n + 1, init.v_hat.shape[0]))
-        snapshots[0] = init.v_hat
+    snapshots = np.empty((n + 1, init.v_hat.shape[0]))
+    snapshots[0] = init.v_hat
     eta = cfg.eta
     v_hat = init.v_hat
     log_norm = init.log_norm
@@ -303,8 +290,7 @@ def run_stream(
                     s_col[i] = s
                     phi_col[i] = phi_norm_sq
                     ratio_col[i] = log_ratio
-                    if snapshots is not None:
-                        snapshots[i + 1] = v_hat
+                    snapshots[i + 1] = v_hat
                 i += 1
     state = init
     if i:

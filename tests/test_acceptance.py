@@ -84,7 +84,6 @@ def _record_run(phi, d, n, init_kind, seed):
         eta=eta,
         feature_map=phi,
         record_trajectory=True,
-        snapshots=True,
         norm_bound=bound,
     )
     if init_kind == "vstar":

@@ -65,7 +65,6 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
         eta=eta,
         feature_map=phi,
         record_trajectory=True,
-        snapshots=True,
         norm_bound=bound,
     )
     if init_kind == "vstar":
@@ -149,9 +148,8 @@ class TestHypothesisGating:
 
     def test_missing_snapshots_is_an_input_error(self):
         traj, v_star, ab = make_run("vstar")
-        stripped = dataclasses.replace(traj, snapshots=None)
         with pytest.raises(ValueError):
-            check_update_properties(stripped)
+            check_update_properties(dataclasses.replace(traj, snapshots=None))
 
     def test_final_bound_probabilistic_exceedance_is_vacuous(self, random_run):
         traj, v_star, _ = random_run
@@ -278,7 +276,7 @@ class TestGrowthImpliesCorrectness:
     def test_axis_aligned_at_vstar_residual_zero(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True, snapshots=True
+            eta=0.05, feature_map=phi, record_trajectory=True
         )
         xs = np.tile([1.0, 0.0], (20, 1))
         _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
@@ -296,7 +294,7 @@ class TestGrowthImpliesCorrectness:
     def test_axis_aligned_two_time_steps_zero_drift(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True, snapshots=True
+            eta=0.05, feature_map=phi, record_trajectory=True
         )
         xs = np.tile([1.0, 0.0], (20, 1))
         _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
@@ -306,7 +304,7 @@ class TestGrowthImpliesCorrectness:
     def test_rank_one_projected_energy_zero(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True, snapshots=True
+            eta=0.05, feature_map=phi, record_trajectory=True
         )
         xs = np.tile([1.0, 0.0], (10, 1))
         _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
@@ -370,7 +368,7 @@ class TestEmptyTrajectory:
     def test_all_checks_survive_empty_stream(self):
         phi = FeatureMapSpec.identity(3)
         cfg = OjaConfig(
-            eta=0.01, feature_map=phi, record_trajectory=True, snapshots=True
+            eta=0.01, feature_map=phi, record_trajectory=True
         )
         _, traj = run_stream(np.empty((0, 3)), cfg, init_state_at([1.0, 0.0, 0.0]))
         report = run_all_checks(
@@ -387,7 +385,7 @@ class TestSingleStepFloor:
         eta = 0.05
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=eta, feature_map=phi, record_trajectory=True, snapshots=True
+            eta=eta, feature_map=phi, record_trajectory=True
         )
         _, traj = run_stream(
             np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0])

@@ -45,6 +45,13 @@ SCHEMA = json.loads(
 )
 
 
+# The at-v* run the sidecar and truncation probes edit.
+PROBE_RUN = [
+    "run", "--phi", "identity", "--dim", "4", "--n", "300", "--init", "vstar",
+    "--seed", "3", "--check",
+]
+
+
 def small_config(**kw):
     base = dict(
         feature_map=FeatureMapSpec.identity(4),
@@ -140,7 +147,7 @@ def read_outcome(csv_path, block_rows: int, line_parser_only: bool = False):
         except (TrajectoryParseError, ConfigError) as exc:
             return type(exc), str(exc)
     columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots)
-    return [None if c is None else c.tobytes() for c in columns]
+    return [c.tobytes() for c in columns]
 
 
 def assert_blocked_read_is_line_read(csv_path) -> None:
@@ -157,12 +164,11 @@ def extreme_table(n: int, width: int) -> np.ndarray:
     return np.array(EXTREME_CELLS)[(i + j) % len(EXTREME_CELLS)]
 
 
-def repr_trajectory_csv(table: np.ndarray, snapshots: bool) -> bytes:
+def repr_trajectory_csv(table: np.ndarray) -> bytes:
     """The trajectory CSV format by its definition: a header, then
     ``step,cell,...`` rows whose cells are Python's repr of each float."""
     header = list(harness.TRAJECTORY_HEADER)
-    if snapshots:
-        header += [f"vhat_{k}" for k in range(table.shape[1] - 3)]
+    header += [f"vhat_{k}" for k in range(table.shape[1] - 3)]
     lines = [",".join(header)] + [
         f"{step}," + ",".join(map(repr, row))
         for step, row in enumerate(table.tolist(), start=1)
@@ -170,10 +176,10 @@ def repr_trajectory_csv(table: np.ndarray, snapshots: bool) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def trajectory_of(table: np.ndarray, snapshots: bool) -> Trajectory:
+def trajectory_of(table: np.ndarray) -> Trajectory:
     """A trajectory whose columns are table's: s, phi_norm_sq, log_ratio,
-    then (with snapshots) the directions after each step."""
-    m = table.shape[1] - 3 if snapshots else 1
+    then the directions after each step."""
+    m = table.shape[1] - 3
     init = np.ones(m)
     # The derived log norm of huge log_ratio cells may overflow to inf.
     with np.errstate(over="ignore"):
@@ -182,7 +188,6 @@ def trajectory_of(table: np.ndarray, snapshots: bool) -> Trajectory:
                 eta=0.01,
                 feature_map=FeatureMapSpec.identity(m),
                 record_trajectory=True,
-                snapshots=snapshots,
             ),
             init_kind="random",
             init_v_hat=init,
@@ -190,7 +195,7 @@ def trajectory_of(table: np.ndarray, snapshots: bool) -> Trajectory:
             s=table[:, 0].copy(),
             phi_norm_sq=table[:, 1].copy(),
             log_ratio=table[:, 2].copy(),
-            snapshots=np.vstack([init, table[:, 3:]]) if snapshots else None,
+            snapshots=np.vstack([init, table[:, 3:]]),
         )
 
 
@@ -309,22 +314,20 @@ class TestTrajectoryFiles:
         write_trajectory_meta(csv_path, art.trajectory, art.result, art.x_star)
         return csv_path, art
 
-    @pytest.mark.parametrize("snapshots", [True, False])
     @pytest.mark.parametrize("n", [0, 1, 120])
-    def test_round_trip(self, tmp_path, n, snapshots):
+    def test_round_trip(self, tmp_path, n):
         rng = np.random.default_rng(n)
         cfg = OjaConfig(
             eta=0.01,
             feature_map=FeatureMapSpec.identity(4),
             record_trajectory=True,
-            snapshots=snapshots,
         )
         _, traj = run_stream(
             rng.standard_normal((n, 4)), cfg, init_state(4, 3), seed=17
         )
-        self._assert_round_trip(tmp_path, traj, n, snapshots)
+        self._assert_round_trip(tmp_path, traj, n)
         # The same shape again, every cell one of the extreme floats.
-        table = extreme_table(n, 3 + (traj.m if snapshots else 0))
+        table = extreme_table(n, 3 + traj.m)
         self._assert_round_trip(
             tmp_path,
             dataclasses.replace(
@@ -332,17 +335,12 @@ class TestTrajectoryFiles:
                 s=table[:, 0],
                 phi_norm_sq=table[:, 1],
                 log_ratio=table[:, 2],
-                snapshots=(
-                    np.vstack([traj.snapshots[:1], table[:, 3:]])
-                    if snapshots
-                    else None
-                ),
+                snapshots=np.vstack([traj.snapshots[:1], table[:, 3:]]),
             ),
             n,
-            snapshots,
         )
 
-    def _assert_round_trip(self, tmp_path, traj, n, snapshots):
+    def _assert_round_trip(self, tmp_path, traj, n):
         csv_path = tmp_path / "traj.csv"
         write_trajectory(csv_path, traj)
         result = TrialResult(trial=0, sample_seed=17, init_seed=3)
@@ -355,34 +353,28 @@ class TestTrajectoryFiles:
             assert loaded.config.eta == traj.config.eta
             assert loaded.init_kind == traj.init_kind
             assert loaded.seed == traj.seed
-            for name in ("s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat"):
+            for name in (
+                "s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat", "snapshots"
+            ):
                 assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
-            if snapshots or n == 0:
-                assert loaded.snapshots.tobytes() == traj.snapshots.tobytes()
-            else:
-                assert loaded.snapshots is None and traj.snapshots is None
 
     @settings(max_examples=200, deadline=None)
     @given(
         table=hnp.arrays(
             np.float64,
-            st.tuples(st.integers(1, 9), st.integers(3, 12)),
+            st.tuples(st.integers(1, 9), st.integers(4, 12)),
             elements=st.floats(allow_nan=False, allow_infinity=False),
         ),
-        snapshots=st.booleans(),
         block_rows=st.sampled_from([1, 4, 256]),
     )
-    @example(table=extreme_table(12, 12), snapshots=True, block_rows=5)
-    @example(table=extreme_table(12, 3), snapshots=False, block_rows=256)
-    @example(table=extreme_table(1, 15), snapshots=True, block_rows=256)
-    def test_cells_are_repr(self, tmp_path_factory, table, snapshots, block_rows):
-        snapshots = snapshots and table.shape[1] > 3
-        if not snapshots:
-            table = table[:, :3]
+    @example(table=extreme_table(12, 12), block_rows=5)
+    @example(table=extreme_table(12, 4), block_rows=256)
+    @example(table=extreme_table(1, 15), block_rows=256)
+    def test_cells_are_repr(self, tmp_path_factory, table, block_rows):
         csv_path = tmp_path_factory.getbasetemp() / "parity.csv"
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            write_trajectory(csv_path, trajectory_of(table, snapshots))
-        assert csv_path.read_bytes() == repr_trajectory_csv(table, snapshots)
+            write_trajectory(csv_path, trajectory_of(table))
+        assert csv_path.read_bytes() == repr_trajectory_csv(table)
 
     @pytest.mark.parametrize("column", ["step", "s", "vhat_3"])
     @pytest.mark.parametrize("cell", JSON_EDGE_CELLS)
@@ -452,7 +444,7 @@ class TestTrajectoryFiles:
         assert raw[offset : offset + len(token) + 1] == token.encode() + b","
         assert main(["check", str(csv_path)]) == 2
 
-    @pytest.mark.parametrize("key", ["eta", "feature_map", "init", "init_v_hat"])
+    @pytest.mark.parametrize("key", ["eta", "feature_map", "init", "init_v_hat", "n"])
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
@@ -477,6 +469,10 @@ class TestTrajectoryFiles:
             ("beta", -1e308),
             ("eta", 0.2),
             ("eta", 0.0),
+            ("n", -1),
+            ("n", 1.5),
+            ("n", True),
+            ("n", "3"),
         ],
     )
     def test_meta_mistyped_key(self, saved, key, value):
@@ -490,8 +486,8 @@ class TestTrajectoryFiles:
         assert main(["check", str(csv_path)]) == 2
 
     def test_meta_alpha_overflow_names_the_key(self, saved, capsys):
-        # 1e308 overflows alpha**2; 1e154 squares to a finite float, and
-        # the energy budget built from it overflows to inf.
+        # 1e308 would overflow alpha**2, and 1e154 the energy budget built
+        # from it; both lie far above the most a run can give.
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
         original = json.loads(meta_file.read_text())
@@ -500,7 +496,25 @@ class TestTrajectoryFiles:
             with pytest.raises(ConfigError, match="key 'alpha'"):
                 check_trajectory_file(csv_path)
             assert main(["check", str(csv_path)]) == 2
-            assert "key 'alpha' overflows" in capsys.readouterr().err
+            assert "key 'alpha' + key 'beta'" in capsys.readouterr().err
+
+    def test_meta_alpha_no_run_gives_is_refused(self, tmp_path, capsys):
+        # An at-v* identity run: alpha = 1e100 keeps every arithmetic
+        # step finite, yet alpha + beta <= eta * sum(phi_norm_sq) for
+        # any unit v*.
+        out = tmp_path / "out"
+        assert main(PROBE_RUN + ["--out", str(out)]) == 0
+        csv_path = out / "trial_000.csv"
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        most = meta["eta"] * float(np.sum(read_trajectory(csv_path)[0].phi_norm_sq))
+        assert meta["alpha"] + meta["beta"] <= most
+        meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "key 'alpha' + key 'beta'" in err and "key 'eta'" in err
 
     def test_meta_not_an_object(self, saved):
         csv_path, _ = saved
@@ -518,17 +532,60 @@ class TestTrajectoryFiles:
         with pytest.raises(ConfigError, match="beta"):
             check_trajectory_file(csv_path)
 
-    def test_invalid_utf8_reported_before_an_earlier_parse_error(self, saved):
-        # The whole file must be UTF-8 before its fields are judged, even
-        # though the reader stops at the first bad row.
+    @pytest.mark.parametrize(
+        "early, late",
+        [
+            ("unparseable", "utf8"),
+            ("utf8", "unparseable"),
+            ("non-finite", "unparseable"),
+            ("unparseable", "non-finite"),
+        ],
+    )
+    def test_errors_reported_in_file_order(self, saved, early, late):
+        # Two defects, in rows 2 and 9: the error names the first.
         csv_path, _ = saved
         lines = csv_path.read_bytes().split(b"\n")
-        lines[2] = b"2,not-a-number" + lines[2][lines[2].index(b",", 2) :]
-        lines[9] = b"\xff" + lines[9]
+        cell = {"unparseable": b"not-a-number", "non-finite": b"inf", "utf8": b"\xff"}
+        for row, kind in ((2, early), (9, late)):
+            cells = lines[row].split(b",")
+            cells[1] = cell[kind]
+            lines[row] = b",".join(cells)
         csv_path.write_bytes(b"\n".join(lines))
-        offset = len(b"\n".join(lines[:9])) + 1
-        with pytest.raises(TrajectoryParseError, match=f"invalid UTF-8 at byte {offset}$"):
+        # Field 1 of row 2.
+        offset = len(b"\n".join(lines[:2])) + 1 + lines[2].index(b",") + 1
+        message = {
+            "unparseable": "unparseable field 'not-a-number'",
+            "non-finite": "non-finite field 'inf'",
+            "utf8": "invalid UTF-8",
+        }[early]
+        with pytest.raises(TrajectoryParseError, match=f"^{message} at byte {offset}$"):
             read_trajectory(csv_path)
+
+    @pytest.mark.parametrize("cut", ["short", "extra", "header_only", "huge_n"])
+    def test_rows_other_than_n_are_located(self, saved, cut, capsys):
+        csv_path, _ = saved
+        raw = csv_path.read_bytes()
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        last_row = raw[raw.rindex(b"\n", 0, -1) + 1 :]
+        if cut == "short":
+            raw = raw[: -len(last_row)]
+        elif cut == "extra":
+            raw += last_row
+            offset = len(raw) - len(last_row)
+        elif cut == "header_only":
+            raw = raw[: raw.index(b"\n") + 1]
+        else:
+            meta_file.write_text(json.dumps({**meta, "n": 10**30}))
+        csv_path.write_bytes(raw)
+        if cut != "extra":
+            offset = len(raw)  # where the rows run out
+        with pytest.raises(TrajectoryParseError, match=f"at byte {offset}\\b"):
+            read_trajectory(csv_path)
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_header(self, saved):
         csv_path, _ = saved
@@ -692,6 +749,9 @@ class TestCli:
         assert code == 3
 
     def test_check_without_snapshots_is_config_error(self, tmp_path, monkeypatch):
+        # A saved trajectory always carries its directions, so `check`
+        # certifies it; the same file without its vhat_* columns is an
+        # input error.
         monkeypatch.chdir(tmp_path)
         code = main(
             [
@@ -710,8 +770,28 @@ class TestCli:
             ]
         )
         assert code == 0
-        code = main(["check", str(tmp_path / "out" / "trial_000.csv")])
+        csv_path = tmp_path / "out" / "trial_000.csv"
+        assert main(["check", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text(
+            "".join(",".join(line.split(",")[:4]) + "\n" for line in lines)
+        )
+        code = main(["check", str(csv_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("rows", [150, 301])
+    def test_cut_trajectory_is_located(self, tmp_path, capsys, rows):
+        # The probe's 300 rows cut to 150, or one row repeated, beside
+        # the unchanged sidecar.
+        assert main(PROBE_RUN + ["--out", str(tmp_path / "out")]) == 0
+        csv_path = tmp_path / "out" / "trial_000.csv"
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        csv_path.write_bytes(b"".join((lines + lines[-1:])[: rows + 1]))
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at byte {len(b''.join(lines[: min(rows, 300) + 1]))}" in err
 
     def _assert_os_error_exit(self, argv, capsys):
         assert main(argv) == 2
@@ -861,23 +941,30 @@ class TestCheckFuzz:
         body = "".join(
             f"{step}," + ",".join(row) + "\n" for step, row in enumerate(rows, 1)
         )
-        self._write(originals, csv_path, header + b"\n" + body.encode())
+        self._write(originals, csv_path, header + b"\n" + body.encode(), n=len(rows))
         assert_blocked_read_is_line_read(csv_path)
 
     @staticmethod
-    def _write(originals, csv_path, raw: bytes) -> None:
-        """The trajectory as raw, beside its original sidecar."""
+    def _write(originals, csv_path, raw: bytes, **meta_changes) -> None:
+        """The trajectory as raw, beside its original sidecar with
+        meta_changes made."""
         for path, original in originals.items():
-            path.write_bytes(raw if path == csv_path else original)
+            if path == csv_path:
+                path.write_bytes(raw)
+            elif meta_changes:
+                path.write_text(json.dumps({**json.loads(original), **meta_changes}))
+            else:
+                path.write_bytes(original)
 
     @pytest.mark.parametrize(
-        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta"]
+        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta", "n"]
     )
     def test_numeric_sidecar_values_never_exit_4(self, saved, key, capsys):
+        # n = 10**30 must be refused before the reader allocates for it.
         csv_path, originals = saved
         self._write(originals, csv_path, originals[csv_path])
         meta_file = harness.meta_path_for(csv_path)
-        for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200):
+        for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200, 10**30):
             meta = json.loads(originals[meta_file])
             meta[key] = value
             meta_file.write_text(json.dumps(meta))

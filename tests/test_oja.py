@@ -60,10 +60,6 @@ class TestConfig:
             identity_config(2, 0.05, norm_bound=25.0)
         identity_config(2, 0.004, norm_bound=25.0)
 
-    def test_snapshots_imply_recording(self):
-        cfg = identity_config(2, 0.01, snapshots=True)
-        assert cfg.record_trajectory
-
 
 class TestInit:
     def test_determinism(self):
@@ -157,7 +153,7 @@ class TestRunStream:
         # With a constant e1 stream only the first component grows, so the
         # squared alignment obeys (1+eta)^(2i) / ((1+eta)^(2i) + 1).
         eta = 0.05
-        cfg = identity_config(2, eta, record_trajectory=True, snapshots=True)
+        cfg = identity_config(2, eta, record_trajectory=True)
         xs = np.tile([1.0, 0.0], (30, 1))
         final, traj = run_stream(xs, cfg, init_state_at([1.0, 1.0]))
         aligns = [float(v[0]) ** 2 for v in traj.snapshots[1:]]
@@ -178,7 +174,7 @@ class TestRunStream:
         rng = np.random.default_rng(4)
         v0 = rng.standard_normal(5)
         xs = rng.standard_normal((40, 5))
-        cfg = identity_config(5, 0.01, record_trajectory=True, snapshots=True)
+        cfg = identity_config(5, 0.01, record_trajectory=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(2.0 * v0))
         for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
@@ -188,7 +184,7 @@ class TestRunStream:
         rng = np.random.default_rng(9)
         v0 = rng.standard_normal(4)
         xs = rng.standard_normal((30, 4))
-        cfg = identity_config(4, 0.02, record_trajectory=True, snapshots=True)
+        cfg = identity_config(4, 0.02, record_trajectory=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(3.0 * v0))
         for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
@@ -204,13 +200,12 @@ class TestRunStream:
         n=st.integers(min_value=0, max_value=25),
         d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        snapshots=st.booleans(),
         record=st.booleans(),
         kind=st.sampled_from(["identity", "poly2", "rff"]),
         block_rows=st.sampled_from([1, 3, 7, 1024]),
     )
     def test_columns_equal_a_fold_of_oja_step(
-        self, n, d, seed, snapshots, record, kind, block_rows
+        self, n, d, seed, record, kind, block_rows
     ):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
@@ -224,7 +219,6 @@ class TestRunStream:
             eta=0.01,
             feature_map=phi,
             record_trajectory=record,
-            snapshots=snapshots and record,
         )
         init = init_state(phi.feature_dim, seed)
         # Blocks of 1, 3 and 7 rows make most streams cross block edges.
@@ -247,16 +241,13 @@ class TestRunStream:
         for name in ("s", "phi_norm_sq", "log_ratio"):
             expected = np.array([getattr(r, name) for r in records])
             assert getattr(traj, name).tobytes() == expected.tobytes()
-        if snapshots or n == 0:
-            assert traj.snapshots.tobytes() == np.array(directions).tobytes()
-        else:
-            assert traj.snapshots is None
+        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
         assert traj.seed == seed
 
     def test_any_iterable_of_rows(self):
         rng = np.random.default_rng(6)
         xs = rng.standard_normal((12, 3))
-        cfg = identity_config(3, 0.02, record_trajectory=True, snapshots=True)
+        cfg = identity_config(3, 0.02, record_trajectory=True)
         init = init_state(3, 1)
         with mock.patch.object(linalg, "BLOCK_ROWS", 5):
             _, from_array = run_stream(xs, cfg, init)
@@ -299,7 +290,7 @@ class TestRunStream:
 @pytest.fixture()
 def short_run():
     rng = np.random.default_rng(12)
-    cfg = identity_config(3, 0.02, record_trajectory=True, snapshots=True)
+    cfg = identity_config(3, 0.02, record_trajectory=True)
     _, traj = run_stream(rng.standard_normal((8, 3)), cfg, init_state(3, 4))
     return traj
 
@@ -322,11 +313,8 @@ class TestTrajectoryValidation:
     def test_non_finite_value_rejected(self, short_run, column, index, value):
         bad = getattr(short_run, column).copy()
         bad[index] = value
-        changes = {column: bad}
-        if column == "init_v_hat":
-            changes["snapshots"] = None
         with pytest.raises(ValueError, match=f"non-finite value in {column}"):
-            dataclasses.replace(short_run, **changes)
+            dataclasses.replace(short_run, **{column: bad})
 
     @pytest.mark.parametrize("column", ["s", "phi_norm_sq", "log_ratio"])
     def test_short_column_rejected(self, short_run, column):
@@ -377,7 +365,6 @@ def recorded():
         eta=eta,
         feature_map=phi,
         record_trajectory=True,
-        snapshots=True,
         norm_bound=bound,
     )
     init = init_state(phi.feature_dim, 8)
@@ -451,7 +438,7 @@ class TestUpdateInvariants:
         # One-step stream at the fixed point: the floor is met with the
         # exact closed-form increment.
         eta = 0.05
-        cfg = identity_config(2, eta, record_trajectory=True, snapshots=True)
+        cfg = identity_config(2, eta, record_trajectory=True)
         final, traj = run_stream(
             np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0])
         )
