@@ -533,7 +533,8 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         TrajectoryParseError: malformed CSV, or a row count other than
             the sidecar's n; the message names the byte offset of the
             first defect in file order.
-        ConfigError: missing or malformed meta sidecar.
+        ConfigError: missing or malformed meta sidecar, or one whose
+            feature_map, m or v_star width is not init_v_hat's.
     """
     csv_path = Path(csv_path)
     meta_file = meta_path_for(csv_path)
@@ -544,16 +545,24 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     _validate_meta(meta, meta_file)
-
-    init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
-    steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
+    where = f"bad trajectory metadata {meta_file.name}"
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad trajectory metadata {meta_file.name}: key 'feature_map': "
-            f"{exc}"
-        ) from exc
+        raise ConfigError(f"{where}: key 'feature_map': {exc}") from exc
+    init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
+    # Every width the sidecar states is the start's, which the parse
+    # holds to the vhat_* columns.
+    widths = {"feature_map": feature_map.feature_dim, "m": meta["m"]}
+    if meta.get("v_star") is not None:
+        widths["v_star"] = len(meta["v_star"])
+    for key, width in widths.items():
+        if width != init_v_hat.shape[0]:
+            raise ConfigError(
+                f"{where}: key {key!r} gives width {width}, "
+                f"key 'init_v_hat' {init_v_hat.shape[0]}"
+            )
+    steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
     config = OjaConfig(
         eta=float(meta["eta"]),
         feature_map=feature_map,
@@ -798,6 +807,7 @@ _META_KEYS = {
     "init_log_norm": (False, _is_finite_number, "a finite number"),
     "seed": (False, _is_integer, "an integer"),
     "n": (True, lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    "m": (True, _is_integer, "an integer"),
     "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
     "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
     "beta": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),

@@ -10,9 +10,23 @@ to ||v_0|| = 1). The per-step log increment uses the closed form
 with f = phi(x_i) and s = <f, v_hat_{i-1}>, evaluated through log1p so tiny
 increments do not lose precision. The direction itself is renormalized
 every step from the directly computed ||u||. That arithmetic, with its
-non-finite guard, exists once, in ``_update``: ``oja_step`` applies it
-to one sample, and ``run_stream`` lifts the stream ``linalg.BLOCK_ROWS``
-rows at a time and runs it over the lifted rows in order.
+non-finite guard, is ``_update``, the spec: ``oja_step`` applies it to
+one sample.
+
+``run_stream`` computes the same map in closed form, ``_SOLVE_ROWS``
+steps at a time. Over k lifted rows F starting at unit v_hat, the
+unnormalized iterate is v_i = v_hat + eta * sum_{j<=i} t_j f_j with
+t_i = <f_i, v_{i-1}>, and these t solve the unit lower triangular
+system (I - eta * tril(F F^T, -1)) t = F v_hat; the norms follow as
+||v_i||^2 = 1 + sum_{j<=i} (2*eta + eta^2*||f_j||^2) t_j^2. This is the
+compact-WY aggregation (Schreiber & Van Loan 1989) of Oja's rank-one
+factors I + eta f f^T. Only the order of the arithmetic differs from
+``_update``, so the columns agree with a fold of ``oja_step`` to
+rounding, not bit for bit. Rows with a step too large for the closed
+form (eta * ||f||^2 > 1, never under a certified bound) or whose closed
+form is not finite are rerun through ``_update``, which raises the
+NumericError naming the step. The pass holds O(k*m + k^2) floats for
+its constant k.
 
 A recorded run is a columnar Trajectory: the per-step scalars s,
 ||f||^2 and the log ratio as float64 arrays of length n, plus an
@@ -33,6 +47,11 @@ from .linalg import DimensionError, as_vector
 
 # Def-style cap on the learning rate: eta must sit strictly inside (0, 0.1).
 ETA_CEILING = float(np.nextafter(0.1, 0.0))
+
+# Steps per triangular solve in run_stream. The solve costs O(k^3) and
+# each numpy call a fixed overhead; 64 was the fastest k at m = 20, 78
+# and 128.
+_SOLVE_ROWS = 64
 
 
 class NumericError(ArithmeticError):
@@ -250,6 +269,74 @@ def oja_step(
     return new_state, StepRecord(s, phi_norm_sq, log_ratio)
 
 
+def _solve_rows(
+    feats: np.ndarray, v_hat: np.ndarray, eta: float, weights: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray | None:
+    """Take the steps of the k <= _SOLVE_ROWS lifted rows ``feats`` from
+    unit ``v_hat`` in closed form (see the module docstring).
+
+    ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1). Writes the direction
+    after each step into the rows of ``out`` and returns the (3, k)
+    columns s, ||f||^2 and log ratio, or None, leaving ``out`` partly
+    written, when a step is too large for the closed form, a value is
+    not finite or a norm is zero. The caller suppresses numpy's overflow
+    and invalid warnings, as for _update.
+    """
+    k = feats.shape[0]
+    gram = feats @ feats.T
+    cols = np.empty((3, k))
+    cols[1] = gram.diagonal()
+    # With eta * ||f||^2 <= 1 no entry of the system exceeds its unit
+    # diagonal, so partial pivoting keeps the rows in order and the solve
+    # is forward substitution, as accurate as the steps. Past that the
+    # solution loses digits fast (1e-8 relative at 2, all of them at 10).
+    # A certified bound keeps eta * ||f||^2 <= 0.1. NaN fails the test too.
+    if not eta * cols[1].max() <= 1.0:
+        return None
+    system = gram * weights[:k, :k]
+    system.flat[:: k + 1] = 1.0
+    try:
+        t = np.linalg.solve(system, feats @ v_hat)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return None
+    growth = (2.0 * eta + eta * eta * cols[1]) * (t * t)
+    norm_sq = np.empty(k + 1)
+    norm_sq[0] = 0.0
+    np.cumsum(growth, out=norm_sq[1:])
+    norm_sq += 1.0
+    # norm_sq is a running sum of the nonnegative growth terms, so a
+    # finite last entry means every t, growth and log ratio is finite.
+    if not math.isfinite(norm_sq[-1]):
+        return None
+    np.divide(t, np.sqrt(norm_sq[:-1]), out=cols[0])
+    np.log1p(growth / norm_sq[:-1], out=cols[2])
+    # Each row of out is v_i, divided by its own computed norm.
+    np.multiply((eta * t)[:, None], feats, out=out)
+    np.cumsum(out, axis=0, out=out)
+    out += v_hat
+    u_norm_sq = np.einsum("ij,ij->i", out, out)
+    if not (np.isfinite(u_norm_sq).all() and u_norm_sq.min() > 0.0):
+        return None
+    out /= np.sqrt(u_norm_sq)[:, None]
+    return cols
+
+
+def _step_rows(
+    feats: np.ndarray, v_hat: np.ndarray, eta: float, step: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """_solve_rows' contract, one _update per row; ``step`` numbers the
+    first row. Raises _update's NumericError at the first bad step."""
+    cols = np.empty((3, feats.shape[0]))
+    for j, f in enumerate(feats):
+        v_hat, cols[0, j], cols[1, j], cols[2, j] = _update(
+            v_hat, f, eta, step + j
+        )
+        out[j] = v_hat
+    return cols
+
+
 def run_stream(
     xs, cfg: OjaConfig, init: StreamState, *, seed: int = 0
 ) -> tuple[StreamState, Trajectory | None]:
@@ -258,40 +345,48 @@ def run_stream(
     ``xs`` is any iterable of input vectors (rows of an (n, d) array
     work). Each block of linalg.BLOCK_ROWS rows is lifted and validated
     at once, so a malformed sample is reported before any step of its
-    block runs. The states and records are those of folding oja_step
-    over xs, bit for bit. An empty stream returns ``init`` itself. When
-    cfg.record_trajectory is set, every step's s, ||f||^2, log ratio and
-    new direction are written into the columns of the returned
-    Trajectory; otherwise the second element is None.
+    block runs. Each block's steps are then taken _SOLVE_ROWS at a time
+    by _solve_rows, or by _update, row by row, where a step is too large
+    for the closed form or it is not finite: the states and records
+    agree with a fold of oja_step over xs to rounding, and a NumericError
+    is the fold's, naming the same step. Recording does not change the arithmetic, so the final
+    state is the same bits with or without it. An empty stream returns
+    ``init`` itself. When cfg.record_trajectory is set, every step's s,
+    ||f||^2, log ratio and new direction are written into the columns of
+    the returned Trajectory; otherwise the second element is None.
     """
     _check_dims(cfg, init)
     record = cfg.record_trajectory
     if record and not hasattr(xs, "__len__"):
         xs = list(xs)
     n = len(xs) if record else 0
-    s_col = np.empty(n)
-    phi_col = np.empty(n)
-    ratio_col = np.empty(n)
-    snapshots = np.empty((n + 1, init.v_hat.shape[0]))
+    m = init.v_hat.shape[0]
+    steps = np.empty((3, n))
+    snapshots = np.empty((n + 1, m))
     snapshots[0] = init.v_hat
+    scratch = np.empty((_SOLVE_ROWS, m))
     eta = cfg.eta
+    weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
     v_hat = init.v_hat
     log_norm = init.log_norm
     i = 0  # steps taken
     for block in linalg.row_blocks(xs):
         feats = cfg.feature_map.apply_batch(block)
         with np.errstate(over="ignore", invalid="ignore"):
-            for f in feats:
-                v_hat, s, phi_norm_sq, log_ratio = _update(
-                    v_hat, f, eta, init.step + i + 1
-                )
-                log_norm += 0.5 * log_ratio
+            for start in range(0, feats.shape[0], _SOLVE_ROWS):
+                rows = feats[start : start + _SOLVE_ROWS]
+                k = rows.shape[0]
+                out = snapshots[i + 1 : i + 1 + k] if record else scratch[:k]
+                cols = _solve_rows(rows, v_hat, eta, weights, out)
+                if cols is None:
+                    cols = _step_rows(rows, v_hat, eta, init.step + i + 1, out)
                 if record:
-                    s_col[i] = s
-                    phi_col[i] = phi_norm_sq
-                    ratio_col[i] = log_ratio
-                    snapshots[i + 1] = v_hat
-                i += 1
+                    steps[:, i : i + k] = cols
+                # One addition per step, in the fold's order.
+                halves = np.concatenate(([log_norm], 0.5 * cols[2]))
+                log_norm = float(np.cumsum(halves)[-1])
+                v_hat = out[-1].copy()
+                i += k
     state = init
     if i:
         state = StreamState(
@@ -304,9 +399,9 @@ def run_stream(
         init_kind=init.origin,
         init_v_hat=init.v_hat.copy(),
         init_log_norm=init.log_norm,
-        s=s_col,
-        phi_norm_sq=phi_col,
-        log_ratio=ratio_col,
+        s=steps[0],
+        phi_norm_sq=steps[1],
+        log_ratio=steps[2],
         snapshots=snapshots,
         seed=seed,
     )

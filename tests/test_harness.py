@@ -444,7 +444,9 @@ class TestTrajectoryFiles:
         assert raw[offset : offset + len(token) + 1] == token.encode() + b","
         assert main(["check", str(csv_path)]) == 2
 
-    @pytest.mark.parametrize("key", ["eta", "feature_map", "init", "init_v_hat", "n"])
+    @pytest.mark.parametrize(
+        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "m"]
+    )
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
@@ -473,6 +475,7 @@ class TestTrajectoryFiles:
             ("n", 1.5),
             ("n", True),
             ("n", "3"),
+            ("m", 4.0),
         ],
     )
     def test_meta_mistyped_key(self, saved, key, value):
@@ -515,6 +518,45 @@ class TestTrajectoryFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "key 'alpha' + key 'beta'" in err and "key 'eta'" in err
+
+    @pytest.mark.parametrize(
+        "edit, key, width",
+        [
+            (
+                {
+                    "feature_map": {
+                        "kind": "identity", "input_dim": 7, "feature_dim": 7
+                    },
+                    "m": 99,
+                },
+                "feature_map",
+                7,
+            ),
+            ({"m": 99}, "m", 99),
+            ({"v_star": [1.0, 0.0, 0.0]}, "v_star", 3),
+        ],
+    )
+    def test_meta_width_must_be_the_trajectorys(
+        self, tmp_path, capsys, edit, key, width
+    ):
+        # The at-v* identity d=4 run: a sidecar stating another width for
+        # the feature map, m or v* names the key and both widths.
+        out = tmp_path / "out"
+        assert main(PROBE_RUN + ["--out", str(out)]) == 0
+        csv_path = out / "trial_000.csv"
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta_file.write_text(json.dumps({**meta, **edit}))
+        expected = (
+            f"bad trajectory metadata trial_000.meta.json: key {key!r} gives "
+            f"width {width}, key 'init_v_hat' 4"
+        )
+        with pytest.raises(ConfigError) as err:
+            read_trajectory(csv_path)
+        assert str(err.value) == expected
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_meta_not_an_object(self, saved):
         csv_path, _ = saved
@@ -957,7 +999,7 @@ class TestCheckFuzz:
                 path.write_bytes(original)
 
     @pytest.mark.parametrize(
-        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta", "n"]
+        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta", "n", "m"]
     )
     def test_numeric_sidecar_values_never_exit_4(self, saved, key, capsys):
         # n = 10**30 must be refused before the reader allocates for it.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamkpca import linalg
+from streamkpca import linalg, oja
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.linalg import DimensionError
 from streamkpca.oja import (
@@ -25,6 +26,40 @@ from streamkpca.oja import (
 
 def identity_config(d, eta, **kw):
     return OjaConfig(eta=eta, feature_map=FeatureMapSpec.identity(d), **kw)
+
+
+def make_map(kind, d, seed):
+    if kind == "identity":
+        return FeatureMapSpec.identity(d)
+    if kind == "poly2":
+        return FeatureMapSpec.poly2(d)
+    return FeatureMapSpec.rff(d, 1 + seed % 40, 1.5, seed)
+
+
+def start_state(phi, xs, seed, at_vstar):
+    """A seeded random start, or one at the top eigenvector of the
+    lifted stream's second moment."""
+    if not at_vstar:
+        return init_state(phi.feature_dim, seed)
+    feats = phi.apply_batch(xs) if len(xs) else np.eye(phi.feature_dim)
+    return init_state_at(np.linalg.eigh(feats.T @ feats)[1][:, -1])
+
+
+def fold(xs, cfg, init):
+    """oja_step folded over xs: the final state, records and directions."""
+    state, records, directions = init, [], [init.v_hat]
+    for x in xs:
+        state, record = oja_step(state, x, cfg)
+        records.append(record)
+        directions.append(state.v_hat)
+    return state, records, directions
+
+
+def assert_close(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected, dtype=np.float64)
+    assert got.shape == expected.shape
+    tol = 1e-12 * np.maximum(1.0, np.abs(expected))
+    assert (np.abs(got - expected) <= tol).all()
 
 
 class TestSelectLearningRate:
@@ -197,41 +232,38 @@ class TestRunStream:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(min_value=0, max_value=25),
+        n=st.integers(min_value=0, max_value=200),
         d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         record=st.booleans(),
         kind=st.sampled_from(["identity", "poly2", "rff"]),
-        block_rows=st.sampled_from([1, 3, 7, 1024]),
+        block_rows=st.sampled_from([1, 3, 7, 64, 65, 1024]),
+        at_vstar=st.booleans(),
     )
     def test_columns_equal_a_fold_of_oja_step(
-        self, n, d, seed, record, kind, block_rows
+        self, n, d, seed, record, kind, block_rows, at_vstar
     ):
+        # run_stream solves up to 64 steps at once: only the order of the
+        # arithmetic differs from the fold, so every value agrees with it
+        # to 1e-12 * max(1, |value|), far above the ~1e-14 seen.
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
-        if kind == "identity":
-            phi = FeatureMapSpec.identity(d)
-        elif kind == "poly2":
-            phi = FeatureMapSpec.poly2(d)
-        else:
-            phi = FeatureMapSpec.rff(d, 1 + seed % 40, 1.5, seed)
+        phi = make_map(kind, d, seed)
         cfg = OjaConfig(
             eta=0.01,
             feature_map=phi,
             record_trajectory=record,
         )
-        init = init_state(phi.feature_dim, seed)
-        # Blocks of 1, 3 and 7 rows make most streams cross block edges.
+        init = start_state(phi, xs, seed, at_vstar)
+        # Blocks of 1, 3, 7, 64 and 65 rows make most streams cross block
+        # edges; 1024-row blocks cross the 64-step solves.
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             final, traj = run_stream(xs, cfg, init, seed=seed)
 
-        state, records, directions = init, [], [init.v_hat]
-        for x in xs:
-            state, record_i = oja_step(state, x, cfg)
-            records.append(record_i)
-            directions.append(state.v_hat)
-        assert final.v_hat.tobytes() == state.v_hat.tobytes()
-        assert final.log_norm == state.log_norm and final.step == n
+        state, records, directions = fold(xs, cfg, init)
+        assert_close(final.v_hat, state.v_hat)
+        assert_close(final.log_norm, state.log_norm)
+        assert final.step == n
         assert final.origin == init.origin
         if n == 0:
             assert final is init
@@ -240,9 +272,96 @@ class TestRunStream:
             return
         for name in ("s", "phi_norm_sq", "log_ratio"):
             expected = np.array([getattr(r, name) for r in records])
-            assert getattr(traj, name).tobytes() == expected.tobytes()
-        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+            assert_close(getattr(traj, name), expected)
+        assert_close(traj.snapshots, np.array(directions))
         assert traj.seed == seed
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["identity", "poly2", "rff"]),
+        block_rows=st.sampled_from([1, 7, 64, 65, 1024]),
+    )
+    def test_recording_does_not_change_the_bits(
+        self, n, d, seed, kind, block_rows
+    ):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, d))
+        phi = make_map(kind, d, seed)
+        init = init_state(phi.feature_dim, seed)
+        runs = []
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            for record in (False, True, True):
+                cfg = OjaConfig(eta=0.01, feature_map=phi, record_trajectory=record)
+                runs.append(run_stream(xs, cfg, init))
+        (bare, _), (first, traj), (again, rerun) = runs
+        for state in (first, again):
+            assert state.v_hat.tobytes() == bare.v_hat.tobytes()
+            assert state.log_norm == bare.log_norm
+        assert traj.snapshots[-1].tobytes() == bare.v_hat.tobytes()
+        for name in ("s", "phi_norm_sq", "log_ratio", "snapshots"):
+            assert getattr(traj, name).tobytes() == getattr(rerun, name).tobytes()
+
+    @pytest.mark.parametrize("size", [0.5, 1.0, 2.0])
+    def test_closed_form_only_for_small_steps(self, size):
+        # Rows scaled so eta * max ||f||^2 = size. Up to 1 the 64-step
+        # solves are used and agree with the fold; past it every step is
+        # an _update, so the run is the fold's, bit for bit.
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((100, 3))
+        eta = 0.05
+        xs *= math.sqrt(size / eta / np.max(np.sum(xs * xs, axis=1)))
+        cfg = identity_config(3, eta, record_trajectory=True)
+        init = init_state(3, 2)
+        with mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as spy:
+            final, traj = run_stream(xs, cfg, init)
+        state, records, directions = fold(xs, cfg, init)
+        got = np.stack([traj.s, traj.phi_norm_sq, traj.log_ratio], axis=1)
+        expected = np.array([[r.s, r.phi_norm_sq, r.log_ratio] for r in records])
+        if size <= 1.0:
+            assert spy.call_count == 0
+            assert_close(got, expected)
+            assert_close(traj.snapshots, np.array(directions))
+            return
+        assert spy.call_count == 2  # the solves of steps 1-64 and 65-100
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm
+        assert got.tobytes() == expected.tobytes()
+        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+
+    def test_overflowing_closed_form_is_taken_step_by_step(self):
+        # eta = 1e-300 and ||f|| ~ 1e150: each step is finite, but the
+        # unnormalized t of a solve overflows when squared after a few
+        # aligned steps, so each solve falls back to _update.
+        rng = np.random.default_rng(7)
+        xs = np.column_stack([np.ones(100), 0.1 * rng.standard_normal(100)])
+        xs *= 0.9e150
+        cfg = identity_config(2, 1e-300, record_trajectory=True)
+        init = init_state(2, 1)
+        with mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as spy:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                final, traj = run_stream(xs, cfg, init)
+        assert spy.call_count == 2
+        state, records, directions = fold(xs, cfg, init)
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm
+        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+
+    def test_failed_solve_is_taken_step_by_step(self):
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((70, 4))
+        cfg = identity_config(4, 0.01)
+        init = init_state(4, 3)
+        with mock.patch.object(
+            np.linalg, "solve", side_effect=np.linalg.LinAlgError("Singular matrix")
+        ):
+            final, _ = run_stream(xs, cfg, init)
+        state, _, _ = fold(xs, cfg, init)
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm
 
     def test_any_iterable_of_rows(self):
         rng = np.random.default_rng(6)
@@ -256,6 +375,26 @@ class TestRunStream:
         for other in (from_list, from_generator):
             assert other.snapshots.tobytes() == from_array.snapshots.tobytes()
             assert other.log_ratio.tobytes() == from_array.log_ratio.tobytes()
+
+    def test_numeric_abort_in_a_later_solve_is_the_folds(self):
+        # A positive stream keeps v_hat near (1, 1, 1, 1) / 2, so at step
+        # 100, in the second 64-step solve, <f, v_hat> overflows for
+        # f = 1e308 * (1, 1, 1, 1). The fold over the same prefix names
+        # the same step and values.
+        rng = np.random.default_rng(3)
+        xs = np.abs(rng.standard_normal((150, 4)))
+        xs[99] = 1e308
+        cfg = identity_config(4, 0.01)
+        init = init_state_at(np.ones(4))
+        with pytest.raises(NumericError) as folded:
+            fold(xs[:100], cfg, init)
+        assert str(folded.value).startswith("non-finite update at step 100:")
+        with mock.patch.object(linalg, "BLOCK_ROWS", 256):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError) as blocked:
+                    run_stream(xs, cfg, init)
+        assert str(blocked.value) == str(folded.value)
 
     def test_numeric_abort_names_the_step(self):
         cfg = identity_config(2, 0.01)
