@@ -37,9 +37,9 @@ summary = summarize(xs, phi)
 print(f"empirical spectral ratio: {summary.ratio:.1f} "
       f"(population target {truth.ratio:.1f})")
 
-lam, vec = power_iteration_top(summary.covariance, tol=1e-12, max_iters=100000)
-jac = jacobi_eigendecomposition(summary.covariance)
-print(f"top eigenvalue: oracle {summary.lambda1:.6f}, "
+lam, vec = power_iteration_top(summary.second_moment, tol=1e-12, max_iters=100000)
+jac = jacobi_eigendecomposition(summary.second_moment)
+print(f"top eigenvalue of M: oracle {summary.lambda1:.6f}, "
       f"jacobi {jac.eigenvalues[0]:.6f}, power {lam:.6f}")
 print(f"alignment error of the oracle's top vector: vs jacobi "
       f"{alignment_error(summary.top_vector, jac.top_vector):.2e}, "

@@ -35,7 +35,7 @@ bound = phi.norm_bound(truth.norm_bound)
 eta = select_learning_rate(bound)
 
 summary = summarize(xs, phi)
-energies = compute_alpha_beta(summary, eta, summary.top_vector)
+energies = compute_alpha_beta(summary, eta)
 print(f"oracle energies: alpha = {energies.alpha:.4f}, beta = {energies.beta:.4f}\n")
 
 cfg = OjaConfig(

@@ -55,7 +55,6 @@ from .spectral import (
     SpectralSummary,
     alignment_error,
     compute_alpha_beta,
-    projection_residual,
     summarize,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "monte_carlo_offset_norm",
     "oja_step",
     "power_iteration_top",
-    "projection_residual",
     "read_trajectory",
     "run",
     "run_all_checks",

@@ -10,7 +10,6 @@ merges with flags; flags win.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,10 +17,10 @@ from .datagen import SpikedSpec
 from .featuremaps import FeatureMapSpec, poly2_dim
 from .harness import (
     ConfigError,
-    OUT_DIR_ENV,
     RunConfig,
     _write_json,
     check_trajectory_file,
+    resolve_out_dir,
     run,
     sweep,
 )
@@ -99,8 +98,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         sample_seed = gen.get("sample_seed", 1)
     lambda1 = gen.get("lambda1", 1.0)
     if args.ratio is not None:
-        if args.ratio < 1.0:
-            raise ConfigError("--ratio must be >= 1")
+        if not args.ratio >= 1.0:  # NaN fails too
+            raise ConfigError(f"--ratio must be >= 1, got {args.ratio!r}")
         lambda2 = lambda1 / args.ratio
     else:
         lambda2 = gen.get("lambda2", lambda1 / 10.0)
@@ -160,13 +159,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _default_out(args: argparse.Namespace) -> str:
-    return args.out or os.environ.get(OUT_DIR_ENV) or "skpca-out"
+def _out_dir(config: RunConfig) -> Path:
+    """--out (already in config.out_dir), else the config file's out_dir,
+    else STREAMKPCA_OUT, else skpca-out."""
+    return resolve_out_dir(config.out_dir) or Path("skpca-out")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    report = run(config, out_dir=_default_out(args))
+    report = run(config, out_dir=_out_dir(config))
     agg = report["aggregate"]
     print(f"trials: {agg['trials']}  aborted: {agg['aborted']}")
     if agg["alignment_error"]["median"] is not None:
@@ -191,7 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --ratios: {exc}") from exc
     config = config_from_args(args)
-    out = sweep(config, ratios, out_dir=_default_out(args))
+    out = sweep(config, ratios, out_dir=_out_dir(config))
     header = (
         "r_target empirical_r_median median_alignment_error "
         "logd_over_r bound_satisfied_fraction"

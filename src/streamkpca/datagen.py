@@ -43,12 +43,22 @@ class SpikedSpec:
             raise ValueError("input_dim must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("spectrum must be strictly positive")
-        if self.lambda2 > self.lambda1:
+        # Every comparison with NaN is false, so each test is written to
+        # fail on it: a NaN spectrum keeps no sample and never ends.
+        if not 0.0 < self.lambda1 < math.inf:
+            raise ValueError(
+                f"lambda1 must be finite and positive, got {self.lambda1!r}"
+            )
+        if not 0.0 < self.lambda2:
+            raise ValueError(
+                f"lambda2 must be finite and positive, got {self.lambda2!r}"
+            )
+        if not self.lambda2 <= self.lambda1:
             raise ValueError("lambda2 must not exceed lambda1")
         if not (0.0 < self.tail_decay <= 1.0):
-            raise ValueError("tail_decay must lie in (0, 1]")
+            raise ValueError(
+                f"tail_decay must lie in (0, 1], got {self.tail_decay!r}"
+            )
 
     @property
     def target_ratio(self) -> float:

@@ -59,8 +59,11 @@ class FeatureMapSpec:
         if self.kind == "rff":
             if self.feature_dim < 1:
                 raise ValueError("rff feature_dim must be positive")
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("rff bandwidth must be positive")
+            if self.bandwidth is None or not 0.0 < self.bandwidth < math.inf:
+                raise ValueError(
+                    f"rff bandwidth must be finite and positive, "
+                    f"got {self.bandwidth!r}"
+                )
             if self.seed is None:
                 raise ValueError("rff map requires a seed")
 

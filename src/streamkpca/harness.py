@@ -99,8 +99,10 @@ class RunConfig:
                 raise ConfigError(
                     "eta_policy must be 'auto' or a positive number"
                 ) from None
-            if eta <= 0:
-                raise ConfigError("a fixed eta must be positive")
+            if not 0.0 < eta < math.inf:
+                raise ConfigError(
+                    f"a fixed eta must be finite and positive, got {eta!r}"
+                )
             object.__setattr__(self, "eta_policy", eta)
 
     def to_dict(self) -> dict:
@@ -123,9 +125,13 @@ class RunConfig:
                 generator=SpikedSpec.from_dict(d["generator"]),
                 eta_policy=d.get("eta_policy", "auto"),
                 init=d.get("init", "random"),
-                trials=int(d.get("trials", 1)),
-                run_checks=bool(d.get("run_checks", False)),
-                save_trajectories=bool(d.get("save_trajectories", False)),
+                trials=_config_value(d, "trials", 1, _is_integer, "an integer"),
+                run_checks=_config_value(
+                    d, "run_checks", False, _is_bool, "a boolean"
+                ),
+                save_trajectories=_config_value(
+                    d, "save_trajectories", False, _is_bool, "a boolean"
+                ),
                 out_dir=d.get("out_dir"),
             )
         except ConfigError:
@@ -146,6 +152,16 @@ class RunConfig:
                 f"{exc.msg}"
             ) from exc
         return cls.from_dict(raw)
+
+
+def _config_value(d: dict, key: str, default, valid, what: str):
+    """d[key] (default when absent), a ConfigError naming the key unless
+    it is a JSON value of the right type: "false" is not a boolean, nor
+    2.9 an integer."""
+    value = d.get(key, default)
+    if not valid(value):
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -209,7 +225,7 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
 
     summary = summarize(xs, phi)
     x_star = summary.top_vector
-    energies = compute_alpha_beta(summary, eta, x_star)
+    energies = compute_alpha_beta(summary, eta)
 
     oja_config = OjaConfig(
         eta=eta,
@@ -363,8 +379,8 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     """
     if len(ratios) < 2:
         raise ConfigError("a sweep needs at least two target ratios")
-    if any(r < 1.0 for r in ratios):
-        raise ConfigError("target ratios must be >= 1")
+    if any(not r >= 1.0 for r in ratios):  # NaN fails too
+        raise ConfigError(f"target ratios must be >= 1, got {ratios!r}")
     resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
     d = config.generator.input_dim
     rows = []
@@ -771,6 +787,10 @@ def _raise_on_bad_field(line_start: int, line: str, row_idx: int) -> NoReturn:
 
 def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
 
 
 def _is_finite_number(v) -> bool:

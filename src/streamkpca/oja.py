@@ -68,8 +68,11 @@ def select_learning_rate(norm_bound: float, user_eta: float | None = None) -> fl
         raise ValueError("norm_bound must be positive")
     eta = 0.1 / norm_bound
     if user_eta is not None:
-        if user_eta <= 0:
-            raise ValueError("user_eta must be positive")
+        # min(eta, nan) is eta: a non-finite rate would vanish silently.
+        if not 0.0 < user_eta < math.inf:
+            raise ValueError(
+                f"user_eta must be finite and positive, got {user_eta!r}"
+            )
         eta = min(eta, user_eta)
     return min(eta, ETA_CEILING)
 

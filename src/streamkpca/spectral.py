@@ -4,11 +4,11 @@ Everything here is deliberately offline and desk-scale. One pass over a
 replayed stream accumulates the feature-space second moment as a dense
 matrix: each block of ``linalg.BLOCK_ROWS`` lifted rows adds F^T F (one
 BLAS product), and Kahan compensation across blocks keeps the sum of
-blocks from drifting with the stream length. One LAPACK eigensolve
+blocks from drifting with the stream length. One LAPACK eigensolve of M
 (``linalg.eigendecomposition``, checked by its orthonormality and
-reconstruction postconditions) turns it into eigenpairs. alpha is the
-top eigenvalue of a deflated second moment, taken with
-``numpy.linalg.eigvalsh``.
+reconstruction postconditions) answers every oracle question: x* is its
+top eigenvector, R = lambda_1/lambda_2, beta = eta * lambda_1 and
+alpha = eta * lambda_2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .linalg import (
     EigenDecomposition,
     MAX_ORACLE_DIM,
     as_unit_vector,
-    as_vector,
     eigendecomposition,
 )
 
@@ -35,19 +34,16 @@ RANK_DEFICIENT_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Second moment, covariance, eigenpairs and spectral ratio of a stream.
+    """Second moment, its eigenpairs and spectral ratio of a stream.
 
-    second_moment M = sum_i phi(x_i) phi(x_i)^T (unnormalized);
-    covariance = M / n; both are dense, exactly symmetric (m, m) arrays.
-    ratio = lambda_1/lambda_2 of the covariance, +inf when the stream is
-    numerically rank one.
+    second_moment M = sum_i phi(x_i) phi(x_i)^T (unnormalized), a dense,
+    exactly symmetric, read-only (m, m) array; eig is its
+    eigendecomposition. ratio = lambda_1/lambda_2 of M, +inf when the
+    stream is numerically rank one.
     """
 
     second_moment: np.ndarray
-    covariance: np.ndarray
     eig: EigenDecomposition
-    ratio: float
-    top_vector: np.ndarray
     n: int
 
     @property
@@ -56,23 +52,34 @@ class SpectralSummary:
 
     @property
     def lambda2(self) -> float:
+        """0.0 when m = 1."""
         if self.eig.eigenvalues.shape[0] < 2:
             return 0.0
         return float(self.eig.eigenvalues[1])
+
+    @property
+    def ratio(self) -> float:
+        lam1, lam2 = self.lambda1, self.lambda2
+        if lam2 <= RANK_DEFICIENT_REL_TOL * lam1:
+            return math.inf
+        return lam1 / lam2
+
+    @property
+    def top_vector(self) -> np.ndarray:
+        return self.eig.top_vector
 
 
 @dataclass(frozen=True)
 class AlphaBeta:
     """Learning-rate-scaled stream energies along and orthogonal to v*.
 
-    beta = eta * (v*)^T M v* is the energy along v*; alpha is the worst
-    energy in any unit direction orthogonal to v*, realized exactly as
-    eta times the top eigenvalue of the deflated matrix P M P.
+    With v* the top eigenvector of M, beta = eta * (v*)^T M v* is
+    eta * lambda_1, and alpha, the worst energy in any unit direction
+    orthogonal to v*, is eta * lambda_2.
     """
 
     alpha: float
     beta: float
-    v_star: np.ndarray
 
 
 def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
@@ -103,71 +110,26 @@ def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
     if n == 0:
         raise ValueError("cannot summarize an empty stream")
 
-    covariance = second_moment * (1.0 / n)
     second_moment.flags.writeable = False
-    covariance.flags.writeable = False
-    eig = eigendecomposition(covariance)
-    lam1 = float(eig.eigenvalues[0])
-    if lam1 <= 0.0:
-        raise ValueError("degenerate stream: top eigenvalue is not positive")
-    lam2 = float(eig.eigenvalues[1]) if m >= 2 else 0.0
-    if lam2 <= RANK_DEFICIENT_REL_TOL * lam1:
-        ratio = math.inf
-    else:
-        ratio = lam1 / lam2
-    return SpectralSummary(
-        second_moment=second_moment,
-        covariance=covariance,
-        eig=eig,
-        ratio=ratio,
-        top_vector=eig.top_vector,
-        n=n,
+    summary = SpectralSummary(
+        second_moment=second_moment, eig=eigendecomposition(second_moment), n=n
     )
+    if summary.lambda1 <= 0.0:
+        raise ValueError("degenerate stream: top eigenvalue is not positive")
+    return summary
 
 
-def compute_alpha_beta(
-    summary: SpectralSummary, eta: float, v_star
-) -> AlphaBeta:
-    """Stream energies of a given unit direction v*.
+def compute_alpha_beta(summary: SpectralSummary, eta: float) -> AlphaBeta:
+    """Stream energies along and orthogonal to the summary's x*.
 
-    beta comes straight from the quadratic form; alpha is the supremum
-    of the orthogonal Rayleigh quotient, computed exactly as the top
-    eigenvalue of P M P with P = I - v* v*^T.
+    beta = eta * lambda_1(M); alpha = eta * lambda_2(M), clamped at 0
+    against a rounding-negative lambda_2 of a rank-one stream.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    v = as_unit_vector(v_star, "v_star")
-    m_dense = summary.second_moment
-    if v.shape[0] != m_dense.shape[0]:
-        raise ValueError("v_star dimension does not match the summary")
-
-    beta = eta * float(v @ (m_dense @ v))
-
-    mv = m_dense @ v
-    # P M P = M - v (Mv)^T - (Mv) v^T + (v^T M v) v v^T, kept symmetric.
-    deflated = (
-        m_dense
-        - np.outer(v, mv)
-        - np.outer(mv, v)
-        + float(v @ mv) * np.outer(v, v)
+    return AlphaBeta(
+        alpha=eta * max(0.0, summary.lambda2), beta=eta * summary.lambda1
     )
-    deflated = 0.5 * (deflated + deflated.T)
-    if not np.isfinite(deflated).all():
-        raise ValueError("deflated second moment has non-finite entries")
-    alpha = eta * max(0.0, float(np.linalg.eigvalsh(deflated)[-1]))
-    return AlphaBeta(alpha=alpha, beta=beta, v_star=v)
-
-
-def projection_residual(v_star, u) -> float:
-    """Norm of u-hat's component orthogonal to v*.
-
-    Both inputs are normalized internally; the projector is never
-    materialized.
-    """
-    v = _normalized(v_star, "v_star")
-    uh = _normalized(u, "u")
-    residual = uh - float(uh @ v) * v
-    return float(np.linalg.norm(residual))
 
 
 def alignment_error(x_star, u) -> float:
@@ -178,11 +140,3 @@ def alignment_error(x_star, u) -> float:
         raise ValueError("vectors must have equal length")
     val = 1.0 - float(xs @ uh) ** 2
     return min(1.0, max(0.0, val))
-
-
-def _normalized(x, name: str) -> np.ndarray:
-    v = as_vector(x)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError(f"{name} must be nonzero")
-    return v / n

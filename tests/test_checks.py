@@ -60,7 +60,7 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
     bound = phi.norm_bound(truth.norm_bound)
     eta = select_learning_rate(bound)
     summary = summarize(xs, phi)
-    energies = compute_alpha_beta(summary, eta, summary.top_vector)
+    energies = compute_alpha_beta(summary, eta)
     cfg = OjaConfig(
         eta=eta,
         feature_map=phi,

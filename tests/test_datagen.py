@@ -49,6 +49,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(n=0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda1", math.nan),
+            ("lambda1", math.inf),
+            ("lambda2", math.nan),
+            ("tail_decay", math.nan),
+        ],
+    )
+    def test_non_finite_spectrum_rejected(self, key, value):
+        # Before any draw: a NaN spectrum keeps no sample and never ends.
+        with pytest.raises(ValueError, match=key):
+            spec(**{key: value})
+
     def test_isotropic_ratio(self):
         s = spec(lambda2=1.0)
         assert s.target_ratio == 1.0

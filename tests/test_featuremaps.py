@@ -31,6 +31,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FeatureMapSpec.rff(3, 8, bandwidth=0.0, seed=1)
 
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_rff_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match=f"got {bandwidth!r}"):
+            FeatureMapSpec.rff(3, 8, bandwidth=bandwidth, seed=1)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FeatureMapSpec(kind="nystrom", input_dim=3, feature_dim=3)

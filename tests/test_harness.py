@@ -226,6 +226,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             small_config(eta_policy=-0.5)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_policy(self, eta):
+        with pytest.raises(ConfigError, match=f"got {eta!r}"):
+            small_config(eta_policy=eta)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("run_checks", "false"),
+            ("save_trajectories", "no"),
+            ("save_trajectories", 0),
+            ("trials", 2.9),
+            ("trials", "2"),
+            ("trials", True),
+        ],
+    )
+    def test_mistyped_config_key(self, key, value):
+        raw = small_config().to_dict()
+        raw[key] = value
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            RunConfig.from_dict(raw)
+
     def test_bad_config_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"feature_map": ')
@@ -664,6 +686,10 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(small_config(), [0.5, 5.0])
 
+    def test_nan_ratio_rejected(self):
+        with pytest.raises(ConfigError, match="nan"):
+            sweep(small_config(), [math.nan, 5.0])
+
     def test_rows_and_csv(self, tmp_path):
         out = sweep(small_config(trials=2), [4.0, 40.0], out_dir=tmp_path)
         assert [row["r_target"] for row in out["rows"]] == [4.0, 40.0]
@@ -712,6 +738,60 @@ class TestCli:
             ["run", "--phi", "identity", "--dim", "4", "--n", "50", "--ratio", "0.5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "--ratio", "nan"], "--ratio"),
+            (["sweep", "--ratios", "nan,5"], "ratios"),
+            (["sweep", "--ratios", "5,0.5"], "ratios"),
+            (["run", "--eta", "nan"], "nan"),
+            (["run", "--eta", "inf"], "inf"),
+            (["run", "--phi", "rff", "--bandwidth", "nan"], "bandwidth"),
+            (["run", "--phi", "rff", "--bandwidth", "inf"], "inf"),
+        ],
+        ids=[
+            "ratio-nan", "ratios-nan", "ratios-below-one", "eta-nan",
+            "eta-inf", "bandwidth-nan", "bandwidth-inf",
+        ],
+    )
+    def test_non_finite_flag_is_config_error(
+        self, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--dim", "4", "--n", "200"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_dir_precedence(self, tmp_path, monkeypatch, command):
+        # --out, then the config file's out_dir, then STREAMKPCA_OUT.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STREAMKPCA_OUT", "from_env")
+        small_config(trials=1, out_dir="from_config").save(tmp_path / "cfg.json")
+        argv = [command, "--config", "cfg.json"]
+        if command == "sweep":
+            argv += ["--ratios", "5,20"]
+        written = "report.json" if command == "run" else "sweep.json"
+        assert main(argv) == 0
+        assert (tmp_path / "from_config" / written).exists()
+        assert main([*argv, "--out", "from_flag"]) == 0
+        assert (tmp_path / "from_flag" / written).exists()
+        assert not (tmp_path / "from_env").exists()
+        assert not (tmp_path / "skpca-out").exists()
+
+    def test_out_dir_falls_back_to_env_then_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--dim", "4", "--n", "50"]
+        monkeypatch.setenv("STREAMKPCA_OUT", "from_env")
+        assert main(argv) == 0
+        monkeypatch.delenv("STREAMKPCA_OUT")
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "from_env", "skpca-out"
+        ]
 
     def test_sweep_requires_ratios(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

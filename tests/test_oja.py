@@ -82,6 +82,12 @@ class TestSelectLearningRate:
         with pytest.raises(ValueError):
             select_learning_rate(1.0, -0.1)
 
+    @pytest.mark.parametrize("user_eta", [math.nan, math.inf])
+    def test_non_finite_user_eta(self, user_eta):
+        # min(0.1/B, nan) is 0.1/B: the rate would be dropped silently.
+        with pytest.raises(ValueError, match=f"got {user_eta!r}"):
+            select_learning_rate(1.0, user_eta)
+
 
 class TestConfig:
     def test_eta_range(self):

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import streamkpca
 from streamkpca import linalg
 
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
+from streamkpca.harness import RunConfig, run_trial
 from streamkpca.linalg import jacobi_eigendecomposition
 from streamkpca.spectral import (
+    AlphaBeta,
+    SpectralSummary,
     alignment_error,
     compute_alpha_beta,
-    projection_residual,
     summarize,
 )
 
@@ -23,9 +27,8 @@ E2 = np.array([0.0, 1.0])
 class TestSummarize:
     def test_axis_aligned_counting(self):
         summary = summarize([E1, E1, E2], FeatureMapSpec.identity(2))
-        assert np.allclose(
-            summary.covariance, np.diag([2 / 3, 1 / 3]), atol=1e-15
-        )
+        assert np.allclose(summary.eig.eigenvalues, [2.0, 1.0], atol=1e-15)
+        assert (summary.lambda1, summary.lambda2) == (2.0, 1.0)
         assert abs(summary.ratio - 2.0) <= 1e-12
         assert np.allclose(summary.top_vector, E1, atol=1e-15)
         assert summary.n == 3
@@ -33,6 +36,14 @@ class TestSummarize:
     def test_rank_one_sentinel(self):
         summary = summarize([E1], FeatureMapSpec.identity(2))
         assert summary.ratio == math.inf
+
+    def test_one_dimensional_feature_space(self):
+        # m = 1 has no second eigenvalue: lambda_2 is 0, so the ratio is
+        # the sentinel and nothing is orthogonal to x*.
+        summary = summarize([[2.0], [-1.0]], FeatureMapSpec.identity(1))
+        assert (summary.lambda1, summary.lambda2) == (5.0, 0.0)
+        assert summary.ratio == math.inf
+        assert compute_alpha_beta(summary, 0.1) == AlphaBeta(alpha=0.0, beta=0.5)
 
     def test_degenerate_stream(self):
         with pytest.raises(ValueError):
@@ -58,9 +69,9 @@ class TestSummarize:
         assert np.all(np.diff(values) <= 0)
         # n samples span at most n directions.
         assert np.abs(values[n:]).max() <= 1e-12 * summary.lambda1
-        ab = compute_alpha_beta(summary, 1e-3, summary.top_vector)
-        assert abs(ab.beta - 1e-3 * n * summary.lambda1) <= 1e-9 * ab.beta
-        assert abs(ab.alpha - 1e-3 * n * summary.lambda2) <= 1e-9 * ab.beta
+        ab = compute_alpha_beta(summary, 1e-3)
+        assert abs(ab.beta - 1e-3 * values[0]) <= 1e-9 * ab.beta
+        assert abs(ab.alpha - 1e-3 * values[1]) <= 1e-9 * ab.beta
 
     def test_second_moment_unnormalized(self):
         summary = summarize([E1, E1, E2], FeatureMapSpec.identity(2))
@@ -97,7 +108,7 @@ class TestSummarize:
         scale = float(np.abs(reference).max())
         assert np.abs(summary.second_moment - reference).max() <= 1e-12 * scale
         assert np.array_equal(summary.second_moment, summary.second_moment.T)
-        values = np.linalg.eigh(reference / len(xs))[0][::-1]
+        values = np.linalg.eigh(reference)[0][::-1]
         assert (
             np.abs(summary.eig.eigenvalues - values).max()
             <= 1e-12 * values[0]
@@ -120,8 +131,6 @@ class TestSummarize:
         summary = summarize([E1, E2], FeatureMapSpec.identity(2))
         with pytest.raises(ValueError, match="read-only"):
             summary.second_moment[0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            summary.covariance[0, 0] = 5.0
 
     def test_spiked_ratio_concentrates(self):
         # Monte Carlo oracle: the empirical ratio of a generated stream
@@ -144,13 +153,13 @@ class TestSummarize:
 class TestAlphaBeta:
     def test_axis_aligned_stream(self):
         summary = summarize([E1, E1, E1, E2], FeatureMapSpec.identity(2))
-        ab = compute_alpha_beta(summary, 0.1, E1)
+        ab = compute_alpha_beta(summary, 0.1)
         assert abs(ab.beta - 0.3) <= 1e-12
         assert abs(ab.alpha - 0.1) <= 1e-12
 
     def test_no_orthogonal_energy(self):
         summary = summarize([E1, E1, E1], FeatureMapSpec.identity(2))
-        ab = compute_alpha_beta(summary, 0.1, E1)
+        ab = compute_alpha_beta(summary, 0.1)
         assert abs(ab.beta - 0.3) <= 1e-12
         assert ab.alpha <= 1e-15
 
@@ -161,39 +170,68 @@ class TestAlphaBeta:
         xs = rng.standard_normal((300, 5)) * np.array([2.0, 1.0, 0.7, 0.5, 0.3])
         summary = summarize(xs, FeatureMapSpec.identity(5))
         eig_m = jacobi_eigendecomposition(summary.second_moment)
-        ab = compute_alpha_beta(summary, 0.05, eig_m.top_vector)
+        ab = compute_alpha_beta(summary, 0.05)
         expected = eig_m.eigenvalues[1] / eig_m.eigenvalues[0]
         assert abs(ab.alpha / ab.beta - expected) <= 1e-9
         assert ab.beta >= ab.alpha
 
-    def test_non_unit_v_star_rejected(self):
-        summary = summarize([E1, E2], FeatureMapSpec.identity(2))
-        with pytest.raises(ValueError):
-            compute_alpha_beta(summary, 0.1, np.array([1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            FeatureMapSpec.identity(6),
+            FeatureMapSpec.poly2(4),
+            FeatureMapSpec.rff(6, 40, 2.0, 5),
+        ],
+        ids=["identity", "poly2", "rff"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block_rows", [7, 256])
+    def test_energies_match_the_deflated_reference(self, phi, seed, block_rows):
+        # The definitions: beta = eta (v*)^T M v*, and alpha = eta times
+        # the top eigenvalue of P M P with P = I - v* v*^T.
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((300, phi.input_dim)) * np.linspace(
+            2.0, 0.5, phi.input_dim
+        )
+        eta = 1e-3
+        with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+            summary = summarize(xs, phi)
+        ab = compute_alpha_beta(summary, eta)
+        m, v = summary.second_moment, summary.top_vector
+        p = np.eye(v.shape[0]) - np.outer(v, v)
+        deflated = p @ m @ p
+        deflated = 0.5 * (deflated + deflated.T)
+        assert abs(ab.alpha - eta * np.linalg.eigvalsh(deflated)[-1]) <= (
+            1e-12 * ab.beta
+        )
+        assert abs(ab.beta - eta * float(v @ m @ v)) <= 1e-12 * ab.beta
 
     def test_bad_eta(self):
         summary = summarize([E1, E2], FeatureMapSpec.identity(2))
         with pytest.raises(ValueError):
-            compute_alpha_beta(summary, 0.0, E1)
+            compute_alpha_beta(summary, 0.0)
 
 
-class TestProjectionResidual:
-    def test_at_v_star(self):
-        assert projection_residual(E1, E1) <= 1e-15
-
-    def test_orthogonal(self):
-        assert abs(projection_residual(E1, E2) - 1.0) <= 1e-15
-
-    def test_diagonal(self):
-        u = (E1 + E2) / math.sqrt(2.0)
-        assert abs(projection_residual(E1, u) - 1.0 / math.sqrt(2.0)) <= 1e-12
-
-    def test_scale_free_in_u(self):
-        assert abs(projection_residual(E1, 5.0 * E2) - 1.0) <= 1e-15
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            projection_residual(E1, np.zeros(2))
+def test_one_eigensolve_per_trial():
+    # x*, R, alpha and beta all come from one LAPACK solve of M.
+    config = RunConfig(
+        feature_map=FeatureMapSpec.poly2(3),
+        generator=SpikedSpec(
+            input_dim=3, n=200, lambda1=1.0, lambda2=0.1, sample_seed=4
+        ),
+        run_checks=True,
+    )
+    with mock.patch.object(
+        np.linalg, "eigh", wraps=np.linalg.eigh
+    ) as eigh, mock.patch.object(
+        np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh
+    ) as eigvalsh:
+        artifacts = run_trial(config, 0)
+    assert artifacts.result.check_ok is True
+    assert (eigh.call_count, eigvalsh.call_count) == (1, 0)
+    assert "covariance" not in {f.name for f in dataclasses.fields(SpectralSummary)}
+    assert [f.name for f in dataclasses.fields(AlphaBeta)] == ["alpha", "beta"]
+    assert "projection_residual" not in streamkpca.__all__
 
 
 class TestAlignmentError:
@@ -221,5 +259,5 @@ class TestAlignmentError:
             v /= np.linalg.norm(v)
             u /= np.linalg.norm(u)
             err = alignment_error(v, u)
-            resid = projection_residual(v, u)
+            resid = np.linalg.norm(u - float(u @ v) * v)
             assert abs(err - resid**2) <= 1e-9
