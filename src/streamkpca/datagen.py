@@ -90,14 +90,16 @@ class SpikedSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpikedSpec":
+        """The spec of to_dict's keys. Values are taken as given, not
+        coerced: the harness checks a config file's JSON types first."""
         return cls(
-            input_dim=int(d["input_dim"]),
-            n=int(d["n"]),
+            input_dim=d["input_dim"],
+            n=d["n"],
             lambda1=float(d["lambda1"]),
             lambda2=float(d["lambda2"]),
             tail_decay=float(d["tail_decay"]),
-            basis_seed=int(d["basis_seed"]),
-            sample_seed=int(d["sample_seed"]),
+            basis_seed=d["basis_seed"],
+            sample_seed=d["sample_seed"],
         )
 
 

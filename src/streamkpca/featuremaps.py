@@ -172,10 +172,13 @@ class FeatureMapSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
+        """The spec of to_dict's keys. Values are taken as given, not
+        coerced: the harness checks the JSON types of a config file's
+        or a trajectory sidecar's feature map first."""
         return cls(
             kind=d["kind"],
-            input_dim=int(d["input_dim"]),
-            feature_dim=int(d["feature_dim"]),
+            input_dim=d["input_dim"],
+            feature_dim=d["feature_dim"],
             bandwidth=d.get("bandwidth"),
             seed=d.get("seed"),
         )

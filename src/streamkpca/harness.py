@@ -120,6 +120,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
+            _check_keys(
+                d["feature_map"], _FEATURE_MAP_KEYS, "bad config: key 'feature_map'"
+            )
+            _check_keys(d["generator"], _GENERATOR_KEYS, "bad config: key 'generator'")
             return cls(
                 feature_map=FeatureMapSpec.from_dict(d["feature_map"]),
                 generator=SpikedSpec.from_dict(d["generator"]),
@@ -474,9 +478,10 @@ def write_trajectory(path, traj: Trajectory) -> None:
     (snapshot rows 1..n, as vhat_* columns) as CSV.
 
     Each cell is the text of Python's repr of the float64 (the shortest
-    digits that round-trip), written linalg.BLOCK_ROWS rows at a time by
-    one compiled pass per block (see _csv_rows), so the text of the
-    whole file never exists at once.
+    digits that round-trip), written linalg.BLOCK_ROWS rows at a time,
+    so the text of the whole file never exists at once. orjson spells
+    each block in one compiled pass; the cells outside [1e-4, 1e16),
+    which it spells unlike repr, are spelled by repr (see _csv_rows).
     """
     header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
     columns = [traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:]]
@@ -489,33 +494,50 @@ def write_trajectory(path, traj: Trajectory) -> None:
             fh.write(_csv_rows(block, start + 1))
 
 
-# orjson prints the same shortest round-trip digits as repr but spells
-# three kinds of number differently; these patterns rewrite them. Each
-# starts with a literal, which keeps its search fast where nothing
-# matches (a pattern starting with a lookbehind cost more per block than
-# formatting the block with repr).
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(\d)([,\n])")
-_SMALL_POSITIVE = re.compile(rb",0\.0000(\d)(\d*)")
-_SMALL_NEGATIVE = re.compile(rb",-0\.0000(\d)(\d*)")
-
-
 def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
     """CSV lines ``step,cell,...`` of a finite float64 block, numbered
-    from first_step, each cell the bytes of repr(float(cell))."""
+    from first_step, each cell the bytes of repr(float(cell)).
+
+    orjson prints the same shortest round-trip digits as repr, and both
+    spell a zero or a magnitude in [1e-4, 1e16) as a plain decimal. Only
+    outside that range do they differ (0.00001 against 1e-05, 1e16
+    against 1e+16), so orjson writes the block with those cells as NaN,
+    which it spells null, and each null is replaced by the repr of the
+    cell it stands for. The block itself is not changed.
+
+    Raises:
+        ValueError: a cell is NaN or infinite; the message names its
+            step and its CSV column (0 is the step column).
+    """
+    finite = np.isfinite(block)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"cannot write the non-finite cell {float(block[i, j])!r} "
+            f"at step {first_step + i}, column {j + 1}"
+        )
+    magnitude = np.abs(block)
+    special = (block != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e16))
+    cells = block[special].tolist()
+    if cells:
+        block = np.where(special, np.nan, block)
     doc = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
     text = b"".join(
         b"%d,%b\n" % line
         for line in enumerate(doc[2:-2].split(b"],["), first_step)
     )
-    if b"e" in text:  # 1e16 -> 1e+16, 1e-7 -> 1e-07
-        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
-        text = _ONE_DIGIT_EXPONENT.sub(rb"e-0\1\2", text)
-    if b",0.0000" in text or b",-0.0000" in text:
-        # [1e-5, 1e-4): 0.000015 -> 1.5e-05, 0.00003 -> 3.e-05 -> 3e-05
-        text = _SMALL_POSITIVE.sub(rb",\1.\2e-05", text)
-        text = _SMALL_NEGATIVE.sub(rb",-\1.\2e-05", text)
-        text = text.replace(b".e-05", b"e-05")
-    return text
+    if not cells:
+        return text
+    parts = text.split(b"null")
+    if len(parts) != len(cells) + 1:
+        raise RuntimeError(
+            f"orjson wrote {len(parts) - 1} nulls for {len(cells)} cells "
+            f"outside [1e-4, 1e16) in the block from step {first_step}"
+        )
+    pieces = [b""] * (2 * len(cells) + 1)
+    pieces[0::2] = parts
+    pieces[1::2] = [repr(v).encode() for v in cells]
+    return b"".join(pieces)
 
 
 def meta_path_for(path) -> Path:
@@ -560,8 +582,9 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad trajectory metadata: {exc}") from exc
-    _validate_meta(meta, meta_file)
     where = f"bad trajectory metadata {meta_file.name}"
+    _check_keys(meta, _META_KEYS, where)
+    _check_keys(meta["feature_map"], _FEATURE_MAP_KEYS, f"{where}: key 'feature_map'")
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -839,20 +862,41 @@ _META_KEYS = {
 }
 
 
-def _validate_meta(meta, meta_file: Path) -> None:
-    """Reject a sidecar with a missing or mistyped key, naming the key."""
-    where = f"bad trajectory metadata {meta_file.name}"
-    if not isinstance(meta, dict):
+# Config generator key -> (required, test, what the test accepts).
+_GENERATOR_KEYS = {
+    "input_dim": (True, _is_integer, "an integer"),
+    "n": (True, _is_integer, "an integer"),
+    "lambda1": (True, _is_finite_number, "a finite number"),
+    "lambda2": (True, _is_finite_number, "a finite number"),
+    "tail_decay": (True, _is_finite_number, "a finite number"),
+    "basis_seed": (True, _is_integer, "an integer"),
+    "sample_seed": (True, _is_integer, "an integer"),
+}
+
+# Feature map key, in a config or a meta sidecar -> (required, test, what
+# the test accepts).
+_FEATURE_MAP_KEYS = {
+    "input_dim": (True, _is_integer, "an integer"),
+    "feature_dim": (True, _is_integer, "an integer"),
+    "bandwidth": (False, _nullable(_is_finite_number), "null or a finite number"),
+    "seed": (False, _nullable(_is_integer), "null or an integer"),
+}
+
+
+def _check_keys(obj, table: dict, where: str) -> None:
+    """Reject a JSON object with a missing or mistyped key of table,
+    naming the key: 100.9 is not an integer, nor "3" a number."""
+    if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    for key, (required, test, accepts) in _META_KEYS.items():
-        if key not in meta:
+    for key, (required, test, accepts) in table.items():
+        if key not in obj:
             if required:
                 raise ConfigError(f"{where}: missing key {key!r}")
             continue
-        if not test(meta[key]):
+        if not test(obj[key]):
             raise ConfigError(
                 f"{where}: key {key!r} must be {accepts}, "
-                f"got {reprlib.repr(meta[key])}"
+                f"got {reprlib.repr(obj[key])}"
             )
 
 

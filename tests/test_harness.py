@@ -157,11 +157,32 @@ def assert_blocked_read_is_line_read(csv_path) -> None:
         )
 
 
-def extreme_table(n: int, width: int) -> np.ndarray:
-    """An (n, width) table cycling through EXTREME_CELLS, shifted by one
-    per column, so every column holds every cell once n >= its length."""
+def extreme_table(n: int, width: int, cells=EXTREME_CELLS) -> np.ndarray:
+    """An (n, width) table cycling through cells, shifted by one per
+    column, so every column holds every cell once n >= their count."""
     i, j = np.indices((n, width))
-    return np.array(EXTREME_CELLS)[(i + j) % len(EXTREME_CELLS)]
+    return np.array(cells)[(i + j) % len(cells)]
+
+
+# Tables for the writer, which gives orjson every cell in [1e-4, 1e16)
+# (or zero) and repr every other.
+PLAIN_TABLE = np.array(
+    [[0.0, -0.0, 1e-4, 9999999999999998.0], [-1e-4, 0.5, -2.5e15, 12345.678]]
+)
+SPECIAL_CELLS = [1e-05, -3e-300, 1e16, -1.5e300, 5e-324, -9.9e-05, 2e22]
+EDGE_CELLS = [
+    np.nextafter(1e-4, 0.0),
+    -np.nextafter(1e-4, 0.0),
+    np.nextafter(1e16, math.inf),
+    -np.nextafter(1e16, math.inf),
+]
+ROW_ENDS_TABLE = np.array(
+    [
+        [1e-05, 1.0, 2.0, 3.0, 4e20],
+        [0.5, 0.25, -1.0, 2.0, 3.0],
+        [-7e300, 0.5, 0.25, 1.0, -2e-07],
+    ]
+)
 
 
 def repr_trajectory_csv(table: np.ndarray) -> bytes:
@@ -392,11 +413,35 @@ class TestTrajectoryFiles:
     @example(table=extreme_table(12, 12), block_rows=5)
     @example(table=extreme_table(12, 4), block_rows=256)
     @example(table=extreme_table(1, 15), block_rows=256)
+    # No cell outside [1e-4, 1e16): orjson spells the whole block.
+    @example(table=PLAIN_TABLE, block_rows=256)
+    # Every cell outside it: repr spells the whole block.
+    @example(table=extreme_table(5, 7, SPECIAL_CELLS), block_rows=2)
+    # The floats next to both ends of the range.
+    @example(table=extreme_table(4, 4, EDGE_CELLS), block_rows=256)
+    @example(table=extreme_table(4, 5, EDGE_CELLS), block_rows=1)
+    # Cells outside it first and last in a row, beside the step's comma
+    # and the newline, in the first and the last row of the file.
+    @example(table=ROW_ENDS_TABLE, block_rows=256)
     def test_cells_are_repr(self, tmp_path_factory, table, block_rows):
         csv_path = tmp_path_factory.getbasetemp() / "parity.csv"
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             write_trajectory(csv_path, trajectory_of(table))
         assert csv_path.read_bytes() == repr_trajectory_csv(table)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_writer_refuses_non_finite_cell(self, bad):
+        # Trajectory refuses such a column, so the writer is called directly.
+        block = extreme_table(4, 6)
+        block[2, 5] = block[3, 0] = bad
+        with pytest.raises(ValueError, match=f"{bad!r} at step 12, column 6$"):
+            harness._csv_rows(block, 10)
+
+    def test_writer_leaves_its_block_unchanged(self):
+        block = extreme_table(12, 12)
+        before = block.copy()
+        harness._csv_rows(block, 1)
+        assert block.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("column", ["step", "s", "vhat_3"])
     @pytest.mark.parametrize("cell", JSON_EDGE_CELLS)
@@ -989,6 +1034,44 @@ class TestCli:
         report = json.loads((report_dir / "report.json").read_text())
         assert report["config"]["generator"]["n"] == 60
         assert report["config"]["generator"]["basis_seed"] == 5
+
+    @pytest.mark.parametrize(
+        "source, section, key, value",
+        [
+            ("config", "generator", "n", 100.9),
+            ("config", "generator", "sample_seed", "3"),
+            ("config", "generator", "basis_seed", True),
+            ("config", "generator", "lambda2", "0.1"),
+            ("config", "generator", "tail_decay", False),
+            ("config", "feature_map", "input_dim", 4.0),
+            ("config", "feature_map", "bandwidth", "4"),
+            ("sidecar", "feature_map", "feature_dim", 4.0),
+            ("sidecar", "feature_map", "input_dim", "4"),
+            ("sidecar", "feature_map", "seed", 1.5),
+        ],
+    )
+    def test_mistyped_spec_key_is_config_error(
+        self, saved_pair, capsys, source, section, key, value
+    ):
+        # A config file's generator and feature map, and a sidecar's
+        # feature map, are held to JSON types, not coerced: "n": 100.9
+        # does not load as 100, nor "sample_seed": "3" as 3.
+        csv_path, out_dir = saved_pair
+        if source == "config":
+            path = out_dir / "cfg.json"
+            small_config(trials=1).save(path)
+            argv = ["run", "--config", str(path), "--out", str(out_dir / "run")]
+        else:
+            path = harness.meta_path_for(csv_path)
+            argv = ["check", str(csv_path), "--out", str(out_dir / "checks.json")]
+        raw = json.loads(path.read_text())
+        raw[section][key] = value
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"key {section!r}: key {key!r} must be" in err
+        assert repr(value) in err
 
 
 @st.composite
