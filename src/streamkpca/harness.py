@@ -9,8 +9,10 @@ File formats:
   * run config and reports -- JSON (UTF-8, sorted keys);
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
-    of the Trajectory's columns (its snapshot row i), each cell the text
-    of Python's repr of the float64;
+    of the Trajectory's columns (its snapshot row i), each cell orjson's
+    shortest round-trip spelling of the float64, which float() reads
+    back bit for bit (1e16 and 0.00001 where repr writes 1e+16 and
+    1e-05);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     oracle alpha/beta and v*) and its row count n.
@@ -93,17 +95,13 @@ class RunConfig:
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.eta_policy != "auto":
-            try:
-                eta = float(self.eta_policy)
-            except (TypeError, ValueError):
+            # A number, not a bool or a string: true and "0.01" are typos.
+            if not (_is_finite_number(self.eta_policy) and self.eta_policy > 0):
                 raise ConfigError(
-                    "eta_policy must be 'auto' or a positive number"
-                ) from None
-            if not 0.0 < eta < math.inf:
-                raise ConfigError(
-                    f"a fixed eta must be finite and positive, got {eta!r}"
+                    "config key 'eta_policy' must be 'auto' or a finite "
+                    f"positive number, got {reprlib.repr(self.eta_policy)}"
                 )
-            object.__setattr__(self, "eta_policy", eta)
+            object.__setattr__(self, "eta_policy", float(self.eta_policy))
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +134,9 @@ class RunConfig:
                 save_trajectories=_config_value(
                     d, "save_trajectories", False, _is_bool, "a boolean"
                 ),
-                out_dir=d.get("out_dir"),
+                out_dir=_config_value(
+                    d, "out_dir", None, _nullable(_is_str), "a string or null"
+                ),
             )
         except ConfigError:
             raise
@@ -283,9 +283,31 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
 def _quantiles(values: list[float]) -> dict:
     if not values:
         return {"median": None, "q10": None, "q90": None}
-    arr = np.array(values)
-    q10, med, q90 = np.quantile(arr, [0.1, 0.5, 0.9])
-    return {"median": float(med), "q10": float(q10), "q90": float(q90)}
+    ordered = sorted(map(float, values))
+    q10, med, q90 = (_quantile(ordered, q) for q in (0.1, 0.5, 0.9))
+    return {"median": med, "q10": q10, "q90": q90}
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """np.quantile(ordered, q) of a sorted list of finite floats, bit
+    for bit: numpy's linear method and its _lerp rule. (Where 0.0 and
+    -0.0 tie, the sort decides which sign is picked; no value averaged
+    here is -0.0.) np.quantile and np.median import numpy.ma, which a
+    run does not otherwise need."""
+    last = len(ordered) - 1
+    index = last * q
+    if index >= last:
+        # numpy takes the last value on both sides, weighted index + 1.
+        lo = hi = last
+        t = index + 1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+        t = index - lo
+    a, b = ordered[lo], ordered[hi]
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
 
 
 def aggregate_trials(results: list[TrialResult]) -> dict:
@@ -314,8 +336,16 @@ def aggregate_trials(results: list[TrialResult]) -> dict:
 
 
 def _median(values):
-    vals = [v for v in values if v is not None]
-    return float(np.median(vals)) if vals else None
+    """np.median of the finite floats among values, bit for bit, or None
+    if there are none. numpy averages the middle value or two with a sum
+    that starts at 0.0, which turns a -0.0 into 0.0."""
+    ordered = sorted(float(v) for v in values if v is not None)
+    if not ordered:
+        return None
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
 
 
 def run(config: RunConfig, out_dir=None) -> dict:
@@ -477,11 +507,11 @@ def write_trajectory(path, traj: Trajectory) -> None:
     """Write the step columns and the directions after each step
     (snapshot rows 1..n, as vhat_* columns) as CSV.
 
-    Each cell is the text of Python's repr of the float64 (the shortest
-    digits that round-trip), written linalg.BLOCK_ROWS rows at a time,
-    so the text of the whole file never exists at once. orjson spells
-    each block in one compiled pass; the cells outside [1e-4, 1e16),
-    which it spells unlike repr, are spelled by repr (see _csv_rows).
+    Each cell is orjson's shortest round-trip spelling of the float64,
+    which reads back bit for bit; it is written linalg.BLOCK_ROWS rows
+    at a time, so the text of the whole file never exists at once.
+    Reruns on one install write the same bytes. The spelling may differ
+    between orjson versions, the values it reads back to never do.
     """
     header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
     columns = [traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:]]
@@ -496,14 +526,12 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
     """CSV lines ``step,cell,...`` of a finite float64 block, numbered
-    from first_step, each cell the bytes of repr(float(cell)).
+    from first_step, in one orjson pass.
 
-    orjson prints the same shortest round-trip digits as repr, and both
-    spell a zero or a magnitude in [1e-4, 1e16) as a plain decimal. Only
-    outside that range do they differ (0.00001 against 1e-05, 1e16
-    against 1e+16), so orjson writes the block with those cells as NaN,
-    which it spells null, and each null is replaced by the repr of the
-    cell it stands for. The block itself is not changed.
+    orjson spells each cell with the shortest digits that round-trip,
+    in the bytes 0-9 . e - only, so _parse_block reads every block the
+    writer makes. It would spell NaN as null, so the block must be
+    finite.
 
     Raises:
         ValueError: a cell is NaN or infinite; the message names its
@@ -516,28 +544,11 @@ def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
             f"cannot write the non-finite cell {float(block[i, j])!r} "
             f"at step {first_step + i}, column {j + 1}"
         )
-    magnitude = np.abs(block)
-    special = (block != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e16))
-    cells = block[special].tolist()
-    if cells:
-        block = np.where(special, np.nan, block)
     doc = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    text = b"".join(
+    return b"".join(
         b"%d,%b\n" % line
         for line in enumerate(doc[2:-2].split(b"],["), first_step)
     )
-    if not cells:
-        return text
-    parts = text.split(b"null")
-    if len(parts) != len(cells) + 1:
-        raise RuntimeError(
-            f"orjson wrote {len(parts) - 1} nulls for {len(cells)} cells "
-            f"outside [1e-4, 1e16) in the block from step {first_step}"
-        )
-    pieces = [b""] * (2 * len(cells) + 1)
-    pieces[0::2] = parts
-    pieces[1::2] = [repr(v).encode() for v in cells]
-    return b"".join(pieces)
 
 
 def meta_path_for(path) -> Path:
@@ -728,8 +739,9 @@ def _parse_lines(
     return values
 
 
-# The bytes the writer puts in a data row, plus the brackets that frame
-# a block as JSON: a document of these holds only numbers and arrays.
+# The bytes the writer puts in a data row, plus the + of the repr
+# spelling earlier writers used (1e+16) and the brackets that frame a
+# block as JSON: a document of these holds only numbers and arrays.
 _BLOCK_BYTES = b"0123456789.e+-,\n[]"
 # orjson reads the cell -0 as the int 0, where float() reads -0.0.
 _NEGATIVE_ZERO_CELL = re.compile(rb"-0[,\n\]]")
@@ -814,6 +826,10 @@ def _is_integer(v) -> bool:
 
 def _is_bool(v) -> bool:
     return isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
 def _is_finite_number(v) -> bool:

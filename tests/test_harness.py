@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -72,7 +75,7 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
-# Floats at the edges of how repr spells a float: signed zeros, the
+# Floats at the edges of how a float is spelled: signed zeros, the
 # smallest subnormal and normal, the largest float, and both ends of the
 # [1e-4, 1e16) range repr writes without an exponent, with values just
 # outside it. The negated maximum keeps a cumulative log norm finite.
@@ -132,6 +135,19 @@ def json_numbers(draw) -> str:
     return text
 
 
+@st.composite
+def averaged_lists(draw) -> list[float]:
+    """1 to 39 floats of magnitude up to 1e300, with ties, whose zeros
+    share one sign: where 0.0 and -0.0 tie, the sort picks the sign."""
+    finite = st.floats(-1e300, 1e300)
+    pool = draw(st.lists(finite, min_size=1, max_size=4))
+    values = draw(
+        st.lists(finite | st.sampled_from(pool), min_size=1, max_size=39)
+    )
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return [zero if v == 0 else v for v in values]
+
+
 def read_outcome(csv_path, block_rows: int, line_parser_only: bool = False):
     """read_trajectory's arrays as bytes, or its error's type and text,
     with linalg.BLOCK_ROWS = block_rows; line_parser_only parses every
@@ -164,8 +180,10 @@ def extreme_table(n: int, width: int, cells=EXTREME_CELLS) -> np.ndarray:
     return np.array(cells)[(i + j) % len(cells)]
 
 
-# Tables for the writer, which gives orjson every cell in [1e-4, 1e16)
-# (or zero) and repr every other.
+# Tables for the writer. repr spells a zero or a magnitude in
+# [1e-4, 1e16) as a plain decimal and every other cell with an exponent;
+# orjson switches form at other magnitudes (0.00001, 1e16), so cells on
+# both sides of that range are where a spelling could go wrong.
 PLAIN_TABLE = np.array(
     [[0.0, -0.0, 1e-4, 9999999999999998.0], [-1e-4, 0.5, -2.5e15, 12345.678]]
 )
@@ -183,18 +201,6 @@ ROW_ENDS_TABLE = np.array(
         [-7e300, 0.5, 0.25, 1.0, -2e-07],
     ]
 )
-
-
-def repr_trajectory_csv(table: np.ndarray) -> bytes:
-    """The trajectory CSV format by its definition: a header, then
-    ``step,cell,...`` rows whose cells are Python's repr of each float."""
-    header = list(harness.TRAJECTORY_HEADER)
-    header += [f"vhat_{k}" for k in range(table.shape[1] - 3)]
-    lines = [",".join(header)] + [
-        f"{step}," + ",".join(map(repr, row))
-        for step, row in enumerate(table.tolist(), start=1)
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def trajectory_of(table: np.ndarray) -> Trajectory:
@@ -261,6 +267,9 @@ class TestRunConfig:
             ("trials", 2.9),
             ("trials", "2"),
             ("trials", True),
+            ("eta_policy", True),
+            ("eta_policy", "0.01"),
+            ("out_dir", 5),
         ],
     )
     def test_mistyped_config_key(self, key, value):
@@ -288,6 +297,43 @@ class TestRun:
         assert agg["q10"] <= agg["median"] <= agg["q90"]
         for t in report["trials"]:
             assert 0.0 <= t["alignment_error"] <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=averaged_lists())
+    def test_quantiles_and_median_are_numpys(self, values):
+        q = harness._quantiles(values)
+        got = [q["q10"], q["median"], q["q90"]]
+        assert all(type(v) is float for v in got)
+        expected = np.quantile(np.array(values), [0.1, 0.5, 0.9])
+        assert np.array(got).tobytes() == expected.tobytes()
+        median = harness._median(values)
+        assert type(median) is float
+        assert np.float64(median).tobytes() == np.median(values).tobytes()
+
+    def test_cli_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.quantile and np.median import numpy.ma, which costs a run
+        # and a sweep process about 15 ms and is otherwise unused.
+        script = (
+            "import sys\n"
+            "from streamkpca.cli import main\n"
+            "args = ['--phi', 'identity', '--dim', '4', '--n', '200',"
+            " '--trials', '3', '--check']\n"
+            "assert main(['run', *args, '--out', sys.argv[1]]) == 0\n"
+            "assert main(['sweep', *args, '--ratios', '5,20',"
+            " '--out', sys.argv[2]]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run"),
+             str(tmp_path / "sweep")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_identical_configs_identical_reports(self):
         r1 = run(small_config(), out_dir=False)
@@ -413,9 +459,9 @@ class TestTrajectoryFiles:
     @example(table=extreme_table(12, 12), block_rows=5)
     @example(table=extreme_table(12, 4), block_rows=256)
     @example(table=extreme_table(1, 15), block_rows=256)
-    # No cell outside [1e-4, 1e16): orjson spells the whole block.
+    # No cell outside [1e-4, 1e16).
     @example(table=PLAIN_TABLE, block_rows=256)
-    # Every cell outside it: repr spells the whole block.
+    # Every cell outside it.
     @example(table=extreme_table(5, 7, SPECIAL_CELLS), block_rows=2)
     # The floats next to both ends of the range.
     @example(table=extreme_table(4, 4, EDGE_CELLS), block_rows=256)
@@ -423,11 +469,37 @@ class TestTrajectoryFiles:
     # Cells outside it first and last in a row, beside the step's comma
     # and the newline, in the first and the last row of the file.
     @example(table=ROW_ENDS_TABLE, block_rows=256)
-    def test_cells_are_repr(self, tmp_path_factory, table, block_rows):
-        csv_path = tmp_path_factory.getbasetemp() / "parity.csv"
+    def test_cells_round_trip(self, tmp_path_factory, table, block_rows):
+        csv_path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        traj = trajectory_of(table)
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            write_trajectory(csv_path, trajectory_of(table))
-        assert csv_path.read_bytes() == repr_trajectory_csv(table)
+            write_trajectory(csv_path, traj)
+        write_trajectory_meta(
+            csv_path, traj, TrialResult(trial=0, sample_seed=0, init_seed=0), None
+        )
+        header, *lines = csv_path.read_text(encoding="utf-8").split("\n")
+        assert header == ",".join(
+            harness.TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
+        )
+        assert lines.pop() == ""
+        assert len(lines) == len(table)
+        for step, (line, row) in enumerate(zip(lines, table), start=1):
+            step_cell, *cells = line.split(",")
+            assert step_cell == str(step)
+            # float() gives back each cell's bits, -0.0 included.
+            assert np.array(list(map(float, cells))).tobytes() == row.tobytes()
+        # Every block the writer makes parses on the reader's fast path:
+        # a spelling _parse_block refuses would fall back to the loop.
+        slow_path = AssertionError("a block fell back to _parse_lines")
+        with (
+            mock.patch.object(linalg, "BLOCK_ROWS", block_rows),
+            mock.patch.object(harness, "_parse_lines", side_effect=slow_path),
+            np.errstate(over="ignore"),
+        ):
+            loaded, _ = read_trajectory(csv_path)
+        columns = (loaded.s, loaded.phi_norm_sq, loaded.log_ratio)
+        read_back = np.column_stack([*columns, loaded.snapshots[1:]])
+        assert read_back.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_writer_refuses_non_finite_cell(self, bad):
@@ -826,6 +898,25 @@ class TestCli:
         assert (tmp_path / "from_flag" / written).exists()
         assert not (tmp_path / "from_env").exists()
         assert not (tmp_path / "skpca-out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eta_policy", True), ("eta_policy", "0.01"), ("out_dir", 5)],
+    )
+    def test_mistyped_run_key_is_config_error(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # Not coerced: true and "0.01" are no learning rate, 5 no path.
+        monkeypatch.chdir(tmp_path)
+        raw = small_config(trials=1).to_dict()
+        raw[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main(["run", "--config", "cfg.json", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"config key {key!r}" in err and repr(value) in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_out_dir_falls_back_to_env_then_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
