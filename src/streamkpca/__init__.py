@@ -35,8 +35,6 @@ from .linalg import (
     DimensionError,
     EigenDecomposition,
     eigendecomposition,
-    jacobi_eigendecomposition,
-    power_iteration_top,
 )
 from .oja import (
     NumericError,
@@ -91,11 +89,9 @@ __all__ = [
     "eigendecomposition",
     "init_state",
     "init_state_at",
-    "jacobi_eigendecomposition",
     "make_spiked_stream",
     "monte_carlo_offset_norm",
     "oja_step",
-    "power_iteration_top",
     "read_trajectory",
     "run",
     "run_all_checks",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .datagen import SpikedSpec
-from .featuremaps import FeatureMapSpec, poly2_dim
+from .featuremaps import FeatureMapSpec
 from .harness import (
     ConfigError,
     RunConfig,
@@ -121,6 +121,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     fm = base.get("feature_map", {})
     kind = args.phi if args.phi is not None else fm.get("kind", "identity")
+    if fm.get("kind") != kind:
+        # Another map's feature_dim, bandwidth and seed are not this one's.
+        fm = {}
     try:
         if kind == "identity":
             feature_map = FeatureMapSpec.identity(dim)
@@ -141,8 +144,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             feature_map = FeatureMapSpec.rff(dim, m, bandwidth, rff_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if kind == "poly2" and poly2_dim(dim) > 2048:
-        raise ConfigError("poly2 feature dimension exceeds the oracle cap")
 
     return RunConfig(
         feature_map=feature_map,

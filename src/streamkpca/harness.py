@@ -45,7 +45,7 @@ from .checks import (
     within_envelope,
 )
 from .datagen import SpikedSpec, make_spiked_stream
-from .featuremaps import FeatureMapSpec
+from .featuremaps import KINDS, FeatureMapSpec
 from .oja import (
     STEP_COLUMNS,
     NumericError,
@@ -89,6 +89,11 @@ class RunConfig:
         if self.feature_map.input_dim != self.generator.input_dim:
             raise ConfigError(
                 "feature map input_dim does not match the generator"
+            )
+        if self.feature_map.feature_dim > linalg.MAX_ORACLE_DIM:
+            raise ConfigError(
+                f"feature_map feature_dim {self.feature_map.feature_dim} "
+                f"exceeds the oracle cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
             )
         if self.init not in ("random", "vstar"):
             raise ConfigError("init must be 'random' or 'vstar'")
@@ -892,6 +897,7 @@ _GENERATOR_KEYS = {
 # Feature map key, in a config or a meta sidecar -> (required, test, what
 # the test accepts).
 _FEATURE_MAP_KEYS = {
+    "kind": (True, lambda v: v in KINDS, "one of " + ", ".join(map(repr, KINDS))),
     "input_dim": (True, _is_integer, "an integer"),
     "feature_dim": (True, _is_integer, "an integer"),
     "bandwidth": (False, _nullable(_is_finite_number), "null or a finite number"),
@@ -923,6 +929,17 @@ def check_trajectory_file(csv_path) -> CheckReport:
         raise ConfigError("trajectory metadata lacks v_star/alpha/beta")
     where = f"bad trajectory metadata {meta_path_for(csv_path).name}"
     v_star = np.array(meta["v_star"], dtype=np.float64)
+    # A run started at v* records v* itself as its start; the checks
+    # gated on that start would otherwise judge a start it never had.
+    if meta["init"] == "vstar":
+        with np.errstate(over="ignore"):
+            gap = float(np.abs(traj.init_v_hat - v_star).max())
+        if not gap <= linalg.UNIT_NORM_TOL:
+            raise ConfigError(
+                f"{where}: key 'init' is 'vstar', but key 'init_v_hat' "
+                f"differs from key 'v_star' by {gap!r} in an entry, above "
+                f"{linalg.UNIT_NORM_TOL!r}"
+            )
     alpha, beta = float(meta["alpha"]), float(meta["beta"])
     # For a unit v*, alpha + beta <= eta * trace(M), and the trace of the
     # second moment is the sum of the recorded ||phi||^2; the 1e-9

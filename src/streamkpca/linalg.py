@@ -1,15 +1,12 @@
-"""Dense vector/matrix primitives and symmetric eigensolvers.
+"""Dense vector/matrix primitives and the oracle's symmetric eigensolver.
 
 Vectors are plain 1-D float64 numpy arrays and matrices dense 2-D ones.
-Every solver takes a square array that is symmetric up to float noise
-and works on its exact symmetrization (``symmetric_dense``). The oracle
-eigensolver, ``eigendecomposition``, is LAPACK's symmetric solver
+The oracle eigensolver, ``eigendecomposition``, takes a square array
+that is symmetric up to float noise, works on its exact symmetrization
+(``symmetric_dense``) and is LAPACK's symmetric solver
 (``numpy.linalg.eigh``) wrapped in the oracle's contracts: descending
 order, a sign convention, a dimension cap and orthonormality and
-reconstruction postconditions. Cyclic Jacobi rotations and power
-iteration stay as independent pure-numpy references: slow past a few
-hundred dimensions, but they share no code path with LAPACK, so tests
-and demos can cross-check the oracle against them.
+reconstruction postconditions.
 
 ``BLOCK_ROWS`` is the one row count by which every stream layer batches
 its per-sample work (generation, lifting, the second moment, the Oja
@@ -19,7 +16,6 @@ pass and the trajectory writer).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +37,14 @@ UNIT_NORM_TOL = 1e-9
 # Largest asymmetry a solver input may have, relative to max(1, max |a_ij|).
 SYM_TOL = 1e-9
 
-# Cyclic Jacobi sweeps before the reference solver gives up.
-JACOBI_MAX_SWEEPS = 100
-
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes or lengths."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations."""
+    """An eigendecomposition failed the oracle's orthonormality or
+    reconstruction postcondition."""
 
 
 def as_vector(x) -> np.ndarray:
@@ -137,56 +131,13 @@ def _fix_signs(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def jacobi_eigendecomposition(a) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    An independent pure-numpy reference for eigendecomposition: accurate
-    and deterministic, not fast. Dimension is capped at 2048.
-
-    Raises:
-        ValueError: dimension above the oracle cap.
-        ConvergenceError: off-diagonal mass not annihilated within
-            JACOBI_MAX_SWEEPS sweeps, or postconditions (orthonormality,
-            reconstruction) violated.
-    """
-    dense = symmetric_dense(a)
-    n = dense.shape[0]
-    if n > MAX_ORACLE_DIM:
-        raise ValueError(f"oracle eigensolver capped at dim {MAX_ORACLE_DIM}")
-    m = dense.copy()
-    v = np.eye(n)
-    if n > 1:
-        scale = float(np.abs(m).max())
-        stop_tol = 1e-14 * scale
-        skip_tol = 0.1 * stop_tol
-        converged = scale == 0.0
-        for _ in range(JACOBI_MAX_SWEEPS):
-            off = _max_offdiag(m)
-            if off <= stop_tol:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = m[p, q]
-                    if abs(apq) <= skip_tol:
-                        continue
-                    _rotate(m, v, p, q, apq)
-        else:
-            converged = _max_offdiag(m) <= stop_tol
-        if not converged:
-            raise ConvergenceError(
-                f"jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
-
-    return _oracle_result(dense, np.diag(m), v)
-
-
 def eigendecomposition(a) -> EigenDecomposition:
     """Full eigendecomposition by LAPACK's symmetric solver (numpy eigh).
 
-    The offline oracle: same contracts as jacobi_eigendecomposition
-    (descending order, sign convention, dimension cap, postconditions),
-    at BLAS speed.
+    The offline oracle: eigenvalues in descending order (a stable sort),
+    each eigenvector's first nonzero component positive, a dimension cap
+    of MAX_ORACLE_DIM, and orthonormality and reconstruction
+    postconditions.
 
     Raises:
         ValueError: dimension above the oracle cap.
@@ -218,92 +169,3 @@ def _oracle_result(
     if recon_err > RECONSTRUCTION_TOL * max(1.0, float(np.abs(a).max())):
         raise ConvergenceError(f"reconstruction residual too large: {recon_err:g}")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-
-
-def _max_offdiag(m: np.ndarray) -> float:
-    iu = np.triu_indices(m.shape[0], k=1)
-    return float(np.abs(m[iu]).max())
-
-
-def _rotate(m: np.ndarray, v: np.ndarray, p: int, q: int, apq: float) -> None:
-    # Two-sided rotation G^T M G annihilating m[p, q], smaller-angle root.
-    app = m[p, p]
-    aqq = m[q, q]
-    theta = (aqq - app) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    colp = m[:, p].copy()
-    colq = m[:, q].copy()
-    m[:, p] = c * colp - s * colq
-    m[:, q] = s * colp + c * colq
-    rowp = m[p, :].copy()
-    rowq = m[q, :].copy()
-    m[p, :] = c * rowp - s * rowq
-    m[q, :] = s * rowp + c * rowq
-    # Closed forms for the touched entries beat the rotated float values.
-    m[p, p] = app - t * apq
-    m[q, q] = aqq + t * apq
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def power_iteration_top(a, tol: float, max_iters: int) -> tuple[float, np.ndarray]:
-    """Top (algebraically largest) eigenpair by shifted power iteration.
-
-    The matrix is shifted by a Gershgorin bound when it might be
-    indefinite, so iteration converges to the largest eigenvalue rather
-    than the largest in magnitude. Convergence means the residual
-    ||M v - lambda v|| is at most tol * max(1, ||M||_inf); by the
-    Davis-Kahan bound the angle to the top eigenvector is then at most
-    that residual over the spectral gap. A gap is the caller's
-    responsibility.
-
-    Returns:
-        (eigenvalue, unit eigenvector), sign-fixed like the oracle.
-
-    Raises:
-        ConvergenceError: residual not below the tolerance within
-            max_iters iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    m = symmetric_dense(a)
-    n = m.shape[0]
-
-    row_sums = np.sum(np.abs(m), axis=1)
-    gershgorin_low = float(np.min(np.diag(m) - (row_sums - np.abs(np.diag(m)))))
-    shift = max(0.0, -gershgorin_low)
-    ms = m + shift * np.eye(n)
-    stop = tol * max(1.0, float(row_sums.max()))
-
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-
-    for _ in range(max_iters):
-        w = ms @ vec
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0:
-            # Shifted matrix annihilates vec: the zero matrix case.
-            lam = 0.0
-            _fix_signs(vec[:, None])
-            return lam, vec
-        vec = w / wn
-        mv = m @ vec
-        lam = float(vec @ mv)
-        if float(np.linalg.norm(mv - lam * vec)) <= stop:
-            _fix_signs(vec[:, None])
-            return lam, vec
-    raise ConvergenceError(
-        f"power iteration: residual above {stop:g} after {max_iters} iters"
-    )
-

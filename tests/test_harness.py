@@ -584,13 +584,14 @@ class TestTrajectoryFiles:
         assert main(["check", str(csv_path)]) == 2
 
     @pytest.mark.parametrize(
-        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "m"]
+        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "m", "kind"]
     )
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
-        del meta[key]
+        # "kind" is the feature map's own key.
+        del (meta["feature_map"] if key == "kind" else meta)[key]
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(ConfigError, match=f"missing key '{key}'"):
             read_trajectory(csv_path)
@@ -1105,6 +1106,80 @@ class TestCli:
         out_dir.mkdir()
         return tmp_path / "run" / "trial_000.csv", out_dir
 
+    @pytest.mark.parametrize(
+        "in_file", [FeatureMapSpec.identity(6), FeatureMapSpec.poly2(6)]
+    )
+    def test_phi_flag_takes_no_keys_from_another_kind(
+        self, tmp_path, monkeypatch, in_file
+    ):
+        # The file's feature_dim is its own map's: --phi rff over it
+        # builds the map --phi rff builds without a file.
+        monkeypatch.chdir(tmp_path)
+        generator = dataclasses.replace(small_config().generator, input_dim=6)
+        small_config(feature_map=in_file, generator=generator).save("cfg.json")
+        flags = ["--phi", "rff", "--seed", "3", "--n", "60", "--trials", "1"]
+        assert main(["run", "--config", "cfg.json", *flags, "--out", "a"]) == 0
+        assert main(["run", "--dim", "6", *flags, "--out", "b"]) == 0
+        maps = [
+            json.loads((tmp_path / out / "report.json").read_text())["config"][
+                "feature_map"
+            ]
+            for out in ("a", "b")
+        ]
+        assert maps[0] == maps[1]
+        assert maps[0]["feature_dim"] == 24
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "phi, dim, feature_dim", [("rff", 6, 3000), ("poly2", 64, 2080)]
+    )
+    def test_oracle_cap_is_refused_before_the_stream(
+        self, tmp_path, monkeypatch, capsys, source, phi, dim, feature_dim
+    ):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the stream was generated")
+
+        monkeypatch.setattr(harness, "make_spiked_stream", no_stream)
+        monkeypatch.chdir(tmp_path)
+        if source == "flags":
+            argv = ["run", "--phi", phi, "--dim", str(dim), "--n", "200000"]
+            if phi == "rff":
+                argv += ["--feature-dim", str(feature_dim)]
+        else:
+            raw = small_config(trials=1).to_dict()
+            raw["generator"]["input_dim"] = dim
+            raw["feature_map"] = {
+                "kind": phi, "input_dim": dim, "feature_dim": feature_dim
+            }
+            if phi == "rff":
+                raw["feature_map"].update(bandwidth=1.0, seed=3)
+            Path("cfg.json").write_text(json.dumps(raw))
+            argv = ["run", "--config", "cfg.json"]
+        assert main([*argv, "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"feature_dim {feature_dim}" in err
+        assert str(linalg.MAX_ORACLE_DIM) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_vstar_claim_without_its_start_is_input_error(self, tmp_path, capsys):
+        # A random start relabelled "vstar" would fail the checks gated
+        # on a v* start: not a verdict on the run, a contradictory file.
+        argv = ["run", "--phi", "identity", "--dim", "6", "--n", "300",
+                "--seed", "3", "--check", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        csv_path = tmp_path / "out" / "trial_000.csv"
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta["init"] = "vstar"
+        meta_file.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for key in ("init", "init_v_hat", "v_star"):
+            assert f"key {key!r}" in err
+
     def test_config_file_merge_flags_win(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = small_config(trials=1)
@@ -1139,6 +1214,9 @@ class TestCli:
             ("sidecar", "feature_map", "feature_dim", 4.0),
             ("sidecar", "feature_map", "input_dim", "4"),
             ("sidecar", "feature_map", "seed", 1.5),
+            ("config", "feature_map", "kind", 5),
+            ("config", "feature_map", "kind", "linear"),
+            ("sidecar", "feature_map", "kind", None),
         ],
     )
     def test_mistyped_spec_key_is_config_error(
@@ -1253,16 +1331,25 @@ class TestCheckFuzz:
                 path.write_bytes(original)
 
     @pytest.mark.parametrize(
-        "key", ["eta", "norm_bound", "init_log_norm", "alpha", "beta", "n", "m"]
+        "key",
+        [
+            "eta", "norm_bound", "init_log_norm", "alpha", "beta", "n", "m",
+            "init_v_hat", "v_star",
+        ],
     )
     def test_numeric_sidecar_values_never_exit_4(self, saved, key, capsys):
         # n = 10**30 must be refused before the reader allocates for it.
+        # The at-v* start and v* get the value in their first entry, which
+        # sets them apart.
         csv_path, originals = saved
         self._write(originals, csv_path, originals[csv_path])
         meta_file = harness.meta_path_for(csv_path)
         for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200, 10**30):
             meta = json.loads(originals[meta_file])
-            meta[key] = value
+            if isinstance(meta[key], list):
+                meta[key][0] = value
+            else:
+                meta[key] = value
             meta_file.write_text(json.dumps(meta))
             code = main(["check", str(csv_path)])
             out, err = capsys.readouterr()

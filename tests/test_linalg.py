@@ -9,10 +9,10 @@ from streamkpca.linalg import (
     ConvergenceError,
     DimensionError,
     eigendecomposition,
-    jacobi_eigendecomposition,
-    power_iteration_top,
     symmetric_dense,
 )
+
+from reference_eigen import jacobi_eigendecomposition, power_iteration_top
 
 
 class TestDenseInput:

@@ -11,7 +11,6 @@ from streamkpca import linalg
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.harness import RunConfig, run_trial
-from streamkpca.linalg import jacobi_eigendecomposition
 from streamkpca.spectral import (
     AlphaBeta,
     SpectralSummary,
@@ -19,6 +18,8 @@ from streamkpca.spectral import (
     compute_alpha_beta,
     summarize,
 )
+
+from reference_eigen import jacobi_eigendecomposition
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -232,6 +233,64 @@ def test_one_eigensolve_per_trial():
     assert "covariance" not in {f.name for f in dataclasses.fields(SpectralSummary)}
     assert [f.name for f in dataclasses.fields(AlphaBeta)] == ["alpha", "beta"]
     assert "projection_residual" not in streamkpca.__all__
+
+
+def test_public_api():
+    # A name joins or leaves the package's API only by editing this list.
+    assert sorted(streamkpca.__all__) == [
+        "AlphaBeta",
+        "CheckReport",
+        "CheckResult",
+        "ConfigError",
+        "ConvergenceError",
+        "DimensionError",
+        "EigenDecomposition",
+        "FeatureMapSpec",
+        "NumericError",
+        "OjaConfig",
+        "RunConfig",
+        "SpectralSummary",
+        "SpikedGroundTruth",
+        "SpikedSpec",
+        "StepRecord",
+        "StreamState",
+        "Trajectory",
+        "TrajectoryParseError",
+        "alignment_error",
+        "check_final_bound",
+        "check_growth_implies_correctness",
+        "check_norm_lower_bounds",
+        "check_projected_energy",
+        "check_trajectory_file",
+        "check_two_time_steps",
+        "check_update_properties",
+        "compute_alpha_beta",
+        "eigendecomposition",
+        "init_state",
+        "init_state_at",
+        "make_spiked_stream",
+        "monte_carlo_offset_norm",
+        "oja_step",
+        "read_trajectory",
+        "run",
+        "run_all_checks",
+        "run_stream",
+        "run_trial",
+        "select_learning_rate",
+        "summarize",
+        "sweep",
+        "write_trajectory",
+    ]
+    assert all(hasattr(streamkpca, name) for name in streamkpca.__all__)
+    # The reference eigensolvers live in the tests, not the package.
+    for name in (
+        "jacobi_eigendecomposition",
+        "power_iteration_top",
+        "JACOBI_MAX_SWEEPS",
+        "_rotate",
+        "_max_offdiag",
+    ):
+        assert not hasattr(linalg, name)
 
 
 class TestAlignmentError:
