@@ -587,8 +587,9 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         TrajectoryParseError: malformed CSV, or a row count other than
             the sidecar's n; the message names the byte offset of the
             first defect in file order.
-        ConfigError: missing or malformed meta sidecar, or one whose
-            feature_map, m or v_star width is not init_v_hat's.
+        ConfigError: missing or malformed meta sidecar, one whose
+            feature_map, m or v_star width is not init_v_hat's, or one
+            whose init_v_hat is not unit length.
     """
     csv_path = Path(csv_path)
     meta_file = meta_path_for(csv_path)
@@ -617,6 +618,14 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
                 f"{where}: key {key!r} gives width {width}, "
                 f"key 'init_v_hat' {init_v_hat.shape[0]}"
             )
+    # Every run starts at a unit direction; the checks assume one.
+    try:
+        linalg.as_unit_vector(init_v_hat, "init_v_hat")
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}: key 'init_v_hat' must have unit norm, within "
+            f"{linalg.UNIT_NORM_TOL!r}"
+        ) from exc
     steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
     config = OjaConfig(
         eta=float(meta["eta"]),
@@ -932,8 +941,7 @@ def check_trajectory_file(csv_path) -> CheckReport:
     # A run started at v* records v* itself as its start; the checks
     # gated on that start would otherwise judge a start it never had.
     if meta["init"] == "vstar":
-        with np.errstate(over="ignore"):
-            gap = float(np.abs(traj.init_v_hat - v_star).max())
+        gap = float(np.abs(traj.init_v_hat - v_star).max())
         if not gap <= linalg.UNIT_NORM_TOL:
             raise ConfigError(
                 f"{where}: key 'init' is 'vstar', but key 'init_v_hat' "

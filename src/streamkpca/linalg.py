@@ -65,7 +65,12 @@ def as_vector(x) -> np.ndarray:
 def as_unit_vector(x, name: str) -> np.ndarray:
     """as_vector, and a ValueError naming ``name`` unless the norm is 1."""
     v = as_vector(x)
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
+    # No entry of a unit vector exceeds 1 in magnitude; refusing one that
+    # does first keeps the norm below from overflowing.
+    if not (
+        (np.abs(v) <= 1.0 + UNIT_NORM_TOL).all()
+        and abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_NORM_TOL
+    ):
         raise ValueError(f"{name} must have unit norm")
     return v
 

@@ -13,20 +13,26 @@ every step from the directly computed ||u||. That arithmetic, with its
 non-finite guard, is ``_update``, the spec: ``oja_step`` applies it to
 one sample.
 
-``run_stream`` computes the same map in closed form, ``_SOLVE_ROWS``
-steps at a time. Over k lifted rows F starting at unit v_hat, the
+``run_stream`` computes the same map in closed form, one lifted block
+at a time. Over k lifted rows F starting at unit v_hat, the
 unnormalized iterate is v_i = v_hat + eta * sum_{j<=i} t_j f_j with
 t_i = <f_i, v_{i-1}>, and these t solve the unit lower triangular
 system (I - eta * tril(F F^T, -1)) t = F v_hat; the norms follow as
 ||v_i||^2 = 1 + sum_{j<=i} (2*eta + eta^2*||f_j||^2) t_j^2. This is the
 compact-WY aggregation (Schreiber & Van Loan 1989) of Oja's rank-one
-factors I + eta f f^T. Only the order of the arithmetic differs from
+factors I + eta f f^T. The block's system is solved ``_SOLVE_ROWS``
+rows at a time: one batched product gives the Gram matrix of every
+sub-block F_c, and sub-block c solves (I - eta * tril(F_c F_c^T, -1))
+t_c = F_c w against the unnormalized iterate w the solves before it
+left, then carries w <- w + eta * F_c^T t_c. One vectorized epilogue
+over the block then forms the norms, s, the log ratios and the
+normalized directions. Only the order of the arithmetic differs from
 ``_update``, so the columns agree with a fold of ``oja_step`` to
-rounding, not bit for bit. Rows with a step too large for the closed
-form (eta * ||f||^2 > 1, never under a certified bound) or whose closed
-form is not finite are rerun through ``_update``, which raises the
-NumericError naming the step. The pass holds O(k*m + k^2) floats for
-its constant k.
+rounding, not bit for bit. A block with a step too large for the
+closed form (eta * ||f||^2 > 1, never under a certified bound) or
+whose closed form is not finite is rerun through ``_update``, which
+raises the NumericError naming the step. The pass holds
+O(BLOCK_ROWS * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
 
 A recorded run is a columnar Trajectory: the per-step scalars s,
 ||f||^2 and the log ratio as float64 arrays of length n, plus an
@@ -48,10 +54,11 @@ from .linalg import DimensionError, as_vector
 # Def-style cap on the learning rate: eta must sit strictly inside (0, 0.1).
 ETA_CEILING = float(np.nextafter(0.1, 0.0))
 
-# Steps per triangular solve in run_stream. The solve costs O(k^3) and
-# each numpy call a fixed overhead; 64 was the fastest k at m = 20, 78
-# and 128.
-_SOLVE_ROWS = 64
+# Steps per triangular solve in run_stream. A solve costs O(k^3) and
+# each numpy call a fixed overhead; of 16, 24, 32, 48 and 64, 32 was the
+# fastest at m = 20 and 78 and within the run-to-run spread of the
+# fastest at m = 128.
+_SOLVE_ROWS = 32
 
 
 class NumericError(ArithmeticError):
@@ -272,12 +279,12 @@ def oja_step(
     return new_state, StepRecord(s, phi_norm_sq, log_ratio)
 
 
-def _solve_rows(
+def _solve_block(
     feats: np.ndarray, v_hat: np.ndarray, eta: float, weights: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray | None:
-    """Take the steps of the k <= _SOLVE_ROWS lifted rows ``feats`` from
-    unit ``v_hat`` in closed form (see the module docstring).
+    """Take the steps of the lifted rows ``feats`` from unit ``v_hat`` in
+    closed form, _SOLVE_ROWS rows per solve (see the module docstring).
 
     ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1). Writes the direction
     after each step into the rows of ``out`` and returns the (3, k)
@@ -286,23 +293,37 @@ def _solve_rows(
     not finite or a norm is zero. The caller suppresses numpy's overflow
     and invalid warnings, as for _update.
     """
-    k = feats.shape[0]
-    gram = feats @ feats.T
+    k, m = feats.shape
+    subs = -(-k // _SOLVE_ROWS)
+    # Zero rows pad the last sub-block: their t is 0 and they come after
+    # every real row, so the real rows' systems are unchanged.
+    padded = feats
+    if k % _SOLVE_ROWS:
+        padded = np.zeros((subs * _SOLVE_ROWS, m))
+        padded[:k] = feats
+    rows = padded.reshape(subs, _SOLVE_ROWS, m)
+    systems = np.matmul(rows, rows.transpose(0, 2, 1))
+    diagonals = systems.reshape(subs, -1)[:, :: _SOLVE_ROWS + 1]
     cols = np.empty((3, k))
-    cols[1] = gram.diagonal()
-    # With eta * ||f||^2 <= 1 no entry of the system exceeds its unit
+    cols[1] = diagonals.reshape(-1)[:k]
+    # With eta * ||f||^2 <= 1 no entry of a system exceeds its unit
     # diagonal, so partial pivoting keeps the rows in order and the solve
     # is forward substitution, as accurate as the steps. Past that the
     # solution loses digits fast (1e-8 relative at 2, all of them at 10).
     # A certified bound keeps eta * ||f||^2 <= 0.1. NaN fails the test too.
     if not eta * cols[1].max() <= 1.0:
         return None
-    system = gram * weights[:k, :k]
-    system.flat[:: k + 1] = 1.0
+    systems *= weights
+    diagonals[...] = 1.0
+    t = np.empty((subs, _SOLVE_ROWS))
+    w = v_hat
     try:
-        t = np.linalg.solve(system, feats @ v_hat)
+        for c in range(subs):
+            t[c] = np.linalg.solve(systems[c], rows[c] @ w)
+            w = w + eta * (t[c] @ rows[c])
     except np.linalg.LinAlgError:  # an exactly zero pivot
         return None
+    t = t.reshape(-1)[:k]
     growth = (2.0 * eta + eta * eta * cols[1]) * (t * t)
     norm_sq = np.empty(k + 1)
     norm_sq[0] = 0.0
@@ -329,7 +350,7 @@ def _step_rows(
     feats: np.ndarray, v_hat: np.ndarray, eta: float, step: int,
     out: np.ndarray,
 ) -> np.ndarray:
-    """_solve_rows' contract, one _update per row; ``step`` numbers the
+    """_solve_block's contract, one _update per row; ``step`` numbers the
     first row. Raises _update's NumericError at the first bad step."""
     cols = np.empty((3, feats.shape[0]))
     for j, f in enumerate(feats):
@@ -348,15 +369,17 @@ def run_stream(
     ``xs`` is any iterable of input vectors (rows of an (n, d) array
     work). Each block of linalg.BLOCK_ROWS rows is lifted and validated
     at once, so a malformed sample is reported before any step of its
-    block runs. Each block's steps are then taken _SOLVE_ROWS at a time
-    by _solve_rows, or by _update, row by row, where a step is too large
-    for the closed form or it is not finite: the states and records
-    agree with a fold of oja_step over xs to rounding, and a NumericError
-    is the fold's, naming the same step. Recording does not change the arithmetic, so the final
-    state is the same bits with or without it. An empty stream returns
-    ``init`` itself. When cfg.record_trajectory is set, every step's s,
-    ||f||^2, log ratio and new direction are written into the columns of
-    the returned Trajectory; otherwise the second element is None.
+    block runs. Each block's steps are then taken in closed form by
+    _solve_block, _SOLVE_ROWS steps per triangular solve, or by _update,
+    row by row, where a step of the block is too large for the closed
+    form or it is not finite: the states and records agree with a fold
+    of oja_step over xs to rounding, and a NumericError is the fold's,
+    naming the same step. Recording does not change the arithmetic, so
+    the final state is the same bits with or without it. An empty stream
+    returns ``init`` itself. When cfg.record_trajectory is set, every
+    step's s, ||f||^2, log ratio and new direction are written into the
+    columns of the returned Trajectory; otherwise the second element is
+    None.
     """
     _check_dims(cfg, init)
     record = cfg.record_trajectory
@@ -367,7 +390,7 @@ def run_stream(
     steps = np.empty((3, n))
     snapshots = np.empty((n + 1, m))
     snapshots[0] = init.v_hat
-    scratch = np.empty((_SOLVE_ROWS, m))
+    scratch = None if record else np.empty((linalg.BLOCK_ROWS, m))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
     v_hat = init.v_hat
@@ -375,21 +398,19 @@ def run_stream(
     i = 0  # steps taken
     for block in linalg.row_blocks(xs):
         feats = cfg.feature_map.apply_batch(block)
+        k = feats.shape[0]
+        out = snapshots[i + 1 : i + 1 + k] if record else scratch[:k]
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, feats.shape[0], _SOLVE_ROWS):
-                rows = feats[start : start + _SOLVE_ROWS]
-                k = rows.shape[0]
-                out = snapshots[i + 1 : i + 1 + k] if record else scratch[:k]
-                cols = _solve_rows(rows, v_hat, eta, weights, out)
-                if cols is None:
-                    cols = _step_rows(rows, v_hat, eta, init.step + i + 1, out)
-                if record:
-                    steps[:, i : i + k] = cols
-                # One addition per step, in the fold's order.
-                halves = np.concatenate(([log_norm], 0.5 * cols[2]))
-                log_norm = float(np.cumsum(halves)[-1])
-                v_hat = out[-1].copy()
-                i += k
+            cols = _solve_block(feats, v_hat, eta, weights, out)
+            if cols is None:
+                cols = _step_rows(feats, v_hat, eta, init.step + i + 1, out)
+        if record:
+            steps[:, i : i + k] = cols
+        # One addition per step, in the fold's order.
+        halves = np.concatenate(([log_norm], 0.5 * cols[2]))
+        log_norm = float(np.cumsum(halves)[-1])
+        v_hat = out[-1].copy()
+        i += k
     state = init
     if i:
         state = StreamState(

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -207,7 +208,8 @@ def trajectory_of(table: np.ndarray) -> Trajectory:
     """A trajectory whose columns are table's: s, phi_norm_sq, log_ratio,
     then the directions after each step."""
     m = table.shape[1] - 3
-    init = np.ones(m)
+    # The reader holds the start to unit length.
+    init = np.eye(m)[0]
     # The derived log norm of huge log_ratio cells may overflow to inf.
     with np.errstate(over="ignore"):
         return Trajectory(
@@ -1179,6 +1181,33 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         for key in ("init", "init_v_hat", "v_star"):
             assert f"key {key!r}" in err
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    @pytest.mark.parametrize(
+        "key, value", [("init_v_hat", 1e308), ("init_v_hat", 2.0), ("v_star", 1e308)]
+    )
+    def test_start_and_vstar_off_unit_length_are_input_errors(
+        self, tmp_path, capsys, warning_action, key, value
+    ):
+        # A random start (identity d=6, n=300, seed 3) whose sidecar puts
+        # value in the first entry: exit 2 naming the key, and no numpy
+        # warning, whether RuntimeWarning is an error or not.
+        argv = ["run", "--phi", "identity", "--dim", "6", "--n", "300",
+                "--seed", "3", "--check", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        csv_path = tmp_path / "out" / "trial_000.csv"
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta[key][0] = value
+        meta_file.write_text(json.dumps(meta))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            assert main(["check", str(csv_path)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and "unit norm" in err
 
     def test_config_file_merge_flags_win(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +7,38 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamkpca.linalg import (
+    UNIT_NORM_TOL,
     ConvergenceError,
     DimensionError,
+    as_unit_vector,
     eigendecomposition,
     symmetric_dense,
 )
 
 from reference_eigen import jacobi_eigendecomposition, power_iteration_top
+
+
+class TestUnitVector:
+    def test_unit_vector_passes(self):
+        v = np.array([0.6, -0.8])
+        assert np.array_equal(as_unit_vector(list(v), "v"), v)
+        assert np.array_equal(as_unit_vector([-1.0], "v"), [-1.0])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [1e308, -1e308, 1.7976931348623157e308, 1.0 + 2 * UNIT_NORM_TOL, 2.0, 0.0],
+    )
+    def test_refused_without_overflow(self, entry):
+        # An entry above 1 in magnitude is refused before the norm is
+        # formed, so even 1e308 raises no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^v_star must have unit norm$"):
+                as_unit_vector([entry, 0.0, 0.0], "v_star")
+
+    def test_empty_vector_refused(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            as_unit_vector([], "v")
 
 
 class TestDenseInput:

@@ -238,20 +238,20 @@ class TestRunStream:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(min_value=0, max_value=200),
+        n=st.integers(min_value=0, max_value=600),
         d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         record=st.booleans(),
         kind=st.sampled_from(["identity", "poly2", "rff"]),
-        block_rows=st.sampled_from([1, 3, 7, 64, 65, 1024]),
+        block_rows=st.sampled_from([1, 3, 7, 31, 32, 33, 64, 65, 96, 257, 1024]),
         at_vstar=st.booleans(),
     )
     def test_columns_equal_a_fold_of_oja_step(
         self, n, d, seed, record, kind, block_rows, at_vstar
     ):
-        # run_stream solves up to 64 steps at once: only the order of the
-        # arithmetic differs from the fold, so every value agrees with it
-        # to 1e-12 * max(1, |value|), far above the ~1e-14 seen.
+        # run_stream solves each block in closed form: only the order of
+        # the arithmetic differs from the fold, so every value agrees with
+        # it to 1e-12 * max(1, |value|), far above the ~1e-14 seen.
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
         phi = make_map(kind, d, seed)
@@ -261,8 +261,9 @@ class TestRunStream:
             record_trajectory=record,
         )
         init = start_state(phi, xs, seed, at_vstar)
-        # Blocks of 1, 3, 7, 64 and 65 rows make most streams cross block
-        # edges; 1024-row blocks cross the 64-step solves.
+        # Small blocks make most streams cross block edges; blocks of 31,
+        # 32, 33, 65, 96, 257 and 1024 rows end inside, on and just past
+        # the edges of the 32-step solves, and 257 crosses both.
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             final, traj = run_stream(xs, cfg, init, seed=seed)
 
@@ -312,7 +313,7 @@ class TestRunStream:
 
     @pytest.mark.parametrize("size", [0.5, 1.0, 2.0])
     def test_closed_form_only_for_small_steps(self, size):
-        # Rows scaled so eta * max ||f||^2 = size. Up to 1 the 64-step
+        # Rows scaled so eta * max ||f||^2 = size. Up to 1 the closed-form
         # solves are used and agree with the fold; past it every step is
         # an _update, so the run is the fold's, bit for bit.
         rng = np.random.default_rng(5)
@@ -331,7 +332,7 @@ class TestRunStream:
             assert_close(got, expected)
             assert_close(traj.snapshots, np.array(directions))
             return
-        assert spy.call_count == 2  # the solves of steps 1-64 and 65-100
+        assert spy.call_count == 1  # the one lifted block of 100 rows
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
         assert got.tobytes() == expected.tobytes()
@@ -340,7 +341,7 @@ class TestRunStream:
     def test_overflowing_closed_form_is_taken_step_by_step(self):
         # eta = 1e-300 and ||f|| ~ 1e150: each step is finite, but the
         # unnormalized t of a solve overflows when squared after a few
-        # aligned steps, so each solve falls back to _update.
+        # aligned steps, so the block falls back to _update.
         rng = np.random.default_rng(7)
         xs = np.column_stack([np.ones(100), 0.1 * rng.standard_normal(100)])
         xs *= 0.9e150
@@ -350,11 +351,42 @@ class TestRunStream:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 final, traj = run_stream(xs, cfg, init)
-        assert spy.call_count == 2
+        assert spy.call_count == 1
         state, records, directions = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
         assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+
+    @pytest.mark.parametrize("kind", ["identity", "poly2"])
+    def test_one_gram_product_and_one_solve_per_32_steps(self, kind):
+        # Blocks of 100, 100 and 57 rows under BLOCK_ROWS 100: each block
+        # makes one batched Gram product of its ceil(k/32) zero-padded
+        # sub-blocks and ceil(k/32) solves, and a certified stream never
+        # falls back to _update.
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((257, 3))
+        phi = make_map(kind, 3, 0)
+        feats = phi.apply_batch(xs)
+        eta = select_learning_rate(float(np.max(np.sum(feats * feats, axis=1))))
+        cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True)
+        init = init_state(phi.feature_dim, 4)
+        with (
+            mock.patch.object(linalg, "BLOCK_ROWS", 100),
+            mock.patch.object(np, "matmul", wraps=np.matmul) as matmul,
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve,
+            mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as step_rows,
+        ):
+            final, traj = run_stream(xs, cfg, init)
+        assert step_rows.call_count == 0
+        shapes = [tuple(c.args[0].shape) for c in matmul.call_args_list]
+        m = phi.feature_dim
+        assert shapes == [(4, 32, m), (4, 32, m), (2, 32, m)]
+        assert solve.call_count == 4 + 4 + 2
+        assert all(c.args[0].shape == (32, 32) for c in solve.call_args_list)
+        state, records, directions = fold(xs, cfg, init)
+        assert_close(final.v_hat, state.v_hat)
+        assert_close(traj.s, [r.s for r in records])
+        assert_close(traj.snapshots, np.array(directions))
 
     def test_failed_solve_is_taken_step_by_step(self):
         rng = np.random.default_rng(8)
@@ -384,7 +416,7 @@ class TestRunStream:
 
     def test_numeric_abort_in_a_later_solve_is_the_folds(self):
         # A positive stream keeps v_hat near (1, 1, 1, 1) / 2, so at step
-        # 100, in the second 64-step solve, <f, v_hat> overflows for
+        # 100, in the block's fourth 32-step solve, <f, v_hat> overflows for
         # f = 1e308 * (1, 1, 1, 1). The fold over the same prefix names
         # the same step and values.
         rng = np.random.default_rng(3)
