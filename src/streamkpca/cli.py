@@ -92,6 +92,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     n = args.n if args.n is not None else gen.get("n", 1000)
     seed = args.seed
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         basis_seed, sample_seed = seed, seed + 1
     else:
         basis_seed = gen.get("basis_seed", 0)

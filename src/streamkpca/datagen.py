@@ -59,6 +59,8 @@ class SpikedSpec:
             raise ValueError(
                 f"tail_decay must lie in (0, 1], got {self.tail_decay!r}"
             )
+        linalg.check_seed(self.basis_seed, "basis_seed")
+        linalg.check_seed(self.sample_seed, "sample_seed")
 
     @property
     def target_ratio(self) -> float:

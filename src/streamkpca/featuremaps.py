@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .linalg import DimensionError, as_vector
 
 KINDS = ("identity", "poly2", "rff")
@@ -64,8 +65,13 @@ class FeatureMapSpec:
                     f"rff bandwidth must be finite and positive, "
                     f"got {self.bandwidth!r}"
                 )
-            if self.seed is None:
-                raise ValueError("rff map requires a seed")
+            linalg.check_seed(self.seed, "rff seed")
+            # z / bandwidth is finite for a bandwidth >= 1.
+            if self.bandwidth < 1.0 and not _frequencies_finite(self):
+                raise ValueError(
+                    f"rff bandwidth {self.bandwidth!r} overflows a frozen "
+                    "frequency: it must be larger"
+                )
 
     @classmethod
     def identity(cls, d: int) -> "FeatureMapSpec":
@@ -189,6 +195,20 @@ def _poly2_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i, j = np.triu_indices(d)
     weights = np.where(i == j, 1.0, math.sqrt(2.0))
     return i, j, weights
+
+
+def _frequencies_finite(spec: FeatureMapSpec) -> bool:
+    """Whether every frozen frequency z / bandwidth of an rff spec is
+    finite. The draws z are replayed a block of rows at a time: a spec
+    may yet be refused for its size, so the (m, d) draws are not held."""
+    rng = np.random.default_rng(spec.seed)
+    largest = 0.0
+    for start in range(0, spec.feature_dim, linalg.BLOCK_ROWS):
+        rows = min(linalg.BLOCK_ROWS, spec.feature_dim - start)
+        draws = rng.standard_normal((rows, spec.input_dim))
+        largest = max(largest, float(np.abs(draws).max()))
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.float64(largest) / spec.bandwidth))
 
 
 @lru_cache(maxsize=64)

@@ -569,7 +569,6 @@ def write_trajectory_meta(
         "feature_map": traj.config.feature_map.to_dict(),
         "init": traj.init_kind,
         "init_v_hat": [float(v) for v in traj.init_v_hat],
-        "init_log_norm": traj.init_log_norm,
         "seed": traj.seed,
         "n": traj.n,
         "m": traj.m,
@@ -588,8 +587,9 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
             the sidecar's n; the message names the byte offset of the
             first defect in file order.
         ConfigError: missing or malformed meta sidecar, one whose
-            feature_map, m or v_star width is not init_v_hat's, or one
-            whose init_v_hat is not unit length.
+            feature_map, m or v_star width is not init_v_hat's, one
+            whose init_v_hat is not unit length, or one whose norm_bound
+            is not positive or is too large for its eta.
     """
     csv_path = Path(csv_path)
     meta_file = meta_path_for(csv_path)
@@ -602,14 +602,11 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     where = f"bad trajectory metadata {meta_file.name}"
     _check_keys(meta, _META_KEYS, where)
     _check_keys(meta["feature_map"], _FEATURE_MAP_KEYS, f"{where}: key 'feature_map'")
-    try:
-        feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: key 'feature_map': {exc}") from exc
     init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
     # Every width the sidecar states is the start's, which the parse
-    # holds to the vhat_* columns.
-    widths = {"feature_map": feature_map.feature_dim, "m": meta["m"]}
+    # holds to the vhat_* columns. They are compared before the feature
+    # map is built, whose rff draws take time in its width.
+    widths = {"feature_map": meta["feature_map"]["feature_dim"], "m": meta["m"]}
     if meta.get("v_star") is not None:
         widths["v_star"] = len(meta["v_star"])
     for key, width in widths.items():
@@ -618,6 +615,10 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
                 f"{where}: key {key!r} gives width {width}, "
                 f"key 'init_v_hat' {init_v_hat.shape[0]}"
             )
+    try:
+        feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: key 'feature_map': {exc}") from exc
     # Every run starts at a unit direction; the checks assume one.
     try:
         linalg.as_unit_vector(init_v_hat, "init_v_hat")
@@ -626,18 +627,19 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
             f"{where}: key 'init_v_hat' must have unit norm, within "
             f"{linalg.UNIT_NORM_TOL!r}"
         ) from exc
+    try:
+        config = OjaConfig(
+            eta=float(meta["eta"]),
+            feature_map=feature_map,
+            record_trajectory=True,
+            norm_bound=meta.get("norm_bound"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: key 'norm_bound' with key 'eta': {exc}") from exc
     steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
-    config = OjaConfig(
-        eta=float(meta["eta"]),
-        feature_map=feature_map,
-        record_trajectory=True,
-        norm_bound=meta.get("norm_bound"),
-    )
     traj = Trajectory(
         config=config,
         init_kind=meta["init"],
-        init_v_hat=init_v_hat,
-        init_log_norm=float(meta.get("init_log_norm", 0.0)),
         s=steps[0],
         phi_norm_sq=steps[1],
         log_ratio=steps[2],
@@ -838,6 +840,10 @@ def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_nonnegative_integer(v) -> bool:
+    return _is_integer(v) and v >= 0
+
+
 def _is_bool(v) -> bool:
     return isinstance(v, bool)
 
@@ -877,9 +883,8 @@ _META_KEYS = {
     "feature_map": (True, lambda v: isinstance(v, dict), "an object"),
     "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
-    "init_log_norm": (False, _is_finite_number, "a finite number"),
-    "seed": (False, _is_integer, "an integer"),
-    "n": (True, lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    "seed": (False, _is_nonnegative_integer, "an integer >= 0"),
+    "n": (True, _is_nonnegative_integer, "an integer >= 0"),
     "m": (True, _is_integer, "an integer"),
     "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
     "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
@@ -899,8 +904,8 @@ _GENERATOR_KEYS = {
     "lambda1": (True, _is_finite_number, "a finite number"),
     "lambda2": (True, _is_finite_number, "a finite number"),
     "tail_decay": (True, _is_finite_number, "a finite number"),
-    "basis_seed": (True, _is_integer, "an integer"),
-    "sample_seed": (True, _is_integer, "an integer"),
+    "basis_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
+    "sample_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
 }
 
 # Feature map key, in a config or a meta sidecar -> (required, test, what
@@ -910,7 +915,7 @@ _FEATURE_MAP_KEYS = {
     "input_dim": (True, _is_integer, "an integer"),
     "feature_dim": (True, _is_integer, "an integer"),
     "bandwidth": (False, _nullable(_is_finite_number), "null or a finite number"),
-    "seed": (False, _nullable(_is_integer), "null or an integer"),
+    "seed": (False, _nullable(_is_nonnegative_integer), "null or an integer >= 0"),
 }
 
 

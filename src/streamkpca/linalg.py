@@ -75,6 +75,13 @@ def as_unit_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def check_seed(seed, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless seed is an integer >= 0,
+    as np.random.default_rng requires."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 def row_blocks(xs):
     """Yield the rows of ``xs`` in blocks of at most BLOCK_ROWS rows.
 

@@ -142,23 +142,22 @@ STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
 
 @dataclass
 class Trajectory:
-    """A recorded run: config, initial state and per-step columns.
+    """A recorded run: config, start kind and per-step columns.
 
     Index i of ``s``, ``phi_norm_sq`` and ``log_ratio`` is step i+1.
-    ``snapshots`` is (n+1, m): the initial direction, then the direction
-    after each step. ``log_norm`` (n+1 entries, relative to step 0) is
-    derived from ``log_ratio``. ``seed`` keys deterministic pair sampling
-    in the post-hoc checker; the harness sets it to the trial seed.
+    ``snapshots`` is (n+1, m): the initial direction ``init_v_hat``, then
+    the direction after each step. ``log_norm`` (n+1 entries, relative to
+    step 0) is derived from ``log_ratio``. ``seed`` keys deterministic
+    pair sampling in the post-hoc checker; the harness sets it to the
+    trial seed.
 
     Raises:
-        ValueError: a misshapen or non-finite array, or snapshots not
-            starting at init_v_hat. Valid arrays are made read-only.
+        ValueError: a misshapen or non-finite array. Valid arrays are
+            made read-only.
     """
 
     config: OjaConfig
     init_kind: str
-    init_v_hat: np.ndarray
-    init_log_norm: float
     s: np.ndarray
     phi_norm_sq: np.ndarray
     log_ratio: np.ndarray
@@ -167,9 +166,11 @@ class Trajectory:
     log_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, m = self.n, self.m
+        n = self.n
+        if np.ndim(self.snapshots) != 2:
+            raise ValueError(f"snapshots has shape {np.shape(self.snapshots)}, not 2-D")
         shapes = {name: (n,) for name in STEP_COLUMNS}
-        shapes.update(init_v_hat=(m,), snapshots=(n + 1, m))
+        shapes["snapshots"] = (n + 1, self.m)
         # The checks' inequalities compare against NaN as false or pass
         # it through min/max, so a non-finite value is refused here.
         for name, shape in shapes.items():
@@ -180,8 +181,6 @@ class Trajectory:
                 index = np.argwhere(~np.isfinite(values))[0].tolist()
                 raise ValueError(f"non-finite value in {name} at index {index}")
             values.flags.writeable = False
-        if not np.array_equal(self.snapshots[0], self.init_v_hat):
-            raise ValueError("snapshot row 0 is not the initial direction")
         self.log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(self.log_ratio)))
 
     @property
@@ -190,7 +189,12 @@ class Trajectory:
 
     @property
     def m(self) -> int:
-        return int(self.init_v_hat.shape[0])
+        return int(self.snapshots.shape[1])
+
+    @property
+    def init_v_hat(self) -> np.ndarray:
+        """The start, snapshot row 0 (a read-only view)."""
+        return self.snapshots[0]
 
 
 def init_state(m: int, seed: int) -> StreamState:
@@ -421,8 +425,6 @@ def run_stream(
     traj = Trajectory(
         config=cfg,
         init_kind=init.origin,
-        init_v_hat=init.v_hat.copy(),
-        init_log_norm=init.log_norm,
         s=steps[0],
         phi_norm_sq=steps[1],
         log_ratio=steps[2],

@@ -75,6 +75,17 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
     return traj, summary.top_vector, energies
 
 
+def first_steps(traj, n):
+    """The trajectory cut after its first n steps."""
+    return dataclasses.replace(
+        traj,
+        s=traj.s[:n],
+        phi_norm_sq=traj.phi_norm_sq[:n],
+        log_ratio=traj.log_ratio[:n],
+        snapshots=traj.snapshots[: n + 1],
+    )
+
+
 @pytest.fixture(scope="module")
 def vstar_run():
     return make_run("vstar")
@@ -114,6 +125,22 @@ class TestFullSuite:
             assert by_name[name].status == VACUOUS
             assert "at-v*" in by_name[name].details["reason"]
 
+    @pytest.mark.parametrize("init_kind, n", [("random", 60), ("vstar", 60), ("vstar", 0)])
+    def test_entries_are_the_public_checks(self, init_kind, n):
+        # run_all_checks adds no gate or verdict of its own.
+        traj, v_star, ab = make_run(init_kind)
+        traj = first_steps(traj, n)
+        expected = [
+            *check_update_properties(traj),
+            check_growth_implies_correctness(traj, v_star, ab.alpha),
+            check_two_time_steps(traj, v_star, ab.alpha),
+            check_projected_energy(traj, v_star, ab.alpha),
+            *check_norm_lower_bounds(traj, ab.alpha, ab.beta),
+            check_final_bound(traj, v_star, ab.alpha, ab.beta),
+        ]
+        report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        assert [e.to_dict() for e in report.entries] == [e.to_dict() for e in expected]
+
     def test_report_is_deterministic(self, vstar_run):
         traj, v_star, ab = vstar_run
         r1 = run_all_checks(traj, v_star, ab.alpha, ab.beta).to_dict()
@@ -131,13 +158,47 @@ class TestFullSuite:
 class TestHypothesisGating:
     def test_two_time_steps_requires_vstar(self, random_run):
         traj, v_star, ab = random_run
-        with pytest.raises(ValueError):
-            check_two_time_steps(traj, v_star, ab.alpha)
+        entry = check_two_time_steps(traj, v_star, ab.alpha)
+        assert entry.status == VACUOUS
+        assert "at-v*" in entry.details["reason"]
 
     def test_projected_energy_requires_vstar(self, random_run):
         traj, v_star, ab = random_run
-        with pytest.raises(ValueError):
-            check_projected_energy(traj, v_star, ab.alpha)
+        entry = check_projected_energy(traj, v_star, ab.alpha)
+        assert entry.status == VACUOUS
+        assert "at-v*" in entry.details["reason"]
+
+    @pytest.mark.parametrize(
+        "init_kind, n, alpha, at_vstar_entries, aligned_floor",
+        [
+            ("random", 60, 0.5, "at-v*", "at-v*"),
+            ("random", 0, 0.05, "at-v*", "at-v*"),
+            ("vstar", 60, 0.5, None, "alpha"),
+            ("vstar", 0, 0.5, "empty", "alpha"),
+            ("vstar", 0, 0.05, "empty", "empty"),
+        ],
+    )
+    def test_first_unmet_hypothesis_is_named(
+        self, init_kind, n, alpha, at_vstar_entries, aligned_floor
+    ):
+        # Each gated entry names the first of its hypotheses, in order,
+        # that the run does not meet: the at-v* start, then (for the
+        # aligned-energy floor only) alpha in (0, 0.1), then a step.
+        reasons = {
+            "at-v*": "initializer is not at-v*",
+            "alpha": f"requires alpha in (0, 0.1); alpha={alpha:g}",
+            "empty": "empty trajectory",
+            None: None,
+        }
+        traj, v_star, _ = make_run(init_kind)
+        traj = first_steps(traj, n)
+        report = run_all_checks(traj, v_star, alpha, beta=1.0)
+        named = {e.name: e.details.get("reason") for e in report.entries}
+        assert named["drift_requires_growth"] == reasons[at_vstar_entries]
+        assert named["orthogonal_energy_budget"] == reasons[at_vstar_entries]
+        assert named["aligned_energy_growth_floor"] == reasons[aligned_floor]
+        for name in ALL_CHECK_NAMES[:5] + ["final_norm_floor"]:
+            assert named[name] == (reasons["empty"] if n == 0 else None)
 
     def test_growth_floor_requires_small_alpha(self, vstar_run):
         traj, v_star, ab = vstar_run

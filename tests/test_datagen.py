@@ -45,6 +45,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(tail_decay=1.5)
 
+    @pytest.mark.parametrize("key", ["basis_seed", "sample_seed"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 0"):
+            spec(**{key: value})
+
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
             spec(n=0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ class TestSpecValidation:
     def test_rff_finite_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match=f"got {bandwidth!r}"):
             FeatureMapSpec.rff(3, 8, bandwidth=bandwidth, seed=1)
+
+    def test_rff_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="rff seed must be an integer >= 0"):
+            FeatureMapSpec.rff(3, 8, bandwidth=1.0, seed=-1)
+
+    def test_rff_frequencies_must_be_finite(self):
+        # A draw z / 1e-320 overflows, z / 1e-300 does not; neither warns.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="bandwidth 1e-320"):
+                FeatureMapSpec.rff(3, 8, bandwidth=1e-320, seed=1)
+            spec = FeatureMapSpec.rff(3, 8, bandwidth=1e-300, seed=1)
+        assert caught == []
+        assert np.isfinite(rff_parameters(spec)[0]).all()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

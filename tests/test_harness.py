@@ -219,8 +219,6 @@ def trajectory_of(table: np.ndarray) -> Trajectory:
                 record_trajectory=True,
             ),
             init_kind="random",
-            init_v_hat=init,
-            init_log_norm=0.0,
             s=table[:, 0].copy(),
             phi_norm_sq=table[:, 1].copy(),
             log_ratio=table[:, 2].copy(),
@@ -618,6 +616,10 @@ class TestTrajectoryFiles:
             ("n", True),
             ("n", "3"),
             ("m", 4.0),
+            ("seed", -1),
+            ("norm_bound", -1.0),
+            ("norm_bound", 0.0),
+            ("norm_bound", 1e9),
         ],
     )
     def test_meta_mistyped_key(self, saved, key, value):
@@ -626,9 +628,19 @@ class TestTrajectoryFiles:
         meta = json.loads(meta_file.read_text())
         meta[key] = value
         meta_file.write_text(json.dumps(meta))
-        with pytest.raises(ConfigError, match=f"key '{key}'"):
+        with pytest.raises(ConfigError, match=f"{meta_file.name}: key '{key}'"):
             read_trajectory(csv_path)
         assert main(["check", str(csv_path)]) == 2
+
+    def test_sidecar_with_init_log_norm_still_reads(self, saved):
+        # Sidecars written before the key was dropped carry it still.
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        assert "init_log_norm" not in meta
+        expected = check_trajectory_file(csv_path).to_dict()
+        meta_file.write_text(json.dumps({**meta, "init_log_norm": 0.0}))
+        assert check_trajectory_file(csv_path).to_dict() == expected
 
     def test_meta_alpha_overflow_names_the_key(self, saved, capsys):
         # 1e308 would overflow alpha**2, and 1e154 the energy budget built
@@ -869,10 +881,11 @@ class TestCli:
             (["run", "--eta", "inf"], "inf"),
             (["run", "--phi", "rff", "--bandwidth", "nan"], "bandwidth"),
             (["run", "--phi", "rff", "--bandwidth", "inf"], "inf"),
+            (["run", "--seed", "-1"], "--seed"),
         ],
         ids=[
             "ratio-nan", "ratios-nan", "ratios-below-one", "eta-nan",
-            "eta-inf", "bandwidth-nan", "bandwidth-inf",
+            "eta-inf", "bandwidth-nan", "bandwidth-inf", "seed-negative",
         ],
     )
     def test_non_finite_flag_is_config_error(
@@ -883,6 +896,23 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_bandwidth_is_config_error(
+        self, tmp_path, monkeypatch, capsys, action
+    ):
+        # Frequencies z / 1e-320 overflow; the spec is refused, naming the
+        # bandwidth, before numpy could warn of the overflow.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--phi", "rff", "--feature-dim", "4", "--bandwidth", "1e-320"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main([*argv, "--dim", "4", "--n", "200"]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bandwidth 1e-320" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -1236,6 +1266,10 @@ class TestCli:
             ("config", "generator", "n", 100.9),
             ("config", "generator", "sample_seed", "3"),
             ("config", "generator", "basis_seed", True),
+            ("config", "generator", "basis_seed", -1),
+            ("config", "generator", "sample_seed", -1),
+            ("config", "feature_map", "seed", -1),
+            ("sidecar", "feature_map", "seed", -1),
             ("config", "generator", "lambda2", "0.1"),
             ("config", "generator", "tail_decay", False),
             ("config", "feature_map", "input_dim", 4.0),
@@ -1362,7 +1396,7 @@ class TestCheckFuzz:
     @pytest.mark.parametrize(
         "key",
         [
-            "eta", "norm_bound", "init_log_norm", "alpha", "beta", "n", "m",
+            "eta", "norm_bound", "seed", "alpha", "beta", "n", "m",
             "init_v_hat", "v_star",
         ],
     )

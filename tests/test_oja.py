@@ -483,7 +483,7 @@ class TestTrajectoryValidation:
             ("phi_norm_sq", 5),
             ("log_ratio", 5),
             ("snapshots", (5, 1)),
-            ("init_v_hat", 0),
+            ("snapshots", (0, 1)),  # the start, init_v_hat
         ],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -504,12 +504,6 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="snapshots has shape"):
             dataclasses.replace(short_run, snapshots=short_run.snapshots[:-1])
 
-    def test_snapshot_row_zero_must_be_the_start(self, short_run):
-        snaps = short_run.snapshots.copy()
-        snaps[0] = snaps[1]
-        with pytest.raises(ValueError, match="row 0"):
-            dataclasses.replace(short_run, snapshots=snaps)
-
     @pytest.mark.parametrize(
         "column", ["s", "phi_norm_sq", "log_ratio", "snapshots", "init_v_hat"]
     )
@@ -528,6 +522,8 @@ class TestTrajectoryValidation:
         _, traj = run_stream(np.empty((0, 2)), cfg, init_state_at([0.6, 0.8]))
         assert np.array_equal(traj.snapshots, [[0.6, 0.8]])
         assert traj.log_norm.tolist() == [0.0]
+        # The start is row 0 itself, not a copy kept beside it.
+        assert traj.m == 2 and np.shares_memory(traj.init_v_hat, traj.snapshots)
 
 
 @pytest.fixture(scope="module")
