@@ -1,10 +1,10 @@
 """Command-line front end: run experiments, sweep the spectral ratio,
 certify persisted trajectories.
 
-Exit codes: 0 success, 1 check failure, 2 config, input or OS error,
-3 numeric abort in every trial, 4 internal error (any other exception,
-reported as one line without a traceback). A config file (--config)
-merges with flags; flags win.
+Exit codes: 0 success, 1 check failure, 2 config, input or OS error
+(a stream too long to allocate included), 3 numeric abort in every
+trial, 4 internal error (any other exception, one line, no traceback).
+A config file (--config) merges with flags; flags win.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .harness import (
     ConfigError,
     RunConfig,
     _write_json,
+    check_target_ratio,
     check_trajectory_file,
     resolve_out_dir,
     run,
@@ -100,9 +101,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         sample_seed = gen.get("sample_seed", 1)
     lambda1 = gen.get("lambda1", 1.0)
     if args.ratio is not None:
-        if not args.ratio >= 1.0:  # NaN fails too
-            raise ConfigError(f"--ratio must be >= 1, got {args.ratio!r}")
-        lambda2 = lambda1 / args.ratio
+        lambda2 = lambda1 / check_target_ratio(args.ratio, "--ratio")
     else:
         lambda2 = gen.get("lambda2", lambda1 / 10.0)
     tail = args.tail_decay if args.tail_decay is not None else gen.get(
@@ -194,6 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --ratios: {exc}") from exc
+    for ratio in ratios:
+        check_target_ratio(ratio, "--ratios")
     config = config_from_args(args)
     out = sweep(config, ratios, out_dir=_out_dir(config))
     header = (

@@ -137,6 +137,9 @@ def make_spiked_stream(spec: SpikedSpec) -> tuple[np.ndarray, SpikedGroundTruth]
     Returns:
         (xs, truth) where xs has shape (n, input_dim), rows in arrival
         order, and every row satisfies ||x||^2 <= truth.norm_bound.
+
+    Raises:
+        ValueError: the stream cannot be allocated; the message names n.
     """
     basis = random_orthonormal_basis(spec.input_dim, spec.basis_seed)
     lam = spec.spectrum()
@@ -144,7 +147,10 @@ def make_spiked_stream(spec: SpikedSpec) -> tuple[np.ndarray, SpikedGroundTruth]
     guard = spec.norm_guard()
 
     rng = np.random.default_rng(spec.sample_seed)
-    xs = np.empty((spec.n, spec.input_dim))
+    try:
+        xs = np.empty((spec.n, spec.input_dim))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's sizes
+        raise ValueError(f"stream length n = {spec.n} cannot be allocated: {exc}") from None
     mix = basis * sqrt_lam  # column k is sqrt(lambda_k) * u_k
     count = 0
     while count < spec.n:

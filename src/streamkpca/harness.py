@@ -12,10 +12,10 @@ File formats:
     of the Trajectory's columns (its snapshot row i), each cell orjson's
     shortest round-trip spelling of the float64, which float() reads
     back bit for bit (1e16 and 0.00001 where repr writes 1e+16 and
-    1e-05);
+    1e-05), in the one grammar the reader takes (_parse_block);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
-    oracle alpha/beta and v*) and its row count n.
+    whose width is m, oracle alpha/beta and v*) and its row count n.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import os
-import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -418,8 +417,8 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     """
     if len(ratios) < 2:
         raise ConfigError("a sweep needs at least two target ratios")
-    if any(not r >= 1.0 for r in ratios):  # NaN fails too
-        raise ConfigError(f"target ratios must be >= 1, got {ratios!r}")
+    for target in ratios:
+        check_target_ratio(target, "target ratio")
     resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
     d = config.generator.input_dim
     rows = []
@@ -464,6 +463,13 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
         _write_json(resolved / "sweep.json", out)
         (resolved / "sweep.csv").write_bytes(sweep_csv(out).encode("utf-8"))
     return out
+
+
+def check_target_ratio(ratio: float, name: str) -> float:
+    """ratio if it is finite and >= 1, else a ConfigError naming name."""
+    if not 1.0 <= ratio < math.inf:  # NaN fails too
+        raise ConfigError(f"{name} must be finite and >= 1, got {ratio!r}")
+    return ratio
 
 
 def sweep_csv(sweep_report: dict) -> str:
@@ -571,7 +577,6 @@ def write_trajectory_meta(
         "init_v_hat": [float(v) for v in traj.init_v_hat],
         "seed": traj.seed,
         "n": traj.n,
-        "m": traj.m,
         "alpha": result.alpha,
         "beta": result.beta,
         "v_star": [float(v) for v in x_star] if x_star is not None else None,
@@ -582,12 +587,15 @@ def write_trajectory_meta(
 def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     """Load a trajectory CSV plus its meta sidecar, in one pass over the CSV.
 
+    Data rows are in the trajectory grammar (_parse_block); an older
+    sidecar's m and init_log_norm keys are ignored.
+
     Raises:
         TrajectoryParseError: malformed CSV, or a row count other than
             the sidecar's n; the message names the byte offset of the
             first defect in file order.
         ConfigError: missing or malformed meta sidecar, one whose
-            feature_map, m or v_star width is not init_v_hat's, one
+            feature_map or v_star width is not init_v_hat's, one
             whose init_v_hat is not unit length, or one whose norm_bound
             is not positive or is too large for its eta.
     """
@@ -606,7 +614,7 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     # Every width the sidecar states is the start's, which the parse
     # holds to the vhat_* columns. They are compared before the feature
     # map is built, whose rff draws take time in its width.
-    widths = {"feature_map": meta["feature_map"]["feature_dim"], "m": meta["m"]}
+    widths = {"feature_map": meta["feature_map"]["feature_dim"]}
     if meta.get("v_star") is not None:
         widths["v_star"] = len(meta["v_star"])
     for key, width in widths.items():
@@ -656,13 +664,11 @@ def _parse_trajectory_csv(
 
     The arrays are preallocated from the sidecar's n, and the file is
     read linalg.BLOCK_ROWS lines at a time, so the parse holds no more
-    than the arrays and one block. Each block is parsed by _parse_block,
-    or, where that cannot vouch for its result, by the line loop
-    _parse_lines, which defines the format and raises every error at
-    the byte offset the loop here tracks. Blocks are read in file order
-    and a row count other than n is found where the rows end, so the
-    error names the first defect in the file. Snapshot row 0 is
-    init_v_hat.
+    than the arrays and one block. _parse_block reads each block; one it
+    refuses goes to _raise_at_defect, which raises at the byte offset the
+    loop here tracks. Blocks are read in file order and a row count
+    other than n is found where the rows end, so the error names the
+    first defect in the file. Snapshot row 0 is init_v_hat.
     """
     m = init_v_hat.shape[0]
     width = len(TRAJECTORY_HEADER)
@@ -710,7 +716,7 @@ def _parse_trajectory_csv(
                 )
             values = _parse_block(lines, first, len(header))
             if values is None:
-                values = _parse_lines(lines, first, len(header), offset)
+                _raise_at_defect(lines, first, len(header), offset)
             stop = first + len(lines)
             steps[:, first - 1 : stop - 1] = values[:, : width - 1].T
             snapshots[first:stop] = values[:, width - 1 :]
@@ -724,65 +730,27 @@ def _parse_trajectory_csv(
     return steps, snapshots
 
 
-def _parse_lines(
-    lines: list[bytes], first_row: int, n_fields: int, line_start: int
-) -> np.ndarray:
-    """The (len(lines), n_fields - 1) values of data rows first_row, ...,
-    the first of which starts at byte line_start.
-
-    This loop is the CSV format's definition: a row is n_fields cells,
-    the step int(cell) equal to the row's number, every other cell a
-    finite float(cell). A malformed row raises with its byte offset.
-    """
-    values = np.empty((len(lines), n_fields - 1))
-    for i, raw in enumerate(lines):
-        row_idx = first_row + i
-        line = _decode_line(raw, line_start)
-        cells = line.split(",")
-        if len(cells) != n_fields:
-            raise TrajectoryParseError(
-                f"row {row_idx} at byte {line_start}: "
-                f"expected {n_fields} fields, found {len(cells)}"
-            )
-        try:
-            in_order = int(cells[0]) == row_idx
-            values[i] = list(map(float, cells[1:]))
-        except ValueError:
-            in_order = False
-        if not (in_order and np.isfinite(values[i]).all()):
-            _raise_on_bad_field(line_start, line, row_idx)
-        line_start += len(raw)
-    return values
-
-
-# The bytes the writer puts in a data row, plus the + of the repr
-# spelling earlier writers used (1e+16) and the brackets that frame a
-# block as JSON: a document of these holds only numbers and arrays.
-_BLOCK_BYTES = b"0123456789.e+-,\n[]"
-# orjson reads the cell -0 as the int 0, where float() reads -0.0.
-_NEGATIVE_ZERO_CELL = re.compile(rb"-0[,\n\]]")
+# The bytes of a cell: a JSON number, with e as its only exponent mark.
+_NUMBER_BYTES = b"0123456789.e+-"
 
 
 def _parse_block(
     lines: list[bytes], first_row: int, n_fields: int
 ) -> np.ndarray | None:
-    """_parse_lines' result for the same lines from one orjson parse, or
-    None where that parse cannot be shown to equal it.
+    """The (len(lines), n_fields - 1) values of data rows first_row, ...,
+    or None unless every row is in the trajectory grammar: n_fields
+    JSON numbers spelled in _NUMBER_BYTES, split by commas, the first the
+    row's number as a JSON integer and the others finite.
 
-    The lines are framed as one JSON array of rows. Its result stands
-    when the document holds only the writer's bytes and brackets, parses
-    to k = len(lines) rows of n_fields finite numbers, has no cell -0,
-    and its step cells are the ints first_row, first_row + 1, ... Then
-    no line held a bracket (k rows of numbers take exactly the k + 1
-    opening brackets of the frame), every cell is a JSON number, which
-    is a float() literal that orjson rounds to the same float64, and
-    every step is an int() literal. Anything else, every malformed row
-    included, is left to _parse_lines.
+    The lines are parsed as one JSON array of rows. k rows of numbers
+    take exactly the frame's k + 1 opening brackets, so no line held a
+    bracket. Each cell reads to float()'s bits, but -0, which JSON reads
+    as the integer 0, so as 0.0.
     """
     framed = [b"[[" + lines[0], *lines[1:]]
     framed[-1] += b"]]"
     doc = b"],[".join(framed)
-    if doc.translate(None, _BLOCK_BYTES):
+    if doc.translate(None, _NUMBER_BYTES + b",\n[]"):
         return None
     try:
         rows = orjson.loads(doc)
@@ -791,14 +759,57 @@ def _parse_block(
         return None
     if block.shape != (len(lines), n_fields) or not np.isfinite(block).all():
         return None
-    if not block.all() and _NEGATIVE_ZERO_CELL.search(doc):
-        return None
     row_steps = [row[0] for row in rows]
     if row_steps != list(range(first_row, first_row + len(lines))) or not all(
         type(step) is int for step in row_steps
     ):
         return None
     return block[:, 1:]
+
+
+def _raise_at_defect(
+    lines: list[bytes], first_row: int, n_fields: int, line_start: int
+) -> NoReturn:
+    """Raise at the first defect of data rows first_row, ... (the first
+    line starts at byte line_start), a block _parse_block refused, by
+    walking them in its grammar: invalid UTF-8, a row of other than
+    n_fields cells, then the row's first cell out of the grammar."""
+    for row, raw in enumerate(lines, first_row):
+        line = _decode_line(raw, line_start)
+        cells = line.split(",")
+        if len(cells) != n_fields:
+            raise TrajectoryParseError(
+                f"row {row} at byte {line_start}: "
+                f"expected {n_fields} fields, found {len(cells)}"
+            )
+        for j, cell in enumerate(cells):
+            defect = _cell_defect(cell, row if j == 0 else None)
+            if defect:
+                at = _byte_offset(line_start, line, j)
+                raise TrajectoryParseError(f"{defect} at byte {at}")
+        line_start += len(raw)
+    raise AssertionError(f"_parse_block refused rows {first_row}.. in the grammar")
+
+
+def _cell_defect(cell: str, step: int | None) -> str | None:
+    """Why a cell is out of the grammar, or None. The step cell (step
+    not None) with a fraction or exponent is unparseable, and a data
+    cell that float() reads as inf or nan non-finite."""
+    raw = cell.encode("utf-8")
+    try:  # orjson reads a cell in _NUMBER_BYTES to a number, or raises
+        number = not raw.translate(None, _NUMBER_BYTES) and orjson.loads(raw) is not None
+    except ValueError:
+        number = False
+    if step is not None:
+        if not number or "." in cell or "e" in cell:
+            return f"unparseable field {cell!r}"
+        return None if int(cell) == step else "non-consecutive step index"
+    try:
+        if not math.isfinite(float(cell)):
+            return f"non-finite field {cell!r}"
+    except ValueError:
+        pass
+    return None if number else f"unparseable field {cell!r}"
 
 
 def _decode_line(raw: bytes, line_start: int) -> str:
@@ -816,24 +827,6 @@ def _byte_offset(line_start: int, line: str, j: int) -> int:
     """Byte offset of field j of a line that starts at byte line_start."""
     before = ",".join(line.split(",")[:j])
     return line_start + len(before.encode("utf-8")) + (1 if j > 0 else 0)
-
-
-def _raise_on_bad_field(line_start: int, line: str, row_idx: int) -> NoReturn:
-    """Raise on the first field of row row_idx that is not the row's
-    number (the step field) or a finite float (every other field)."""
-    for j, cell in enumerate(line.split(",")):
-        at = _byte_offset(line_start, line, j)
-        try:
-            value = int(cell) if j == 0 else float(cell)
-        except ValueError:
-            raise TrajectoryParseError(
-                f"unparseable field {cell!r} at byte {at}"
-            ) from None
-        if j == 0:
-            if value != row_idx:
-                raise TrajectoryParseError(f"non-consecutive step index at byte {at}")
-        elif not math.isfinite(value):
-            raise TrajectoryParseError(f"non-finite field {cell!r} at byte {at}")
 
 
 def _is_integer(v) -> bool:
@@ -885,7 +878,6 @@ _META_KEYS = {
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
     "seed": (False, _is_nonnegative_integer, "an integer >= 0"),
     "n": (True, _is_nonnegative_integer, "an integer >= 0"),
-    "m": (True, _is_integer, "an integer"),
     "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
     "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
     "beta": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),

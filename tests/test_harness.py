@@ -122,6 +122,9 @@ JSON_EDGE_CELLS = [
     "-0.0",
     "1e-0",
 ]
+# The JSON_EDGE_CELLS that the trajectory grammar takes as data cells.
+# It takes none of them as a step, nor any other edge cell anywhere.
+GRAMMAR_EDGE_CELLS = {"-0", "1.0", "-0.0", "1e-0"}
 
 
 @st.composite
@@ -149,29 +152,32 @@ def averaged_lists(draw) -> list[float]:
     return [zero if v == 0 else v for v in values]
 
 
-def read_outcome(csv_path, block_rows: int, line_parser_only: bool = False):
-    """read_trajectory's arrays as bytes, or its error's type and text,
-    with linalg.BLOCK_ROWS = block_rows; line_parser_only parses every
-    block with the line parser alone."""
-    with contextlib.ExitStack() as patches:
-        patches.enter_context(mock.patch.object(linalg, "BLOCK_ROWS", block_rows))
-        if line_parser_only:
-            patches.enter_context(
-                mock.patch.object(harness, "_parse_block", lambda *args: None)
-            )
+def read_outcome(csv_path, block_rows: int):
+    """The data cells read_trajectory returns, as the bytes of an
+    (n, 3 + m) float64 table, or its error's type and text, with
+    linalg.BLOCK_ROWS = block_rows."""
+    # The log norm summed from huge log_ratio cells may overflow to inf.
+    with mock.patch.object(linalg, "BLOCK_ROWS", block_rows), np.errstate(over="ignore"):
         try:
             traj, _ = read_trajectory(csv_path)
         except (TrajectoryParseError, ConfigError) as exc:
             return type(exc), str(exc)
-    columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots)
-    return [c.tobytes() for c in columns]
+    columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:])
+    return np.column_stack(columns).tobytes()
 
 
-def assert_blocked_read_is_line_read(csv_path) -> None:
-    for block_rows in (1, 7, 256):
-        assert read_outcome(csv_path, block_rows) == read_outcome(
-            csv_path, block_rows, line_parser_only=True
-        )
+def blocked_read_outcome(csv_path):
+    """read_outcome's result, which must not depend on the block size."""
+    first, *others = (read_outcome(csv_path, rows) for rows in (1, 7, 256))
+    assert all(other == first for other in others)
+    return first
+
+
+def cell_offset(raw: bytes, row: int, j: int) -> int:
+    """Byte offset of field j of line row (0 is the header) of raw."""
+    lines = raw.split(b"\n")
+    before = b",".join(lines[row].split(b",")[:j])
+    return len(b"\n".join(lines[:row])) + 1 + len(before) + (j > 0)
 
 
 def extreme_table(n: int, width: int, cells=EXTREME_CELLS) -> np.ndarray:
@@ -488,18 +494,8 @@ class TestTrajectoryFiles:
             assert step_cell == str(step)
             # float() gives back each cell's bits, -0.0 included.
             assert np.array(list(map(float, cells))).tobytes() == row.tobytes()
-        # Every block the writer makes parses on the reader's fast path:
-        # a spelling _parse_block refuses would fall back to the loop.
-        slow_path = AssertionError("a block fell back to _parse_lines")
-        with (
-            mock.patch.object(linalg, "BLOCK_ROWS", block_rows),
-            mock.patch.object(harness, "_parse_lines", side_effect=slow_path),
-            np.errstate(over="ignore"),
-        ):
-            loaded, _ = read_trajectory(csv_path)
-        columns = (loaded.s, loaded.phi_norm_sq, loaded.log_ratio)
-        read_back = np.column_stack([*columns, loaded.snapshots[1:]])
-        assert read_back.tobytes() == table.tobytes()
+        # The reader takes every spelling the writer makes, to the same bits.
+        assert read_outcome(csv_path, block_rows) == table.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_writer_refuses_non_finite_cell(self, bad):
@@ -520,16 +516,65 @@ class TestTrajectoryFiles:
     def test_json_edge_cells_read_as_the_line_parser(self, saved, column, cell):
         # The cell goes into the first and the last row, and the file
         # loses its final newline, so the cell ends a field, a line and
-        # the file in turn.
+        # the file in turn. A data cell in the grammar reads as a float()
+        # line parser reads it, but -0 reads as 0.0; any other cell is
+        # refused at its byte, or at its row's where its commas change
+        # the row's width.
         csv_path, _ = saved
         lines = csv_path.read_bytes().split(b"\n")[:-1]
         j = lines[0].split(b",").index(column.encode())
+        table = np.array([[float(c) for c in line.split(b",")[1:]] for line in lines[1:]])
         for row in (1, len(lines) - 1):
             cells = lines[row].split(b",")
             cells[j] = cell.encode()
             lines[row] = b",".join(cells)
-        csv_path.write_bytes(b"\n".join(lines))
-        assert_blocked_read_is_line_read(csv_path)
+            if j > 0 and cell in GRAMMAR_EDGE_CELLS:
+                table[row - 1, j - 1] = 0.0 if cell == "-0" else float(cell)
+        raw = b"\n".join(lines)
+        csv_path.write_bytes(raw)
+        outcome = blocked_read_outcome(csv_path)
+        if j > 0 and cell in GRAMMAR_EDGE_CELLS:
+            assert outcome == table.tobytes()
+            return
+        at = cell_offset(raw, 1, 0 if "," in cell else j)
+        assert outcome[0] is TrajectoryParseError
+        assert outcome[1].endswith(f" at byte {at}") or (
+            "," in cell and outcome[1].startswith(f"row 1 at byte {at}: ")
+        )
+        assert main(["check", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("s", "+0.5"),
+            ("s", ".5"),
+            ("s", "1_0"),
+            ("s", " 0.5"),
+            ("s", "00.5"),
+            ("s", "5E-1"),
+            ("step", "+2"),
+        ],
+    )
+    def test_cells_outside_the_grammar_are_unparseable(
+        self, saved, capsys, column, cell
+    ):
+        # float() reads each data cell and int() the step, and the reader
+        # once took them; in row 2 each is now a located parse error.
+        csv_path, _ = saved
+        lines = csv_path.read_bytes().split(b"\n")
+        j = lines[0].split(b",").index(column.encode())
+        cells = lines[2].split(b",")
+        cells[j] = cell.encode()
+        lines[2] = b",".join(cells)
+        raw = b"\n".join(lines)
+        csv_path.write_bytes(raw)
+        expected = f"unparseable field {cell!r} at byte {cell_offset(raw, 2, j)}"
+        with pytest.raises(TrajectoryParseError) as err:
+            read_trajectory(csv_path)
+        assert str(err.value) == expected
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_checks_identical_after_round_trip(self, saved):
         csv_path, art = saved
@@ -584,7 +629,7 @@ class TestTrajectoryFiles:
         assert main(["check", str(csv_path)]) == 2
 
     @pytest.mark.parametrize(
-        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "m", "kind"]
+        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "kind"]
     )
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
@@ -615,7 +660,6 @@ class TestTrajectoryFiles:
             ("n", 1.5),
             ("n", True),
             ("n", "3"),
-            ("m", 4.0),
             ("seed", -1),
             ("norm_bound", -1.0),
             ("norm_bound", 0.0),
@@ -640,6 +684,18 @@ class TestTrajectoryFiles:
         assert "init_log_norm" not in meta
         expected = check_trajectory_file(csv_path).to_dict()
         meta_file.write_text(json.dumps({**meta, "init_log_norm": 0.0}))
+        assert check_trajectory_file(csv_path).to_dict() == expected
+
+    @pytest.mark.parametrize("m", [4, 99, 4.0])
+    def test_sidecar_with_m_still_reads(self, saved, m):
+        # Sidecars written before the key was dropped carry it still; the
+        # width comes from init_v_hat, whatever m says.
+        csv_path, _ = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        assert "m" not in meta
+        expected = check_trajectory_file(csv_path).to_dict()
+        meta_file.write_text(json.dumps({**meta, "m": m}))
         assert check_trajectory_file(csv_path).to_dict() == expected
 
     def test_meta_alpha_overflow_names_the_key(self, saved, capsys):
@@ -681,12 +737,10 @@ class TestTrajectoryFiles:
                     "feature_map": {
                         "kind": "identity", "input_dim": 7, "feature_dim": 7
                     },
-                    "m": 99,
                 },
                 "feature_map",
                 7,
             ),
-            ({"m": 99}, "m", 99),
             ({"v_star": [1.0, 0.0, 0.0]}, "v_star", 3),
         ],
     )
@@ -694,7 +748,7 @@ class TestTrajectoryFiles:
         self, tmp_path, capsys, edit, key, width
     ):
         # The at-v* identity d=4 run: a sidecar stating another width for
-        # the feature map, m or v* names the key and both widths.
+        # the feature map or v* names the key and both widths.
         out = tmp_path / "out"
         assert main(PROBE_RUN + ["--out", str(out)]) == 0
         csv_path = out / "trial_000.csv"
@@ -875,8 +929,10 @@ class TestCli:
         "argv, named",
         [
             (["run", "--ratio", "nan"], "--ratio"),
+            (["run", "--ratio", "1e309"], "--ratio"),
             (["sweep", "--ratios", "nan,5"], "ratios"),
             (["sweep", "--ratios", "5,0.5"], "ratios"),
+            (["sweep", "--ratios", "5,inf"], "--ratios"),
             (["run", "--eta", "nan"], "nan"),
             (["run", "--eta", "inf"], "inf"),
             (["run", "--phi", "rff", "--bandwidth", "nan"], "bandwidth"),
@@ -884,8 +940,9 @@ class TestCli:
             (["run", "--seed", "-1"], "--seed"),
         ],
         ids=[
-            "ratio-nan", "ratios-nan", "ratios-below-one", "eta-nan",
-            "eta-inf", "bandwidth-nan", "bandwidth-inf", "seed-negative",
+            "ratio-nan", "ratio-inf", "ratios-nan", "ratios-below-one",
+            "ratios-inf", "eta-nan", "eta-inf", "bandwidth-nan",
+            "bandwidth-inf", "seed-negative",
         ],
     )
     def test_non_finite_flag_is_config_error(
@@ -897,6 +954,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [10**12, 10**30])
+    def test_stream_too_long_to_allocate_is_config_error(
+        self, tmp_path, monkeypatch, capsys, n
+    ):
+        # numpy refuses 10**30 rows before allocating. 10**12 rows of
+        # d = 4 are 29 TiB: the stream's allocation is made to fail as
+        # numpy's does where memory runs out, so none is attempted.
+        monkeypatch.chdir(tmp_path)
+        empty = np.empty
+
+        def empty_failing_at_n(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] == 10**12:
+                raise MemoryError(f"Unable to allocate 29.1 TiB for shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty_failing_at_n)
+        assert main(["run", "--dim", "4", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stream length n = {n} ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_overflowing_bandwidth_is_config_error(
@@ -1357,12 +1435,14 @@ class TestCheckFuzz:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_blocked_read_equals_line_read(self, saved, data):
+        # A corrupted file reads to the same arrays, or the same error,
+        # line by line (BLOCK_ROWS 1) as in blocks of 7 or 256 rows.
         csv_path, originals = saved
         raw = originals[csv_path]
         for _ in range(data.draw(st.integers(1, 3), label="mutations")):
             raw = data.draw(corrupted(raw), label="csv")
         self._write(originals, csv_path, raw)
-        assert_blocked_read_is_line_read(csv_path)
+        blocked_read_outcome(csv_path)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1373,13 +1453,24 @@ class TestCheckFuzz:
         )
     )
     def test_json_numbers_read_as_the_line_parser(self, saved, rows):
+        # Every JSON number reads to the bits a float() line parser
+        # gives, but -0, JSON's integer zero, which reads as 0.0. One too
+        # large for a float64 is refused as non-finite, at the first.
         csv_path, originals = saved
         header = originals[csv_path].split(b"\n", 1)[0]
         body = "".join(
             f"{step}," + ",".join(row) + "\n" for step, row in enumerate(rows, 1)
         )
-        self._write(originals, csv_path, header + b"\n" + body.encode(), n=len(rows))
-        assert_blocked_read_is_line_read(csv_path)
+        raw = header + b"\n" + body.encode()
+        self._write(originals, csv_path, raw, n=len(rows))
+        table = np.array([[0.0 if c == "-0" else float(c) for c in row] for row in rows])
+        outcome = blocked_read_outcome(csv_path)
+        if np.isfinite(table).all():
+            assert outcome == table.tobytes()
+        else:
+            i, j = np.argwhere(~np.isfinite(table))[0]
+            cell, at = rows[i][j], cell_offset(raw, i + 1, j + 1)
+            assert outcome == (TrajectoryParseError, f"non-finite field {cell!r} at byte {at}")
 
     @staticmethod
     def _write(originals, csv_path, raw: bytes, **meta_changes) -> None:
@@ -1409,7 +1500,8 @@ class TestCheckFuzz:
         meta_file = harness.meta_path_for(csv_path)
         for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200, 10**30):
             meta = json.loads(originals[meta_file])
-            if isinstance(meta[key], list):
+            # An older sidecar's m, which the reader ignores.
+            if isinstance(meta.get(key), list):
                 meta[key][0] = value
             else:
                 meta[key] = value
