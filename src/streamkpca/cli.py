@@ -4,18 +4,25 @@ certify persisted trajectories.
 Exit codes: 0 success, 1 check failure, 2 config, input or OS error
 (a stream too long to allocate included), 3 numeric abort in every
 trial, 4 internal error (any other exception, one line, no traceback).
-A config file (--config) merges with flags; flags win.
+A config file (--config) merges with flags; flags win. BLAS runs on
+one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .datagen import SpikedSpec
-from .featuremaps import FeatureMapSpec
-from .harness import (
+# Before numpy loads: the eigensolve's last bits depend on the count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .datagen import SpikedSpec  # noqa: E402
+from .featuremaps import FeatureMapSpec  # noqa: E402
+from .harness import (  # noqa: E402
     ConfigError,
     RunConfig,
     _write_json,

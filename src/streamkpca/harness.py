@@ -362,14 +362,15 @@ def run(config: RunConfig, out_dir=None) -> dict:
     does not grow with the trial count), and report.json last.
     """
     resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
-    if resolved is not None:
-        resolved.mkdir(parents=True, exist_ok=True)
     results = []
     for t in range(config.trials):
         a = run_trial(config, t)
         results.append(a.result)
         if resolved is None:
             continue
+        # Made once a trial has run (there is at least one), so a run
+        # refused in its first trial leaves no directory behind.
+        resolved.mkdir(parents=True, exist_ok=True)
         if a.trajectory is not None:
             base = resolved / f"trial_{t:03d}.csv"
             write_trajectory(base, a.trajectory)

@@ -975,6 +975,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stream length n = {n} ")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_overflowing_bandwidth_is_config_error(
