@@ -4,14 +4,16 @@ certify persisted trajectories.
 Exit codes: 0 success, 1 check failure, 2 config, input or OS error
 (a stream too long to allocate included), 3 numeric abort in every
 trial, 4 internal error (any other exception, one line, no traceback).
-A config file (--config) merges with flags; flags win. BLAS runs on
-one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS is set.
+A run's config is the --config document, else _DEFAULT_CONFIG, with
+each given flag written over the key it sets; RunConfig.from_dict
+builds it. BLAS runs on one thread unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 from pathlib import Path
@@ -20,8 +22,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .datagen import SpikedSpec  # noqa: E402
-from .featuremaps import FeatureMapSpec  # noqa: E402
+from .featuremaps import poly2_dim  # noqa: E402
 from .harness import (  # noqa: E402
     ConfigError,
     RunConfig,
@@ -80,92 +81,73 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=None, help="fixed learning rate")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--init", choices=("random", "vstar"), default=None)
+    # None unless given, as for every other flag.
     p.add_argument(
-        "--check", action="store_true", help="run the invariant suite per trial"
+        "--check", action="store_true", default=None,
+        help="run the invariant suite per trial",
     )
     p.add_argument(
-        "--save-trajectories", action="store_true", help="persist trajectory CSVs"
+        "--save-trajectories", action="store_true", default=None,
+        help="persist trajectory CSVs",
     )
     p.add_argument("--out", type=str, default=None, help="output directory")
 
 
+# A run's config without a --config file; RunConfig.from_dict supplies
+# the keys it leaves out.
+_DEFAULT_CONFIG = {
+    "feature_map": {"kind": "identity", "input_dim": 8, "feature_dim": 8},
+    "generator": {
+        "input_dim": 8, "n": 1000, "lambda1": 1.0, "lambda2": 0.1,
+        "tail_decay": 1.0, "basis_seed": 0, "sample_seed": 1,
+    },
+}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Build a RunConfig from an optional config file merged with flags."""
-    base: dict = {}
+    """The --config document (else _DEFAULT_CONFIG) with each given flag
+    written over the key it sets, as one RunConfig.from_dict."""
     if args.config:
-        base = RunConfig.load(args.config).to_dict()
-
-    gen = base.get("generator", {})
-    dim = args.dim if args.dim is not None else gen.get("input_dim", 8)
-    n = args.n if args.n is not None else gen.get("n", 1000)
-    seed = args.seed
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
-        basis_seed, sample_seed = seed, seed + 1
+        doc = RunConfig.load(args.config).to_dict()
     else:
-        basis_seed = gen.get("basis_seed", 0)
-        sample_seed = gen.get("sample_seed", 1)
-    lambda1 = gen.get("lambda1", 1.0)
+        doc = copy.deepcopy(_DEFAULT_CONFIG)
+    gen = doc["generator"]
+    _write_flags(gen, args, dim="input_dim", n="n", tail_decay="tail_decay")
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        gen["basis_seed"], gen["sample_seed"] = args.seed, args.seed + 1
     if args.ratio is not None:
-        lambda2 = lambda1 / check_target_ratio(args.ratio, "--ratio")
-    else:
-        lambda2 = gen.get("lambda2", lambda1 / 10.0)
-    tail = args.tail_decay if args.tail_decay is not None else gen.get(
-        "tail_decay", 1.0
-    )
-    try:
-        generator = SpikedSpec(
-            input_dim=dim,
-            n=n,
-            lambda1=lambda1,
-            lambda2=lambda2,
-            tail_decay=tail,
-            basis_seed=basis_seed,
-            sample_seed=sample_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        gen["lambda2"] = gen["lambda1"] / check_target_ratio(args.ratio, "--ratio")
 
-    fm = base.get("feature_map", {})
-    kind = args.phi if args.phi is not None else fm.get("kind", "identity")
-    if fm.get("kind") != kind:
+    fm = doc["feature_map"]
+    kind = args.phi or fm["kind"]
+    if kind != fm["kind"]:
         # Another map's feature_dim, bandwidth and seed are not this one's.
-        fm = {}
-    try:
-        if kind == "identity":
-            feature_map = FeatureMapSpec.identity(dim)
-        elif kind == "poly2":
-            feature_map = FeatureMapSpec.poly2(dim)
-        else:
-            m = (
-                args.feature_dim
-                if args.feature_dim is not None
-                else fm.get("feature_dim", 4 * dim)
-            )
-            bandwidth = (
-                args.bandwidth
-                if args.bandwidth is not None
-                else fm.get("bandwidth", 1.0)
-            )
-            rff_seed = fm.get("seed", basis_seed + 7)
-            feature_map = FeatureMapSpec.rff(dim, m, bandwidth, rff_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        fm = doc["feature_map"] = {"kind": kind}
+    d = fm["input_dim"] = gen["input_dim"]
+    if kind == "identity":
+        fm["feature_dim"] = d
+    elif kind == "poly2":
+        fm["feature_dim"] = poly2_dim(d)
+    else:
+        _write_flags(fm, args, feature_dim="feature_dim", bandwidth="bandwidth")
+        fm.setdefault("feature_dim", 4 * d)
+        fm.setdefault("bandwidth", 1.0)
+        fm.setdefault("seed", gen["basis_seed"] + 7)
 
-    return RunConfig(
-        feature_map=feature_map,
-        generator=generator,
-        eta_policy=args.eta if args.eta is not None else base.get(
-            "eta_policy", "auto"
-        ),
-        init=args.init if args.init is not None else base.get("init", "random"),
-        trials=args.trials if args.trials is not None else base.get("trials", 1),
-        run_checks=bool(args.check) or base.get("run_checks", False),
-        save_trajectories=bool(args.save_trajectories)
-        or base.get("save_trajectories", False),
-        out_dir=args.out if args.out is not None else base.get("out_dir"),
+    _write_flags(
+        doc, args, eta="eta_policy", init="init", trials="trials", out="out_dir",
+        check="run_checks", save_trajectories="save_trajectories",
     )
+    return RunConfig.from_dict(doc)
+
+
+def _write_flags(section: dict, args: argparse.Namespace, **keys: str) -> None:
+    """section[key] = the flag's value, for each flag=key given."""
+    for flag, key in keys.items():
+        if getattr(args, flag) is not None:
+            section[key] = getattr(args, flag)
 
 
 def _out_dir(config: RunConfig) -> Path:

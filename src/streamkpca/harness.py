@@ -6,7 +6,8 @@ init seed, so identical configs produce byte-identical trajectory CSVs
 and reports. Nothing time- or host-dependent is ever written.
 
 File formats:
-  * run config and reports -- JSON (UTF-8, sorted keys);
+  * run config and reports -- JSON (UTF-8, sorted keys), a config file
+    and a sidecar read by one reader, _read_json_object;
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
     of the Trajectory's columns (its snapshot row i), each cell orjson's
@@ -15,7 +16,8 @@ File formats:
     1e-05), in the one grammar the reader takes (_parse_block);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
-    whose width is m, oracle alpha/beta and v*) and its row count n.
+    whose width is m, oracle alpha/beta and v*) and its row count n;
+    write_trajectory writes both files.
 """
 
 from __future__ import annotations
@@ -152,14 +154,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}"
-            ) from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json_object(Path(path), f"bad config {path}"))
 
 
 def _config_value(d: dict, key: str, default, valid, what: str):
@@ -372,9 +367,13 @@ def run(config: RunConfig, out_dir=None) -> dict:
         # refused in its first trial leaves no directory behind.
         resolved.mkdir(parents=True, exist_ok=True)
         if a.trajectory is not None:
-            base = resolved / f"trial_{t:03d}.csv"
-            write_trajectory(base, a.trajectory)
-            write_trajectory_meta(base, a.trajectory, a.result, a.x_star)
+            write_trajectory(
+                resolved / f"trial_{t:03d}.csv",
+                a.trajectory,
+                v_star=a.x_star,
+                alpha=a.result.alpha,
+                beta=a.result.beta,
+            )
         if a.check_report is not None:
             _write_json(
                 resolved / f"trial_{t:03d}.checks.json", a.check_report.to_dict()
@@ -511,13 +510,36 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _read_json_object(path: Path, where: str) -> dict:
+    """The JSON object in the file at path. Text that is not UTF-8 or
+    JSON, or a document that is not an object, is a ConfigError that
+    begins with where and locates the defect."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{where}: invalid UTF-8 at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{where}: parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{where}: nested too deeply to parse") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {reprlib.repr(doc)}")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Trajectory persistence
 
 
-def write_trajectory(path, traj: Trajectory) -> None:
+def write_trajectory(
+    path, traj: Trajectory, *, v_star=None, alpha=None, beta=None
+) -> None:
     """Write the step columns and the directions after each step
-    (snapshot rows 1..n, as vhat_* columns) as CSV.
+    (snapshot rows 1..n, as vhat_* columns) as CSV, and its sidecar,
+    where check_trajectory_file needs the oracle's v_star, alpha, beta.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
     which reads back bit for bit; it is written linalg.BLOCK_ROWS rows
@@ -534,6 +556,19 @@ def write_trajectory(path, traj: Trajectory) -> None:
                 [c[start : start + linalg.BLOCK_ROWS] for c in columns]
             )
             fh.write(_csv_rows(block, start + 1))
+    meta = {
+        "eta": traj.config.eta,
+        "norm_bound": traj.config.norm_bound,
+        "feature_map": traj.config.feature_map.to_dict(),
+        "init": traj.init_kind,
+        "init_v_hat": [float(v) for v in traj.init_v_hat],
+        "seed": traj.seed,
+        "n": traj.n,
+        "alpha": alpha,
+        "beta": beta,
+        "v_star": [float(v) for v in v_star] if v_star is not None else None,
+    }
+    _write_json(meta_path_for(path), _jsonable(meta))
 
 
 def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
@@ -567,24 +602,6 @@ def meta_path_for(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def write_trajectory_meta(
-    csv_path, traj: Trajectory, result: TrialResult, x_star
-) -> None:
-    meta = {
-        "eta": traj.config.eta,
-        "norm_bound": traj.config.norm_bound,
-        "feature_map": traj.config.feature_map.to_dict(),
-        "init": traj.init_kind,
-        "init_v_hat": [float(v) for v in traj.init_v_hat],
-        "seed": traj.seed,
-        "n": traj.n,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "v_star": [float(v) for v in x_star] if x_star is not None else None,
-    }
-    _write_json(meta_path_for(csv_path), _jsonable(meta))
-
-
 def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     """Load a trajectory CSV plus its meta sidecar, in one pass over the CSV.
 
@@ -604,11 +621,8 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     meta_file = meta_path_for(csv_path)
     if not meta_file.exists():
         raise ConfigError(f"missing trajectory metadata: {meta_file}")
-    try:
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad trajectory metadata: {exc}") from exc
     where = f"bad trajectory metadata {meta_file.name}"
+    meta = _read_json_object(meta_file, where)
     _check_keys(meta, _META_KEYS, where)
     _check_keys(meta["feature_map"], _FEATURE_MAP_KEYS, f"{where}: key 'feature_map'")
     init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
@@ -932,9 +946,11 @@ def _check_keys(obj, table: dict, where: str) -> None:
 def check_trajectory_file(csv_path) -> CheckReport:
     """Load a persisted trajectory and run the full invariant suite."""
     traj, meta = read_trajectory(csv_path)
-    if any(meta.get(k) is None for k in ("v_star", "alpha", "beta")):
-        raise ConfigError("trajectory metadata lacks v_star/alpha/beta")
     where = f"bad trajectory metadata {meta_path_for(csv_path).name}"
+    for key in ("v_star", "alpha", "beta"):
+        if meta.get(key) is None:
+            state = "null" if key in meta else "missing"
+            raise ConfigError(f"{where}: key {key!r} is {state}; a check needs it")
     v_star = np.array(meta["v_star"], dtype=np.float64)
     # A run started at v* records v* itself as its start; the checks
     # gated on that start would otherwise judge a start it never had.

@@ -18,21 +18,20 @@ from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
 from streamkpca import linalg
-from streamkpca.cli import main
-from streamkpca.datagen import SpikedSpec
+from streamkpca.checks import run_all_checks
+from streamkpca.cli import build_parser, config_from_args, main
+from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.harness import (
     ConfigError,
     RunConfig,
     TrajectoryParseError,
-    TrialResult,
     check_trajectory_file,
     read_trajectory,
     run,
     run_trial,
     sweep,
     write_trajectory,
-    write_trajectory_meta,
 )
 from streamkpca.oja import (
     NumericError,
@@ -40,7 +39,9 @@ from streamkpca.oja import (
     Trajectory,
     init_state,
     run_stream,
+    select_learning_rate,
 )
+from streamkpca.spectral import compute_alpha_beta, summarize
 
 from schema_util import validate
 
@@ -405,8 +406,13 @@ class TestTrajectoryFiles:
         cfg = small_config(trials=1, save_trajectories=True)
         art = run_trial(cfg, 0)
         csv_path = tmp_path / "traj.csv"
-        write_trajectory(csv_path, art.trajectory)
-        write_trajectory_meta(csv_path, art.trajectory, art.result, art.x_star)
+        write_trajectory(
+            csv_path,
+            art.trajectory,
+            v_star=art.x_star,
+            alpha=art.result.alpha,
+            beta=art.result.beta,
+        )
         return csv_path, art
 
     @pytest.mark.parametrize("n", [0, 1, 120])
@@ -438,8 +444,6 @@ class TestTrajectoryFiles:
     def _assert_round_trip(self, tmp_path, traj, n):
         csv_path = tmp_path / "traj.csv"
         write_trajectory(csv_path, traj)
-        result = TrialResult(trial=0, sample_seed=17, init_seed=3)
-        write_trajectory_meta(csv_path, traj, result, None)
         # Reads whose blocks split the rows every which way.
         for block_rows in (1, 7, 256):
             with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
@@ -480,9 +484,6 @@ class TestTrajectoryFiles:
         traj = trajectory_of(table)
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             write_trajectory(csv_path, traj)
-        write_trajectory_meta(
-            csv_path, traj, TrialResult(trial=0, sample_seed=0, init_seed=0), None
-        )
         header, *lines = csv_path.read_text(encoding="utf-8").split("\n")
         assert header == ",".join(
             harness.TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
@@ -772,15 +773,64 @@ class TestTrajectoryFiles:
         with pytest.raises(ConfigError, match="JSON object"):
             read_trajectory(csv_path)
 
-    def test_check_needs_beta(self, saved):
+    def test_check_needs_beta(self, saved, capsys):
+        # And v_star and alpha: each null or missing is an input error
+        # that names the sidecar and the key, though the file still reads.
         csv_path, _ = saved
         meta_file = harness.meta_path_for(csv_path)
-        meta = json.loads(meta_file.read_text())
-        del meta["beta"]
-        meta_file.write_text(json.dumps(meta))
-        read_trajectory(csv_path)
-        with pytest.raises(ConfigError, match="beta"):
-            check_trajectory_file(csv_path)
+        original = json.loads(meta_file.read_text())
+        for key in ("v_star", "alpha", "beta"):
+            for state in ("null", "missing"):
+                meta = dict(original)
+                if state == "null":
+                    meta[key] = None
+                else:
+                    del meta[key]
+                meta_file.write_text(json.dumps(meta))
+                read_trajectory(csv_path)
+                expected = (
+                    f"bad trajectory metadata {meta_file.name}: key {key!r} "
+                    f"is {state}; a check needs it"
+                )
+                with pytest.raises(ConfigError) as err:
+                    check_trajectory_file(csv_path)
+                assert str(err.value) == expected
+                capsys.readouterr()
+                assert main(["check", str(csv_path)]) == 2
+                assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_written_pair_round_trips(self, tmp_path):
+        # write_trajectory writes the sidecar too: without the oracle's
+        # constants the pair reads back, and with them check_trajectory_file
+        # gives run_all_checks's report.
+        gen = SpikedSpec(input_dim=5, n=200, lambda1=1.0, lambda2=0.1,
+                         basis_seed=3, sample_seed=4)
+        xs, truth = make_spiked_stream(gen)
+        phi = FeatureMapSpec.poly2(5)
+        bound = phi.norm_bound(truth.norm_bound)
+        eta = select_learning_rate(bound)
+        summary = summarize(xs, phi)
+        energies = compute_alpha_beta(summary, eta)
+        cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True,
+                        norm_bound=bound)
+        _, traj = run_stream(xs, cfg, init_state(phi.feature_dim, 6), seed=4)
+        csv_path = tmp_path / "traj.csv"
+        write_trajectory(csv_path, traj)
+        loaded, meta = read_trajectory(csv_path)
+        for name in ("s", "phi_norm_sq", "log_ratio", "snapshots"):
+            assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
+        assert (meta["v_star"], meta["alpha"], meta["beta"]) == (None, None, None)
+        write_trajectory(
+            csv_path,
+            traj,
+            v_star=summary.top_vector,
+            alpha=energies.alpha,
+            beta=energies.beta,
+        )
+        expected = run_all_checks(
+            traj, summary.top_vector, energies.alpha, energies.beta
+        )
+        assert check_trajectory_file(csv_path).to_dict() == expected.to_dict()
 
     @pytest.mark.parametrize(
         "early, late",
@@ -1383,6 +1433,185 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"key {section!r}: key {key!r} must be" in err
         assert repr(value) in err
+
+
+# The config of a run with no --config file and no flags.
+NO_FILE = RunConfig(
+    feature_map=FeatureMapSpec.identity(8),
+    generator=SpikedSpec(
+        input_dim=8, n=1000, lambda1=1.0, lambda2=0.1, tail_decay=1.0,
+        basis_seed=0, sample_seed=1,
+    ),
+)
+# A --config file: an rff map, so --feature-dim and --bandwidth have
+# keys to write, and a value other than RunConfig's default for each key.
+IN_FILE = RunConfig(
+    feature_map=FeatureMapSpec.rff(5, 20, 2.0, 9),
+    generator=SpikedSpec(
+        input_dim=5, n=400, lambda1=2.0, lambda2=0.1, tail_decay=0.8,
+        basis_seed=4, sample_seed=40,
+    ),
+    eta_policy=0.003,
+    trials=2,
+    out_dir="from_file",
+)
+
+
+def changed(config: RunConfig, feature_map=None, **generator) -> RunConfig:
+    """config with another feature map, generator keys, or both."""
+    return dataclasses.replace(
+        config,
+        feature_map=feature_map or config.feature_map,
+        generator=dataclasses.replace(config.generator, **generator),
+    )
+
+
+# Flags -> (the RunConfig they give alone, the one they give over IN_FILE).
+FLAG_GRID = {
+    "": (NO_FILE, IN_FILE),
+    "--dim 6": (
+        changed(NO_FILE, FeatureMapSpec.identity(6), input_dim=6),
+        changed(IN_FILE, FeatureMapSpec.rff(6, 20, 2.0, 9), input_dim=6),
+    ),
+    "--n 50": (changed(NO_FILE, n=50), changed(IN_FILE, n=50)),
+    # The file's rff seed is its own, not derived from --seed.
+    "--seed 5": (
+        changed(NO_FILE, basis_seed=5, sample_seed=6),
+        changed(IN_FILE, basis_seed=5, sample_seed=6),
+    ),
+    "--ratio 40": (
+        changed(NO_FILE, lambda2=0.025),
+        changed(IN_FILE, lambda2=0.05),
+    ),
+    "--tail-decay 0.5": (
+        changed(NO_FILE, tail_decay=0.5),
+        changed(IN_FILE, tail_decay=0.5),
+    ),
+    "--eta 0.004": (
+        dataclasses.replace(NO_FILE, eta_policy=0.004),
+        dataclasses.replace(IN_FILE, eta_policy=0.004),
+    ),
+    "--init vstar": (
+        dataclasses.replace(NO_FILE, init="vstar"),
+        dataclasses.replace(IN_FILE, init="vstar"),
+    ),
+    "--trials 3": (
+        dataclasses.replace(NO_FILE, trials=3),
+        dataclasses.replace(IN_FILE, trials=3),
+    ),
+    "--check": (
+        dataclasses.replace(NO_FILE, run_checks=True),
+        dataclasses.replace(IN_FILE, run_checks=True),
+    ),
+    "--save-trajectories": (
+        dataclasses.replace(NO_FILE, save_trajectories=True),
+        dataclasses.replace(IN_FILE, save_trajectories=True),
+    ),
+    "--out o": (
+        dataclasses.replace(NO_FILE, out_dir="o"),
+        dataclasses.replace(IN_FILE, out_dir="o"),
+    ),
+    "--phi identity": (NO_FILE, changed(IN_FILE, FeatureMapSpec.identity(5))),
+    "--phi poly2": (
+        changed(NO_FILE, FeatureMapSpec.poly2(8)),
+        changed(IN_FILE, FeatureMapSpec.poly2(5)),
+    ),
+    # An rff map without one in the file: feature_dim 4d, bandwidth 1,
+    # seed basis_seed + 7.
+    "--phi rff": (changed(NO_FILE, FeatureMapSpec.rff(8, 32, 1.0, 7)), IN_FILE),
+    "--phi rff --seed 5": (
+        changed(
+            NO_FILE, FeatureMapSpec.rff(8, 32, 1.0, 12), basis_seed=5, sample_seed=6
+        ),
+        changed(IN_FILE, basis_seed=5, sample_seed=6),
+    ),
+    # Only an rff map takes --feature-dim and --bandwidth.
+    "--feature-dim 12 --bandwidth 3": (
+        NO_FILE,
+        changed(IN_FILE, FeatureMapSpec.rff(5, 12, 3.0, 9)),
+    ),
+    "--phi rff --feature-dim 12 --bandwidth 3": (
+        changed(NO_FILE, FeatureMapSpec.rff(8, 12, 3.0, 7)),
+        changed(IN_FILE, FeatureMapSpec.rff(5, 12, 3.0, 9)),
+    ),
+    "--phi identity --feature-dim 12 --bandwidth 3": (
+        NO_FILE,
+        changed(IN_FILE, FeatureMapSpec.identity(5)),
+    ),
+}
+
+
+class TestConfigFromArgs:
+    """A run's RunConfig: the --config document, else the defaults, with
+    each given flag written over its key."""
+
+    @staticmethod
+    def config_of(argv: list[str]) -> RunConfig:
+        return config_from_args(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("flags", list(FLAG_GRID), ids=lambda f: f or "none")
+    def test_flag_grid(self, tmp_path, source, flags):
+        argv = ["run", *flags.split()]
+        alone, over_file = FLAG_GRID[flags]
+        if source == "config":
+            IN_FILE.save(tmp_path / "cfg.json")
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert self.config_of(argv) == (alone if source == "flags" else over_file)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--phi", "rff", "--dim", "3", "--feature-dim", "9", "--bandwidth", "2.5",
+             "--seed", "4", "--ratio", "7", "--check"],
+            ["--phi", "poly2", "--dim", "3", "--eta", "0.001", "--init", "vstar",
+             "--tail-decay", "0.6", "--save-trajectories"],
+            ["--dim", "3", "--trials", "2"],
+        ],
+    )
+    def test_report_config_rebuilds_the_run(self, tmp_path, monkeypatch, flags):
+        # A report's config object, passed back with --config, is the run's.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", *flags, "--n", "40", "--out", "out"]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps(report["config"]))
+        rebuilt = self.config_of(["run", "--config", "cfg.json"])
+        assert rebuilt == self.config_of(argv)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        got = repr(json.loads(text))
+        assert err == f"error: bad config {path}: expected a JSON object, got {got}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["cfg.json", "trial_000.meta.json"])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # json gives up with a RecursionError: no internal error.
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to parse"),
+            (b'{"n": "\xff"}', "invalid UTF-8 at byte 7"),
+            (b'{"eta": 0.01,\n "n": }', "parse error at line 2, column 7: "
+             "Expecting value"),
+        ],
+        ids=["deep", "utf8", "parse"],
+    )
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, name, raw, message):
+        assert main(PROBE_RUN + ["--out", str(tmp_path)]) == 0
+        (tmp_path / name).write_bytes(raw)
+        capsys.readouterr()
+        if name == "cfg.json":
+            assert main(["run", "--config", str(tmp_path / name)]) == 2
+        else:
+            assert main(["check", str(tmp_path / "trial_000.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+        assert err.endswith(f"{name}: {message}\n")
 
 
 @st.composite
