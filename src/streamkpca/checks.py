@@ -122,6 +122,13 @@ def _small_alpha(alpha: float) -> str | None:
     return f"requires alpha in (0, 0.1); alpha={alpha:g}"
 
 
+def _bound_below_one(name: str, bound: float) -> str | None:
+    # A unit vector's residual is at most 1: a bound of 1 cannot fail.
+    if not bound >= 1.0:  # NaN is judged, and fails
+        return None
+    return f"requires a residual bound below 1; {name}={bound:g}"
+
+
 def _desk_scale(traj: Trajectory) -> str | None:
     if traj.m <= RECON_MAX_M and traj.n <= RECON_MAX_N:
         return None
@@ -314,8 +321,13 @@ def check_growth_implies_correctness(
 ) -> CheckResult:
     """Residual orthogonal to v* is bounded by sqrt(alpha) plus the
     initial residual shrunk by the accumulated norm growth; for at-v*
-    starts the bound tightens to sqrt(alpha) alone."""
+    starts the bound tightens to sqrt(alpha) alone. Vacuous, with the
+    reason, when sqrt(alpha) >= 1, which puts every bound at 1 or above."""
+    name = "residual_bounded_by_growth"
     v = as_unit_vector(v_star, "v_star")
+    reason = _bound_below_one("sqrt(alpha)", math.sqrt(alpha))
+    if reason:
+        return _vacuous(name, reason)
     snaps = traj.snapshots
     # Row norms of the orthogonal part, a block of rows at a time into a
     # reused buffer, so no (n+1, m) temporary exists.
@@ -339,7 +351,7 @@ def check_growth_implies_correctness(
         if corollary.min() < margin:
             margin = float(corollary.min())
             loc = int(np.argmin(corollary))
-    return _judged("residual_bounded_by_growth", margin, location=loc, **details)
+    return _judged(name, margin, location=loc, **details)
 
 
 def check_two_time_steps(traj: Trajectory, v_star, alpha: float) -> CheckResult:
@@ -526,7 +538,8 @@ def check_final_bound(
     multi-seed aggregate level in the harness. The guarantee's
     large-constant hypotheses on alpha and beta are evaluated and the
     result is labeled "certified" only when they hold, "empirical"
-    otherwise. The final direction is the last snapshot row.
+    otherwise. The final direction is the last snapshot row. Vacuous,
+    with the reason, when the bound is 1 or more.
     """
     v = as_unit_vector(v_star, "v_star")
     final = traj.snapshots[-1]
@@ -546,16 +559,21 @@ def check_final_bound(
         "certification": "certified" if (alpha_ok and beta_ok) else "empirical",
     }
     name = "final_residual_bound"
-    if traj.init_kind == "vstar":
-        return _judged(name, sqrt_alpha - observed, **details)
+    at_vstar = traj.init_kind == "vstar"
+    if at_vstar:
+        bound = sqrt_alpha
     margin = bound - observed
-    if math.isnan(margin):
-        details["reason"] = "NaN margin: the envelope or the residual is not a number"
-    elif not within_envelope(observed, alpha, beta):
-        details["reason"] = (
-            "probabilistic envelope exceeded; a single run cannot certify or "
-            "refute a probability bound"
-        )
+    reason = _bound_below_one("sqrt(alpha)" if at_vstar else "envelope", bound)
+    if not (reason or at_vstar):
+        if math.isnan(margin):
+            details["reason"] = "NaN margin: the envelope or the residual is not a number"
+        elif not within_envelope(observed, alpha, beta):
+            reason = (
+                "probabilistic envelope exceeded; a single run cannot certify or "
+                "refute a probability bound"
+            )
+    if reason:
+        details["reason"] = reason
         return CheckResult(name, VACUOUS, margin=margin, details=details)
     return _judged(name, margin, **details)
 

@@ -126,6 +126,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         # Another map's feature_dim, bandwidth and seed are not this one's.
         fm = doc["feature_map"] = {"kind": kind}
     d = fm["input_dim"] = gen["input_dim"]
+    for flag in ("feature_dim", "bandwidth"):
+        if kind != "rff" and getattr(args, flag) is not None:
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} is for an rff map only, not {kind}"
+            )
     if kind == "identity":
         fm["feature_dim"] = d
     elif kind == "poly2":

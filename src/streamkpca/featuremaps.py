@@ -37,7 +37,7 @@ def poly2_dim(d: int) -> int:
 class FeatureMapSpec:
     """Immutable description of one feature map.
 
-    ``bandwidth`` and ``seed`` are only meaningful for kind="rff".
+    Only kind="rff" takes ``bandwidth`` and ``seed``; another kind's are None.
     """
 
     kind: str
@@ -57,7 +57,14 @@ class FeatureMapSpec:
             raise ValueError(
                 f"poly2 map requires feature_dim == d(d+1)/2 = {poly2_dim(self.input_dim)}"
             )
-        if self.kind == "rff":
+        if self.kind != "rff":
+            for key in ("bandwidth", "seed"):
+                if getattr(self, key) is not None:
+                    raise ValueError(
+                        f"key {key!r} is for an rff map only, not "
+                        f"{self.kind}; got {getattr(self, key)!r}"
+                    )
+        else:
             if self.feature_dim < 1:
                 raise ValueError("rff feature_dim must be positive")
             if self.bandwidth is None or not 0.0 < self.bandwidth < math.inf:

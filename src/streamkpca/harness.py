@@ -7,7 +7,9 @@ and reports. Nothing time- or host-dependent is ever written.
 
 File formats:
   * run config and reports -- JSON (UTF-8, sorted keys), a config file
-    and a sidecar read by one reader, _read_json_object;
+    and a sidecar read by one reader, _read_json_object, and checked by
+    one walk, _check_keys, over its key table: a missing, mistyped or
+    unknown key is a ConfigError naming the file, the object and the key;
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
     of the Trajectory's columns (its snapshot row i), each cell orjson's
@@ -104,7 +106,7 @@ class RunConfig:
             # A number, not a bool or a string: true and "0.01" are typos.
             if not (_is_finite_number(self.eta_policy) and self.eta_policy > 0):
                 raise ConfigError(
-                    "config key 'eta_policy' must be 'auto' or a finite "
+                    "key 'eta_policy' must be 'auto' or a finite "
                     f"positive number, got {reprlib.repr(self.eta_policy)}"
                 )
             object.__setattr__(self, "eta_policy", float(self.eta_policy))
@@ -122,49 +124,25 @@ class RunConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
+    def from_dict(cls, d: dict, where: str = "bad config") -> "RunConfig":
+        """The config of a document in to_dict's keys; a key it leaves
+        out takes the field's default. Every ConfigError begins with where."""
+        _check_keys(d, _RUN_CONFIG_KEYS, where)
         try:
-            _check_keys(
-                d["feature_map"], _FEATURE_MAP_KEYS, "bad config: key 'feature_map'"
-            )
-            _check_keys(d["generator"], _GENERATOR_KEYS, "bad config: key 'generator'")
-            return cls(
-                feature_map=FeatureMapSpec.from_dict(d["feature_map"]),
-                generator=SpikedSpec.from_dict(d["generator"]),
-                eta_policy=d.get("eta_policy", "auto"),
-                init=d.get("init", "random"),
-                trials=_config_value(d, "trials", 1, _is_integer, "an integer"),
-                run_checks=_config_value(
-                    d, "run_checks", False, _is_bool, "a boolean"
-                ),
-                save_trajectories=_config_value(
-                    d, "save_trajectories", False, _is_bool, "a boolean"
-                ),
-                out_dir=_config_value(
-                    d, "out_dir", None, _nullable(_is_str), "a string or null"
-                ),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
+            return cls(**(d | {
+                "feature_map": FeatureMapSpec.from_dict(d["feature_map"]),
+                "generator": SpikedSpec.from_dict(d["generator"]),
+            }))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     def save(self, path) -> None:
         _write_json(Path(path), self.to_dict())
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(_read_json_object(Path(path), f"bad config {path}"))
-
-
-def _config_value(d: dict, key: str, default, valid, what: str):
-    """d[key] (default when absent), a ConfigError naming the key unless
-    it is a JSON value of the right type: "false" is not a boolean, nor
-    2.9 an integer."""
-    value = d.get(key, default)
-    if not valid(value):
-        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-    return value
+        where = f"bad config {path}"
+        return cls.from_dict(_read_json_object(Path(path), where), where)
 
 
 @dataclass
@@ -309,7 +287,9 @@ def _quantile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - t)
 
 
-def aggregate_trials(results: list[TrialResult]) -> dict:
+def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
+    """The report's aggregate of trials run on streams of n samples
+    lifted to m features."""
     good = [r for r in results if r.error is None]
     errors = [r.alignment_error for r in good]
     agg = {
@@ -320,6 +300,8 @@ def aggregate_trials(results: list[TrialResult]) -> dict:
         "log_norm_median": _median([r.log_norm for r in good]),
         "envelope_failure_fraction": None,
         "envelope_slack_median": None,
+        "alpha_hypothesis_fraction": None,
+        "beta_hypothesis_fraction": None,
         "check_failure_count": sum(
             1 for r in good if r.check_ok is False
         ),
@@ -331,6 +313,12 @@ def aggregate_trials(results: list[TrialResult]) -> dict:
         agg["envelope_slack_median"] = _median(
             [envelope_slack(r.beta) for r in good]
         )
+        agg["alpha_hypothesis_fraction"] = sum(
+            1 for r in good if alpha_hypothesis_ok(r.alpha, n)
+        ) / len(good)
+        agg["beta_hypothesis_fraction"] = sum(
+            1 for r in good if beta_hypothesis_ok(r.beta, m)
+        ) / len(good)
     return agg
 
 
@@ -378,16 +366,8 @@ def run(config: RunConfig, out_dir=None) -> dict:
             _write_json(
                 resolved / f"trial_{t:03d}.checks.json", a.check_report.to_dict()
             )
-    n_stream = config.generator.n
-    agg = aggregate_trials(results)
-    agg["alpha_hypothesis_fraction"] = _fraction(
-        results,
-        lambda r: r.alpha is not None and alpha_hypothesis_ok(r.alpha, n_stream),
-    )
-    agg["beta_hypothesis_fraction"] = _fraction(
-        results,
-        lambda r: r.beta is not None
-        and beta_hypothesis_ok(r.beta, config.feature_map.feature_dim),
+    agg = aggregate_trials(
+        results, config.generator.n, config.feature_map.feature_dim
     )
     report = {
         "schema": REPORT_SCHEMA_ID,
@@ -398,13 +378,6 @@ def run(config: RunConfig, out_dir=None) -> dict:
     if resolved is not None:
         _write_json(resolved / "report.json", report)
     return report
-
-
-def _fraction(results, pred) -> float | None:
-    good = [r for r in results if r.error is None]
-    if not good:
-        return None
-    return sum(1 for r in good if pred(r)) / len(good)
 
 
 def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
@@ -624,7 +597,6 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
     where = f"bad trajectory metadata {meta_file.name}"
     meta = _read_json_object(meta_file, where)
     _check_keys(meta, _META_KEYS, where)
-    _check_keys(meta["feature_map"], _FEATURE_MAP_KEYS, f"{where}: key 'feature_map'")
     init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
     # Every width the sidecar states is the start's, which the parse
     # holds to the vhat_* columns. They are compared before the feature
@@ -881,14 +853,51 @@ def _nullable(test):
     return lambda v: v is None or test(v)
 
 
-# Meta sidecar key -> (required, test, what the test accepts).
+# Key tables, checked by _check_keys: key -> (required, test, what the
+# test accepts), or (required, nested key table, None) for an object.
+# A key read and ignored, or one a constructor checks, takes any value.
+_ANY_VALUE = (False, lambda v: True, "any value")
+
+# Feature map key, in a config or a meta sidecar.
+_FEATURE_MAP_KEYS = {
+    "kind": (True, lambda v: v in KINDS, "one of " + ", ".join(map(repr, KINDS))),
+    "input_dim": (True, _is_integer, "an integer"),
+    "feature_dim": (True, _is_integer, "an integer"),
+    "bandwidth": (False, _nullable(_is_finite_number), "null or a finite number"),
+    "seed": (False, _nullable(_is_nonnegative_integer), "null or an integer >= 0"),
+}
+
+# Config generator key.
+_GENERATOR_KEYS = {
+    "input_dim": (True, _is_integer, "an integer"),
+    "n": (True, _is_integer, "an integer"),
+    "lambda1": (True, _is_finite_number, "a finite number"),
+    "lambda2": (True, _is_finite_number, "a finite number"),
+    "tail_decay": (True, _is_finite_number, "a finite number"),
+    "basis_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
+    "sample_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
+}
+
+# Config key; RunConfig checks eta_policy and init.
+_RUN_CONFIG_KEYS = {
+    "feature_map": (True, _FEATURE_MAP_KEYS, None),
+    "generator": (True, _GENERATOR_KEYS, None),
+    "eta_policy": _ANY_VALUE,
+    "init": _ANY_VALUE,
+    "trials": (False, _is_integer, "an integer"),
+    "run_checks": (False, _is_bool, "a boolean"),
+    "save_trajectories": (False, _is_bool, "a boolean"),
+    "out_dir": (False, _nullable(_is_str), "a string or null"),
+}
+
+# Meta sidecar key; m and init_log_norm are an older sidecar's.
 _META_KEYS = {
     "eta": (
         True,
         lambda v: _is_finite_number(v) and 0.0 < v < 0.1,
         "a number strictly inside (0, 0.1)",
     ),
-    "feature_map": (True, lambda v: isinstance(v, dict), "an object"),
+    "feature_map": (True, _FEATURE_MAP_KEYS, None),
     "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
     "seed": (False, _is_nonnegative_integer, "an integer >= 0"),
@@ -901,46 +910,31 @@ _META_KEYS = {
         _nullable(_is_finite_vector),
         "null or a list of finite numbers",
     ),
-}
-
-
-# Config generator key -> (required, test, what the test accepts).
-_GENERATOR_KEYS = {
-    "input_dim": (True, _is_integer, "an integer"),
-    "n": (True, _is_integer, "an integer"),
-    "lambda1": (True, _is_finite_number, "a finite number"),
-    "lambda2": (True, _is_finite_number, "a finite number"),
-    "tail_decay": (True, _is_finite_number, "a finite number"),
-    "basis_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
-    "sample_seed": (True, _is_nonnegative_integer, "an integer >= 0"),
-}
-
-# Feature map key, in a config or a meta sidecar -> (required, test, what
-# the test accepts).
-_FEATURE_MAP_KEYS = {
-    "kind": (True, lambda v: v in KINDS, "one of " + ", ".join(map(repr, KINDS))),
-    "input_dim": (True, _is_integer, "an integer"),
-    "feature_dim": (True, _is_integer, "an integer"),
-    "bandwidth": (False, _nullable(_is_finite_number), "null or a finite number"),
-    "seed": (False, _nullable(_is_nonnegative_integer), "null or an integer >= 0"),
+    "m": _ANY_VALUE,
+    "init_log_norm": _ANY_VALUE,
 }
 
 
 def _check_keys(obj, table: dict, where: str) -> None:
-    """Reject a JSON object with a missing or mistyped key of table,
-    naming the key: 100.9 is not an integer, nor "3" a number."""
+    """Reject a JSON object with a missing or mistyped key of table, or
+    a key it does not name, naming the key: 100.9 is not an integer,
+    nor "3" a number. A nested table's object is checked in turn."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise ConfigError(f"{where}: expected a JSON object, got {reprlib.repr(obj)}")
     for key, (required, test, accepts) in table.items():
         if key not in obj:
             if required:
                 raise ConfigError(f"{where}: missing key {key!r}")
-            continue
-        if not test(obj[key]):
+        elif isinstance(test, dict):
+            _check_keys(obj[key], test, f"{where}: key {key!r}")
+        elif not test(obj[key]):
             raise ConfigError(
                 f"{where}: key {key!r} must be {accepts}, "
                 f"got {reprlib.repr(obj[key])}"
             )
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {reprlib.repr(key)}")
 
 
 def check_trajectory_file(csv_path) -> CheckReport:

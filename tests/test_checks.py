@@ -241,6 +241,43 @@ class TestHypothesisGating:
         assert entry.status == FAIL
         assert "non-finite" in entry.details["reason"]
 
+    def test_random_start_envelope_of_one_is_vacuous(self, random_run):
+        # A unit vector's residual is at most 1: an envelope of 1.07
+        # cannot fail, so it cannot pass either.
+        traj, v_star, ab = random_run
+        entry = check_final_bound(traj, v_star, ab.alpha, ab.beta)
+        assert entry.details["envelope"] >= 1.0
+        assert entry.status == VACUOUS
+        assert entry.details["reason"] == (
+            f"requires a residual bound below 1; envelope={entry.details['envelope']:g}"
+        )
+        assert entry.margin == entry.details["envelope"] - entry.details["observed_residual"]
+        # The same run judged under an envelope below 1 (its residual is
+        # 0.955).
+        judged = check_final_bound(traj, v_star, alpha=0.95, beta=1e6)
+        assert judged.details["envelope"] < 1.0
+        assert judged.status == PASS
+        assert "reason" not in judged.details
+
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    def test_vstar_sqrt_alpha_of_one_is_vacuous(self, vstar_run, alpha):
+        traj, v_star, ab = vstar_run
+        final = check_final_bound(traj, v_star, alpha, ab.beta)
+        growth = check_growth_implies_correctness(traj, v_star, alpha)
+        reason = f"requires a residual bound below 1; sqrt(alpha)={math.sqrt(alpha):g}"
+        for entry in (final, growth):
+            assert entry.status == VACUOUS
+            assert entry.details["reason"] == reason
+
+    def test_vstar_bound_below_one_is_judged(self, vstar_run):
+        # At alpha = 0 neither bound leaves room for the residual the run
+        # picks up, so both fail; just below 1, both pass.
+        traj, v_star, ab = vstar_run
+        for alpha, status in [(0.0, FAIL), (0.99, PASS)]:
+            final = check_final_bound(traj, v_star, alpha, ab.beta)
+            growth = check_growth_implies_correctness(traj, v_star, alpha)
+            assert (final.status, growth.status) == (status, status)
+
     def test_final_bound_labels_hypotheses(self, vstar_run):
         traj, v_star, ab = vstar_run
         entry = check_final_bound(traj, v_star, ab.alpha, ab.beta)

@@ -24,6 +24,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FeatureMapSpec(kind="poly2", input_dim=3, feature_dim=5)
 
+    @pytest.mark.parametrize("kind, m", [("identity", 3), ("poly2", 6)])
+    @pytest.mark.parametrize("key, value", [("bandwidth", 2.0), ("seed", 0)])
+    def test_rff_keys_refused_on_other_maps(self, kind, m, key, value):
+        with pytest.raises(
+            ValueError, match=f"^key '{key}' is for an rff map only, not {kind}; got {value!r}$"
+        ):
+            FeatureMapSpec(kind=kind, input_dim=3, feature_dim=m, **{key: value})
+        # None is every other map's value, as to_dict leaves both keys out.
+        spec = FeatureMapSpec(kind=kind, input_dim=3, feature_dim=m, **{key: None})
+        assert FeatureMapSpec.from_dict(spec.to_dict()) == spec
+
     def test_rff_needs_seed(self):
         with pytest.raises(ValueError):
             FeatureMapSpec(kind="rff", input_dim=3, feature_dim=8, bandwidth=1.0)

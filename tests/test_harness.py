@@ -282,7 +282,7 @@ class TestRunConfig:
     def test_mistyped_config_key(self, key, value):
         raw = small_config().to_dict()
         raw[key] = value
-        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        with pytest.raises(ConfigError, match=f"^bad config: key '{key}' must be"):
             RunConfig.from_dict(raw)
 
     def test_bad_config_file(self, tmp_path):
@@ -371,6 +371,18 @@ class TestRun:
         assert report["aggregate"]["aborted"] == 2
         assert all(t["error"] == "synthetic abort" for t in report["trials"])
         validate(report, SCHEMA)
+
+    def test_hypothesis_fractions_count_trials_without_error(self):
+        met = harness.TrialResult(
+            trial=0, sample_seed=0, init_seed=None, alpha=1e-6, beta=1e5,
+            alignment_error=0.1, within_envelope=True,
+        )
+        unmet = dataclasses.replace(met, trial=1, alpha=0.5, beta=1.0)
+        aborted = harness.TrialResult(trial=2, sample_seed=2, init_seed=None, error="x")
+        agg = harness.aggregate_trials([met, unmet, aborted], n=1000, m=8)
+        assert agg["alpha_hypothesis_fraction"] == agg["beta_hypothesis_fraction"] == 0.5
+        agg = harness.aggregate_trials([aborted], n=1000, m=8)
+        assert agg["alpha_hypothesis_fraction"] is agg["beta_hypothesis_fraction"] is None
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STREAMKPCA_OUT", str(tmp_path / "envout"))
@@ -1076,7 +1088,8 @@ class TestCli:
         assert main(["run", "--config", "cfg.json", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"config key {key!r}" in err and repr(value) in err
+        assert f"bad config cfg.json: key {key!r} must be" in err
+        assert repr(value) in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -1466,7 +1479,8 @@ def changed(config: RunConfig, feature_map=None, **generator) -> RunConfig:
     )
 
 
-# Flags -> (the RunConfig they give alone, the one they give over IN_FILE).
+# Flags -> (the RunConfig they give alone, the one they give over IN_FILE),
+# or the start of the ConfigError that refuses them.
 FLAG_GRID = {
     "": (NO_FILE, IN_FILE),
     "--dim 6": (
@@ -1527,7 +1541,7 @@ FLAG_GRID = {
     ),
     # Only an rff map takes --feature-dim and --bandwidth.
     "--feature-dim 12 --bandwidth 3": (
-        NO_FILE,
+        "--feature-dim is for an rff map only, not identity",
         changed(IN_FILE, FeatureMapSpec.rff(5, 12, 3.0, 9)),
     ),
     "--phi rff --feature-dim 12 --bandwidth 3": (
@@ -1535,8 +1549,8 @@ FLAG_GRID = {
         changed(IN_FILE, FeatureMapSpec.rff(5, 12, 3.0, 9)),
     ),
     "--phi identity --feature-dim 12 --bandwidth 3": (
-        NO_FILE,
-        changed(IN_FILE, FeatureMapSpec.identity(5)),
+        "--feature-dim is for an rff map only, not identity",
+        "--feature-dim is for an rff map only, not identity",
     ),
 }
 
@@ -1557,7 +1571,12 @@ class TestConfigFromArgs:
         if source == "config":
             IN_FILE.save(tmp_path / "cfg.json")
             argv += ["--config", str(tmp_path / "cfg.json")]
-        assert self.config_of(argv) == (alone if source == "flags" else over_file)
+        expected = alone if source == "flags" else over_file
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError, match=f"^{expected}$"):
+                self.config_of(argv)
+        else:
+            assert self.config_of(argv) == expected
 
     @pytest.mark.parametrize(
         "flags",
@@ -1612,6 +1631,136 @@ class TestConfigFromArgs:
         err = capsys.readouterr().err
         assert err.startswith("error: bad ") and err.count("\n") == 1
         assert err.endswith(f"{name}: {message}\n")
+
+
+# Each object of a config file or a sidecar -> (file, the keys that lead
+# to it, one of its required keys).
+KEY_SECTIONS = {
+    "config": ("config", (), "feature_map"),
+    "config-generator": ("config", ("generator",), "n"),
+    "config-feature_map": ("config", ("feature_map",), "kind"),
+    "sidecar": ("sidecar", (), "init_v_hat"),
+    "sidecar-feature_map": ("sidecar", ("feature_map",), "input_dim"),
+}
+
+
+class TestKeyTables:
+    """Every object of a config file or a sidecar is held to its key
+    table: a missing required key and a key the table does not name are
+    both refused, naming the file, the object and the key."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tables")
+        run(small_config(trials=1), out_dir=out)
+        return {
+            "config": json.dumps(small_config(trials=1).to_dict()),
+            "sidecar": (out / "trial_000.meta.json").read_text(),
+            "csv": (out / "trial_000.csv").read_bytes(),
+        }
+
+    @staticmethod
+    def written(tmp_path, originals, section, edit):
+        """The section's file, with edit applied to the section's object,
+        written into tmp_path: the argv that reads it, the path that argv
+        would write, and the start of a message that locates the object."""
+        source, keys, _ = KEY_SECTIONS[section]
+        doc = json.loads(originals[source])
+        obj = doc
+        for key in keys:
+            obj = obj[key]
+        edit(obj)
+        located = "".join(f"key {key!r}: " for key in keys)
+        if source == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            argv = ["run", "--config", str(path), "--out", str(out)]
+            return argv, out, f"bad config {path}: {located}"
+        (tmp_path / "trial_000.csv").write_bytes(originals["csv"])
+        (tmp_path / "trial_000.meta.json").write_text(json.dumps(doc))
+        out = tmp_path / "recheck.json"
+        argv = ["check", str(tmp_path / "trial_000.csv"), "--out", str(out)]
+        return argv, out, f"bad trajectory metadata trial_000.meta.json: {located}"
+
+    def defective(self, tmp_path, originals, section, defect):
+        """written's argv and path, with the message the defect gives."""
+        required = KEY_SECTIONS[section][2]
+        if defect == "missing":
+            edit, problem = (lambda obj: obj.pop(required)), f"missing key {required!r}"
+        else:
+            edit, problem = (lambda obj: obj.update(extra=1)), "unknown key 'extra'"
+        argv, out, where = self.written(tmp_path, originals, section, edit)
+        return argv, out, where + problem
+
+    @pytest.mark.parametrize("defect", ["missing", "unknown"])
+    @pytest.mark.parametrize("section", list(KEY_SECTIONS))
+    def test_library_names_the_key(self, tmp_path, originals, section, defect):
+        argv, _, message = self.defective(tmp_path, originals, section, defect)
+        with pytest.raises(ConfigError) as err:
+            if argv[0] == "run":
+                RunConfig.load(argv[2])
+            else:
+                read_trajectory(argv[1])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("defect", ["missing", "unknown"])
+    @pytest.mark.parametrize("section", list(KEY_SECTIONS))
+    def test_cli_exits_2(self, tmp_path, capsys, originals, section, defect):
+        argv, out, message = self.defective(tmp_path, originals, section, defect)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_document_without_a_file_says_bad_config(self):
+        raw = small_config().to_dict()
+        raw["generator"]["nn"] = 5
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert str(err.value) == "bad config: key 'generator': unknown key 'nn'"
+
+    def test_every_key_a_config_leaves_out_takes_its_default(self):
+        config = small_config()
+        minimal = {"feature_map": config.feature_map.to_dict(),
+                   "generator": config.generator.to_dict()}
+        assert RunConfig.from_dict(minimal) == RunConfig(
+            feature_map=config.feature_map, generator=config.generator
+        )
+
+    @pytest.mark.parametrize("key, value", [("bandwidth", 3.0), ("seed", 4)])
+    @pytest.mark.parametrize("section", ["config-feature_map", "sidecar-feature_map"])
+    def test_rff_key_on_another_map_exits_2(
+        self, tmp_path, capsys, originals, section, key, value
+    ):
+        # An identity map with a bandwidth or a seed is no identity map.
+        argv, out, where = self.written(
+            tmp_path, originals, section, lambda obj: obj.update({key: value})
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where.split(': ')[0]}: ")
+        assert err.endswith(
+            f"key {key!r} is for an rff map only, not identity; got {value!r}\n"
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, refused",
+        [
+            (["--phi", "identity", "--dim", "4", "--feature-dim", "50"], "--feature-dim"),
+            (["--phi", "identity", "--dim", "4", "--bandwidth", "3"], "--bandwidth"),
+            (["--phi", "poly2", "--dim", "3", "--feature-dim", "6"], "--feature-dim"),
+            (["--dim", "4", "--bandwidth", "3"], "--bandwidth"),
+        ],
+    )
+    def test_rff_flag_on_another_map_exits_2(self, tmp_path, capsys, flags, refused):
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--n", "50", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        kind = "poly2" if "poly2" in flags else "identity"
+        assert err == f"error: {refused} is for an rff map only, not {kind}\n"
+        assert not out.exists()
 
 
 @st.composite
