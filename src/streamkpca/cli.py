@@ -29,9 +29,9 @@ from .harness import (  # noqa: E402
     _write_json,
     check_target_ratio,
     check_trajectory_file,
-    resolve_out_dir,
     run,
     sweep,
+    sweep_csv,
 )
 
 EXIT_OK = 0
@@ -39,6 +39,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ABORT = 3
 EXIT_INTERNAL_ERROR = 4
+
+OUT_DIR_ENV = "STREAMKPCA_OUT"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +160,9 @@ def _write_flags(section: dict, args: argparse.Namespace, **keys: str) -> None:
 def _out_dir(config: RunConfig) -> Path:
     """--out (already in config.out_dir), else the config file's out_dir,
     else STREAMKPCA_OUT, else skpca-out."""
-    return resolve_out_dir(config.out_dir) or Path("skpca-out")
+    if config.out_dir is not None:
+        return Path(config.out_dir)
+    return Path(os.environ.get(OUT_DIR_ENV) or "skpca-out")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -191,21 +195,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_target_ratio(ratio, "--ratios")
     config = config_from_args(args)
     out = sweep(config, ratios, out_dir=_out_dir(config))
-    header = (
-        "r_target empirical_r_median median_alignment_error "
-        "logd_over_r bound_satisfied_fraction"
-    )
-    print(header)
-    aborted_everywhere = True
-    for row in out["rows"]:
-        print(
-            f"{row['r_target']:g} {row['empirical_r_median']} "
-            f"{row['median_alignment_error']} {row['logd_over_r']:.6g} "
-            f"{row['bound_satisfied_fraction']}"
-        )
-        if row["median_alignment_error"] is not None:
-            aborted_everywhere = False
-    return EXIT_NUMERIC_ABORT if aborted_everywhere else EXIT_OK
+    print(sweep_csv(out), end="")
+    aggs = [row["aggregate"] for row in out["rows"]]
+    if all(agg["aborted"] == agg["trials"] for agg in aggs):
+        return EXIT_NUMERIC_ABORT
+    return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:

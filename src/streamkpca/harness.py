@@ -61,7 +61,6 @@ from .oja import (
 )
 from .spectral import alignment_error, compute_alpha_beta, summarize
 
-OUT_DIR_ENV = "STREAMKPCA_OUT"
 REPORT_SCHEMA_ID = "streamkpca-run-report/1"
 
 TRAJECTORY_HEADER = ["step", *STEP_COLUMNS]
@@ -128,11 +127,14 @@ class RunConfig:
         """The config of a document in to_dict's keys; a key it leaves
         out takes the field's default. Every ConfigError begins with where."""
         _check_keys(d, _RUN_CONFIG_KEYS, where)
+        specs = {}
+        for key, spec in (("feature_map", FeatureMapSpec), ("generator", SpikedSpec)):
+            try:
+                specs[key] = spec.from_dict(d[key])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
         try:
-            return cls(**(d | {
-                "feature_map": FeatureMapSpec.from_dict(d["feature_map"]),
-                "generator": SpikedSpec.from_dict(d["generator"]),
-            }))
+            return cls(**(d | specs))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
@@ -338,13 +340,13 @@ def _median(values):
 def run(config: RunConfig, out_dir=None) -> dict:
     """Run all trials, aggregate, optionally persist artifacts.
 
-    Returns the report as a plain dict (already JSON-safe). When an
-    output directory resolves (argument, config, or the STREAMKPCA_OUT
-    environment variable), each trial's requested trajectory CSV and
-    check report are written there as soon as the trial ends (so memory
-    does not grow with the trial count), and report.json last.
+    Returns the report as a plain dict (already JSON-safe). Given an
+    output directory (out_dir, else config.out_dir), each trial's
+    requested trajectory CSV and check report are written there as soon
+    as the trial ends (so memory does not grow with the trial count),
+    and report.json last; given none, nothing is written.
     """
-    resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
+    resolved = _out_path(out_dir, config)
     results = []
     for t in range(config.trials):
         a = run_trial(config, t)
@@ -384,16 +386,17 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     """Run the same config across several target spectral ratios.
 
     Seeds are held fixed across ratios, so rows are paired comparisons:
-    only lambda2 changes between them. Emits one row per ratio with the
-    empirical ratio, the median alignment error, the log(d)/R reference
-    bound and the fraction of trials meeting it.
+    only lambda2 changes between them. Each row is its run's aggregate,
+    with the target ratio, whether it is 1 (no spike) and the median of
+    the trials' finite empirical ratios. Given an output directory
+    (out_dir, else config.out_dir), sweep.json and sweep.csv are
+    written there.
     """
     if len(ratios) < 2:
         raise ConfigError("a sweep needs at least two target ratios")
     for target in ratios:
         check_target_ratio(target, "target ratio")
-    resolved = resolve_out_dir(out_dir if out_dir is not None else config.out_dir)
-    d = config.generator.input_dim
+    resolved = _out_path(out_dir, config)
     rows = []
     for target in ratios:
         generator = replace(
@@ -403,30 +406,21 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
         sub = replace(
             config, generator=generator, out_dir=None, save_trajectories=False
         )
-        report = run(sub, out_dir=False)
-        good = [t for t in report["trials"] if t["error"] is None]
-        ratios_emp = [
-            t["ratio"] for t in good if not isinstance(t["ratio"], str)
-        ]
-        bound = math.log(d) / target
-        errors = [t["alignment_error"] for t in good]
+        report = run(sub)
         rows.append(
             {
                 "r_target": target,
-                "empirical_r_median": _median(ratios_emp),
-                "median_alignment_error": _median(errors),
-                "logd_over_r": bound,
-                "bound_satisfied_fraction": (
-                    sum(1 for e in errors if e <= bound) / len(errors)
-                    if errors
-                    else None
-                ),
                 "no_spike": target == 1.0,
+                "empirical_r_median": _median(
+                    t["ratio"]
+                    for t in report["trials"]
+                    if t["error"] is None and not isinstance(t["ratio"], str)
+                ),
                 "aggregate": report["aggregate"],
             }
         )
     out = {
-        "schema": "streamkpca-sweep/1",
+        "schema": "streamkpca-sweep/2",
         "config": _jsonable(config.to_dict()),
         "ratios": list(ratios),
         "rows": _jsonable(rows),
@@ -446,16 +440,22 @@ def check_target_ratio(ratio: float, name: str) -> float:
 
 
 def sweep_csv(sweep_report: dict) -> str:
-    cols = [
-        "r_target",
-        "empirical_r_median",
-        "median_alignment_error",
-        "logd_over_r",
-        "bound_satisfied_fraction",
+    """The sweep's table: one line per row, each cell _format_cell of
+    the row's value or its aggregate's."""
+    lines = [
+        "r_target,empirical_r_median,alignment_error_median,"
+        "alpha_hypothesis_fraction,beta_hypothesis_fraction"
     ]
-    lines = [",".join(cols)]
     for row in sweep_report["rows"]:
-        lines.append(",".join(_format_cell(row[c]) for c in cols))
+        agg = row["aggregate"]
+        cells = (
+            row["r_target"],
+            row["empirical_r_median"],
+            agg["alignment_error"]["median"],
+            agg["alpha_hypothesis_fraction"],
+            agg["beta_hypothesis_fraction"],
+        )
+        lines.append(",".join(map(_format_cell, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -467,14 +467,10 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def resolve_out_dir(out_dir) -> Path | None:
-    """None -> environment default -> nothing; False suppresses output."""
-    if out_dir is False:
-        return None
-    if out_dir is not None:
-        return Path(out_dir)
-    env = os.environ.get(OUT_DIR_ENV)
-    return Path(env) if env else None
+def _out_path(out_dir, config: RunConfig) -> Path | None:
+    """out_dir, else config.out_dir, else None: write nowhere."""
+    chosen = out_dir if out_dir is not None else config.out_dir
+    return None if chosen is None else Path(chosen)
 
 
 def _write_json(path: Path, payload: dict) -> None:

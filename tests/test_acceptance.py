@@ -222,7 +222,7 @@ def test_criterion_3_oracle_equivalence():
         init="vstar",
         trials=10,
     )
-    report = run(cfg, out_dir=False)
+    report = run(cfg)
     errors = [t["alignment_error"] for t in report["trials"]]
     ok = all(e is not None and e <= 1e-4 for e in errors)
     print(f"  worst alignment error over 10 seeds: {max(errors):.3e}")
@@ -248,8 +248,8 @@ def test_criterion_4_ratio_trend():
         init="vstar",
         trials=20,
     )
-    out = sweep(cfg, [5.0, 20.0, 100.0], out_dir=False)
-    medians = [row["median_alignment_error"] for row in out["rows"]]
+    out = sweep(cfg, [5.0, 20.0, 100.0])
+    medians = [row["aggregate"]["alignment_error"]["median"] for row in out["rows"]]
     print(f"  medians by ratio: {medians}")
     assert all(m is not None for m in medians)
     monotone = medians[0] > medians[1] > medians[2]
@@ -291,7 +291,7 @@ def test_criterion_5_final_bound_aggregate():
         init="vstar",
         trials=50,
     )
-    report = run(vstar_cfg, out_dir=False)
+    report = run(vstar_cfg)
     residual_ok = all(
         t["residual"] <= math.sqrt(t["alpha"]) + 1e-12
         for t in report["trials"]
@@ -321,7 +321,7 @@ def test_criterion_5_final_bound_aggregate():
         init="random",
         trials=50,
     )
-    report = run(random_cfg, out_dir=False)
+    report = run(random_cfg)
     agg = report["aggregate"]
     failure_fraction = agg["envelope_failure_fraction"]
     allowance = agg["envelope_slack_median"] + 0.05
@@ -472,7 +472,7 @@ def test_certified_regime_run():
         return trials[-1]
 
     with mock.patch("streamkpca.harness.run_trial", side_effect=keep):
-        report = run(config_from_args(args), out_dir=False)
+        report = run(config_from_args(args))
     agg = report["aggregate"]
     assert agg["alpha_hypothesis_fraction"] == 1.0
     assert agg["beta_hypothesis_fraction"] == 1.0

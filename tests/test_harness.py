@@ -299,7 +299,7 @@ class TestRun:
         validate(report, SCHEMA)
 
     def test_quantiles_monotone_and_errors_bounded(self, tmp_path):
-        report = run(small_config(trials=6, init="random"), out_dir=False)
+        report = run(small_config(trials=6, init="random"))
         agg = report["aggregate"]["alignment_error"]
         assert agg["q10"] <= agg["median"] <= agg["q90"]
         for t in report["trials"]:
@@ -343,23 +343,23 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
 
     def test_identical_configs_identical_reports(self):
-        r1 = run(small_config(), out_dir=False)
-        r2 = run(small_config(), out_dir=False)
+        r1 = run(small_config())
+        r2 = run(small_config())
         assert r1 == r2
 
     def test_trials_use_distinct_seeds(self):
-        report = run(small_config(trials=3, init="random"), out_dir=False)
+        report = run(small_config(trials=3, init="random"))
         seeds = [t["sample_seed"] for t in report["trials"]]
         assert len(set(seeds)) == 3
 
     def test_population_alignment_only_for_identity(self):
-        report = run(small_config(trials=1), out_dir=False)
+        report = run(small_config(trials=1))
         assert report["trials"][0]["alignment_error_population"] is not None
         rff_cfg = small_config(
             trials=1,
             feature_map=FeatureMapSpec.rff(4, 16, 1.0, 9),
         )
-        report = run(rff_cfg, out_dir=False)
+        report = run(rff_cfg)
         assert report["trials"][0]["alignment_error_population"] is None
 
     def test_numeric_abort_recorded(self, monkeypatch):
@@ -367,7 +367,7 @@ class TestRun:
             raise NumericError("synthetic abort")
 
         monkeypatch.setattr(harness, "run_stream", boom)
-        report = run(small_config(trials=2, run_checks=False), out_dir=False)
+        report = run(small_config(trials=2, run_checks=False))
         assert report["aggregate"]["aborted"] == 2
         assert all(t["error"] == "synthetic abort" for t in report["trials"])
         validate(report, SCHEMA)
@@ -384,10 +384,14 @@ class TestRun:
         agg = harness.aggregate_trials([aborted], n=1000, m=8)
         assert agg["alpha_hypothesis_fraction"] is agg["beta_hypothesis_fraction"] is None
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
+    def test_library_ignores_env_var(self, tmp_path, monkeypatch):
+        # Only the CLI reads STREAMKPCA_OUT; the library writes where it
+        # is told, and nowhere else.
         monkeypatch.setenv("STREAMKPCA_OUT", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
         run(small_config(trials=1))
-        assert (tmp_path / "envout" / "report.json").exists()
+        sweep(small_config(trials=1), [4.0, 40.0])
+        assert list(tmp_path.iterdir()) == []
 
     def test_trial_files_written_when_the_trial_ends(self, tmp_path, monkeypatch):
         present = []
@@ -940,15 +944,31 @@ class TestSweep:
 
     def test_rows_and_csv(self, tmp_path):
         out = sweep(small_config(trials=2), [4.0, 40.0], out_dir=tmp_path)
+        assert out["schema"] == "streamkpca-sweep/2"
+        assert json.loads((tmp_path / "sweep.json").read_text()) == out
         assert [row["r_target"] for row in out["rows"]] == [4.0, 40.0]
-        csv_text = (tmp_path / "sweep.csv").read_text()
-        header = csv_text.split("\n", 1)[0]
-        assert header == (
-            "r_target,empirical_r_median,median_alignment_error,"
-            "logd_over_r,bound_satisfied_fraction"
-        )
         for row in out["rows"]:
-            assert row["logd_over_r"] == math.log(4) / row["r_target"]
+            assert sorted(row) == [
+                "aggregate", "empirical_r_median", "no_spike", "r_target"
+            ]
+        header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert header == (
+            "r_target,empirical_r_median,alignment_error_median,"
+            "alpha_hypothesis_fraction,beta_hypothesis_fraction"
+        )
+        assert len(lines) == len(out["rows"])
+        for line, row in zip(lines, out["rows"]):
+            agg = row["aggregate"]
+            assert line.split(",") == [
+                harness._format_cell(v)
+                for v in (
+                    row["r_target"],
+                    row["empirical_r_median"],
+                    agg["alignment_error"]["median"],
+                    agg["alpha_hypothesis_fraction"],
+                    agg["beta_hypothesis_fraction"],
+                )
+            ]
 
     def test_isotropic_ratio_flagged_no_spike(self):
         # With no spike the learner cannot do better than a random unit
@@ -970,7 +990,7 @@ class TestSweep:
         out = sweep(cfg, [1.0, 20.0])
         assert out["rows"][0]["no_spike"] is True
         assert out["rows"][1]["no_spike"] is False
-        iso_median = out["rows"][0]["median_alignment_error"]
+        iso_median = out["rows"][0]["aggregate"]["alignment_error"]["median"]
         assert abs(iso_median - (1.0 - 1.0 / 6.0)) <= 0.15
 
 
@@ -1103,6 +1123,34 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "from_env", "skpca-out"
         ]
+
+    def test_out_dir_from_env_var(self, tmp_path, monkeypatch):
+        # Neither --out nor a config out_dir: the CLI writes where
+        # STREAMKPCA_OUT points.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STREAMKPCA_OUT", "from_env")
+        assert main(["run", "--dim", "4", "--n", "50"]) == 0
+        assert main(["sweep", "--dim", "4", "--n", "50", "--ratios", "5,20"]) == 0
+        assert sorted(p.name for p in (tmp_path / "from_env").iterdir()) == [
+            "report.json", "sweep.csv", "sweep.json"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from_env"]
+
+    @pytest.mark.parametrize("aborts", [False, True])
+    def test_sweep_prints_its_csv(self, tmp_path, monkeypatch, capsys, aborts):
+        # Exit 3 only when every trial of every row aborts.
+        if aborts:
+            def boom(*args, **kwargs):
+                raise NumericError("synthetic abort")
+
+            monkeypatch.setattr(harness, "run_stream", boom)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--dim", "4", "--n", "100", "--trials", "2",
+                "--ratios", "5,20", "--out", str(out)]
+        assert main(argv) == (3 if aborts else 0)
+        printed = capsys.readouterr().out
+        assert printed.encode("utf-8") == (out / "sweep.csv").read_bytes()
+        assert printed.startswith("r_target,empirical_r_median,")
 
     def test_sweep_requires_ratios(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1738,11 +1786,17 @@ class TestKeyTables:
         )
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {where.split(': ')[0]}: ")
-        assert err.endswith(
-            f"key {key!r} is for an rff map only, not identity; got {value!r}\n"
+        assert err == (
+            f"error: {where}key {key!r} is for an rff map only, not identity; "
+            f"got {value!r}\n"
         )
-        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_generator_error_names_its_object(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--n", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad config: key 'generator': n must be positive\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
