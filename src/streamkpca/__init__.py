@@ -17,12 +17,6 @@ _PUBLIC = {
     "checks": (
         "CheckReport",
         "CheckResult",
-        "check_final_bound",
-        "check_growth_implies_correctness",
-        "check_norm_lower_bounds",
-        "check_projected_energy",
-        "check_two_time_steps",
-        "check_update_properties",
         "run_all_checks",
     ),
     "datagen": (

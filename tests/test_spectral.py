@@ -257,13 +257,7 @@ def test_public_api():
         "Trajectory",
         "TrajectoryParseError",
         "alignment_error",
-        "check_final_bound",
-        "check_growth_implies_correctness",
-        "check_norm_lower_bounds",
-        "check_projected_energy",
         "check_trajectory_file",
-        "check_two_time_steps",
-        "check_update_properties",
         "compute_alpha_beta",
         "eigendecomposition",
         "init_state",
