@@ -39,6 +39,7 @@ import orjson
 from . import linalg
 from .checks import (
     CheckReport,
+    _carried,
     _jsonable,
     alpha_hypothesis_ok,
     beta_hypothesis_ok,
@@ -53,6 +54,7 @@ from .oja import (
     STEP_COLUMNS,
     NumericError,
     OjaConfig,
+    StepUnit,
     Trajectory,
     init_state,
     init_state_at,
@@ -291,7 +293,9 @@ def _quantile(ordered: list[float], q: float) -> float:
 
 def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
     """The report's aggregate of trials run on streams of n samples
-    lifted to m features."""
+    lifted to m features. The envelope failure fraction counts only the
+    trials without error whose envelope is below 1, and is None where
+    there are none."""
     good = [r for r in results if r.error is None]
     errors = [r.alignment_error for r in good]
     agg = {
@@ -308,10 +312,14 @@ def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
             1 for r in good if r.check_ok is False
         ),
     }
-    if good:
+    # A unit vector's residual is at most 1, so only an envelope below 1
+    # can fail; as in the per-trial check, a NaN envelope is judged.
+    judged = [r for r in good if not envelope(r.alpha, r.beta) >= 1.0]
+    if judged:
         agg["envelope_failure_fraction"] = sum(
-            1 for r in good if not r.within_envelope
-        ) / len(good)
+            1 for r in judged if not r.within_envelope
+        ) / len(judged)
+    if good:
         agg["envelope_slack_median"] = _median(
             [envelope_slack(r.beta) for r in good]
         )
@@ -571,16 +579,15 @@ def meta_path_for(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
-    """Load a trajectory CSV plus its meta sidecar, in one pass over the CSV.
-
-    Data rows are in the trajectory grammar (_parse_block); an older
-    sidecar's m and init_log_norm keys are ignored.
+def read_trajectory(csv_path) -> tuple[TrajectoryFile, dict]:
+    """Open a trajectory CSV and its meta sidecar: the sidecar and the
+    CSV's header are read and checked here, the rows only as
+    ``TrajectoryFile.units`` reaches them. An older sidecar's m and
+    init_log_norm keys are ignored.
 
     Raises:
-        TrajectoryParseError: malformed CSV, or a row count other than
-            the sidecar's n; the message names the byte offset of the
-            first defect in file order.
+        TrajectoryParseError: a bad header, or a file too short for the
+            sidecar's n rows; the message names the byte offset.
         ConfigError: missing or malformed meta sidecar, one whose
             feature_map or v_star width is not init_v_hat's, one
             whose init_v_hat is not unit length, or one whose norm_bound
@@ -627,90 +634,148 @@ def read_trajectory(csv_path) -> tuple[Trajectory, dict]:
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: key 'norm_bound' with key 'eta': {exc}") from exc
-    steps, snapshots = _parse_trajectory_csv(csv_path, init_v_hat, meta["n"])
-    traj = Trajectory(
+    init_v_hat.flags.writeable = False
+    traj = TrajectoryFile(
+        path=csv_path,
         config=config,
         init_kind=meta["init"],
-        s=steps[0],
-        phi_norm_sq=steps[1],
-        log_ratio=steps[2],
-        snapshots=snapshots,
+        init_v_hat=init_v_hat,
+        n=meta["n"],
         seed=int(meta.get("seed", 0)),
+        data_start=_read_header(csv_path, init_v_hat.shape[0], meta["n"]),
     )
     return traj, meta
 
 
-def _parse_trajectory_csv(
-    csv_path: Path, init_v_hat: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the (3, n) step array and the (n+1, m) snapshots in one pass.
-
-    The arrays are preallocated from the sidecar's n, and the file is
-    read linalg.BLOCK_ROWS lines at a time, so the parse holds no more
-    than the arrays and one block. _parse_block reads each block; one it
-    refuses goes to _raise_at_defect, which raises at the byte offset the
-    loop here tracks. Blocks are read in file order and a row count
-    other than n is found where the rows end, so the error names the
-    first defect in the file. Snapshot row 0 is init_v_hat.
-    """
-    m = init_v_hat.shape[0]
+def _read_header(csv_path: Path, m: int, n: int) -> int:
+    """The byte offset where the rows of a trajectory CSV with m vhat_*
+    columns start, once its header is checked and its size found large
+    enough for n rows."""
     width = len(TRAJECTORY_HEADER)
     # Lines split on "\n" only; a "\r" stays part of its field.
     with open(csv_path, "rb") as fh:
         raw_header = fh.readline()
-        if not raw_header:
-            raise TrajectoryParseError("empty trajectory file at byte 0")
-        header_line = _decode_line(raw_header, 0)
-        header = header_line.split(",")
-        if header[:width] != TRAJECTORY_HEADER:
-            raise TrajectoryParseError(
-                f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
-            )
-        for k, name in enumerate(header[width:]):
-            if name != f"vhat_{k}":
-                raise TrajectoryParseError(
-                    f"bad snapshot column {name!r} at byte "
-                    f"{_byte_offset(0, header_line, width + k)}"
-                )
-        if len(header) - width != m:
-            raise ConfigError(
-                f"metadata init vector has {m} entries, the trajectory "
-                f"{len(header) - width} vhat_* columns"
-            )
-        offset = len(raw_header)
-        # A row of len(header) cells takes at least 2 * len(header) - 1
-        # bytes: an n the file cannot hold is refused before allocating.
         size = os.fstat(fh.fileno()).st_size
-        if n * (2 * len(header) - 1) > size - offset:
+    if not raw_header:
+        raise TrajectoryParseError("empty trajectory file at byte 0")
+    header_line = _decode_line(raw_header, 0)
+    header = header_line.split(",")
+    if header[:width] != TRAJECTORY_HEADER:
+        raise TrajectoryParseError(
+            f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
+        )
+    for k, name in enumerate(header[width:]):
+        if name != f"vhat_{k}":
             raise TrajectoryParseError(
-                f"trajectory ends at byte {size}, too short for the n = {n} "
-                f"rows its sidecar records"
+                f"bad snapshot column {name!r} at byte "
+                f"{_byte_offset(0, header_line, width + k)}"
             )
-        steps = np.empty((width - 1, n))
-        snapshots = np.empty((n + 1, m))
-        snapshots[0] = init_v_hat
-        first = 1
-        while first <= n:
-            lines = list(itertools.islice(fh, min(linalg.BLOCK_ROWS, n + 1 - first)))
-            if not lines:
+    if len(header) - width != m:
+        raise ConfigError(
+            f"metadata init vector has {m} entries, the trajectory "
+            f"{len(header) - width} vhat_* columns"
+        )
+    # A row of len(header) cells takes at least 2 * len(header) - 1
+    # bytes: an n the file cannot hold is refused before any row is read.
+    if n * (2 * len(header) - 1) > size - len(raw_header):
+        raise TrajectoryParseError(
+            f"trajectory ends at byte {size}, too short for the n = {n} "
+            f"rows its sidecar records"
+        )
+    return len(raw_header)
+
+
+# A parse chunk's text stays below this many bytes: glibc's default mmap
+# threshold, so a chunk's text and values are heap memory that the next
+# chunk reuses. The most bytes a cell takes, with its comma, is about 24.
+_CHUNK_BYTES = 1 << 17
+_CELL_BYTES = 24
+
+
+def _chunk_rows(n_fields: int) -> int:
+    """Rows per parse chunk for rows of n_fields cells: a power of two,
+    so chunks tile a unit of linalg.BLOCK_ROWS rows (64 at m = 78)."""
+    fit = max(1, _CHUNK_BYTES // (_CELL_BYTES * n_fields))
+    return 1 << (fit.bit_length() - 1)
+
+
+@dataclass
+class TrajectoryFile:
+    """A trajectory CSV whose sidecar and header read_trajectory checked:
+    the attributes run_all_checks reads from a Trajectory, and ``units``,
+    which parses the rows as it goes. Row 0 of the directions is the
+    sidecar's init_v_hat. ``phi_norm_sq_sum`` is the sum of the
+    phi_norm_sq column, added one row at a time, once ``units`` has read
+    every row, and NaN until then."""
+
+    path: Path
+    config: OjaConfig
+    init_kind: str
+    init_v_hat: np.ndarray
+    n: int
+    seed: int
+    data_start: int  # byte offset of row 1
+    phi_norm_sq_sum: float = field(default=math.nan, init=False)
+
+    @property
+    def m(self) -> int:
+        return int(self.init_v_hat.shape[0])
+
+    def units(self):
+        """The rows as StepUnits of linalg.BLOCK_ROWS steps, the first at
+        step 1, as Trajectory.units gives them, parsed _chunk_rows rows
+        at a time into one buffer that each unit reuses. A defect raises
+        where the pass reaches it, so the error names the first defect
+        in the file; so does a row count other than n.
+
+        Raises:
+            TrajectoryParseError: malformed rows, or a row count other
+                than n; the message names the byte offset.
+        """
+        n, m = self.n, self.m
+        n_fields = len(TRAJECTORY_HEADER) + m
+        chunk = _chunk_rows(n_fields)
+        unit_rows = linalg.BLOCK_ROWS
+        # Row 0 holds the direction before the unit's first step.
+        buffer = np.empty((min(unit_rows, n) + 1, n_fields - 1))
+        buffer[0, 3:] = self.init_v_hat
+        trace = 0.0
+        offset = self.data_start
+        # A 64 KiB read buffer: at the default 8 KiB, a poly2 row of
+        # 1.5 KB straddles the buffer's end every few lines, and reading
+        # the benchmark's poly2 file took 7 ms more.
+        with open(self.path, "rb", buffering=_CHUNK_BYTES // 2) as fh:
+            fh.seek(offset)
+            first = 1
+            while first <= n:
+                k = min(unit_rows, n + 1 - first)
+                filled = 0
+                while filled < k:
+                    row = first + filled
+                    lines = list(itertools.islice(fh, min(chunk, k - filled)))
+                    if not lines:
+                        raise TrajectoryParseError(
+                            f"trajectory ends at byte {offset} after row {row - 1}, "
+                            f"short of the n = {n} rows its sidecar records"
+                        )
+                    values = _parse_block(lines, row, n_fields)
+                    if values is None:
+                        _raise_at_defect(lines, row, n_fields, offset)
+                    buffer[1 + filled : 1 + filled + len(lines)] = values
+                    offset += sum(map(len, lines))
+                    filled += len(lines)
+                rows = buffer[: k + 1]
+                with np.errstate(over="ignore"):
+                    trace = float(_carried(trace, rows[1:, 1])[-1])
+                yield StepUnit(first, rows[1:, 0], rows[1:, 1], rows[1:, 2], rows[:, 3:])
+                buffer[0, 3:] = rows[k, 3:]
+                first += k
+            if fh.read(1):
                 raise TrajectoryParseError(
-                    f"trajectory ends at byte {offset} after row {first - 1}, "
-                    f"short of the n = {n} rows its sidecar records"
+                    f"row {n + 1} at byte {offset}: beyond the n = {n} rows its "
+                    "sidecar records"
                 )
-            values = _parse_block(lines, first, len(header))
-            if values is None:
-                _raise_at_defect(lines, first, len(header), offset)
-            stop = first + len(lines)
-            steps[:, first - 1 : stop - 1] = values[:, : width - 1].T
-            snapshots[first:stop] = values[:, width - 1 :]
-            offset += sum(map(len, lines))
-            first = stop
-        if fh.read(1):
-            raise TrajectoryParseError(
-                f"row {n + 1} at byte {offset}: beyond the n = {n} rows its "
-                "sidecar records"
-            )
-    return steps, snapshots
+        self.phi_norm_sq_sum = trace
 
 
 # The bytes of a cell: a JSON number, with e as its only exponent mark.
@@ -934,7 +999,14 @@ def _check_keys(obj, table: dict, where: str) -> None:
 
 
 def check_trajectory_file(csv_path) -> CheckReport:
-    """Load a persisted trajectory and run the full invariant suite."""
+    """Certify a persisted trajectory in one pass over its rows.
+
+    Raises:
+        TrajectoryParseError: a malformed file (read_trajectory, units).
+        ConfigError: a sidecar without the oracle's v_star, alpha and
+            beta, an at-v* start other than v*, an alpha + beta above
+            what the rows allow, or an alpha that overflows a check.
+    """
     traj, meta = read_trajectory(csv_path)
     where = f"bad trajectory metadata {meta_path_for(csv_path).name}"
     for key in ("v_star", "alpha", "beta"):
@@ -953,22 +1025,25 @@ def check_trajectory_file(csv_path) -> CheckReport:
                 f"{linalg.UNIT_NORM_TOL!r}"
             )
     alpha, beta = float(meta["alpha"]), float(meta["beta"])
+    overflow = None
+    try:
+        report = run_all_checks(traj, v_star, alpha, beta)
+    except OverflowError as exc:
+        # Of the sidecar's values, only alpha can overflow a check: the
+        # energy budget squares it, once every row is read, and raises
+        # if that is not finite.
+        overflow = exc
     # For a unit v*, alpha + beta <= eta * trace(M), and the trace of the
     # second moment is the sum of the recorded ||phi||^2; the 1e-9
     # relative slack absorbs the two sums' rounding.
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(np.sum(traj.phi_norm_sq))
-    most = traj.config.eta * trace
+    most = traj.config.eta * traj.phi_norm_sq_sum
     if alpha + beta > most * (1.0 + 1e-9):
         raise ConfigError(
             f"{where}: key 'alpha' + key 'beta' = {alpha + beta!r} exceeds "
             f"key 'eta' * sum(phi_norm_sq) = {most!r}, the most a run gives"
         )
-    try:
-        return run_all_checks(traj, v_star, alpha, beta)
-    except OverflowError as exc:
-        # Of the sidecar's values, only alpha can overflow a check: the
-        # energy budget squares it and raises if that is not finite.
+    if overflow is not None:
         raise ConfigError(
-            f"{where}: key 'alpha' overflows the certificate: {exc}"
-        ) from exc
+            f"{where}: key 'alpha' overflows the certificate: {overflow}"
+        ) from overflow
+    return report

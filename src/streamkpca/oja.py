@@ -36,14 +36,17 @@ O(BLOCK_ROWS * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
 
 A recorded run is a columnar Trajectory: the per-step scalars s,
 ||f||^2 and the log ratio as float64 arrays of length n, plus an
-(n+1, m) array of directions whose row 0 is the start. The checker and
-the CSV writer and reader work on these arrays directly.
+(n+1, m) array of directions whose row 0 is the start. The CSV writer
+works on these arrays directly; the checker folds over them one
+StepUnit of linalg.BLOCK_ROWS steps at a time (``Trajectory.units``),
+as it does over a trajectory file read a unit at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -140,6 +143,19 @@ class StepRecord:
 STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
 
 
+class StepUnit(NamedTuple):
+    """Steps first, ..., first + k - 1 of a recorded run: their columns,
+    each of length k, and the k + 1 directions from the one before step
+    ``first`` to the one after its last step. The arrays may be views of
+    a buffer that the next unit overwrites."""
+
+    first: int
+    s: np.ndarray
+    phi_norm_sq: np.ndarray
+    log_ratio: np.ndarray
+    directions: np.ndarray
+
+
 @dataclass
 class Trajectory:
     """A recorded run: config, start kind and per-step columns.
@@ -150,6 +166,10 @@ class Trajectory:
     step 0) is derived from ``log_ratio``. ``seed`` keys deterministic
     pair sampling in the post-hoc checker; the harness sets it to the
     trial seed.
+
+    The snapshots are kept in C order (a copy is made of any other), so
+    each direction is a contiguous row, as the checker's row-local
+    products need for their bits not to depend on the layout.
 
     Raises:
         ValueError: a misshapen or non-finite array. Valid arrays are
@@ -167,6 +187,7 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.n
+        self.snapshots = np.ascontiguousarray(self.snapshots)
         if np.ndim(self.snapshots) != 2:
             raise ValueError(f"snapshots has shape {np.shape(self.snapshots)}, not 2-D")
         shapes = {name: (n,) for name in STEP_COLUMNS}
@@ -195,6 +216,20 @@ class Trajectory:
     def init_v_hat(self) -> np.ndarray:
         """The start, snapshot row 0 (a read-only view)."""
         return self.snapshots[0]
+
+    def units(self) -> Iterator[StepUnit]:
+        """The steps as StepUnit views of linalg.BLOCK_ROWS steps each,
+        the first starting at step 1; the last may be shorter."""
+        rows = linalg.BLOCK_ROWS
+        for start in range(0, self.n, rows):
+            stop = min(start + rows, self.n)
+            yield StepUnit(
+                start + 1,
+                self.s[start:stop],
+                self.phi_norm_sq[start:stop],
+                self.log_ratio[start:stop],
+                self.snapshots[start : stop + 1],
+            )
 
 
 def init_state(m: int, seed: int) -> StreamState:

@@ -1,6 +1,5 @@
-import contextlib
 import dataclasses
-import inspect
+import json
 import math
 from unittest import mock
 
@@ -8,15 +7,10 @@ import numpy as np
 import pytest
 
 from streamkpca import checks, linalg
-from streamkpca.checks import (
-    FAIL,
-    PASS,
-    VACUOUS,
-    run_all_checks,
-    sample_check_pairs,
-)
+from streamkpca.checks import FAIL, PASS, VACUOUS, run_all_checks
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
+from streamkpca import harness
 from streamkpca.harness import check_trajectory_file, write_trajectory
 from streamkpca.oja import (
     OjaConfig,
@@ -26,6 +20,9 @@ from streamkpca.oja import (
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
+
+import reference_checks
+from reference_checks import sample_check_pairs
 
 ALL_CHECK_NAMES = [
     "norm_update_identity",
@@ -73,12 +70,31 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
 
 
 def entry(name, traj, v_star, alpha, beta=1.0):
-    """The named entry, from its own function: _<name>(traj, v, alpha,
-    beta), given the parameters it takes. v_star must be unit length,
-    as run_all_checks makes it before any entry runs."""
-    function = getattr(checks, f"_{name}")
-    args = {"traj": traj, "v": v_star, "alpha": alpha, "beta": beta}
-    return function(**{p: args[p] for p in inspect.signature(function).parameters})
+    """The named entry of run_all_checks's report."""
+    report = run_all_checks(traj, v_star, alpha, beta)
+    return next(e for e in report.entries if e.name == name)
+
+
+def assert_matches_reference(report, expected):
+    """Two reports of one trajectory, from the one-pass checker and the
+    whole-array reference: the same constants, statuses, locations and
+    reasons, and numbers equal to 1e-12 relative. A number at rounding
+    level, such as the residual of a start at v*, may differ by 1e-15."""
+    got, want = report.to_dict(), expected.to_dict()
+    assert got.keys() == want.keys() and got["constants"] == want["constants"]
+    for g, w in zip(got["checks"], want["checks"], strict=True):
+        assert (g["name"], g["status"], g["location"]) == (
+            w["name"], w["status"], w["location"]
+        )
+        assert g["details"].get("reason") == w["details"].get("reason")
+        assert g["details"].keys() == w["details"].keys()
+        for key in ["margin", *g["details"]]:
+            a = g["margin"] if key == "margin" else g["details"][key]
+            b = w["margin"] if key == "margin" else w["details"][key]
+            if isinstance(a, float) and isinstance(b, float):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-15), (g["name"], key)
+            else:
+                assert a == b, (g["name"], key)
 
 
 def first_steps(traj, n):
@@ -133,24 +149,19 @@ class TestFullSuite:
 
     @pytest.mark.parametrize("init_kind, n", [("random", 60), ("vstar", 60), ("vstar", 0)])
     def test_entries_are_the_public_checks(self, init_kind, n):
-        # run_all_checks adds no gate or verdict of its own.
+        # run_all_checks adds no gate or verdict of its own: its entries
+        # are the whole-array reference's.
         traj, v_star, ab = make_run(init_kind)
         traj = first_steps(traj, n)
-        expected = [
-            entry(name, traj, v_star, ab.alpha, ab.beta) for name in ALL_CHECK_NAMES
-        ]
+        expected = reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
         report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
-        assert [e.to_dict() for e in report.entries] == [e.to_dict() for e in expected]
+        assert_matches_reference(report, expected)
 
     @pytest.mark.parametrize("init_kind, n", [("random", 60), ("vstar", 60), ("vstar", 0)])
     def test_non_unit_vstar_raises_before_any_entry(self, init_kind, n):
         traj, v_star, ab = make_run(init_kind)
         traj = first_steps(traj, n)
-        with contextlib.ExitStack() as stack:
-            for name in ALL_CHECK_NAMES:
-                stack.enter_context(
-                    mock.patch.object(checks, f"_{name}", side_effect=AssertionError(name))
-                )
+        with mock.patch.object(checks, "_Certificate", side_effect=AssertionError):
             with pytest.raises(ValueError, match="v_star"):
                 run_all_checks(traj, 2.0 * v_star, ab.alpha, ab.beta)
 
@@ -530,9 +541,10 @@ class TestBlockedChecks:
             with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
                 assert results() == expected
 
-        # Both against the whole-array formulas they were blocked from.
+        # Both against the whole-array formulas they were blocked from,
+        # with each row projected on its own.
         alpha, snaps, eta = energies.alpha, traj.snapshots, traj.config.eta
-        orth = snaps - (snaps @ v_star)[:, None] * v_star
+        orth = snaps - np.einsum("ij,j->i", snaps, v_star)[:, None] * v_star
         keep = s != 0.0
         feats = (
             np.exp(0.5 * traj.log_ratio)[keep, None] * snaps[1:][keep]
@@ -585,3 +597,89 @@ class TestSingleStepFloor:
         assert floor.status == PASS
         expected_margin = math.log1p(2 * eta + eta * eta) - math.log(eta)
         assert abs(floor.margin - expected_margin) <= 1e-12
+
+
+FOLD_MAPS = {
+    "identity": FeatureMapSpec.identity(5),
+    "poly2": FeatureMapSpec.poly2(4),
+    "rff": FeatureMapSpec.rff(5, 16, 2.0, 3),
+}
+
+
+def fold_case(kind, init_kind, n, stream_n=700):
+    """A recorded run of the first n samples of a stream, with alpha and
+    beta from those n samples' oracle. An at-v* start takes v* from the
+    whole stream's oracle, so that one step leaves it by more than
+    rounding (one sample's own oracle is that sample's direction)."""
+    phi = FOLD_MAPS[kind]
+    gen = SpikedSpec(
+        input_dim=phi.input_dim, n=stream_n, lambda1=1.0, lambda2=0.05,
+        tail_decay=0.8, basis_seed=5, sample_seed=6,
+    )
+    xs, truth = make_spiked_stream(gen)
+    bound = phi.norm_bound(truth.norm_bound)
+    eta = select_learning_rate(bound)
+    energies = compute_alpha_beta(summarize(xs[:n], phi), eta)
+    cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True, norm_bound=bound)
+    v_star = summarize(xs, phi).top_vector
+    if init_kind == "vstar":
+        start = init_state_at(v_star)
+    else:
+        start = init_state(phi.feature_dim, 7)
+    _, traj = run_stream(xs[:n], cfg, start, seed=11)
+    return traj, v_star, energies
+
+
+class TestCertificateFold:
+    """run_all_checks is one pass over units of linalg.BLOCK_ROWS steps:
+    a trajectory in memory and its CSV, parsed in chunks of any size,
+    certify to the same bytes, and both agree with the whole-array
+    reference."""
+
+    # n = 1, n <= 64 (the reconstruction is judged), and n that is no
+    # multiple of BLOCK_ROWS, over one unit and over three.
+    @pytest.mark.parametrize("n", [1, 37, 300, 603])
+    @pytest.mark.parametrize("init_kind", ["random", "vstar"])
+    @pytest.mark.parametrize("kind", list(FOLD_MAPS))
+    def test_file_and_memory_agree_with_the_reference(self, tmp_path, kind, init_kind, n):
+        traj, v_star, ab = fold_case(kind, init_kind, n)
+        report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        assert_matches_reference(
+            report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        )
+        reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
+        assert (reconstruction.status == VACUOUS) == (n > checks.RECON_MAX_N)
+        expected = json.dumps(report.to_dict(), sort_keys=True)
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj, v_star=v_star, alpha=ab.alpha, beta=ab.beta)
+        for rows in (1, 7, 64, 256):
+            with mock.patch.object(harness, "_chunk_rows", lambda n_fields: rows):
+                from_file = check_trajectory_file(path)
+            assert json.dumps(from_file.to_dict(), sort_keys=True) == expected, rows
+
+    def test_chunk_rows_from_the_header_width(self):
+        # 64 rows of the benchmark's poly2 m = 78 rows, whose text stays
+        # below the byte budget; a power of two, so chunks tile a unit.
+        assert harness._chunk_rows(4 + 78) == 64
+        for n_fields in (5, 24, 82, 132, 2052, 10**6):
+            rows = harness._chunk_rows(n_fields)
+            assert rows & (rows - 1) == 0
+            text_bytes = rows * n_fields * harness._CELL_BYTES
+            assert rows == 1 or text_bytes <= harness._CHUNK_BYTES
+
+    def test_units_are_contiguous_rows_from_step_one(self):
+        # The directions of a unit run from the one before its first step
+        # to the one after its last. A Trajectory keeps them in C order,
+        # so a Fortran-ordered array certifies to the same bits.
+        traj, v_star, ab = fold_case("rff", "vstar", 603)
+        units = list(traj.units())
+        assert [u.first for u in units] == [1, 257, 513]
+        assert [len(u.s) for u in units] == [256, 256, 91]
+        for u in units:
+            assert u.directions.flags.c_contiguous
+            assert np.shares_memory(u.directions, traj.snapshots)
+            rows = traj.snapshots[u.first - 1 : u.first + len(u.s)]
+            assert np.array_equal(u.directions, rows)
+        expected = run_all_checks(traj, v_star, ab.alpha, ab.beta).to_dict()
+        fortran = dataclasses.replace(traj, snapshots=np.asfortranarray(traj.snapshots))
+        assert run_all_checks(fortran, v_star, ab.alpha, ab.beta).to_dict() == expected

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
 from streamkpca import linalg
-from streamkpca.checks import run_all_checks
+from streamkpca.checks import envelope, run_all_checks
 from streamkpca.cli import build_parser, config_from_args, main
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
@@ -153,14 +153,35 @@ def averaged_lists(draw) -> list[float]:
     return [zero if v == 0 else v for v in values]
 
 
+def read_whole(csv_path) -> tuple[Trajectory, dict]:
+    """read_trajectory's trajectory with every row read, as an in-memory
+    Trajectory, and its sidecar."""
+    traj, meta = read_trajectory(csv_path)
+    columns, directions = [np.empty((3, 0))], [traj.init_v_hat[None, :]]
+    for unit in traj.units():
+        columns.append(np.array([unit.s, unit.phi_norm_sq, unit.log_ratio]))
+        directions.append(unit.directions[1:].copy())
+    s, phi_norm_sq, log_ratio = np.concatenate(columns, axis=1)
+    whole = Trajectory(
+        config=traj.config,
+        init_kind=traj.init_kind,
+        s=s,
+        phi_norm_sq=phi_norm_sq,
+        log_ratio=log_ratio,
+        snapshots=np.concatenate(directions),
+        seed=traj.seed,
+    )
+    return whole, meta
+
+
 def read_outcome(csv_path, block_rows: int):
-    """The data cells read_trajectory returns, as the bytes of an
+    """The data cells read_whole returns, as the bytes of an
     (n, 3 + m) float64 table, or its error's type and text, with
     linalg.BLOCK_ROWS = block_rows."""
     # The log norm summed from huge log_ratio cells may overflow to inf.
     with mock.patch.object(linalg, "BLOCK_ROWS", block_rows), np.errstate(over="ignore"):
         try:
-            traj, _ = read_trajectory(csv_path)
+            traj, _ = read_whole(csv_path)
         except (TrajectoryParseError, ConfigError) as exc:
             return type(exc), str(exc)
     columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:])
@@ -384,6 +405,25 @@ class TestRun:
         agg = harness.aggregate_trials([aborted], n=1000, m=8)
         assert agg["alpha_hypothesis_fraction"] is agg["beta_hypothesis_fraction"] is None
 
+    def test_envelope_fraction_counts_envelopes_below_one(self):
+        # A unit vector's residual is at most 1: a trial whose envelope
+        # is 1 or more cannot fail it, so the fraction leaves it out.
+        below = harness.TrialResult(
+            trial=0, sample_seed=0, init_seed=0, alpha=1e-4, beta=100.0,
+            alignment_error=0.1, within_envelope=True,
+        )
+        above = dataclasses.replace(below, trial=1, alpha=0.5, within_envelope=False)
+        assert envelope(below.alpha, below.beta) < 1.0 <= envelope(above.alpha, above.beta)
+        failed = dataclasses.replace(below, trial=2, within_envelope=False)
+        aborted = harness.TrialResult(trial=3, sample_seed=3, init_seed=3, error="x")
+        for results, fraction in [
+            ([below, above, aborted], 0.0),
+            ([below, failed, above], 0.5),
+            ([above, aborted], None),
+        ]:
+            agg = harness.aggregate_trials(results, n=1000, m=8)
+            assert agg["envelope_failure_fraction"] == fraction
+
     def test_library_ignores_env_var(self, tmp_path, monkeypatch):
         # Only the CLI reads STREAMKPCA_OUT; the library writes where it
         # is told, and nowhere else.
@@ -463,7 +503,7 @@ class TestTrajectoryFiles:
         # Reads whose blocks split the rows every which way.
         for block_rows in (1, 7, 256):
             with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-                loaded, meta = read_trajectory(csv_path)
+                loaded, meta = read_whole(csv_path)
             assert loaded.n == traj.n == n
             assert loaded.config.eta == traj.config.eta
             assert loaded.init_kind == traj.init_kind
@@ -587,7 +627,7 @@ class TestTrajectoryFiles:
         csv_path.write_bytes(raw)
         expected = f"unparseable field {cell!r} at byte {cell_offset(raw, 2, j)}"
         with pytest.raises(TrajectoryParseError) as err:
-            read_trajectory(csv_path)
+            read_whole(csv_path)
         assert str(err.value) == expected
         capsys.readouterr()
         assert main(["check", str(csv_path)]) == 2
@@ -619,7 +659,7 @@ class TestTrajectoryFiles:
         lines[2] = ",".join(cells)
         csv_path.write_text("\n".join(lines))
         with pytest.raises(TrajectoryParseError) as err:
-            read_trajectory(csv_path)
+            read_whole(csv_path)
         msg = str(err.value)
         assert "byte" in msg
         offset = int(msg.rsplit("byte", 1)[1].strip().rstrip("."))
@@ -637,7 +677,7 @@ class TestTrajectoryFiles:
         lines[2] = ",".join(cells)
         csv_path.write_text("\n".join(lines))
         with pytest.raises(TrajectoryParseError) as err:
-            read_trajectory(csv_path)
+            read_whole(csv_path)
         msg = str(err.value)
         assert "non-finite" in msg
         offset = int(msg.rsplit("byte", 1)[1].strip())
@@ -737,7 +777,7 @@ class TestTrajectoryFiles:
         csv_path = out / "trial_000.csv"
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
-        most = meta["eta"] * float(np.sum(read_trajectory(csv_path)[0].phi_norm_sq))
+        most = meta["eta"] * float(np.sum(read_whole(csv_path)[0].phi_norm_sq))
         assert meta["alpha"] + meta["beta"] <= most
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
         capsys.readouterr()
@@ -832,7 +872,7 @@ class TestTrajectoryFiles:
         _, traj = run_stream(xs, cfg, init_state(phi.feature_dim, 6), seed=4)
         csv_path = tmp_path / "traj.csv"
         write_trajectory(csv_path, traj)
-        loaded, meta = read_trajectory(csv_path)
+        loaded, meta = read_whole(csv_path)
         for name in ("s", "phi_norm_sq", "log_ratio", "snapshots"):
             assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
         assert (meta["v_star"], meta["alpha"], meta["beta"]) == (None, None, None)
@@ -875,7 +915,7 @@ class TestTrajectoryFiles:
             "utf8": "invalid UTF-8",
         }[early]
         with pytest.raises(TrajectoryParseError, match=f"^{message} at byte {offset}$"):
-            read_trajectory(csv_path)
+            read_whole(csv_path)
 
     @pytest.mark.parametrize("cut", ["short", "extra", "header_only", "huge_n"])
     def test_rows_other_than_n_are_located(self, saved, cut, capsys):
@@ -897,7 +937,7 @@ class TestTrajectoryFiles:
         if cut != "extra":
             offset = len(raw)  # where the rows run out
         with pytest.raises(TrajectoryParseError, match=f"at byte {offset}\\b"):
-            read_trajectory(csv_path)
+            read_whole(csv_path)
         capsys.readouterr()
         assert main(["check", str(csv_path)]) == 2
         err = capsys.readouterr().err
@@ -916,7 +956,7 @@ class TestTrajectoryFiles:
         lines[3] = lines[3] + ",0.5"
         csv_path.write_text("\n".join(lines))
         with pytest.raises(TrajectoryParseError):
-            read_trajectory(csv_path)
+            read_whole(csv_path)
 
     def test_non_consecutive_steps(self, saved):
         csv_path, _ = saved
@@ -926,7 +966,82 @@ class TestTrajectoryFiles:
         lines[2] = ",".join(cells)
         csv_path.write_text("\n".join(lines))
         with pytest.raises(TrajectoryParseError):
-            read_trajectory(csv_path)
+            read_whole(csv_path)
+
+
+class TestCheckErrorsInOnePass:
+    """`check` reads the rows as it certifies them, yet a defect still
+    exits 2 with the message and byte offset a whole read gave, and no
+    checks.json is written. The trajectory spans three units."""
+
+    N = 700
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        generator = dataclasses.replace(small_config().generator, n=self.N)
+        run(small_config(trials=1, generator=generator), out_dir=tmp_path)
+        return tmp_path / "trial_000.csv", tmp_path / "recheck.json"
+
+    def _refused(self, csv_path, out, capsys, message):
+        capsys.readouterr()
+        assert main(["check", str(csv_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize(
+        "cell, defect", [(b"not-a-number", "unparseable"), (b"inf", "non-finite")]
+    )
+    def test_late_defect_is_located(self, saved, capsys, cell, defect, chunk_rows):
+        csv_path, out = saved
+        lines = csv_path.read_bytes().split(b"\n")
+        cells = lines[650].split(b",")
+        cells[1] = cell
+        lines[650] = b",".join(cells)
+        raw = b"\n".join(lines)
+        csv_path.write_bytes(raw)
+        message = f"{defect} field {cell.decode()!r} at byte {cell_offset(raw, 650, 1)}"
+        with contextlib.ExitStack() as stack:
+            if chunk_rows:
+                stack.enter_context(
+                    mock.patch.object(harness, "_chunk_rows", lambda n_fields: chunk_rows)
+                )
+            self._refused(csv_path, out, capsys, message)
+
+    @pytest.mark.parametrize("cut", ["short", "extra"])
+    def test_row_count_other_than_n_is_located(self, saved, capsys, cut):
+        csv_path, out = saved
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        if cut == "short":
+            raw = b"".join(lines[:651])
+            message = (
+                f"trajectory ends at byte {len(raw)} after row 650, short of the "
+                f"n = {self.N} rows its sidecar records"
+            )
+        else:
+            raw = b"".join(lines + lines[-1:])
+            message = (
+                f"row {self.N + 1} at byte {len(b''.join(lines))}: beyond the "
+                f"n = {self.N} rows its sidecar records"
+            )
+        csv_path.write_bytes(raw)
+        self._refused(csv_path, out, capsys, message)
+
+    def test_alpha_beta_above_the_trace_is_refused_after_the_pass(self, saved, capsys):
+        # The cross-check needs the sum of every row's phi_norm_sq, so it
+        # runs once the pass has read them, one row at a time.
+        csv_path, out = saved
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
+        phi_norm_sq = read_whole(csv_path)[0].phi_norm_sq
+        most = meta["eta"] * float(np.cumsum(phi_norm_sq)[-1])
+        message = (
+            f"bad trajectory metadata {meta_file.name}: key 'alpha' + key 'beta' = "
+            f"{1e100 + meta['beta']!r} exceeds key 'eta' * sum(phi_norm_sq) = "
+            f"{most!r}, the most a run gives"
+        )
+        self._refused(csv_path, out, capsys, message)
 
 
 class TestSweep:
