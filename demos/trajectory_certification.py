@@ -52,11 +52,12 @@ for entry in report.entries:
     margin = "" if entry.margin != entry.margin else f"  margin={entry.margin:+.3e}"
     print(f"  {entry.name:32s} {entry.status}{margin}")
 
-# Corrupt one recorded log ratio (step 101) by a part in a thousand, in a
-# copy of the column; the fresh trajectory is left as it was.
-log_ratio = traj.log_ratio.copy()
-log_ratio[100] *= 1.001
-tampered = dataclasses.replace(traj, log_ratio=log_ratio)
+# Corrupt one recorded log ratio (step 101: table row 101, column 2) by
+# a part in a thousand, in a copy of the table; the fresh trajectory is
+# left as it was.
+table = traj.table.copy()
+table[101, 2] *= 1.001
+tampered = dataclasses.replace(traj, table=table)
 report = run_all_checks(tampered, summary.top_vector, energies.alpha, energies.beta)
 print("\nafter perturbing one log ratio by 1e-3 relative:")
 for entry in report.failures():

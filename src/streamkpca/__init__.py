@@ -48,7 +48,6 @@ _PUBLIC = {
     "oja": (
         "NumericError",
         "OjaConfig",
-        "StepRecord",
         "StreamState",
         "Trajectory",
         "init_state",

@@ -1,17 +1,19 @@
 """Post-hoc certification of a recorded trajectory.
 
 Every growth inequality the analysis guarantees is rechecked here from
-the recorded per-step scalars and direction snapshots, with the oracle's
-(alpha, beta) supplied by the caller. Each hypothesis a statement needs
-(e.g. starting exactly at v*) is tested by one predicate below, which
-returns None or the reason it fails. A check whose hypotheses a
-trajectory does not meet reports status "vacuous" with the first unmet
-one named; it never raises and is never silently skipped. Inequalities
-carry a 1e-9 additive slack on the deficient side to absorb float noise,
-and margins are reported signed so near-violations stay visible.
+the recorded step table (per-step scalars and directions), with the
+oracle's (alpha, beta) supplied by the caller. Each hypothesis a
+statement needs (e.g. starting exactly at v*) is tested by one predicate
+below, which returns None or the reason it fails. A check whose
+hypotheses a trajectory does not meet reports status "vacuous" with the
+first unmet one named; it never raises and is never silently skipped.
+Inequalities carry a 1e-9 additive slack on the deficient side to absorb
+float noise, and margins are reported signed so near-violations stay
+visible.
 
-The certificate is one pass over the trajectory's StepUnits (blocks of
-linalg.BLOCK_ROWS steps, the first starting at step 1) that holds O(m)
+The certificate is one pass over the trajectory's units (the k + 1
+table rows of a block of linalg.BLOCK_ROWS steps, from the row before
+its first step; the first block starts at step 1) that holds O(m)
 state: each running extreme with the first step where it occurs, the
 log norm, the interval floor's energy and every sum carried by np.cumsum
 over [carry, *unit], so added one step at a time, a rescaled running
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_unit_vector
-from .oja import StepUnit
 
 PASS = "pass"
 FAIL = "fail"
@@ -242,13 +243,14 @@ def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(out, axis=1))
 
 
-def _increment_reconstruction(
-    eta: float, s, phi_norm_sq, log_norm, snaps
-) -> CheckResult:
-    """Explicit unnormalized reconstruction of a whole run: each
-    increment must have the norm and the alignment the update rule
-    dictates, delta_i = eta * s_i * ||v_{i-1}|| * f_i."""
-    scale = np.exp(log_norm)
+def _increment_reconstruction(eta: float, table: np.ndarray) -> CheckResult:
+    """Explicit unnormalized reconstruction of a whole run, from its
+    (n+1, 3+m) table: each increment must have the norm and the
+    alignment the update rule dictates, delta_i = eta * s_i *
+    ||v_{i-1}|| * f_i."""
+    s, phi_norm_sq, log_ratio = table[1:, :3].T
+    snaps = table[:, 3:]
+    scale = np.exp(np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio))))
     deltas = np.diff(snaps * scale[:, None], axis=0)
     expected_norm = eta * np.abs(s) * scale[:-1] * np.sqrt(phi_norm_sq)
     norm_err = np.abs(np.linalg.norm(deltas, axis=1) - expected_norm)
@@ -266,7 +268,7 @@ def _increment_reconstruction(
 
 class _Certificate:
     """The certificate's state after the units fed so far: ``add`` takes
-    the next StepUnit, ``entries`` gives the eleven entries, in report
+    the next unit's rows, ``entries`` gives the eleven entries, in report
     order, once every unit has been fed. Numpy's floating-point warnings
     are the caller's to silence: a non-finite value fails its entry."""
 
@@ -283,6 +285,7 @@ class _Certificate:
         self.phi_sum = 0.0
         self.orth_energy = 0.0  # sum of <phi_i, P v_{i-1}>^2 so far
         self.skipped = 0
+        self.steps = 0  # steps fed so far
         self.moved = False
         self.lse_peak = self.lse_sum = math.nan
         self.identity = _Extreme(largest=True)
@@ -300,9 +303,9 @@ class _Certificate:
         self.drift = _Extreme()
         self.last = np.array(traj.init_v_hat, dtype=np.float64)
         self.buffers = None  # (orth, work), each k + 1 rows of m
-        self.desk = None
+        self.desk = None  # the rows fed so far, at desk scale
         if not (_nonempty(traj) or _desk_scale(traj)):
-            self.desk = [[], [], [], [self.last[None, :].copy()]]
+            self.desk = []
         # Random drift pairs that are not adjacent, the rows they need,
         # and those rows' orthogonal parts and log norms once passed.
         self.far = np.empty((2, 0), dtype=np.int64)
@@ -328,9 +331,11 @@ class _Certificate:
         if self.at_vstar:
             self.corollary.feed(self.sqrt_alpha - residuals, first_index)
 
-    def add(self, unit: StepUnit) -> None:
-        first, s, phi_norm_sq, log_ratio, snaps = unit
-        k, eta = len(s), self.eta
+    def add(self, rows: np.ndarray) -> None:
+        first, k, eta = self.steps + 1, len(rows) - 1, self.eta
+        self.steps += k
+        s, phi_norm_sq, log_ratio = rows[1:, 0], rows[1:, 1], rows[1:, 2]
+        snaps = rows[:, 3:]
         prev, cur = snaps[:-1], snaps[1:]
         ratio_sums = _carried(self.ratio_sum, log_ratio)
         self.ratio_sum = float(ratio_sums[-1])
@@ -370,8 +375,7 @@ class _Certificate:
         self.d_max.feed(d[1:], first)
 
         if self.desk is not None:
-            for buffer, column in zip(self.desk, (s, phi_norm_sq, log_ratio, cur)):
-                buffer.append(column.copy())
+            self.desk.append((rows[1:] if self.desk else rows).copy())
 
         nonzero = s != 0.0
         if nonzero.any():
@@ -521,11 +525,7 @@ class _Certificate:
         if reason:
             out.append(_vacuous(name, reason))
         else:
-            s, phi_norm_sq, log_ratio, directions = map(np.concatenate, self.desk)
-            log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio)))
-            out.append(
-                _increment_reconstruction(eta, s, phi_norm_sq, log_norm, directions)
-            )
+            out.append(_increment_reconstruction(eta, np.concatenate(self.desk)))
 
         # The residual orthogonal to v* is bounded by sqrt(alpha) plus the
         # initial residual shrunk by the accumulated norm growth; for

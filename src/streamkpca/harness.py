@@ -12,10 +12,10 @@ File formats:
     unknown key is a ConfigError naming the file, the object and the key;
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
-    of the Trajectory's columns (its snapshot row i), each cell orjson's
-    shortest round-trip spelling of the float64, which float() reads
-    back bit for bit (1e16 and 0.00001 where repr writes 1e+16 and
-    1e-05), in the one grammar the reader takes (_parse_block);
+    and row i of the Trajectory's table, each cell orjson's shortest
+    round-trip spelling of the float64, which float() reads back bit for
+    bit (1e16 and 0.00001 where repr writes 1e+16 and 1e-05), in the one
+    grammar the reader takes (_parse_block);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     whose width is m, oracle alpha/beta and v*) and its row count n;
@@ -54,7 +54,6 @@ from .oja import (
     STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    StepUnit,
     Trajectory,
     init_state,
     init_state_at,
@@ -514,9 +513,10 @@ def _read_json_object(path: Path, where: str) -> dict:
 def write_trajectory(
     path, traj: Trajectory, *, v_star=None, alpha=None, beta=None
 ) -> None:
-    """Write the step columns and the directions after each step
-    (snapshot rows 1..n, as vhat_* columns) as CSV, and its sidecar,
-    where check_trajectory_file needs the oracle's v_star, alpha, beta.
+    """Write rows 1..n of the trajectory's table (each step's s,
+    phi_norm_sq and log ratio, then the direction after it as vhat_*
+    columns) as CSV, and its sidecar, where check_trajectory_file needs
+    the oracle's v_star, alpha, beta.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
     which reads back bit for bit; it is written linalg.BLOCK_ROWS rows
@@ -525,14 +525,10 @@ def write_trajectory(
     between orjson versions, the values it reads back to never do.
     """
     header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
-    columns = [traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:]]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, traj.n, linalg.BLOCK_ROWS):
-            block = np.column_stack(
-                [c[start : start + linalg.BLOCK_ROWS] for c in columns]
-            )
-            fh.write(_csv_rows(block, start + 1))
+        for start in range(1, traj.n + 1, linalg.BLOCK_ROWS):
+            fh.write(_csv_rows(traj.table[start : start + linalg.BLOCK_ROWS], start))
     meta = {
         "eta": traj.config.eta,
         "norm_bound": traj.config.norm_bound,
@@ -703,8 +699,8 @@ def _chunk_rows(n_fields: int) -> int:
 class TrajectoryFile:
     """A trajectory CSV whose sidecar and header read_trajectory checked:
     the attributes run_all_checks reads from a Trajectory, and ``units``,
-    which parses the rows as it goes. Row 0 of the directions is the
-    sidecar's init_v_hat. ``phi_norm_sq_sum`` is the sum of the
+    which parses the rows as it goes. Its table's row 0 is three zeros
+    and the sidecar's init_v_hat. ``phi_norm_sq_sum`` is the sum of the
     phi_norm_sq column, added one row at a time, once ``units`` has read
     every row, and NaN until then."""
 
@@ -722,11 +718,12 @@ class TrajectoryFile:
         return int(self.init_v_hat.shape[0])
 
     def units(self):
-        """The rows as StepUnits of linalg.BLOCK_ROWS steps, the first at
-        step 1, as Trajectory.units gives them, parsed _chunk_rows rows
-        at a time into one buffer that each unit reuses. A defect raises
-        where the pass reaches it, so the error names the first defect
-        in the file; so does a row count other than n.
+        """The rows as units of linalg.BLOCK_ROWS steps, the first at
+        step 1: the k + 1 table rows Trajectory.units gives, parsed
+        _chunk_rows rows at a time into one buffer that each unit
+        reuses. A defect raises where the pass reaches it, so the error
+        names the first defect in the file; so does a row count other
+        than n.
 
         Raises:
             TrajectoryParseError: malformed rows, or a row count other
@@ -736,8 +733,9 @@ class TrajectoryFile:
         n_fields = len(TRAJECTORY_HEADER) + m
         chunk = _chunk_rows(n_fields)
         unit_rows = linalg.BLOCK_ROWS
-        # Row 0 holds the direction before the unit's first step.
+        # Row 0 holds the row before the unit's first step.
         buffer = np.empty((min(unit_rows, n) + 1, n_fields - 1))
+        buffer[0, :3] = 0.0
         buffer[0, 3:] = self.init_v_hat
         trace = 0.0
         offset = self.data_start
@@ -767,8 +765,8 @@ class TrajectoryFile:
                 rows = buffer[: k + 1]
                 with np.errstate(over="ignore"):
                     trace = float(_carried(trace, rows[1:, 1])[-1])
-                yield StepUnit(first, rows[1:, 0], rows[1:, 1], rows[1:, 2], rows[:, 3:])
-                buffer[0, 3:] = rows[k, 3:]
+                yield rows
+                buffer[0] = rows[k]
                 first += k
             if fh.read(1):
                 raise TrajectoryParseError(

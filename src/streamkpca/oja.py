@@ -27,26 +27,28 @@ t_c = F_c w against the unnormalized iterate w the solves before it
 left, then carries w <- w + eta * F_c^T t_c. One vectorized epilogue
 over the block then forms the norms, s, the log ratios and the
 normalized directions. Only the order of the arithmetic differs from
-``_update``, so the columns agree with a fold of ``oja_step`` to
+``_update``, so the records agree with a fold of ``oja_step`` to
 rounding, not bit for bit. A block with a step too large for the
 closed form (eta * ||f||^2 > 1, never under a certified bound) or
 whose closed form is not finite is rerun through ``_update``, which
 raises the NumericError naming the step. The pass holds
 O(BLOCK_ROWS * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
 
-A recorded run is a columnar Trajectory: the per-step scalars s,
-||f||^2 and the log ratio as float64 arrays of length n, plus an
-(n+1, m) array of directions whose row 0 is the start. The CSV writer
-works on these arrays directly; the checker folds over them one
-StepUnit of linalg.BLOCK_ROWS steps at a time (``Trajectory.units``),
-as it does over a trajectory file read a unit at a time.
+A recorded run is a Trajectory: one C-ordered (n+1, 3+m) float64 table
+whose row i holds step i's s, ||f||^2 and log ratio followed by the
+direction after it; row 0 is three zeros followed by the start. The pass
+copies each solved block into its rows, the CSV writer writes its rows,
+and the checker folds over it a unit of linalg.BLOCK_ROWS steps (k + 1
+rows, from the one before the unit's first step) at a time
+(``Trajectory.units``), as it does over a trajectory file, whose units
+are the same rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -128,108 +130,65 @@ class StreamState:
     origin: str = "random"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step scalars sufficient to recheck every growth inequality.
-
-    log_ratio is log(||v_i||^2 / ||v_{i-1}||^2) from the closed form.
-    """
-
-    s: float
-    phi_norm_sq: float
-    log_ratio: float
-
-
 STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
-
-
-class StepUnit(NamedTuple):
-    """Steps first, ..., first + k - 1 of a recorded run: their columns,
-    each of length k, and the k + 1 directions from the one before step
-    ``first`` to the one after its last step. The arrays may be views of
-    a buffer that the next unit overwrites."""
-
-    first: int
-    s: np.ndarray
-    phi_norm_sq: np.ndarray
-    log_ratio: np.ndarray
-    directions: np.ndarray
 
 
 @dataclass
 class Trajectory:
-    """A recorded run: config, start kind and per-step columns.
+    """A recorded run: config, start kind and its step table.
 
-    Index i of ``s``, ``phi_norm_sq`` and ``log_ratio`` is step i+1.
-    ``snapshots`` is (n+1, m): the initial direction ``init_v_hat``, then
-    the direction after each step. ``log_norm`` (n+1 entries, relative to
-    step 0) is derived from ``log_ratio``. ``seed`` keys deterministic
-    pair sampling in the post-hoc checker; the harness sets it to the
-    trial seed.
+    ``table`` is (n+1, 3+m): row i holds step i's s, ||f||^2 and log
+    ratio, then the direction after it; row 0 holds three zeros, then
+    the start ``init_v_hat``. ``seed`` keys deterministic pair sampling
+    in the post-hoc checker; the harness sets it to the trial seed.
 
-    The snapshots are kept in C order (a copy is made of any other), so
-    each direction is a contiguous row, as the checker's row-local
-    products need for their bits not to depend on the layout.
+    The table is kept in C order (a copy is made of any other), so each
+    row is contiguous, and made read-only.
 
     Raises:
-        ValueError: a misshapen or non-finite array. Valid arrays are
-            made read-only.
+        ValueError: a table that is not 2-D with a row and at least 4
+            columns, or that holds a non-finite value.
     """
 
     config: OjaConfig
     init_kind: str
-    s: np.ndarray
-    phi_norm_sq: np.ndarray
-    log_ratio: np.ndarray
-    snapshots: np.ndarray
+    table: np.ndarray
     seed: int = 0
-    log_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        self.snapshots = np.ascontiguousarray(self.snapshots)
-        if np.ndim(self.snapshots) != 2:
-            raise ValueError(f"snapshots has shape {np.shape(self.snapshots)}, not 2-D")
-        shapes = {name: (n,) for name in STEP_COLUMNS}
-        shapes["snapshots"] = (n + 1, self.m)
+        table = np.asarray(self.table, dtype=np.float64, order="C")
+        if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 4:
+            raise ValueError(
+                f"table has shape {table.shape}, not (n+1, 3+m) with n >= 0, m >= 1"
+            )
         # The checks' inequalities compare against NaN as false or pass
         # it through min/max, so a non-finite value is refused here.
-        for name, shape in shapes.items():
-            values = getattr(self, name)
-            if np.shape(values) != shape:
-                raise ValueError(f"{name} has shape {np.shape(values)}, not {shape}")
-            if not np.isfinite(values).all():
-                index = np.argwhere(~np.isfinite(values))[0].tolist()
-                raise ValueError(f"non-finite value in {name} at index {index}")
-            values.flags.writeable = False
-        self.log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(self.log_ratio)))
+        if not np.isfinite(table).all():
+            cell = np.argwhere(~np.isfinite(table))[0].tolist()
+            raise ValueError(f"non-finite value in table at {cell}")
+        table.flags.writeable = False
+        self.table = table
 
     @property
     def n(self) -> int:
-        return int(self.s.shape[0])
+        return self.table.shape[0] - 1
 
     @property
     def m(self) -> int:
-        return int(self.snapshots.shape[1])
+        return self.table.shape[1] - 3
 
     @property
     def init_v_hat(self) -> np.ndarray:
-        """The start, snapshot row 0 (a read-only view)."""
-        return self.snapshots[0]
+        """The start, row 0's direction (a read-only view)."""
+        return self.table[0, 3:]
 
-    def units(self) -> Iterator[StepUnit]:
-        """The steps as StepUnit views of linalg.BLOCK_ROWS steps each,
-        the first starting at step 1; the last may be shorter."""
+    def units(self) -> Iterator[np.ndarray]:
+        """The steps as units of linalg.BLOCK_ROWS steps, the first
+        starting at step 1, the last maybe shorter: each the k + 1 table
+        rows from the one before its first step to its last (views)."""
         rows = linalg.BLOCK_ROWS
         for start in range(0, self.n, rows):
-            stop = min(start + rows, self.n)
-            yield StepUnit(
-                start + 1,
-                self.s[start:stop],
-                self.phi_norm_sq[start:stop],
-                self.log_ratio[start:stop],
-                self.snapshots[start : stop + 1],
-            )
+            yield self.table[start : start + rows + 1]
 
 
 def init_state(m: int, seed: int) -> StreamState:
@@ -295,10 +254,10 @@ def _check_dims(cfg: OjaConfig, state: StreamState) -> None:
 
 def oja_step(
     state: StreamState, x, cfg: OjaConfig
-) -> tuple[StreamState, StepRecord]:
+) -> tuple[StreamState, tuple[float, float, float]]:
     """Advance the stream by one sample: the reference for run_stream.
 
-    Returns the new state and the step record.
+    Returns the new state and the step's (s, ||f||^2, log ratio).
 
     Raises:
         NumericError: a non-finite value appeared in the update.
@@ -315,7 +274,7 @@ def oja_step(
         step=state.step + 1,
         origin=state.origin,
     )
-    return new_state, StepRecord(s, phi_norm_sq, log_ratio)
+    return new_state, (s, phi_norm_sq, log_ratio)
 
 
 def _solve_block(
@@ -415,21 +374,21 @@ def run_stream(
     of oja_step over xs to rounding, and a NumericError is the fold's,
     naming the same step. Recording does not change the arithmetic, so
     the final state is the same bits with or without it. An empty stream
-    returns ``init`` itself. When cfg.record_trajectory is set, every
-    step's s, ||f||^2, log ratio and new direction are written into the
-    columns of the returned Trajectory; otherwise the second element is
-    None.
+    returns ``init`` itself. Each block is solved into one scratch block;
+    when cfg.record_trajectory is set, its s, ||f||^2, log ratios and
+    new directions are copied into the rows of the returned Trajectory's
+    table; otherwise the second element is None.
     """
     _check_dims(cfg, init)
     record = cfg.record_trajectory
     if record and not hasattr(xs, "__len__"):
         xs = list(xs)
-    n = len(xs) if record else 0
     m = init.v_hat.shape[0]
-    steps = np.empty((3, n))
-    snapshots = np.empty((n + 1, m))
-    snapshots[0] = init.v_hat
-    scratch = None if record else np.empty((linalg.BLOCK_ROWS, m))
+    if record:
+        table = np.empty((len(xs) + 1, 3 + m))
+        table[0, :3] = 0.0
+        table[0, 3:] = init.v_hat
+    scratch = np.empty((linalg.BLOCK_ROWS, m))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
     v_hat = init.v_hat
@@ -438,13 +397,14 @@ def run_stream(
     for block in linalg.row_blocks(xs):
         feats = cfg.feature_map.apply_batch(block)
         k = feats.shape[0]
-        out = snapshots[i + 1 : i + 1 + k] if record else scratch[:k]
+        out = scratch[:k]
         with np.errstate(over="ignore", invalid="ignore"):
             cols = _solve_block(feats, v_hat, eta, weights, out)
             if cols is None:
                 cols = _step_rows(feats, v_hat, eta, init.step + i + 1, out)
         if record:
-            steps[:, i : i + k] = cols
+            table[i + 1 : i + 1 + k, :3] = cols.T
+            table[i + 1 : i + 1 + k, 3:] = out
         # One addition per step, in the fold's order.
         halves = np.concatenate(([log_norm], 0.5 * cols[2]))
         log_norm = float(np.cumsum(halves)[-1])
@@ -457,13 +417,4 @@ def run_stream(
         )
     if not record:
         return state, None
-    traj = Trajectory(
-        config=cfg,
-        init_kind=init.origin,
-        s=steps[0],
-        phi_norm_sq=steps[1],
-        log_ratio=steps[2],
-        snapshots=snapshots,
-        seed=seed,
-    )
-    return state, traj
+    return state, Trajectory(cfg, init.origin, table, seed=seed)

@@ -1,16 +1,18 @@
 """The certificate over whole arrays: the spec the one-pass checker in
 streamkpca.checks is tested against.
 
-Each entry reads the in-memory Trajectory's columns and its (n+1, m)
-snapshots at once, with one matrix-vector product for every projection
-onto v*, and sums with np.sum. The one-pass checker carries its sums
-one step at a time and projects each row on its own, so the two agree
-in statuses, locations and reasons, and in margins to rounding.
+Each entry reads the in-memory Trajectory's table as whole columns
+(``Columns``) at once, with one matrix-vector product for every
+projection onto v*, and sums with np.sum. The one-pass checker carries
+its sums one step at a time and projects each row on its own, so the
+two agree in statuses, locations and reasons, and in margins to
+rounding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +42,33 @@ from streamkpca.checks import (
     within_envelope,
 )
 from streamkpca.linalg import as_unit_vector
+
+
+@dataclass
+class Columns:
+    """A Trajectory's table as whole arrays: the step columns (index i
+    is step i + 1), the (n+1, m) snapshots (row 0 the start) and the
+    log norm, n + 1 entries relative to step 0."""
+
+    config: object
+    init_kind: str
+    seed: int
+    n: int
+    m: int
+    s: np.ndarray
+    phi_norm_sq: np.ndarray
+    log_ratio: np.ndarray
+    snapshots: np.ndarray
+    log_norm: np.ndarray
+
+
+def columns(traj) -> Columns:
+    s, phi_norm_sq, log_ratio = traj.table[1:, :3].T
+    return Columns(
+        traj.config, traj.init_kind, traj.seed, traj.n, traj.m, s, phi_norm_sq,
+        log_ratio, np.ascontiguousarray(traj.table[:, 3:]),
+        np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio))),
+    )
 
 
 def sample_check_pairs(
@@ -287,6 +316,7 @@ def final_residual_bound(traj, v, alpha: float, beta: float) -> CheckResult:
 def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
     """The eleven entries, in report order, from the whole arrays."""
     v = as_unit_vector(v_star, "v_star")
+    traj = columns(traj)
     entries = [
         norm_update_identity(traj),
         norm_never_decreases(traj),

@@ -105,9 +105,8 @@ def test_criterion_1_update_property_ledger():
     for phi, d, n, init_kind, seed in _mixed_configs():
         xs, traj, eta = _record_run(phi, d, n, init_kind, seed)
         feats = np.array([phi.apply(x) for x in xs])
-        snaps = traj.snapshots
-        s_rec = traj.s
-        log_ratio = traj.log_ratio
+        snaps = traj.table[:, 3:]
+        s_rec, _, log_ratio = traj.table[1:, :3].T
 
         # Property 1: closed-form log ratio vs a direct norm evaluation of
         # the materialized unnormalized update.

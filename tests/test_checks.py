@@ -13,6 +13,7 @@ from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca import harness
 from streamkpca.harness import check_trajectory_file, write_trajectory
 from streamkpca.oja import (
+    STEP_COLUMNS,
     OjaConfig,
     init_state,
     init_state_at,
@@ -99,13 +100,7 @@ def assert_matches_reference(report, expected):
 
 def first_steps(traj, n):
     """The trajectory cut after its first n steps."""
-    return dataclasses.replace(
-        traj,
-        s=traj.s[:n],
-        phi_norm_sq=traj.phi_norm_sq[:n],
-        log_ratio=traj.log_ratio[:n],
-        snapshots=traj.snapshots[: n + 1],
-    )
+    return dataclasses.replace(traj, table=traj.table[: n + 1])
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +207,9 @@ class TestHypothesisGating:
         # can be, which alpha = 0.5 is not.
         traj, v_star, _ = make_run(init_kind)
         traj = first_steps(traj, n)
-        most = traj.config.eta * float(np.sum(traj.phi_norm_sq))
-        budget = 100.0 * alpha**2 * math.log(max(n, 1)) ** 2 * float(traj.log_norm[-1])
+        whole = reference_checks.columns(traj)
+        most = traj.config.eta * float(np.sum(whole.phi_norm_sq))
+        budget = 100.0 * alpha**2 * math.log(max(n, 1)) ** 2 * float(whole.log_norm[-1])
         reasons = {
             "at-v*": "initializer is not at-v*",
             "alpha": f"requires alpha in (0, 0.1); alpha={alpha:g}",
@@ -242,7 +238,7 @@ class TestHypothesisGating:
         traj, v_star, ab = make_run("vstar")
         with pytest.raises(ValueError):
             run_all_checks(
-                dataclasses.replace(traj, snapshots=None), v_star, ab.alpha, ab.beta
+                dataclasses.replace(traj, table=None), v_star, ab.alpha, ab.beta
             )
 
     def test_energy_budget_at_most_its_lhs_is_vacuous(self, vstar_run):
@@ -250,11 +246,12 @@ class TestHypothesisGating:
         # eta * sum ||phi_i||^2 cannot fail: a plain vacuous entry naming
         # both numbers. The run's own alpha is judged.
         traj, v_star, ab = vstar_run
-        most = traj.config.eta * float(np.sum(traj.phi_norm_sq))
+        whole = reference_checks.columns(traj)
+        most = traj.config.eta * float(np.sum(whole.phi_norm_sq))
         judged = entry("orthogonal_energy_budget", traj, v_star, ab.alpha)
         assert judged.status == PASS and judged.details["rhs"] < most
         alpha = 0.5
-        budget = 100.0 * alpha**2 * math.log(traj.n) ** 2 * float(traj.log_norm[-1])
+        budget = 100.0 * alpha**2 * math.log(traj.n) ** 2 * float(whole.log_norm[-1])
         assert budget >= most
         energy = entry("orthogonal_energy_budget", traj, v_star, alpha)
         assert energy.status == VACUOUS and math.isnan(energy.margin)
@@ -281,7 +278,7 @@ class TestHypothesisGating:
         )
         xs = np.tile([0.0, 1.0, 0.0], (50, 1))
         _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0, 0.0]))
-        assert not traj.s.any() and not traj.log_ratio.any()
+        assert not traj.table[1:, [0, 2]].any()  # every s and log ratio
         path = tmp_path / "still.csv"
         write_trajectory(path, traj, v_star=[1.0, 0.0, 0.0], alpha=0.0, beta=0.0)
         report = check_trajectory_file(path)
@@ -419,35 +416,35 @@ class TestFaultInjection:
     is left as it was."""
 
     def _perturbed(self, traj, field, factor=1.001):
-        column = getattr(traj, field).copy()
-        idx = int(np.argmax(np.abs(column)))
-        column[idx] *= factor
-        return dataclasses.replace(traj, **{field: column})
+        table = traj.table.copy()
+        column = table[1:, STEP_COLUMNS.index(field)]
+        column[np.argmax(np.abs(column))] *= factor
+        return dataclasses.replace(traj, table=table)
 
     @pytest.mark.parametrize("field", ["s", "phi_norm_sq", "log_ratio"])
     def test_scalar_perturbation_detected(self, vstar_run, field):
         traj, v_star, ab = vstar_run
-        before = getattr(traj, field).copy()
+        before = traj.table.copy()
         bad = self._perturbed(traj, field)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert not report.ok
-        assert np.array_equal(getattr(traj, field), before)
+        assert np.array_equal(traj.table, before)
 
     def test_snapshot_perturbation_detected(self, vstar_run):
         traj, v_star, ab = vstar_run
-        snaps = traj.snapshots.copy()
+        table = traj.table.copy()
         mid = traj.n // 2 + 1
-        k = int(np.argmax(np.abs(snaps[mid])))
-        snaps[mid, k] *= 1.001
-        bad = dataclasses.replace(traj, snapshots=snaps)
+        k = int(np.argmax(np.abs(table[mid, 3:])))
+        table[mid, 3 + k] *= 1.001
+        bad = dataclasses.replace(traj, table=table)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert not report.ok
 
     def test_negative_log_ratio_fails_monotonicity(self, vstar_run):
         traj, v_star, ab = vstar_run
-        log_ratio = traj.log_ratio.copy()
-        log_ratio[3] = -1e-6
-        bad = dataclasses.replace(traj, log_ratio=log_ratio)
+        table = traj.table.copy()
+        table[4, 2] = -1e-6  # step 4's log ratio
+        bad = dataclasses.replace(traj, table=table)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         names = {e.name for e in report.failures()}
         assert "norm_never_decreases" in names
@@ -463,9 +460,10 @@ class TestIncrementReconstruction:
         rng = np.random.default_rng(0)
         snaps = rng.standard_normal((traj.n + 1, traj.m))
         snaps /= np.linalg.norm(snaps, axis=1, keepdims=True)
-        probe = dataclasses.replace(
-            traj, snapshots=snaps, log_ratio=rng.uniform(0.0, 0.1, traj.n)
-        )
+        table = traj.table.copy()
+        table[:, 3:] = snaps
+        table[1:, 2] = rng.uniform(0.0, 0.1, traj.n)
+        probe = dataclasses.replace(traj, table=table)
         bad = entry("increment_reconstruction", probe, v_star, ab.alpha)
         assert bad.status == FAIL
         assert list(bad.details) == ["step_consistency_excess"]
@@ -521,9 +519,9 @@ class TestBlockedChecks:
         # some rows; at d=6 it did not. At ratio 1e3 the energy budget
         # lies below the most its sum can be, so its blocked loop runs.
         traj, v_star, energies = make_run("vstar", d=24, n=603, ratio=1e3)
-        s = traj.s.copy()
-        s[zero_steps] = 0.0
-        traj = dataclasses.replace(traj, s=s)
+        table = traj.table.copy()
+        table[1:, 0][zero_steps] = 0.0
+        traj = dataclasses.replace(traj, table=table)
 
         def results():
             return [
@@ -543,17 +541,18 @@ class TestBlockedChecks:
 
         # Both against the whole-array formulas they were blocked from,
         # with each row projected on its own.
-        alpha, snaps, eta = energies.alpha, traj.snapshots, traj.config.eta
+        whole = reference_checks.columns(traj)
+        alpha, snaps, eta, s = energies.alpha, whole.snapshots, traj.config.eta, whole.s
         orth = snaps - np.einsum("ij,j->i", snaps, v_star)[:, None] * v_star
         keep = s != 0.0
         feats = (
-            np.exp(0.5 * traj.log_ratio)[keep, None] * snaps[1:][keep]
+            np.exp(0.5 * whole.log_ratio)[keep, None] * snaps[1:][keep]
             - snaps[:-1][keep]
         ) / (eta * s[keep, None])
         lhs = eta * np.sum(np.einsum("ij,ij->i", feats, orth[:-1][keep]) ** 2)
         assert expected[0].details["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
         a, b = sample_check_pairs(traj.n, traj.seed)
-        margins = 50.0 * alpha * (traj.log_norm[b] - traj.log_norm[a]) - (
+        margins = 50.0 * alpha * (whole.log_norm[b] - whole.log_norm[a]) - (
             np.linalg.norm(orth[b] - orth[a], axis=1) ** 2
         )
         assert expected[1].margin == margins.min()
@@ -562,7 +561,9 @@ class TestBlockedChecks:
         assert expected[2].details["corollary_margin"] == corollary.min()
         assert expected[2].margin == min(
             corollary.min(),
-            (math.sqrt(alpha) + residuals[0] * np.exp(-traj.log_norm) - residuals).min(),
+            (
+                math.sqrt(alpha) + residuals[0] * np.exp(-whole.log_norm) - residuals
+            ).min(),
         )
 
 
@@ -668,18 +669,16 @@ class TestCertificateFold:
             assert rows == 1 or text_bytes <= harness._CHUNK_BYTES
 
     def test_units_are_contiguous_rows_from_step_one(self):
-        # The directions of a unit run from the one before its first step
-        # to the one after its last. A Trajectory keeps them in C order,
-        # so a Fortran-ordered array certifies to the same bits.
+        # A unit's table rows run from the one before its first step to
+        # its last. A Trajectory keeps its table in C order, so a
+        # Fortran-ordered array certifies to the same bits.
         traj, v_star, ab = fold_case("rff", "vstar", 603)
         units = list(traj.units())
-        assert [u.first for u in units] == [1, 257, 513]
-        assert [len(u.s) for u in units] == [256, 256, 91]
-        for u in units:
-            assert u.directions.flags.c_contiguous
-            assert np.shares_memory(u.directions, traj.snapshots)
-            rows = traj.snapshots[u.first - 1 : u.first + len(u.s)]
-            assert np.array_equal(u.directions, rows)
+        assert [len(u) for u in units] == [257, 257, 92]
+        for first, u in zip([1, 257, 513], units):
+            assert u.flags.c_contiguous
+            assert np.shares_memory(u, traj.table)
+            assert np.array_equal(u, traj.table[first - 1 : first + len(u) - 1])
         expected = run_all_checks(traj, v_star, ab.alpha, ab.beta).to_dict()
-        fortran = dataclasses.replace(traj, snapshots=np.asfortranarray(traj.snapshots))
+        fortran = dataclasses.replace(traj, table=np.asfortranarray(traj.table))
         assert run_all_checks(fortran, v_star, ab.alpha, ab.beta).to_dict() == expected

@@ -38,6 +38,8 @@ from streamkpca.oja import (
     OjaConfig,
     Trajectory,
     init_state,
+    init_state_at,
+    oja_step,
     run_stream,
     select_learning_rate,
 )
@@ -157,20 +159,9 @@ def read_whole(csv_path) -> tuple[Trajectory, dict]:
     """read_trajectory's trajectory with every row read, as an in-memory
     Trajectory, and its sidecar."""
     traj, meta = read_trajectory(csv_path)
-    columns, directions = [np.empty((3, 0))], [traj.init_v_hat[None, :]]
-    for unit in traj.units():
-        columns.append(np.array([unit.s, unit.phi_norm_sq, unit.log_ratio]))
-        directions.append(unit.directions[1:].copy())
-    s, phi_norm_sq, log_ratio = np.concatenate(columns, axis=1)
-    whole = Trajectory(
-        config=traj.config,
-        init_kind=traj.init_kind,
-        s=s,
-        phi_norm_sq=phi_norm_sq,
-        log_ratio=log_ratio,
-        snapshots=np.concatenate(directions),
-        seed=traj.seed,
-    )
+    rows = [np.concatenate(([0.0, 0.0, 0.0], traj.init_v_hat))[None, :]]
+    rows += [unit[1:].copy() for unit in traj.units()]
+    whole = Trajectory(traj.config, traj.init_kind, np.concatenate(rows), traj.seed)
     return whole, meta
 
 
@@ -178,14 +169,12 @@ def read_outcome(csv_path, block_rows: int):
     """The data cells read_whole returns, as the bytes of an
     (n, 3 + m) float64 table, or its error's type and text, with
     linalg.BLOCK_ROWS = block_rows."""
-    # The log norm summed from huge log_ratio cells may overflow to inf.
-    with mock.patch.object(linalg, "BLOCK_ROWS", block_rows), np.errstate(over="ignore"):
+    with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
         try:
             traj, _ = read_whole(csv_path)
         except (TrajectoryParseError, ConfigError) as exc:
             return type(exc), str(exc)
-    columns = (traj.s, traj.phi_norm_sq, traj.log_ratio, traj.snapshots[1:])
-    return np.column_stack(columns).tobytes()
+    return traj.table[1:].tobytes()
 
 
 def blocked_read_outcome(csv_path):
@@ -233,25 +222,20 @@ ROW_ENDS_TABLE = np.array(
 
 
 def trajectory_of(table: np.ndarray) -> Trajectory:
-    """A trajectory whose columns are table's: s, phi_norm_sq, log_ratio,
-    then the directions after each step."""
+    """A trajectory whose steps are table's rows: s, phi_norm_sq,
+    log_ratio, then the direction after the step."""
     m = table.shape[1] - 3
     # The reader holds the start to unit length.
-    init = np.eye(m)[0]
-    # The derived log norm of huge log_ratio cells may overflow to inf.
-    with np.errstate(over="ignore"):
-        return Trajectory(
-            config=OjaConfig(
-                eta=0.01,
-                feature_map=FeatureMapSpec.identity(m),
-                record_trajectory=True,
-            ),
-            init_kind="random",
-            s=table[:, 0].copy(),
-            phi_norm_sq=table[:, 1].copy(),
-            log_ratio=table[:, 2].copy(),
-            snapshots=np.vstack([init, table[:, 3:]]),
-        )
+    start = np.concatenate(([0.0, 0.0, 0.0], np.eye(m)[0]))
+    return Trajectory(
+        config=OjaConfig(
+            eta=0.01,
+            feature_map=FeatureMapSpec.identity(m),
+            record_trajectory=True,
+        ),
+        init_kind="random",
+        table=np.vstack([start, table]),
+    )
 
 
 class TestRunConfig:
@@ -487,13 +471,7 @@ class TestTrajectoryFiles:
         table = extreme_table(n, 3 + traj.m)
         self._assert_round_trip(
             tmp_path,
-            dataclasses.replace(
-                traj,
-                s=table[:, 0],
-                phi_norm_sq=table[:, 1],
-                log_ratio=table[:, 2],
-                snapshots=np.vstack([traj.snapshots[:1], table[:, 3:]]),
-            ),
+            dataclasses.replace(traj, table=np.vstack([traj.table[:1], table])),
             n,
         )
 
@@ -508,10 +486,7 @@ class TestTrajectoryFiles:
             assert loaded.config.eta == traj.config.eta
             assert loaded.init_kind == traj.init_kind
             assert loaded.seed == traj.seed
-            for name in (
-                "s", "phi_norm_sq", "log_ratio", "log_norm", "init_v_hat", "snapshots"
-            ):
-                assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
+            assert loaded.table.tobytes() == traj.table.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -777,7 +752,7 @@ class TestTrajectoryFiles:
         csv_path = out / "trial_000.csv"
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
-        most = meta["eta"] * float(np.sum(read_whole(csv_path)[0].phi_norm_sq))
+        most = meta["eta"] * float(np.sum(read_whole(csv_path)[0].table[1:, 1]))
         assert meta["alpha"] + meta["beta"] <= most
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
         capsys.readouterr()
@@ -873,8 +848,7 @@ class TestTrajectoryFiles:
         csv_path = tmp_path / "traj.csv"
         write_trajectory(csv_path, traj)
         loaded, meta = read_whole(csv_path)
-        for name in ("s", "phi_norm_sq", "log_ratio", "snapshots"):
-            assert getattr(loaded, name).tobytes() == getattr(traj, name).tobytes()
+        assert loaded.table.tobytes() == traj.table.tobytes()
         assert (meta["v_star"], meta["alpha"], meta["beta"]) == (None, None, None)
         write_trajectory(
             csv_path,
@@ -1034,7 +1008,7 @@ class TestCheckErrorsInOnePass:
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
-        phi_norm_sq = read_whole(csv_path)[0].phi_norm_sq
+        phi_norm_sq = read_whole(csv_path)[0].table[1:, 1]
         most = meta["eta"] * float(np.cumsum(phi_norm_sq)[-1])
         message = (
             f"bad trajectory metadata {meta_file.name}: key 'alpha' + key 'beta' = "
@@ -1042,6 +1016,76 @@ class TestCheckErrorsInOnePass:
             f"{most!r}, the most a run gives"
         )
         self._refused(csv_path, out, capsys, message)
+
+
+LAYOUT_MAPS = {
+    "identity": FeatureMapSpec.identity(3),
+    "poly2": FeatureMapSpec.poly2(3),
+    "rff": FeatureMapSpec.rff(3, 8, 1.5, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def layout_streams():
+    """Per feature map and start: a 2003-sample stream, its config with a
+    certified eta, the start, and oja_step folded over the whole stream
+    as an (n+1, 3+m) table, whose first k + 1 rows are the fold of the
+    first k samples."""
+    streams = {}
+    xs = np.random.default_rng(41).standard_normal((2003, 3))
+    for kind, phi in LAYOUT_MAPS.items():
+        feats = phi.apply_batch(xs)
+        bound = float(np.max(np.einsum("ij,ij->i", feats, feats)))
+        cfg = OjaConfig(
+            eta=select_learning_rate(bound), feature_map=phi,
+            record_trajectory=True, norm_bound=bound,
+        )
+        starts = {
+            "random": init_state(phi.feature_dim, 9),
+            "vstar": init_state_at(np.linalg.eigh(feats.T @ feats)[1][:, -1]),
+        }
+        for start_kind, state in starts.items():
+            rows = [np.concatenate(([0.0, 0.0, 0.0], state.v_hat))]
+            for x in xs:
+                state, record = oja_step(state, x, cfg)
+                rows.append(np.concatenate((record, state.v_hat)))
+            streams[kind, start_kind] = xs, cfg, starts[start_kind], np.array(rows)
+    return streams
+
+
+class TestOneLayout:
+    """A recorded run is one (n+1, 3+m) table: run_stream fills it as the
+    fold of oja_step would, to rounding; the CSV's data cells are its rows
+    1..n, bit for bit; and a file's units are the in-memory units' rows."""
+
+    @pytest.mark.parametrize("n", [0, 1, 60, 255, 256, 257, 2003])
+    @pytest.mark.parametrize("start_kind", ["random", "vstar"])
+    @pytest.mark.parametrize("kind", list(LAYOUT_MAPS))
+    def test_memory_pass_and_file_share_the_table(
+        self, tmp_path, layout_streams, kind, start_kind, n
+    ):
+        xs, cfg, init, folded = layout_streams[kind, start_kind]
+        _, traj = run_stream(xs[:n], cfg, init, seed=5)
+        expected = folded[: n + 1]
+        assert traj.table.shape == expected.shape
+        tol = 1e-12 * np.maximum(1.0, np.abs(expected))
+        assert (np.abs(traj.table - expected) <= tol).all()
+
+        csv_path = tmp_path / "traj.csv"
+        write_trajectory(csv_path, traj)
+        lines = csv_path.read_text(encoding="utf-8").split("\n")[1:-1]
+        assert len(lines) == n
+        for row, line in zip(traj.table[1:], lines):
+            cells = np.array([float(cell) for cell in line.split(",")[1:]])
+            assert cells.tobytes() == row.tobytes()
+
+        from_file, _ = read_trajectory(csv_path)
+        # A file's unit is a buffer the next one overwrites: its bytes
+        # are taken as it is given.
+        file_units = [unit.tobytes() for unit in from_file.units()]
+        memory_units = [unit.tobytes() for unit in traj.units()]
+        assert file_units == memory_units
+        assert len(memory_units) == -(-n // linalg.BLOCK_ROWS)
 
 
 class TestSweep:

@@ -13,9 +13,9 @@ from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.linalg import DimensionError
 from streamkpca.oja import (
     ETA_CEILING,
+    STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    StepRecord,
     init_state,
     init_state_at,
     oja_step,
@@ -46,13 +46,13 @@ def start_state(phi, xs, seed, at_vstar):
 
 
 def fold(xs, cfg, init):
-    """oja_step folded over xs: the final state, records and directions."""
-    state, records, directions = init, [], [init.v_hat]
+    """oja_step folded over xs: the final state and the (n+1, 3+m) table
+    of its steps, laid out as Trajectory.table."""
+    state, rows = init, [np.concatenate(([0.0, 0.0, 0.0], init.v_hat))]
     for x in xs:
         state, record = oja_step(state, x, cfg)
-        records.append(record)
-        directions.append(state.v_hat)
-    return state, records, directions
+        rows.append(np.concatenate((record, state.v_hat)))
+    return state, np.array(rows)
 
 
 def assert_close(got, expected):
@@ -145,18 +145,18 @@ class TestStep:
     def test_orthogonal_sample_is_noop(self):
         cfg = identity_config(2, 0.05)
         state = init_state_at([1.0, 0.0])
-        new, rec = oja_step(state, [0.0, 1.0], cfg)
+        new, (s, _, log_ratio) = oja_step(state, [0.0, 1.0], cfg)
         assert np.array_equal(new.v_hat, [1.0, 0.0])
-        assert rec.log_ratio == 0.0
-        assert rec.s == 0.0
+        assert log_ratio == 0.0
+        assert s == 0.0
 
     def test_collinear_sample_growth(self):
         cfg = identity_config(2, 0.05)
         state = init_state_at([1.0, 0.0])
-        new, rec = oja_step(state, [1.0, 0.0], cfg)
+        new, (_, _, log_ratio) = oja_step(state, [1.0, 0.0], cfg)
         assert np.array_equal(new.v_hat, [1.0, 0.0])
         # (1 + eta)^2 = 1.1025 growth in the squared norm
-        assert abs(rec.log_ratio - math.log(1.1025)) <= 1e-15
+        assert abs(log_ratio - math.log(1.1025)) <= 1e-15
         assert abs(math.exp(new.log_norm) - 1.05) <= 1e-14
 
     def test_generic_sample_against_closed_form(self):
@@ -165,14 +165,14 @@ class TestStep:
         eta = 0.01
         cfg = identity_config(2, eta)
         state = init_state_at([1.0, 0.0])
-        new, rec = oja_step(state, [3.0, 4.0], cfg)
+        new, (_, _, log_ratio) = oja_step(state, [3.0, 4.0], cfg)
         u = np.array([1.0, 0.0]) + eta * 3.0 * np.array([3.0, 4.0])
         assert np.allclose(u, [1.09, 0.12], atol=1e-15)
         direct = math.log(float(u @ u))
         closed = math.log1p((2 * eta + eta * eta * 25.0) * 9.0)
-        assert abs(rec.log_ratio - closed) <= 1e-15
-        assert abs(rec.log_ratio - direct) <= 1e-12
-        assert abs(rec.log_ratio - math.log(1.2025)) <= 1e-12
+        assert abs(log_ratio - closed) <= 1e-15
+        assert abs(log_ratio - direct) <= 1e-12
+        assert abs(log_ratio - math.log(1.2025)) <= 1e-12
         assert np.allclose(new.v_hat, u / np.linalg.norm(u), atol=1e-15)
 
     def test_non_finite_aborts(self):
@@ -197,7 +197,7 @@ class TestRunStream:
         cfg = identity_config(2, eta, record_trajectory=True)
         xs = np.tile([1.0, 0.0], (30, 1))
         final, traj = run_stream(xs, cfg, init_state_at([1.0, 1.0]))
-        aligns = [float(v[0]) ** 2 for v in traj.snapshots[1:]]
+        aligns = [float(v[3]) ** 2 for v in traj.table[1:]]
         for i, a in enumerate(aligns, start=1):
             g = (1.0 + eta) ** (2 * i)
             assert abs(a - g / (g + 1.0)) <= 1e-12
@@ -218,7 +218,7 @@ class TestRunStream:
         cfg = identity_config(5, 0.01, record_trajectory=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(2.0 * v0))
-        for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
+        for v1, v2 in zip(t1.table[1:, 3:], t2.table[1:, 3:]):
             assert np.array_equal(v1, v2)
 
     def test_scale_invariance_generic(self):
@@ -228,7 +228,7 @@ class TestRunStream:
         cfg = identity_config(4, 0.02, record_trajectory=True)
         _, t1 = run_stream(xs, cfg, init_state_at(v0))
         _, t2 = run_stream(xs, cfg, init_state_at(3.0 * v0))
-        for v1, v2 in zip(t1.snapshots[1:], t2.snapshots[1:]):
+        for v1, v2 in zip(t1.table[1:, 3:], t2.table[1:, 3:]):
             assert np.allclose(v1, v2, atol=1e-13)
 
     def test_records_disabled_by_default(self):
@@ -267,7 +267,7 @@ class TestRunStream:
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
             final, traj = run_stream(xs, cfg, init, seed=seed)
 
-        state, records, directions = fold(xs, cfg, init)
+        state, table = fold(xs, cfg, init)
         assert_close(final.v_hat, state.v_hat)
         assert_close(final.log_norm, state.log_norm)
         assert final.step == n
@@ -277,10 +277,7 @@ class TestRunStream:
         if not record:
             assert traj is None
             return
-        for name in ("s", "phi_norm_sq", "log_ratio"):
-            expected = np.array([getattr(r, name) for r in records])
-            assert_close(getattr(traj, name), expected)
-        assert_close(traj.snapshots, np.array(directions))
+        assert_close(traj.table, table)
         assert traj.seed == seed
 
     @settings(max_examples=30, deadline=None)
@@ -307,9 +304,8 @@ class TestRunStream:
         for state in (first, again):
             assert state.v_hat.tobytes() == bare.v_hat.tobytes()
             assert state.log_norm == bare.log_norm
-        assert traj.snapshots[-1].tobytes() == bare.v_hat.tobytes()
-        for name in ("s", "phi_norm_sq", "log_ratio", "snapshots"):
-            assert getattr(traj, name).tobytes() == getattr(rerun, name).tobytes()
+        assert traj.table[-1, 3:].tobytes() == bare.v_hat.tobytes()
+        assert traj.table.tobytes() == rerun.table.tobytes()
 
     @pytest.mark.parametrize("size", [0.5, 1.0, 2.0])
     def test_closed_form_only_for_small_steps(self, size):
@@ -324,19 +320,15 @@ class TestRunStream:
         init = init_state(3, 2)
         with mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as spy:
             final, traj = run_stream(xs, cfg, init)
-        state, records, directions = fold(xs, cfg, init)
-        got = np.stack([traj.s, traj.phi_norm_sq, traj.log_ratio], axis=1)
-        expected = np.array([[r.s, r.phi_norm_sq, r.log_ratio] for r in records])
+        state, table = fold(xs, cfg, init)
         if size <= 1.0:
             assert spy.call_count == 0
-            assert_close(got, expected)
-            assert_close(traj.snapshots, np.array(directions))
+            assert_close(traj.table, table)
             return
         assert spy.call_count == 1  # the one lifted block of 100 rows
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
-        assert got.tobytes() == expected.tobytes()
-        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+        assert traj.table.tobytes() == table.tobytes()
 
     def test_overflowing_closed_form_is_taken_step_by_step(self):
         # eta = 1e-300 and ||f|| ~ 1e150: each step is finite, but the
@@ -352,10 +344,10 @@ class TestRunStream:
                 warnings.simplefilter("error")
                 final, traj = run_stream(xs, cfg, init)
         assert spy.call_count == 1
-        state, records, directions = fold(xs, cfg, init)
+        state, table = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
-        assert traj.snapshots.tobytes() == np.array(directions).tobytes()
+        assert traj.table.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("kind", ["identity", "poly2"])
     def test_one_gram_product_and_one_solve_per_32_steps(self, kind):
@@ -383,10 +375,9 @@ class TestRunStream:
         assert shapes == [(4, 32, m), (4, 32, m), (2, 32, m)]
         assert solve.call_count == 4 + 4 + 2
         assert all(c.args[0].shape == (32, 32) for c in solve.call_args_list)
-        state, records, directions = fold(xs, cfg, init)
+        state, table = fold(xs, cfg, init)
         assert_close(final.v_hat, state.v_hat)
-        assert_close(traj.s, [r.s for r in records])
-        assert_close(traj.snapshots, np.array(directions))
+        assert_close(traj.table, table)
 
     def test_failed_solve_is_taken_step_by_step(self):
         rng = np.random.default_rng(8)
@@ -397,7 +388,7 @@ class TestRunStream:
             np.linalg, "solve", side_effect=np.linalg.LinAlgError("Singular matrix")
         ):
             final, _ = run_stream(xs, cfg, init)
-        state, _, _ = fold(xs, cfg, init)
+        state, _ = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
 
@@ -411,8 +402,7 @@ class TestRunStream:
             _, from_list = run_stream([list(x) for x in xs], cfg, init)
             _, from_generator = run_stream((x for x in xs), cfg, init)
         for other in (from_list, from_generator):
-            assert other.snapshots.tobytes() == from_array.snapshots.tobytes()
-            assert other.log_ratio.tobytes() == from_array.log_ratio.tobytes()
+            assert other.table.tobytes() == from_array.table.tobytes()
 
     def test_numeric_abort_in_a_later_solve_is_the_folds(self):
         # A positive stream keeps v_hat near (1, 1, 1, 1) / 2, so at step
@@ -457,11 +447,12 @@ class TestRunStream:
             oja_step(init_state_at([1.0, 0.0]), [1.0, 0.0, 0.0], cfg)
 
     def test_step_record_holds_three_scalars(self):
-        assert [f.name for f in dataclasses.fields(StepRecord)] == [
-            "s",
-            "phi_norm_sq",
-            "log_ratio",
-        ]
+        # oja_step's record is a plain (s, ||f||^2, log ratio) tuple.
+        cfg = identity_config(2, 0.05)
+        _, record = oja_step(init_state_at([1.0, 0.0]), [3.0, 4.0], cfg)
+        assert type(record) is tuple
+        assert [type(x) for x in record] == [float, float, float]
+        assert record[:2] == (3.0, 25.0)
 
 
 @pytest.fixture()
@@ -472,8 +463,17 @@ def short_run():
     return traj
 
 
+# Where each step column and the directions live in a table.
+TABLE_SLICES = {
+    "s": (slice(1, None), 0),
+    "phi_norm_sq": (slice(1, None), 1),
+    "log_ratio": (slice(1, None), 2),
+    "snapshots": (slice(None), slice(3, None)),
+}
+
+
 class TestTrajectoryValidation:
-    """A trajectory with a non-finite or misshapen column never reaches
+    """A table that is misshapen or holds a non-finite cell never reaches
     the checker: construction (and dataclasses.replace) refuses it."""
 
     @pytest.mark.parametrize(
@@ -488,42 +488,56 @@ class TestTrajectoryValidation:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, short_run, column, index, value):
-        bad = getattr(short_run, column).copy()
-        bad[index] = value
-        with pytest.raises(ValueError, match=f"non-finite value in {column}"):
-            dataclasses.replace(short_run, **{column: bad})
+        # Step 6's s, ||f||^2 and log ratio are table row 6, columns 0-2;
+        # direction entry j after step i is row i, column 3 + j.
+        if column == "snapshots":
+            cell = [index[0], 3 + index[1]]
+        else:
+            cell = [index + 1, STEP_COLUMNS.index(column)]
+        bad = short_run.table.copy()
+        bad[tuple(cell)] = value
+        with pytest.raises(ValueError, match=rf"non-finite value in table at \{cell}"):
+            dataclasses.replace(short_run, table=bad)
 
     @pytest.mark.parametrize("column", ["s", "phi_norm_sq", "log_ratio"])
     def test_short_column_rejected(self, short_run, column):
-        with pytest.raises(ValueError, match=column):
-            dataclasses.replace(
-                short_run, **{column: getattr(short_run, column)[:-1]}
-            )
+        # A table that ends at a step column holds no direction.
+        columns = STEP_COLUMNS.index(column) + 1
+        with pytest.raises(ValueError, match=rf"table has shape \(9, {columns}\)"):
+            dataclasses.replace(short_run, table=short_run.table[:, :columns])
 
     def test_snapshot_shape_rejected(self, short_run):
-        with pytest.raises(ValueError, match="snapshots has shape"):
-            dataclasses.replace(short_run, snapshots=short_run.snapshots[:-1])
+        table = short_run.table
+        for bad in (table[0], table[None], table[:0], 1.0):
+            with pytest.raises(ValueError, match="table has shape"):
+                dataclasses.replace(short_run, table=bad)
 
     @pytest.mark.parametrize(
         "column", ["s", "phi_norm_sq", "log_ratio", "snapshots", "init_v_hat"]
     )
     def test_columns_cannot_be_edited_in_place(self, short_run, column):
+        if column == "init_v_hat":
+            view = short_run.init_v_hat
+        else:
+            view = short_run.table[TABLE_SLICES[column]]
         with pytest.raises(ValueError, match="read-only"):
-            getattr(short_run, column)[1] = math.nan
+            view[1] = math.nan
 
-    def test_log_norm_derived_from_log_ratio(self, short_run):
-        expected = np.concatenate(([0.0], 0.5 * np.cumsum(short_run.log_ratio)))
-        assert np.array_equal(short_run.log_norm, expected)
-        doubled = dataclasses.replace(short_run, log_ratio=2 * short_run.log_ratio)
-        assert np.array_equal(doubled.log_norm, 2 * expected)
+    def test_fortran_order_is_copied_to_c_order(self, short_run):
+        fortran = np.asfortranarray(short_run.table)
+        traj = dataclasses.replace(short_run, table=fortran)
+        assert traj.table.flags.c_contiguous
+        assert not np.shares_memory(traj.table, fortran)
+        assert traj.table.tobytes() == short_run.table.tobytes()
+        assert not traj.table.flags.writeable and fortran.flags.writeable
 
     def test_empty_trajectory_snapshot_is_the_start(self):
         cfg = identity_config(2, 0.05, record_trajectory=True)
         _, traj = run_stream(np.empty((0, 2)), cfg, init_state_at([0.6, 0.8]))
-        assert np.array_equal(traj.snapshots, [[0.6, 0.8]])
-        assert traj.log_norm.tolist() == [0.0]
+        assert np.array_equal(traj.table, [[0.0, 0.0, 0.0, 0.6, 0.8]])
+        assert traj.n == 0
         # The start is row 0 itself, not a copy kept beside it.
-        assert traj.m == 2 and np.shares_memory(traj.init_v_hat, traj.snapshots)
+        assert traj.m == 2 and np.shares_memory(traj.init_v_hat, traj.table)
 
 
 @pytest.fixture(scope="module")
@@ -553,23 +567,24 @@ class TestUpdateInvariants:
     def test_property_norm_identity_direct(self, recorded):
         traj, feats, eta = recorded
         for i, f in enumerate(feats):
-            u = traj.snapshots[i] + eta * traj.s[i] * f
+            s, _, log_ratio = traj.table[i + 1, :3]
+            u = traj.table[i, 3:] + eta * s * f
             direct = math.log(float(u @ u))
-            assert abs(traj.log_ratio[i] - direct) <= 1e-12
+            assert abs(log_ratio - direct) <= 1e-12
 
     def test_property_monotone_norm(self, recorded):
         traj, _, _ = recorded
-        assert all(r >= 0.0 for r in traj.log_ratio)
+        assert all(r >= 0.0 for r in traj.table[1:, 2])
 
     def test_property_step_floor(self, recorded):
         traj, _, eta = recorded
-        for s, log_ratio in zip(traj.s, traj.log_ratio):
+        for s, _, log_ratio in traj.table[1:, :3]:
             assert log_ratio >= eta * s**2 - 1e-12
 
     def test_property_interval_floor_all_pairs(self, recorded):
         traj, _, eta = recorded
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
-        energy = np.concatenate(([0.0], np.cumsum(eta * traj.s**2)))
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.table[1:, 2])))
+        energy = np.concatenate(([0.0], np.cumsum(eta * traj.table[1:, 0] ** 2)))
         n = traj.n
         for a in range(n):
             for b in range(a + 1, n + 1):
@@ -579,8 +594,8 @@ class TestUpdateInvariants:
 
     def test_property_increment_reconstruction(self, recorded):
         traj, feats, eta = recorded
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
-        v_full = traj.snapshots * np.exp(log_norm)[:, None]
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.table[1:, 2])))
+        v_full = traj.table[:, 3:] * np.exp(log_norm)[:, None]
         n = traj.n
         increments = np.array(
             [
@@ -599,8 +614,8 @@ class TestUpdateInvariants:
     def test_log_domain_norm_floor(self, recorded):
         # 2 L_n >= log(eta) + logsumexp_i(log s_i^2 + 2 L_{i-1})
         traj, _, eta = recorded
-        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.log_ratio)))
-        s = traj.s
+        log_norm = np.concatenate(([0.0], 0.5 * np.cumsum(traj.table[1:, 2])))
+        s = traj.table[1:, 0]
         mask = s != 0.0
         terms = 2.0 * np.log(np.abs(s[mask])) + 2.0 * log_norm[:-1][mask]
         peak = terms.max()

@@ -252,7 +252,6 @@ def test_public_api():
         "SpectralSummary",
         "SpikedGroundTruth",
         "SpikedSpec",
-        "StepRecord",
         "StreamState",
         "Trajectory",
         "TrajectoryParseError",
