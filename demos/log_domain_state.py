@@ -4,7 +4,9 @@ The unnormalized iterate's norm grows exponentially along the stream;
 on long streams it would overflow float64 long before the pass ends.
 The state therefore keeps the unit direction plus the accumulated log
 norm, with each increment computed through log1p of the closed-form
-ratio. This script shows the growth that never gets materialized.
+ratio. This script shows the growth that never gets materialized. The
+pass keeps no record of its steps either: run_stream returns the final
+state alone.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ bound = phi.norm_bound(truth.norm_bound)
 eta = select_learning_rate(bound)
 cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
 
-final, _ = run_stream(xs, cfg, init_state_at(truth.top_direction))
+final = run_stream(xs, cfg, init_state_at(truth.top_direction))
 
 log10_norm = final.log_norm / np.log(10.0)
 print(f"stream length: {gen.n}")

@@ -1,6 +1,7 @@
 """Every recorded trajectory can be certified after the fact.
 
-Runs one recorded stream, replays all the growth and drift
+Records one stream with Trajectory.record (which collects the units of
+rows run_stream hands its readers), replays all the growth and drift
 inequalities against the oracle-computed energies, then corrupts a
 single recorded scalar and shows that the suite notices.
 """
@@ -11,11 +12,11 @@ from streamkpca import (
     FeatureMapSpec,
     OjaConfig,
     SpikedSpec,
+    Trajectory,
     compute_alpha_beta,
     init_state_at,
     make_spiked_stream,
     run_all_checks,
-    run_stream,
     select_learning_rate,
     summarize,
 )
@@ -38,13 +39,8 @@ summary = summarize(xs, phi)
 energies = compute_alpha_beta(summary, eta)
 print(f"oracle energies: alpha = {energies.alpha:.4f}, beta = {energies.beta:.4f}\n")
 
-cfg = OjaConfig(
-    eta=eta,
-    feature_map=phi,
-    record_trajectory=True,
-    norm_bound=bound,
-)
-_, traj = run_stream(xs, cfg, init_state_at(summary.top_vector), seed=30)
+cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
+traj = Trajectory.record(xs, cfg, init_state_at(summary.top_vector), seed=30)
 
 report = run_all_checks(traj, summary.top_vector, energies.alpha, energies.beta)
 print("fresh trajectory:")

@@ -1,7 +1,7 @@
-"""Post-hoc certification of a recorded trajectory.
+"""Certification of a run's steps.
 
 Every growth inequality the analysis guarantees is rechecked here from
-the recorded step table (per-step scalars and directions), with the
+the run's step table (per-step scalars and directions), with the
 oracle's (alpha, beta) supplied by the caller. Each hypothesis a
 statement needs (e.g. starting exactly at v*) is tested by one predicate
 below, which returns None or the reason it fails. A check whose
@@ -11,20 +11,21 @@ Inequalities carry a 1e-9 additive slack on the deficient side to absorb
 float noise, and margins are reported signed so near-violations stay
 visible.
 
-The certificate is one pass over the trajectory's units (the k + 1
-table rows of a block of linalg.BLOCK_ROWS steps, from the row before
-its first step; the first block starts at step 1) that holds O(m)
-state: each running extreme with the first step where it occurs, the
-log norm, the interval floor's energy and every sum carried by np.cumsum
-over [carry, *unit], so added one step at a time, a rescaled running
-log-sum-exp, the orthogonal parts of the few rows the random drift pairs
-need (drawn from (n, seed) before the pass), the last direction, and at
-desk scale the whole run for the explicit reconstruction. Every per-row
-product is row-local (np.einsum, or a reduction along axis 1), so a
-row's bits never depend on how many rows a caller passed: a trajectory
-in memory and one read from a file in chunks of any size certify to the
-same bits. ``tests/reference_checks.py`` keeps the whole-array checker
-this pass is tested against.
+The certificate (``_Certificate``) is one pass over a run's units (the
+k + 1 table rows of a stretch of steps, from the row before its first;
+the first unit starts at step 1) that holds O(m) state: each running
+extreme with the first step where it occurs, the log norm, the interval
+floor's energy, every sum and the final norm floor's log-sum-exp, each
+carried from unit to unit by an accumulate over [carry, *unit] (np.add,
+np.logaddexp), so one term at a time, the orthogonal parts of the few
+rows the random drift pairs need (drawn from (n, seed) before the pass),
+the last direction, and at desk scale the whole run for the explicit
+reconstruction. Every per-row product is row-local (np.einsum, or a
+reduction along axis 1), so no bit of the report depends on where the
+units are cut: ``run --check`` feeds it run_stream's units as they are
+solved, ``check`` a file's as they are parsed, to the same bits.
+``tests/reference_checks.py`` keeps the whole-array checker this pass
+is tested against.
 """
 
 from __future__ import annotations
@@ -268,11 +269,16 @@ def _increment_reconstruction(eta: float, table: np.ndarray) -> CheckResult:
 
 class _Certificate:
     """The certificate's state after the units fed so far: ``add`` takes
-    the next unit's rows, ``entries`` gives the eleven entries, in report
-    order, once every unit has been fed. Numpy's floating-point warnings
-    are the caller's to silence: a non-finite value fails its entry."""
+    the next unit's rows, ``report`` gives the entries once every unit is
+    fed. ``traj`` is a _Head (or a Trajectory or TrajectoryFile). A
+    non-finite value fails its entry, without a numpy warning.
 
-    def __init__(self, traj, v: np.ndarray, alpha: float, beta: float):
+    Raises:
+        ValueError: v_star is not a unit vector.
+    """
+
+    def __init__(self, traj, v_star, alpha: float, beta: float):
+        v = as_unit_vector(v_star, "v_star")
         self.traj, self.v, self.alpha, self.beta = traj, v, alpha, beta
         self.eta = traj.config.eta
         self.at_vstar = _at_vstar(traj) is None
@@ -286,8 +292,7 @@ class _Certificate:
         self.orth_energy = 0.0  # sum of <phi_i, P v_{i-1}>^2 so far
         self.skipped = 0
         self.steps = 0  # steps fed so far
-        self.moved = False
-        self.lse_peak = self.lse_sum = math.nan
+        self.lse = -math.inf  # log sum_i s_i^2 ||v_{i-1}||^2 so far
         self.identity = _Extreme(largest=True)
         self.closed_diff = _Extreme(largest=True)
         self.direct_diff = _Extreme(largest=True)
@@ -331,6 +336,7 @@ class _Certificate:
         if self.at_vstar:
             self.corollary.feed(self.sqrt_alpha - residuals, first_index)
 
+    @np.errstate(all="ignore")
     def add(self, rows: np.ndarray) -> None:
         first, k, eta = self.steps + 1, len(rows) - 1, self.eta
         self.steps += k
@@ -379,16 +385,11 @@ class _Certificate:
 
         nonzero = s != 0.0
         if nonzero.any():
-            # final_norm_floor's log-sum-exp, rescaled to its running peak.
-            self.moved = True
+            # final_norm_floor's log-sum-exp, one term at a time.
             terms = 2.0 * np.log(np.abs(s[nonzero])) + 2.0 * log_norm[:-1][nonzero]
-            peak = float(terms.max())
-            carried = 0.0
-            if not math.isnan(self.lse_peak):
-                peak = max(peak, self.lse_peak)
-                carried = self.lse_sum * math.exp(self.lse_peak - peak)
-            self.lse_sum = carried + float(np.sum(np.exp(terms - peak)))
-            self.lse_peak = peak
+            self.lse = float(
+                np.logaddexp.accumulate(np.concatenate(([self.lse], terms)))[-1]
+            )
         np.copyto(self.last, snaps[-1])
 
         if not (self.growth_judged or self.drift_judged):
@@ -460,7 +461,14 @@ class _Certificate:
             pairs_checked=self.traj.n + self.far.shape[1],
         )
 
-    def entries(self) -> list[CheckResult]:
+    @np.errstate(all="ignore")
+    def report(self) -> CheckReport:
+        """The eleven entries, in report order, and their constants.
+
+        Raises:
+            OverflowError: alpha is so large that the energy budget is
+                not finite.
+        """
         traj, eta, alpha, beta = self.traj, self.eta, self.alpha, self.beta
         n = traj.n
         final_log_norm = 0.5 * self.ratio_sum
@@ -565,12 +573,11 @@ class _Certificate:
         # inner-product floor, evaluated fully in the log domain. Vacuous
         # when no step has s_i != 0: the floor is then log(0) = -inf.
         name = "final_norm_floor"
-        reason = empty or _nonzero_step(self.moved)
+        reason = empty or _nonzero_step(self.lse > -math.inf)
         if reason:
             out.append(_vacuous(name, reason))
         else:
-            lse = self.lse_peak + math.log(self.lse_sum)
-            rhs = math.log(eta) + lse
+            rhs = math.log(eta) + self.lse
             out.append(
                 _judged(name, 2.0 * final_log_norm - rhs, log_domain_rhs=rhs)
             )
@@ -580,7 +587,10 @@ class _Certificate:
                 self.last, self.v, alpha, beta, n, traj.m, self.at_vstar
             )
         )
-        return out
+        constants = dict(
+            alpha=alpha, beta=beta, eta=eta, n=n, m=traj.m, init=traj.init_kind
+        )
+        return CheckReport(entries=out, constants=constants)
 
     def _orthogonal_energy_budget(self, final_log_norm: float) -> CheckResult:
         """Total feature energy hitting the orthogonal complement,
@@ -701,19 +711,7 @@ def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
         OverflowError: alpha is so large that the energy budget is not
             finite.
     """
-    v = as_unit_vector(v_star, "v_star")
-    certificate = _Certificate(traj, v, alpha, beta)
-    # A non-finite value fails the entry it reaches; a warning adds nothing.
-    with np.errstate(all="ignore"):
-        for unit in traj.units():
-            certificate.add(unit)
-        entries = certificate.entries()
-    constants = {
-        "alpha": alpha,
-        "beta": beta,
-        "eta": traj.config.eta,
-        "n": traj.n,
-        "m": traj.m,
-        "init": traj.init_kind,
-    }
-    return CheckReport(entries=entries, constants=constants)
+    certificate = _Certificate(traj, v_star, alpha, beta)
+    for unit in traj.units():
+        certificate.add(unit)
+    return certificate.report()

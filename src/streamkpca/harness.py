@@ -12,18 +12,19 @@ File formats:
     unknown key is a ConfigError naming the file, the object and the key;
   * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
     and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
-    and row i of the Trajectory's table, each cell orjson's shortest
+    and the run's table row i (oja.Trajectory), each cell orjson's shortest
     round-trip spelling of the float64, which float() reads back bit for
     bit (1e16 and 0.00001 where repr writes 1e+16 and 1e-05), in the one
     grammar the reader takes (_parse_block);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     whose width is m, oracle alpha/beta and v*) and its row count n;
-    write_trajectory writes both files.
+    write_trajectory writes both files as the run's units reach it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -39,6 +40,7 @@ import orjson
 from . import linalg
 from .checks import (
     CheckReport,
+    _Certificate,
     _carried,
     _jsonable,
     alpha_hypothesis_ok,
@@ -54,7 +56,7 @@ from .oja import (
     STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    Trajectory,
+    _Head,
     init_state,
     init_state_at,
     run_stream,
@@ -180,9 +182,7 @@ class TrialArtifacts:
     """Rich per-trial objects for library callers (never serialized)."""
 
     result: TrialResult
-    trajectory: Trajectory | None = None
     check_report: CheckReport | None = None
-    x_star: np.ndarray | None = None
 
 
 def trial_seeds(config: RunConfig, trial: int) -> tuple[int, int]:
@@ -192,8 +192,11 @@ def trial_seeds(config: RunConfig, trial: int) -> tuple[int, int]:
     return sample_seed, init_seed
 
 
-def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
-    """Execute one trial: generate, summarize, stream, measure, check."""
+def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
+    """Execute one trial: generate, summarize, stream, measure, check.
+    The pass hands its rows to the certificate, if the config checks, and
+    to write_trajectory at csv_path, if given; one that raises leaves no
+    CSV."""
     sample_seed, init_seed = trial_seeds(config, trial)
     result = TrialResult(
         trial=trial,
@@ -211,16 +214,15 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
     x_star = summary.top_vector
     energies = compute_alpha_beta(summary, eta)
 
-    oja_config = OjaConfig(
-        eta=eta,
-        feature_map=phi,
-        record_trajectory=config.run_checks or config.save_trajectories,
-        norm_bound=feature_bound,
-    )
+    oja_config = OjaConfig(eta=eta, feature_map=phi, norm_bound=feature_bound)
     if config.init == "vstar":
         start = init_state_at(x_star)
     else:
         start = init_state(phi.feature_dim, init_seed)
+    head = _Head(oja_config, start.origin, start.v_hat, len(xs), sample_seed)
+    certificate = None
+    if config.run_checks:
+        certificate = _Certificate(head, x_star, energies.alpha, energies.beta)
 
     result.eta = eta
     result.norm_bound = feature_bound
@@ -228,10 +230,18 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
     result.alpha = energies.alpha
     result.beta = energies.beta
     try:
-        final, trajectory = run_stream(xs, oja_config, start, seed=sample_seed)
+        with contextlib.ExitStack() as stack:
+            readers = [certificate.add] if certificate else []
+            if csv_path is not None:
+                Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+                oracle = dict(v_star=x_star, alpha=energies.alpha, beta=energies.beta)
+                readers.append(
+                    stack.enter_context(write_trajectory(csv_path, head, **oracle))
+                )
+            final = run_stream(xs, oja_config, start, into=readers)
     except NumericError as exc:
         result.error = str(exc)
-        return TrialArtifacts(result=result, x_star=x_star)
+        return TrialArtifacts(result=result)
 
     result.alignment_error = alignment_error(x_star, final.v_hat)
     if phi.kind == "identity":
@@ -246,18 +256,11 @@ def run_trial(config: RunConfig, trial: int) -> TrialArtifacts:
     )
 
     check_report = None
-    if config.run_checks:
-        check_report = run_all_checks(
-            trajectory, x_star, energies.alpha, energies.beta
-        )
+    if certificate is not None:
+        check_report = certificate.report()
         result.check_ok = check_report.ok
         result.check_failures = [e.name for e in check_report.failures()]
-    return TrialArtifacts(
-        result=result,
-        trajectory=trajectory,
-        check_report=check_report,
-        x_star=x_star,
-    )
+    return TrialArtifacts(result=result, check_report=check_report)
 
 
 def _quantiles(values: list[float]) -> dict:
@@ -349,28 +352,21 @@ def run(config: RunConfig, out_dir=None) -> dict:
 
     Returns the report as a plain dict (already JSON-safe). Given an
     output directory (out_dir, else config.out_dir), each trial's
-    requested trajectory CSV and check report are written there as soon
-    as the trial ends (so memory does not grow with the trial count),
-    and report.json last; given none, nothing is written.
+    trajectory CSV (when the config checks or saves trajectories) is
+    written there during its pass, its check report when it ends, and
+    report.json last; given none, nothing is written.
     """
     resolved = _out_path(out_dir, config)
+    writes = resolved is not None and (config.run_checks or config.save_trajectories)
     results = []
     for t in range(config.trials):
-        a = run_trial(config, t)
+        a = run_trial(config, t, resolved / f"trial_{t:03d}.csv" if writes else None)
         results.append(a.result)
         if resolved is None:
             continue
-        # Made once a trial has run (there is at least one), so a run
-        # refused in its first trial leaves no directory behind.
+        # Made once a trial has run its pass (there is at least one), so
+        # a run refused in its first trial leaves no directory behind.
         resolved.mkdir(parents=True, exist_ok=True)
-        if a.trajectory is not None:
-            write_trajectory(
-                resolved / f"trial_{t:03d}.csv",
-                a.trajectory,
-                v_star=a.x_star,
-                alpha=a.result.alpha,
-                beta=a.result.beta,
-            )
         if a.check_report is not None:
             _write_json(
                 resolved / f"trial_{t:03d}.checks.json", a.check_report.to_dict()
@@ -409,7 +405,7 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
         generator = replace(
             config.generator, lambda2=config.generator.lambda1 / target
         )
-        # Nothing is written, so only the checks need a recorded run.
+        # Nothing is written: only the checks read the pass's rows.
         sub = replace(
             config, generator=generator, out_dir=None, save_trajectories=False
         )
@@ -510,33 +506,53 @@ def _read_json_object(path: Path, where: str) -> dict:
 # Trajectory persistence
 
 
-def write_trajectory(
-    path, traj: Trajectory, *, v_star=None, alpha=None, beta=None
-) -> None:
-    """Write rows 1..n of the trajectory's table (each step's s,
-    phi_norm_sq and log ratio, then the direction after it as vhat_*
-    columns) as CSV, and its sidecar, where check_trajectory_file needs
-    the oracle's v_star, alpha, beta.
+@contextlib.contextmanager
+def write_trajectory(path, head, *, v_star=None, alpha=None, beta=None):
+    """Yield the function that writes a unit's rows after its first to
+    a trajectory CSV (each step's s, phi_norm_sq and log ratio, then the
+    direction after it as vhat_* columns); on exit, with head.n rows
+    written, write the sidecar from ``head`` (a _Head or a Trajectory)
+    and the oracle's v_star, alpha, beta, which check_trajectory_file
+    needs. If the block raises, neither file is left at the path.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
-    which reads back bit for bit; it is written linalg.BLOCK_ROWS rows
-    at a time, so the text of the whole file never exists at once.
-    Reruns on one install write the same bytes. The spelling may differ
-    between orjson versions, the values it reads back to never do.
+    which reads back bit for bit, written linalg.BLOCK_ROWS rows per
+    orjson call. Reruns on one install write the same bytes. The
+    spelling may differ between orjson versions, the values it reads
+    back to never do.
+
+    Raises:
+        ValueError: a non-finite cell (_csv_rows), or other than head.n
+            rows written.
     """
-    header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(1, traj.n + 1, linalg.BLOCK_ROWS):
-            fh.write(_csv_rows(traj.table[start : start + linalg.BLOCK_ROWS], start))
+    path = Path(path)
+    header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(head.m)]
+    written = 0
+
+    def write(unit: np.ndarray) -> None:
+        nonlocal written
+        for start in range(1, len(unit), linalg.BLOCK_ROWS):
+            fh.write(_csv_rows(unit[start : start + linalg.BLOCK_ROWS], written + start))
+        written += len(unit) - 1
+
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            yield write
+        if written != head.n:
+            raise ValueError(f"wrote {written} steps of a run of n = {head.n}")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        meta_path_for(path).unlink(missing_ok=True)
+        raise
     meta = {
-        "eta": traj.config.eta,
-        "norm_bound": traj.config.norm_bound,
-        "feature_map": traj.config.feature_map.to_dict(),
-        "init": traj.init_kind,
-        "init_v_hat": [float(v) for v in traj.init_v_hat],
-        "seed": traj.seed,
-        "n": traj.n,
+        "eta": head.config.eta,
+        "norm_bound": head.config.norm_bound,
+        "feature_map": head.config.feature_map.to_dict(),
+        "init": head.init_kind,
+        "init_v_hat": [float(v) for v in head.init_v_hat],
+        "seed": head.seed,
+        "n": head.n,
         "alpha": alpha,
         "beta": beta,
         "v_star": [float(v) for v in v_star] if v_star is not None else None,
@@ -625,7 +641,6 @@ def read_trajectory(csv_path) -> tuple[TrajectoryFile, dict]:
         config = OjaConfig(
             eta=float(meta["eta"]),
             feature_map=feature_map,
-            record_trajectory=True,
             norm_bound=meta.get("norm_bound"),
         )
     except ValueError as exc:
@@ -696,26 +711,16 @@ def _chunk_rows(n_fields: int) -> int:
 
 
 @dataclass
-class TrajectoryFile:
+class TrajectoryFile(_Head):
     """A trajectory CSV whose sidecar and header read_trajectory checked:
-    the attributes run_all_checks reads from a Trajectory, and ``units``,
-    which parses the rows as it goes. Its table's row 0 is three zeros
-    and the sidecar's init_v_hat. ``phi_norm_sq_sum`` is the sum of the
-    phi_norm_sq column, added one row at a time, once ``units`` has read
-    every row, and NaN until then."""
+    the run's _Head, and ``units``, which parses the rows as it goes. Its
+    table's row 0 is three zeros and the sidecar's init_v_hat.
+    ``phi_norm_sq_sum`` is the sum of the phi_norm_sq column, added one
+    row at a time, once ``units`` has read every row, and NaN until then."""
 
     path: Path
-    config: OjaConfig
-    init_kind: str
-    init_v_hat: np.ndarray
-    n: int
-    seed: int
     data_start: int  # byte offset of row 1
     phi_norm_sq_sum: float = field(default=math.nan, init=False)
-
-    @property
-    def m(self) -> int:
-        return int(self.init_v_hat.shape[0])
 
     def units(self):
         """The rows as units of linalg.BLOCK_ROWS steps, the first at

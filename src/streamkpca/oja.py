@@ -32,16 +32,13 @@ rounding, not bit for bit. A block with a step too large for the
 closed form (eta * ||f||^2 > 1, never under a certified bound) or
 whose closed form is not finite is rerun through ``_update``, which
 raises the NumericError naming the step. The pass holds
-O(BLOCK_ROWS * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
+O(unit_rows(m) * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
 
-A recorded run is a Trajectory: one C-ordered (n+1, 3+m) float64 table
-whose row i holds step i's s, ||f||^2 and log ratio followed by the
-direction after it; row 0 is three zeros followed by the start. The pass
-copies each solved block into its rows, the CSV writer writes its rows,
-and the checker folds over it a unit of linalg.BLOCK_ROWS steps (k + 1
-rows, from the one before the unit's first step) at a time
-(``Trajectory.units``), as it does over a trajectory file, whose units
-are the same rows.
+The pass keeps no record: it solves each block into the rows of one
+buffer of ``unit_rows(m)`` steps and hands each full unit to its readers
+(the certificate, the CSV writer). Row i holds step i's s, ||f||^2 and
+log ratio, then the direction after it; row 0 is three zeros, then the
+start. ``Trajectory.record`` collects the units into one table.
 """
 
 from __future__ import annotations
@@ -64,6 +61,11 @@ ETA_CEILING = float(np.nextafter(0.1, 0.0))
 # fastest at m = 20 and 78 and within the run-to-run spread of the
 # fastest at m = 128.
 _SOLVE_ROWS = 32
+
+# About the bytes of a unit of run_stream's rows. Each reader has a fixed
+# cost per unit: units of one block took a checked, written identity
+# d=20 trial of 2e4 steps from 95 to 143 ms (2-vCPU host, in process).
+_UNIT_BYTES = 1 << 20
 
 
 class NumericError(ArithmeticError):
@@ -91,17 +93,15 @@ def select_learning_rate(norm_bound: float, user_eta: float | None = None) -> fl
 
 @dataclass(frozen=True)
 class OjaConfig:
-    """Update configuration: learning rate, feature map, recording flag.
+    """Update configuration: learning rate and feature map.
 
     ``norm_bound``, when given, is the certified bound B on ||phi(x)||^2
     and enforces the eta <= 0.1/B precondition the growth guarantees
-    need. ``record_trajectory`` records every step's scalars and the
-    direction after it.
+    need.
     """
 
     eta: float
     feature_map: FeatureMapSpec
-    record_trajectory: bool = False
     norm_bound: float | None = None
 
     def __post_init__(self):
@@ -134,13 +134,28 @@ STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
 
 
 @dataclass
+class _Head:
+    """What a run's readers need before step 1. ``seed`` keys the
+    checker's pair sampling; the harness sets it to the trial seed."""
+
+    config: OjaConfig
+    init_kind: str
+    init_v_hat: np.ndarray
+    n: int
+    seed: int
+
+    @property
+    def m(self) -> int:
+        return int(self.init_v_hat.shape[0])
+
+
+@dataclass
 class Trajectory:
-    """A recorded run: config, start kind and its step table.
+    """A run held in memory: config, start kind and its step table.
 
     ``table`` is (n+1, 3+m): row i holds step i's s, ||f||^2 and log
     ratio, then the direction after it; row 0 holds three zeros, then
-    the start ``init_v_hat``. ``seed`` keys deterministic pair sampling
-    in the post-hoc checker; the harness sets it to the trial seed.
+    the start ``init_v_hat``. ``seed`` is _Head's.
 
     The table is kept in C order (a copy is made of any other), so each
     row is contiguous, and made read-only.
@@ -168,6 +183,13 @@ class Trajectory:
             raise ValueError(f"non-finite value in table at {cell}")
         table.flags.writeable = False
         self.table = table
+
+    @classmethod
+    def record(cls, xs, cfg: OjaConfig, init: StreamState, *, seed: int = 0):
+        """run_stream over xs from init, its units collected into a table."""
+        rows = [np.concatenate((np.zeros(3), init.v_hat))[None, :]]
+        run_stream(xs, cfg, init, into=[lambda unit: rows.append(unit[1:].copy())])
+        return cls(cfg, init.origin, np.concatenate(rows), seed=seed)
 
     @property
     def n(self) -> int:
@@ -280,16 +302,16 @@ def oja_step(
 def _solve_block(
     feats: np.ndarray, v_hat: np.ndarray, eta: float, weights: np.ndarray,
     out: np.ndarray,
-) -> np.ndarray | None:
+) -> bool:
     """Take the steps of the lifted rows ``feats`` from unit ``v_hat`` in
     closed form, _SOLVE_ROWS rows per solve (see the module docstring).
 
-    ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1). Writes the direction
-    after each step into the rows of ``out`` and returns the (3, k)
-    columns s, ||f||^2 and log ratio, or None, leaving ``out`` partly
-    written, when a step is too large for the closed form, a value is
-    not finite or a norm is zero. The caller suppresses numpy's overflow
-    and invalid warnings, as for _update.
+    ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1). Writes each step's
+    row into ``out`` (k, 3+m): s, ||f||^2, log ratio and the direction
+    after it. Returns False, leaving ``out`` partly written, when a step
+    is too large for the closed form, a value is not finite or a norm is
+    zero. The caller suppresses numpy's overflow and invalid warnings, as
+    for _update.
     """
     k, m = feats.shape
     subs = -(-k // _SOLVE_ROWS)
@@ -302,15 +324,14 @@ def _solve_block(
     rows = padded.reshape(subs, _SOLVE_ROWS, m)
     systems = np.matmul(rows, rows.transpose(0, 2, 1))
     diagonals = systems.reshape(subs, -1)[:, :: _SOLVE_ROWS + 1]
-    cols = np.empty((3, k))
-    cols[1] = diagonals.reshape(-1)[:k]
+    phi_norm_sq = diagonals.reshape(-1)[:k].copy()
     # With eta * ||f||^2 <= 1 no entry of a system exceeds its unit
     # diagonal, so partial pivoting keeps the rows in order and the solve
     # is forward substitution, as accurate as the steps. Past that the
     # solution loses digits fast (1e-8 relative at 2, all of them at 10).
     # A certified bound keeps eta * ||f||^2 <= 0.1. NaN fails the test too.
-    if not eta * cols[1].max() <= 1.0:
-        return None
+    if not eta * phi_norm_sq.max() <= 1.0:
+        return False
     systems *= weights
     diagonals[...] = 1.0
     t = np.empty((subs, _SOLVE_ROWS))
@@ -320,9 +341,9 @@ def _solve_block(
             t[c] = np.linalg.solve(systems[c], rows[c] @ w)
             w = w + eta * (t[c] @ rows[c])
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        return None
+        return False
     t = t.reshape(-1)[:k]
-    growth = (2.0 * eta + eta * eta * cols[1]) * (t * t)
+    growth = (2.0 * eta + eta * eta * phi_norm_sq) * (t * t)
     norm_sq = np.empty(k + 1)
     norm_sq[0] = 0.0
     np.cumsum(growth, out=norm_sq[1:])
@@ -330,39 +351,44 @@ def _solve_block(
     # norm_sq is a running sum of the nonnegative growth terms, so a
     # finite last entry means every t, growth and log ratio is finite.
     if not math.isfinite(norm_sq[-1]):
-        return None
-    np.divide(t, np.sqrt(norm_sq[:-1]), out=cols[0])
-    np.log1p(growth / norm_sq[:-1], out=cols[2])
-    # Each row of out is v_i, divided by its own computed norm.
-    np.multiply((eta * t)[:, None], feats, out=out)
-    np.cumsum(out, axis=0, out=out)
-    out += v_hat
-    u_norm_sq = np.einsum("ij,ij->i", out, out)
+        return False
+    out[:, 0] = t / np.sqrt(norm_sq[:-1])
+    out[:, 1] = phi_norm_sq
+    out[:, 2] = np.log1p(growth / norm_sq[:-1])
+    # Each direction is v_i, divided by its own computed norm.
+    v = out[:, 3:]
+    np.multiply((eta * t)[:, None], feats, out=v)
+    np.cumsum(v, axis=0, out=v)
+    v += v_hat
+    u_norm_sq = np.einsum("ij,ij->i", v, v)
     if not (np.isfinite(u_norm_sq).all() and u_norm_sq.min() > 0.0):
-        return None
-    out /= np.sqrt(u_norm_sq)[:, None]
-    return cols
+        return False
+    v /= np.sqrt(u_norm_sq)[:, None]
+    return True
 
 
 def _step_rows(
     feats: np.ndarray, v_hat: np.ndarray, eta: float, step: int,
     out: np.ndarray,
-) -> np.ndarray:
-    """_solve_block's contract, one _update per row; ``step`` numbers the
+) -> None:
+    """_solve_block's rows, one _update per row; ``step`` numbers the
     first row. Raises _update's NumericError at the first bad step."""
-    cols = np.empty((3, feats.shape[0]))
-    for j, f in enumerate(feats):
-        v_hat, cols[0, j], cols[1, j], cols[2, j] = _update(
-            v_hat, f, eta, step + j
-        )
-        out[j] = v_hat
-    return cols
+    for row, f in zip(out, feats):
+        v_hat, row[0], row[1], row[2] = _update(v_hat, f, eta, step)
+        row[3:] = v_hat
+        step += 1
 
 
-def run_stream(
-    xs, cfg: OjaConfig, init: StreamState, *, seed: int = 0
-) -> tuple[StreamState, Trajectory | None]:
-    """Run the update over a finite stream in arrival order.
+def unit_rows(m: int) -> int:
+    """Steps in a unit of run_stream: the whole blocks whose rows fit in
+    _UNIT_BYTES, at least one."""
+    rows = linalg.BLOCK_ROWS
+    return max(1, _UNIT_BYTES // (8 * (3 + m) * rows)) * rows
+
+
+def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState:
+    """Run the update over a finite stream in arrival order and return
+    the final state; an empty stream returns ``init`` itself.
 
     ``xs`` is any iterable of input vectors (rows of an (n, d) array
     work). Each block of linalg.BLOCK_ROWS rows is lifted and validated
@@ -370,51 +396,47 @@ def run_stream(
     block runs. Each block's steps are then taken in closed form by
     _solve_block, _SOLVE_ROWS steps per triangular solve, or by _update,
     row by row, where a step of the block is too large for the closed
-    form or it is not finite: the states and records agree with a fold
-    of oja_step over xs to rounding, and a NumericError is the fold's,
-    naming the same step. Recording does not change the arithmetic, so
-    the final state is the same bits with or without it. An empty stream
-    returns ``init`` itself. Each block is solved into one scratch block;
-    when cfg.record_trajectory is set, its s, ||f||^2, log ratios and
-    new directions are copied into the rows of the returned Trajectory's
-    table; otherwise the second element is None.
+    form or it is not finite: the states and rows agree with a fold of
+    oja_step over xs to rounding, and a NumericError is the fold's,
+    naming the same step.
+
+    Each block is solved into the rows of one buffer of unit_rows(m)
+    steps. When it is full, and after the last block, each function in
+    the sequence ``into`` is called with the unit: the k + 1 rows from
+    the one before its first step (a view the next unit overwrites).
     """
     _check_dims(cfg, init)
-    record = cfg.record_trajectory
-    if record and not hasattr(xs, "__len__"):
-        xs = list(xs)
     m = init.v_hat.shape[0]
-    if record:
-        table = np.empty((len(xs) + 1, 3 + m))
-        table[0, :3] = 0.0
-        table[0, 3:] = init.v_hat
-    scratch = np.empty((linalg.BLOCK_ROWS, m))
+    unit = np.empty((unit_rows(m) + 1, 3 + m))
+    unit[0] = np.concatenate((np.zeros(3), init.v_hat))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
     v_hat = init.v_hat
     log_norm = init.log_norm
     i = 0  # steps taken
+    j = 0  # steps in the unit
     for block in linalg.row_blocks(xs):
         feats = cfg.feature_map.apply_batch(block)
         k = feats.shape[0]
-        out = scratch[:k]
+        if j + k >= len(unit):
+            for reader in into:
+                reader(unit[: j + 1])
+            unit[0] = unit[j]
+            j = 0
+        out = unit[j + 1 : j + 1 + k]
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = _solve_block(feats, v_hat, eta, weights, out)
-            if cols is None:
-                cols = _step_rows(feats, v_hat, eta, init.step + i + 1, out)
-        if record:
-            table[i + 1 : i + 1 + k, :3] = cols.T
-            table[i + 1 : i + 1 + k, 3:] = out
+            if not _solve_block(feats, v_hat, eta, weights, out):
+                _step_rows(feats, v_hat, eta, init.step + i + 1, out)
         # One addition per step, in the fold's order.
-        halves = np.concatenate(([log_norm], 0.5 * cols[2]))
+        halves = np.concatenate(([log_norm], 0.5 * out[:, 2]))
         log_norm = float(np.cumsum(halves)[-1])
-        v_hat = out[-1].copy()
+        v_hat = out[-1, 3:].copy()
         i += k
-    state = init
-    if i:
-        state = StreamState(
-            v_hat=v_hat, log_norm=log_norm, step=init.step + i, origin=init.origin
-        )
-    if not record:
-        return state, None
-    return state, Trajectory(cfg, init.origin, table, seed=seed)
+        j += k
+    if not i:
+        return init
+    for reader in into:
+        reader(unit[: j + 1])
+    return StreamState(
+        v_hat=v_hat, log_norm=log_norm, step=init.step + i, origin=init.origin
+    )

@@ -18,7 +18,7 @@ from streamkpca.cli import build_parser, config_from_args, main
 from streamkpca.datagen import SpikedSpec, make_spiked_stream, monte_carlo_offset_norm
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.harness import RunConfig, run, run_trial, sweep
-from streamkpca.oja import OjaConfig, init_state, init_state_at, run_stream, select_learning_rate
+from streamkpca.oja import OjaConfig, Trajectory, init_state, init_state_at, select_learning_rate
 
 SLACK = 1e-9
 
@@ -84,7 +84,6 @@ def _record_run(phi, d, n, init_kind, seed):
     cfg = OjaConfig(
         eta=eta,
         feature_map=phi,
-        record_trajectory=True,
         norm_bound=bound,
     )
     if init_kind == "vstar":
@@ -93,7 +92,7 @@ def _record_run(phi, d, n, init_kind, seed):
         start = init_state_at(summarize(xs, phi).top_vector)
     else:
         start = init_state(phi.feature_dim, seed + 20_000)
-    _, traj = run_stream(xs, cfg, start, seed=seed)
+    traj = Trajectory.record(xs, cfg, start, seed=seed)
     return xs, traj, eta
 
 

@@ -15,9 +15,9 @@ from streamkpca.harness import check_trajectory_file, write_trajectory
 from streamkpca.oja import (
     STEP_COLUMNS,
     OjaConfig,
+    Trajectory,
     init_state,
     init_state_at,
-    run_stream,
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
@@ -59,14 +59,13 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
     cfg = OjaConfig(
         eta=eta,
         feature_map=phi,
-        record_trajectory=True,
         norm_bound=bound,
     )
     if init_kind == "vstar":
         start = init_state_at(summary.top_vector)
     else:
         start = init_state(d, seeds[2])
-    _, traj = run_stream(xs, cfg, start, seed=seeds[1])
+    traj = Trajectory.record(xs, cfg, start, seed=seeds[1])
     return traj, summary.top_vector, energies
 
 
@@ -156,7 +155,8 @@ class TestFullSuite:
     def test_non_unit_vstar_raises_before_any_entry(self, init_kind, n):
         traj, v_star, ab = make_run(init_kind)
         traj = first_steps(traj, n)
-        with mock.patch.object(checks, "_Certificate", side_effect=AssertionError):
+        # The certificate refuses v* before it takes a unit.
+        with mock.patch.object(checks._Certificate, "add", side_effect=AssertionError):
             with pytest.raises(ValueError, match="v_star"):
                 run_all_checks(traj, 2.0 * v_star, ab.alpha, ab.beta)
 
@@ -274,13 +274,16 @@ class TestHypothesisGating:
         # the snapshots stay put, so the floor's right side is log(0).
         # Through the file path, as the command line's check reads it.
         cfg = OjaConfig(
-            eta=0.05, feature_map=FeatureMapSpec.identity(3), record_trajectory=True
+            eta=0.05, feature_map=FeatureMapSpec.identity(3)
         )
         xs = np.tile([0.0, 1.0, 0.0], (50, 1))
-        _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0, 0.0]))
+        traj = Trajectory.record(xs, cfg, init_state_at([1.0, 0.0, 0.0]))
         assert not traj.table[1:, [0, 2]].any()  # every s and log ratio
         path = tmp_path / "still.csv"
-        write_trajectory(path, traj, v_star=[1.0, 0.0, 0.0], alpha=0.0, beta=0.0)
+        with write_trajectory(
+            path, traj, v_star=[1.0, 0.0, 0.0], alpha=0.0, beta=0.0
+        ) as write:
+            write(traj.table)
         report = check_trajectory_file(path)
         by_name = {e.name: e for e in report.entries}
         floor = by_name["final_norm_floor"]
@@ -474,10 +477,10 @@ class TestGrowthImpliesCorrectness:
     def test_axis_aligned_at_vstar_residual_zero(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True
+            eta=0.05, feature_map=phi
         )
         xs = np.tile([1.0, 0.0], (20, 1))
-        _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
+        traj = Trajectory.record(xs, cfg, init_state_at([1.0, 0.0]))
         growth = entry("residual_bounded_by_growth", traj, np.array([1.0, 0.0]), 0.0)
         assert growth.status == PASS
         assert growth.details["corollary_margin"] >= -1e-12
@@ -489,20 +492,20 @@ class TestGrowthImpliesCorrectness:
     def test_axis_aligned_two_time_steps_zero_drift(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True
+            eta=0.05, feature_map=phi
         )
         xs = np.tile([1.0, 0.0], (20, 1))
-        _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
+        traj = Trajectory.record(xs, cfg, init_state_at([1.0, 0.0]))
         drift = entry("drift_requires_growth", traj, np.array([1.0, 0.0]), 0.1)
         assert drift.status == PASS
 
     def test_rank_one_projected_energy_zero(self):
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=0.05, feature_map=phi, record_trajectory=True
+            eta=0.05, feature_map=phi
         )
         xs = np.tile([1.0, 0.0], (10, 1))
-        _, traj = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
+        traj = Trajectory.record(xs, cfg, init_state_at([1.0, 0.0]))
         energy = entry("orthogonal_energy_budget", traj, np.array([1.0, 0.0]), 0.0)
         assert energy.status == PASS
         assert energy.details["lhs"] <= 1e-12
@@ -571,9 +574,9 @@ class TestEmptyTrajectory:
     def test_all_checks_survive_empty_stream(self):
         phi = FeatureMapSpec.identity(3)
         cfg = OjaConfig(
-            eta=0.01, feature_map=phi, record_trajectory=True
+            eta=0.01, feature_map=phi
         )
-        _, traj = run_stream(np.empty((0, 3)), cfg, init_state_at([1.0, 0.0, 0.0]))
+        traj = Trajectory.record(np.empty((0, 3)), cfg, init_state_at([1.0, 0.0, 0.0]))
         report = run_all_checks(
             traj, np.array([1.0, 0.0, 0.0]), alpha=0.01, beta=0.0
         )
@@ -588,9 +591,9 @@ class TestSingleStepFloor:
         eta = 0.05
         phi = FeatureMapSpec.identity(2)
         cfg = OjaConfig(
-            eta=eta, feature_map=phi, record_trajectory=True
+            eta=eta, feature_map=phi
         )
-        _, traj = run_stream(
+        traj = Trajectory.record(
             np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0])
         )
         floor = entry("final_norm_floor", traj, np.array([1.0, 0.0]), 0.0, eta)
@@ -621,13 +624,13 @@ def fold_case(kind, init_kind, n, stream_n=700):
     bound = phi.norm_bound(truth.norm_bound)
     eta = select_learning_rate(bound)
     energies = compute_alpha_beta(summarize(xs[:n], phi), eta)
-    cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True, norm_bound=bound)
+    cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
     v_star = summarize(xs, phi).top_vector
     if init_kind == "vstar":
         start = init_state_at(v_star)
     else:
         start = init_state(phi.feature_dim, 7)
-    _, traj = run_stream(xs[:n], cfg, start, seed=11)
+    traj = Trajectory.record(xs[:n], cfg, start, seed=11)
     return traj, v_star, energies
 
 
@@ -652,11 +655,31 @@ class TestCertificateFold:
         assert (reconstruction.status == VACUOUS) == (n > checks.RECON_MAX_N)
         expected = json.dumps(report.to_dict(), sort_keys=True)
         path = tmp_path / "traj.csv"
-        write_trajectory(path, traj, v_star=v_star, alpha=ab.alpha, beta=ab.beta)
+        with write_trajectory(
+            path, traj, v_star=v_star, alpha=ab.alpha, beta=ab.beta
+        ) as write:
+            write(traj.table)
         for rows in (1, 7, 64, 256):
             with mock.patch.object(harness, "_chunk_rows", lambda n_fields: rows):
                 from_file = check_trajectory_file(path)
             assert json.dumps(from_file.to_dict(), sort_keys=True) == expected, rows
+
+    def test_where_units_are_cut_changes_no_bit(self):
+        # run --check folds run_stream's units of unit_rows(m) steps,
+        # check a file's of BLOCK_ROWS steps. On this run a log-sum-exp
+        # rescaled to each unit's peak moved final_norm_floor's last bits
+        # at units of 1 and 7 steps; carried term by term it cannot.
+        traj, v_star, ab = fold_case("identity", "vstar", 603)
+
+        def certify(size):
+            certificate = checks._Certificate(traj, v_star, ab.alpha, ab.beta)
+            for start in range(0, traj.n, size):
+                certificate.add(traj.table[start : start + size + 1])
+            return json.dumps(certificate.report().to_dict(), sort_keys=True)
+
+        expected = certify(linalg.BLOCK_ROWS)
+        for size in (1, 7, 300, 603):
+            assert certify(size) == expected, size
 
     def test_chunk_rows_from_the_header_width(self):
         # 64 rows of the benchmark's poly2 m = 78 rows, whose text stays

@@ -40,7 +40,6 @@ from streamkpca.oja import (
     init_state,
     init_state_at,
     oja_step,
-    run_stream,
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
@@ -165,6 +164,12 @@ def read_whole(csv_path) -> tuple[Trajectory, dict]:
     return whole, meta
 
 
+def save(csv_path, traj, **oracle):
+    """write_trajectory of an in-memory trajectory, its table one unit."""
+    with write_trajectory(csv_path, traj, **oracle) as write:
+        write(traj.table)
+
+
 def read_outcome(csv_path, block_rows: int):
     """The data cells read_whole returns, as the bytes of an
     (n, 3 + m) float64 table, or its error's type and text, with
@@ -231,7 +236,6 @@ def trajectory_of(table: np.ndarray) -> Trajectory:
         config=OjaConfig(
             eta=0.01,
             feature_map=FeatureMapSpec.identity(m),
-            record_trajectory=True,
         ),
         init_kind="random",
         table=np.vstack([start, table]),
@@ -377,6 +381,32 @@ class TestRun:
         assert all(t["error"] == "synthetic abort" for t in report["trials"])
         validate(report, SCHEMA)
 
+    def test_aborted_pass_writes_nothing(self, tmp_path, monkeypatch):
+        # The pass hands its readers a unit of 100 steps, then aborts:
+        # the partial CSV is deleted, and no sidecar or check report is
+        # written. The report records the abort, and the CLI exits 3
+        # when every trial aborts.
+        real_run_stream = harness.run_stream
+        handed = []
+
+        def abort_after_a_unit(xs, cfg, init, *, into=()):
+            real_run_stream(xs[:100], cfg, init, into=[*into, handed.append])
+            raise NumericError("synthetic abort")
+
+        monkeypatch.setattr(harness, "run_stream", abort_after_a_unit)
+        out = tmp_path / "out"
+        report = run(small_config(trials=2), out_dir=out)
+        assert len(handed) == 2
+        assert report["aggregate"]["aborted"] == 2
+        assert all(t["error"] == "synthetic abort" for t in report["trials"])
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        cli_out = tmp_path / "cli"
+        argv = ["run", "--dim", "4", "--n", "300", "--trials", "2", "--check",
+                "--save-trajectories", "--out", str(cli_out)]
+        assert main(argv) == 3
+        assert len(handed) == 4
+        assert [p.name for p in cli_out.iterdir()] == ["report.json"]
+
     def test_hypothesis_fractions_count_trials_without_error(self):
         met = harness.TrialResult(
             trial=0, sample_seed=0, init_seed=None, alpha=1e-6, beta=1e5,
@@ -421,9 +451,9 @@ class TestRun:
         present = []
         real_run_trial = harness.run_trial
 
-        def spy(config, trial):
+        def spy(config, trial, csv_path):
             present.append(sorted(p.name for p in tmp_path.iterdir()))
-            return real_run_trial(config, trial)
+            return real_run_trial(config, trial, csv_path)
 
         monkeypatch.setattr(harness, "run_trial", spy)
         run(small_config(trials=2), out_dir=tmp_path)
@@ -444,26 +474,15 @@ class TestTrajectoryFiles:
     @pytest.fixture()
     def saved(self, tmp_path):
         cfg = small_config(trials=1, save_trajectories=True)
-        art = run_trial(cfg, 0)
         csv_path = tmp_path / "traj.csv"
-        write_trajectory(
-            csv_path,
-            art.trajectory,
-            v_star=art.x_star,
-            alpha=art.result.alpha,
-            beta=art.result.beta,
-        )
+        art = run_trial(cfg, 0, csv_path)
         return csv_path, art
 
     @pytest.mark.parametrize("n", [0, 1, 120])
     def test_round_trip(self, tmp_path, n):
         rng = np.random.default_rng(n)
-        cfg = OjaConfig(
-            eta=0.01,
-            feature_map=FeatureMapSpec.identity(4),
-            record_trajectory=True,
-        )
-        _, traj = run_stream(
+        cfg = OjaConfig(eta=0.01, feature_map=FeatureMapSpec.identity(4))
+        traj = Trajectory.record(
             rng.standard_normal((n, 4)), cfg, init_state(4, 3), seed=17
         )
         self._assert_round_trip(tmp_path, traj, n)
@@ -477,7 +496,7 @@ class TestTrajectoryFiles:
 
     def _assert_round_trip(self, tmp_path, traj, n):
         csv_path = tmp_path / "traj.csv"
-        write_trajectory(csv_path, traj)
+        save(csv_path, traj)
         # Reads whose blocks split the rows every which way.
         for block_rows in (1, 7, 256):
             with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
@@ -487,6 +506,13 @@ class TestTrajectoryFiles:
             assert loaded.init_kind == traj.init_kind
             assert loaded.seed == traj.seed
             assert loaded.table.tobytes() == traj.table.tobytes()
+
+    def test_writer_leaves_no_file_of_a_short_run(self, tmp_path):
+        traj = trajectory_of(PLAIN_TABLE)
+        with pytest.raises(ValueError, match="wrote 1 steps of a run of n = 2"):
+            with write_trajectory(tmp_path / "short.csv", traj) as write:
+                write(traj.table[:2])
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -514,7 +540,7 @@ class TestTrajectoryFiles:
         csv_path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         traj = trajectory_of(table)
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            write_trajectory(csv_path, traj)
+            save(csv_path, traj)
         header, *lines = csv_path.read_text(encoding="utf-8").split("\n")
         assert header == ",".join(
             harness.TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
@@ -617,7 +643,7 @@ class TestTrajectoryFiles:
     def test_write_is_deterministic(self, saved, tmp_path):
         csv_path, art = saved
         again = tmp_path / "again.csv"
-        write_trajectory(again, art.trajectory)
+        run_trial(small_config(trials=1, save_trajectories=True), 0, again)
         assert again.read_bytes() == csv_path.read_bytes()
 
     def test_missing_meta(self, saved):
@@ -842,15 +868,14 @@ class TestTrajectoryFiles:
         eta = select_learning_rate(bound)
         summary = summarize(xs, phi)
         energies = compute_alpha_beta(summary, eta)
-        cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True,
-                        norm_bound=bound)
-        _, traj = run_stream(xs, cfg, init_state(phi.feature_dim, 6), seed=4)
+        cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
+        traj = Trajectory.record(xs, cfg, init_state(phi.feature_dim, 6), seed=4)
         csv_path = tmp_path / "traj.csv"
-        write_trajectory(csv_path, traj)
+        save(csv_path, traj)
         loaded, meta = read_whole(csv_path)
         assert loaded.table.tobytes() == traj.table.tobytes()
         assert (meta["v_star"], meta["alpha"], meta["beta"]) == (None, None, None)
-        write_trajectory(
+        save(
             csv_path,
             traj,
             v_star=summary.top_vector,
@@ -1037,8 +1062,7 @@ def layout_streams():
         feats = phi.apply_batch(xs)
         bound = float(np.max(np.einsum("ij,ij->i", feats, feats)))
         cfg = OjaConfig(
-            eta=select_learning_rate(bound), feature_map=phi,
-            record_trajectory=True, norm_bound=bound,
+            eta=select_learning_rate(bound), feature_map=phi, norm_bound=bound,
         )
         starts = {
             "random": init_state(phi.feature_dim, 9),
@@ -1054,9 +1078,10 @@ def layout_streams():
 
 
 class TestOneLayout:
-    """A recorded run is one (n+1, 3+m) table: run_stream fills it as the
-    fold of oja_step would, to rounding; the CSV's data cells are its rows
-    1..n, bit for bit; and a file's units are the in-memory units' rows."""
+    """A recorded run is one (n+1, 3+m) table: the units run_stream hands
+    Trajectory.record are the fold of oja_step, to rounding; the CSV's
+    data cells are its rows 1..n, bit for bit; and a file's units are the
+    in-memory units' rows."""
 
     @pytest.mark.parametrize("n", [0, 1, 60, 255, 256, 257, 2003])
     @pytest.mark.parametrize("start_kind", ["random", "vstar"])
@@ -1065,14 +1090,14 @@ class TestOneLayout:
         self, tmp_path, layout_streams, kind, start_kind, n
     ):
         xs, cfg, init, folded = layout_streams[kind, start_kind]
-        _, traj = run_stream(xs[:n], cfg, init, seed=5)
+        traj = Trajectory.record(xs[:n], cfg, init, seed=5)
         expected = folded[: n + 1]
         assert traj.table.shape == expected.shape
         tol = 1e-12 * np.maximum(1.0, np.abs(expected))
         assert (np.abs(traj.table - expected) <= tol).all()
 
         csv_path = tmp_path / "traj.csv"
-        write_trajectory(csv_path, traj)
+        save(csv_path, traj)
         lines = csv_path.read_text(encoding="utf-8").split("\n")[1:-1]
         assert len(lines) == n
         for row, line in zip(traj.table[1:], lines):
@@ -1469,7 +1494,8 @@ class TestCli:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic internal failure")
 
-        monkeypatch.setattr(harness, "run_all_checks", broken)
+        # run --check and check both end in the certificate's report.
+        monkeypatch.setattr(harness._Certificate, "report", broken)
         if command == "run":
             argv = ["run", "--phi", "identity", "--dim", "4", "--n", "20",
                     "--check", "--out", str(tmp_path / "out")]

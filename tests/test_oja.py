@@ -16,6 +16,7 @@ from streamkpca.oja import (
     STEP_COLUMNS,
     NumericError,
     OjaConfig,
+    Trajectory,
     init_state,
     init_state_at,
     oja_step,
@@ -53,6 +54,11 @@ def fold(xs, cfg, init):
         state, record = oja_step(state, x, cfg)
         rows.append(np.concatenate((record, state.v_hat)))
     return state, np.array(rows)
+
+
+def run_and_record(xs, cfg, init):
+    """run_stream's final state and Trajectory.record's table of one run."""
+    return run_stream(xs, cfg, init), Trajectory.record(xs, cfg, init)
 
 
 def assert_close(got, expected):
@@ -186,7 +192,7 @@ class TestRunStream:
     def test_fixed_point(self):
         cfg = identity_config(2, 0.05)
         xs = np.tile([1.0, 0.0], (50, 1))
-        final, _ = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
+        final = run_stream(xs, cfg, init_state_at([1.0, 0.0]))
         assert np.array_equal(final.v_hat, [1.0, 0.0])
         assert final.step == 50
 
@@ -194,9 +200,9 @@ class TestRunStream:
         # With a constant e1 stream only the first component grows, so the
         # squared alignment obeys (1+eta)^(2i) / ((1+eta)^(2i) + 1).
         eta = 0.05
-        cfg = identity_config(2, eta, record_trajectory=True)
+        cfg = identity_config(2, eta)
         xs = np.tile([1.0, 0.0], (30, 1))
-        final, traj = run_stream(xs, cfg, init_state_at([1.0, 1.0]))
+        traj = Trajectory.record(xs, cfg, init_state_at([1.0, 1.0]))
         aligns = [float(v[3]) ** 2 for v in traj.table[1:]]
         for i, a in enumerate(aligns, start=1):
             g = (1.0 + eta) ** (2 * i)
@@ -204,9 +210,9 @@ class TestRunStream:
         assert all(b > a for a, b in zip(aligns, aligns[1:]))
 
     def test_empty_stream(self):
-        cfg = identity_config(2, 0.05, record_trajectory=True)
+        cfg = identity_config(2, 0.05)
         init = init_state_at([1.0, 0.0])
-        final, traj = run_stream(np.empty((0, 2)), cfg, init)
+        final, traj = run_and_record(np.empty((0, 2)), cfg, init)
         assert final is init
         assert final.log_norm == 0.0
         assert traj.n == 0
@@ -215,9 +221,9 @@ class TestRunStream:
         rng = np.random.default_rng(4)
         v0 = rng.standard_normal(5)
         xs = rng.standard_normal((40, 5))
-        cfg = identity_config(5, 0.01, record_trajectory=True)
-        _, t1 = run_stream(xs, cfg, init_state_at(v0))
-        _, t2 = run_stream(xs, cfg, init_state_at(2.0 * v0))
+        cfg = identity_config(5, 0.01)
+        t1 = Trajectory.record(xs, cfg, init_state_at(v0))
+        t2 = Trajectory.record(xs, cfg, init_state_at(2.0 * v0))
         for v1, v2 in zip(t1.table[1:, 3:], t2.table[1:, 3:]):
             assert np.array_equal(v1, v2)
 
@@ -225,16 +231,11 @@ class TestRunStream:
         rng = np.random.default_rng(9)
         v0 = rng.standard_normal(4)
         xs = rng.standard_normal((30, 4))
-        cfg = identity_config(4, 0.02, record_trajectory=True)
-        _, t1 = run_stream(xs, cfg, init_state_at(v0))
-        _, t2 = run_stream(xs, cfg, init_state_at(3.0 * v0))
+        cfg = identity_config(4, 0.02)
+        t1 = Trajectory.record(xs, cfg, init_state_at(v0))
+        t2 = Trajectory.record(xs, cfg, init_state_at(3.0 * v0))
         for v1, v2 in zip(t1.table[1:, 3:], t2.table[1:, 3:]):
             assert np.allclose(v1, v2, atol=1e-13)
-
-    def test_records_disabled_by_default(self):
-        cfg = identity_config(2, 0.05)
-        _, traj = run_stream(np.tile([1.0, 0.0], (3, 1)), cfg, init_state_at([1.0, 0.0]))
-        assert traj is None
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -255,17 +256,14 @@ class TestRunStream:
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
         phi = make_map(kind, d, seed)
-        cfg = OjaConfig(
-            eta=0.01,
-            feature_map=phi,
-            record_trajectory=record,
-        )
+        cfg = OjaConfig(eta=0.01, feature_map=phi)
         init = start_state(phi, xs, seed, at_vstar)
         # Small blocks make most streams cross block edges; blocks of 31,
         # 32, 33, 65, 96, 257 and 1024 rows end inside, on and just past
         # the edges of the 32-step solves, and 257 crosses both.
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            final, traj = run_stream(xs, cfg, init, seed=seed)
+            final = run_stream(xs, cfg, init)
+            traj = Trajectory.record(xs, cfg, init, seed=seed) if record else None
 
         state, table = fold(xs, cfg, init)
         assert_close(final.v_hat, state.v_hat)
@@ -275,7 +273,6 @@ class TestRunStream:
         if n == 0:
             assert final is init
         if not record:
-            assert traj is None
             return
         assert_close(traj.table, table)
         assert traj.seed == seed
@@ -291,21 +288,47 @@ class TestRunStream:
     def test_recording_does_not_change_the_bits(
         self, n, d, seed, kind, block_rows
     ):
+        # Readers in ``into`` see the rows but never change them: the
+        # final state is the bare run's, the record is the same twice, and
+        # its last row holds the final direction.
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((n, d))
         phi = make_map(kind, d, seed)
         init = init_state(phi.feature_dim, seed)
-        runs = []
+        cfg = OjaConfig(eta=0.01, feature_map=phi)
+        seen = []
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            for record in (False, True, True):
-                cfg = OjaConfig(eta=0.01, feature_map=phi, record_trajectory=record)
-                runs.append(run_stream(xs, cfg, init))
-        (bare, _), (first, traj), (again, rerun) = runs
-        for state in (first, again):
-            assert state.v_hat.tobytes() == bare.v_hat.tobytes()
-            assert state.log_norm == bare.log_norm
+            bare = run_stream(xs, cfg, init)
+            read = run_stream(xs, cfg, init, into=[lambda unit: seen.append(len(unit))])
+            traj, rerun = (Trajectory.record(xs, cfg, init) for _ in range(2))
+        assert read.v_hat.tobytes() == bare.v_hat.tobytes()
+        assert read.log_norm == bare.log_norm
+        assert sum(seen) - len(seen) == n
         assert traj.table[-1, 3:].tobytes() == bare.v_hat.tobytes()
         assert traj.table.tobytes() == rerun.table.tobytes()
+
+    def test_units_are_whole_blocks_handed_to_each_reader_in_turn(self):
+        # About 1 MiB of rows, in whole blocks, at least one.
+        sizes = [oja.unit_rows(m) for m in (20, 78, 128, 509, 2048)]
+        assert sizes == [5632, 1536, 768, 256, 256]
+        rng = np.random.default_rng(2)
+        xs = rng.standard_normal((50, 3))
+        cfg = identity_config(3, 0.02)
+        init = init_state(3, 5)
+        units, seen = [], []
+        readers = [lambda u: units.append(u.copy()), lambda u: seen.append(len(units))]
+        # Three 7-row blocks of 6-float rows to a unit.
+        with (
+            mock.patch.object(linalg, "BLOCK_ROWS", 7),
+            mock.patch.object(oja, "_UNIT_BYTES", 3 * 7 * 6 * 8),
+        ):
+            run_stream(xs, cfg, init, into=readers)
+            table = Trajectory.record(xs, cfg, init).table
+        assert [len(u) - 1 for u in units] == [21, 21, 8]
+        assert seen == [1, 2, 3]
+        # Each unit starts at the row before its first step.
+        whole = np.concatenate([units[0], *(u[1:] for u in units[1:])])
+        assert whole.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("size", [0.5, 1.0, 2.0])
     def test_closed_form_only_for_small_steps(self, size):
@@ -316,16 +339,16 @@ class TestRunStream:
         xs = rng.standard_normal((100, 3))
         eta = 0.05
         xs *= math.sqrt(size / eta / np.max(np.sum(xs * xs, axis=1)))
-        cfg = identity_config(3, eta, record_trajectory=True)
+        cfg = identity_config(3, eta)
         init = init_state(3, 2)
         with mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as spy:
-            final, traj = run_stream(xs, cfg, init)
+            final, traj = run_and_record(xs, cfg, init)
         state, table = fold(xs, cfg, init)
         if size <= 1.0:
             assert spy.call_count == 0
             assert_close(traj.table, table)
             return
-        assert spy.call_count == 1  # the one lifted block of 100 rows
+        assert spy.call_count == 2  # the one lifted block of 100 rows, twice
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
         assert traj.table.tobytes() == table.tobytes()
@@ -337,13 +360,13 @@ class TestRunStream:
         rng = np.random.default_rng(7)
         xs = np.column_stack([np.ones(100), 0.1 * rng.standard_normal(100)])
         xs *= 0.9e150
-        cfg = identity_config(2, 1e-300, record_trajectory=True)
+        cfg = identity_config(2, 1e-300)
         init = init_state(2, 1)
         with mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as spy:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                final, traj = run_stream(xs, cfg, init)
-        assert spy.call_count == 1
+                final, traj = run_and_record(xs, cfg, init)
+        assert spy.call_count == 2
         state, table = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
@@ -360,7 +383,7 @@ class TestRunStream:
         phi = make_map(kind, 3, 0)
         feats = phi.apply_batch(xs)
         eta = select_learning_rate(float(np.max(np.sum(feats * feats, axis=1))))
-        cfg = OjaConfig(eta=eta, feature_map=phi, record_trajectory=True)
+        cfg = OjaConfig(eta=eta, feature_map=phi)
         init = init_state(phi.feature_dim, 4)
         with (
             mock.patch.object(linalg, "BLOCK_ROWS", 100),
@@ -368,7 +391,7 @@ class TestRunStream:
             mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve,
             mock.patch.object(oja, "_step_rows", wraps=oja._step_rows) as step_rows,
         ):
-            final, traj = run_stream(xs, cfg, init)
+            traj = Trajectory.record(xs, cfg, init)
         assert step_rows.call_count == 0
         shapes = [tuple(c.args[0].shape) for c in matmul.call_args_list]
         m = phi.feature_dim
@@ -376,7 +399,6 @@ class TestRunStream:
         assert solve.call_count == 4 + 4 + 2
         assert all(c.args[0].shape == (32, 32) for c in solve.call_args_list)
         state, table = fold(xs, cfg, init)
-        assert_close(final.v_hat, state.v_hat)
         assert_close(traj.table, table)
 
     def test_failed_solve_is_taken_step_by_step(self):
@@ -387,7 +409,7 @@ class TestRunStream:
         with mock.patch.object(
             np.linalg, "solve", side_effect=np.linalg.LinAlgError("Singular matrix")
         ):
-            final, _ = run_stream(xs, cfg, init)
+            final = run_stream(xs, cfg, init)
         state, _ = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
@@ -395,12 +417,12 @@ class TestRunStream:
     def test_any_iterable_of_rows(self):
         rng = np.random.default_rng(6)
         xs = rng.standard_normal((12, 3))
-        cfg = identity_config(3, 0.02, record_trajectory=True)
+        cfg = identity_config(3, 0.02)
         init = init_state(3, 1)
         with mock.patch.object(linalg, "BLOCK_ROWS", 5):
-            _, from_array = run_stream(xs, cfg, init)
-            _, from_list = run_stream([list(x) for x in xs], cfg, init)
-            _, from_generator = run_stream((x for x in xs), cfg, init)
+            from_array = Trajectory.record(xs, cfg, init)
+            from_list = Trajectory.record([list(x) for x in xs], cfg, init)
+            from_generator = Trajectory.record((x for x in xs), cfg, init)
         for other in (from_list, from_generator):
             assert other.table.tobytes() == from_array.table.tobytes()
 
@@ -458,9 +480,8 @@ class TestRunStream:
 @pytest.fixture()
 def short_run():
     rng = np.random.default_rng(12)
-    cfg = identity_config(3, 0.02, record_trajectory=True)
-    _, traj = run_stream(rng.standard_normal((8, 3)), cfg, init_state(3, 4))
-    return traj
+    cfg = identity_config(3, 0.02)
+    return Trajectory.record(rng.standard_normal((8, 3)), cfg, init_state(3, 4))
 
 
 # Where each step column and the directions live in a table.
@@ -532,8 +553,8 @@ class TestTrajectoryValidation:
         assert not traj.table.flags.writeable and fortran.flags.writeable
 
     def test_empty_trajectory_snapshot_is_the_start(self):
-        cfg = identity_config(2, 0.05, record_trajectory=True)
-        _, traj = run_stream(np.empty((0, 2)), cfg, init_state_at([0.6, 0.8]))
+        cfg = identity_config(2, 0.05)
+        traj = Trajectory.record(np.empty((0, 2)), cfg, init_state_at([0.6, 0.8]))
         assert np.array_equal(traj.table, [[0.0, 0.0, 0.0, 0.6, 0.8]])
         assert traj.n == 0
         # The start is row 0 itself, not a copy kept beside it.
@@ -551,11 +572,10 @@ def recorded():
     cfg = OjaConfig(
         eta=eta,
         feature_map=phi,
-        record_trajectory=True,
         norm_bound=bound,
     )
     init = init_state(phi.feature_dim, 8)
-    _, traj = run_stream(xs, cfg, init)
+    traj = Trajectory.record(xs, cfg, init)
     feats = np.array([phi.apply(x) for x in xs])
     return traj, feats, eta
 
@@ -626,10 +646,8 @@ class TestUpdateInvariants:
         # One-step stream at the fixed point: the floor is met with the
         # exact closed-form increment.
         eta = 0.05
-        cfg = identity_config(2, eta, record_trajectory=True)
-        final, traj = run_stream(
-            np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0])
-        )
+        cfg = identity_config(2, eta)
+        final = run_stream(np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0]))
         two_l1 = math.log1p(2 * eta + eta * eta)
         assert abs(2.0 * final.log_norm - two_l1) <= 1e-15
         assert two_l1 >= math.log(eta) + math.log(1.0) - 1e-12

@@ -1,13 +1,22 @@
-"""`check`'s working set is flat in the trajectory's length.
+"""A run's working set grows with its stream only; `check`'s not at all.
 
-    PYTHONPATH=src python tests/working_set.py N1 N2
+    PYTHONPATH=src python tests/working_set.py check N1 N2
+    PYTHONPATH=src python tests/working_set.py run-check N1 N2
 
-runs identity d=6 at-v* trials of N1 and N2 steps with
---save-trajectories, then `check`s each trajectory in a child process
+Each mode measures one command at N1 and N2 steps in a child process
 that reads its own peak resident set (VmHWM in /proc/self/status; a
-parent's rusage would count the parent's image too). It prints both
-peaks and exits 1 unless they differ by less than SLACK_MIB. Linux
-only, for /proc.
+parent's rusage would count the parent's image too), prints both peaks
+and exits 1 unless they hold:
+
+  * check: `check` of an identity d=6 at-v* trial saved by
+    --save-trajectories. Its peaks differ by less than SLACK_MIB.
+  * run-check: `run --check` of an identity d=RUN_DIM at-v* trial,
+    which also writes its CSV. Its peak grows by less than its stream's
+    n * RUN_DIM float64s grow, plus SLACK_MIB. Both n must exceed a few
+    units of run_stream (unit_rows(RUN_DIM) = 5632 steps), since its
+    unit buffer fills up to about 1 MiB first.
+
+Linux only, for /proc.
 """
 
 from __future__ import annotations
@@ -20,15 +29,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# How far apart the two peaks may be. `check` holds O(m) floats whatever
-# n is, so only allocator noise separates them (under 0.1 MiB between
-# n = 2e4 and 2e5, where whole-array reads differed by 25 MiB).
+# How far apart the two peaks may be beyond what the stream accounts
+# for. `check` holds O(m) floats whatever n is, so only allocator noise
+# separates them (under 0.1 MiB between n = 2e4 and 2e5, where
+# whole-array reads differed by 25 MiB).
 SLACK_MIB = 1.0
+
+# The input dimension of the run-check mode's identity map.
+RUN_DIM = 20
 
 _CHILD = """
 import sys
 from streamkpca.cli import main
-code = main(["check", sys.argv[1], "--out", sys.argv[2]])
+code = main(sys.argv[1:])
 with open("/proc/self/status") as status:
     peak = next(line for line in status if line.startswith("VmHWM:"))
 print(code, int(peak.split()[1]))
@@ -41,19 +54,20 @@ def _env() -> dict[str, str]:
     return env
 
 
-def check_peak_mib(n: int, work: Path) -> float:
-    """The peak resident set of `check` of an identity d=6 at-v* trial
-    of n steps, in MiB, written and checked under work."""
-    out = work / f"n{n}"
-    run = [
-        sys.executable, "-m", "streamkpca.cli", "run", "--phi", "identity",
-        "--dim", "6", "--n", str(n), "--init", "vstar", "--trials", "1",
-        "--save-trajectories", "--seed", "3", "--out", str(out),
+def _run_args(dim: int, n: int, out: Path, *flags: str) -> list[str]:
+    """`run` of one identity at-v* trial of n steps into out."""
+    return [
+        "run", "--phi", "identity", "--dim", str(dim), "--n", str(n),
+        "--init", "vstar", "--trials", "1", "--seed", "3", "--out", str(out),
+        *flags,
     ]
-    subprocess.run(run, env=_env(), check=True, stdout=subprocess.DEVNULL)
-    csv_path, report = out / "trial_000.csv", work / f"n{n}.json"
+
+
+def _child_peak_mib(argv: list[str]) -> float:
+    """The peak resident set, in MiB, of a child running the CLI on argv,
+    which must exit 0."""
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(csv_path), str(report)],
+        [sys.executable, "-c", _CHILD, *argv],
         env=_env(),
         check=True,
         capture_output=True,
@@ -61,20 +75,44 @@ def check_peak_mib(n: int, work: Path) -> float:
     )
     code, peak_kib = child.stdout.splitlines()[-1].split()
     if code != "0":
-        raise RuntimeError(f"check of n = {n} exited {code}: {child.stderr}")
+        raise RuntimeError(f"{' '.join(argv)} exited {code}: {child.stderr}")
     return int(peak_kib) / 1024.0
 
 
+def check_peak_mib(n: int, work: Path) -> float:
+    """The peak resident set of `check` of an identity d=6 at-v* trial
+    of n steps, in MiB, written and checked under work."""
+    out = work / f"n{n}"
+    run = [sys.executable, "-m", "streamkpca.cli", *_run_args(6, n, out, "--save-trajectories")]
+    subprocess.run(run, env=_env(), check=True, stdout=subprocess.DEVNULL)
+    return _child_peak_mib(["check", str(out / "trial_000.csv"), "--out", str(work / f"n{n}.json")])
+
+
+def run_check_peak_mib(n: int, work: Path) -> float:
+    """The peak resident set of `run --check` of an identity d=RUN_DIM
+    at-v* trial of n steps, in MiB, written under work."""
+    return _child_peak_mib(_run_args(RUN_DIM, n, work / f"run{n}", "--check"))
+
+
+def stream_mib(n: int) -> float:
+    """The MiB of the run-check mode's stream of n samples."""
+    return n * RUN_DIM * 8 / 2**20
+
+
 def main(argv: list[str]) -> int:
-    n1, n2 = (int(a) for a in argv)
+    mode, n1, n2 = argv[0], int(argv[1]), int(argv[2])
+    measure = {"check": check_peak_mib, "run-check": run_check_peak_mib}[mode]
     with tempfile.TemporaryDirectory() as work:
-        peaks = [check_peak_mib(n, Path(work)) for n in (n1, n2)]
-    gap = abs(peaks[1] - peaks[0])
+        peaks = [measure(n, Path(work)) for n in (n1, n2)]
+    gap = peaks[1] - peaks[0]
+    stream = stream_mib(n2) - stream_mib(n1) if mode == "run-check" else 0.0
     print(
-        f"check peak: n={n1} {peaks[0]:.2f} MiB, n={n2} {peaks[1]:.2f} MiB, "
-        f"gap {gap:.2f} MiB (slack {SLACK_MIB} MiB)"
+        f"{mode} peak: n={n1} {peaks[0]:.2f} MiB, n={n2} {peaks[1]:.2f} MiB, "
+        f"gap {gap:.2f} MiB (stream {stream:.2f} MiB, slack {SLACK_MIB} MiB)"
     )
-    return 0 if gap < SLACK_MIB else 1
+    if mode == "check":
+        return 0 if abs(gap) < SLACK_MIB else 1
+    return 0 if gap < stream + SLACK_MIB else 1
 
 
 if __name__ == "__main__":
