@@ -49,7 +49,7 @@ print(f"float64 overflows near 10^308 -> materializing v_n directly "
 print(f"state kept instead: {final.v_hat.shape[0]} direction entries, "
       f"one log-norm scalar, one step counter")
 
-offline = summarize(xs[:5000], phi)  # oracle stays desk-scale on a prefix
+offline = summarize(np.asarray(xs)[:5000], phi)  # oracle stays desk-scale on a prefix
 align = float(final.v_hat @ offline.top_vector) ** 2
 print(f"squared alignment with the offline oracle on a 5000-sample prefix: "
       f"{align:.6f}")

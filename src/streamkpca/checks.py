@@ -200,6 +200,15 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[np.diff(ordered, prepend=-1) > 0]
 
 
+def _sorted_unique_pairs(pairs: np.ndarray) -> np.ndarray:
+    """The distinct columns (a, b) of a (2, k) integer array, in
+    ascending (a, b) order: one lexsort and a mask of repeats, with no
+    key a * (n + 1) + b to overflow int64."""
+    ordered = pairs[:, np.lexsort(pairs[::-1])]
+    repeat = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    return ordered[:, np.concatenate(([True], ~repeat))]
+
+
 def _carried(carry: float, values: np.ndarray) -> np.ndarray:
     """carry, then carry plus each prefix sum of values, added one value
     at a time: a sum carried from unit to unit this way has the bits of
@@ -316,11 +325,9 @@ class _Certificate:
         self.far = np.empty((2, 0), dtype=np.int64)
         self.pair_rows = {}
         if self.drift_judged:
-            n = traj.n
-            a, b = _drawn_pairs(n, traj.seed, CHECK_PAIR_COUNT)
-            keys = _sorted_unique(a * (n + 1) + b)
-            self.far = np.array([keys // (n + 1), keys % (n + 1)])
-            self.far = self.far[:, self.far[1] > self.far[0] + 1]
+            drawn = _drawn_pairs(traj.n, traj.seed, CHECK_PAIR_COUNT)
+            far = _sorted_unique_pairs(drawn)
+            self.far = far[:, far[1] > far[0] + 1]
         self.needed = _sorted_unique(self.far.ravel())
         if self.growth_judged or self.drift_judged:
             orth = _orthogonal_into(np.empty((1, traj.m)), self.last[None, :], v)

@@ -1,9 +1,9 @@
 """Command-line front end: run experiments, sweep the spectral ratio,
 certify persisted trajectories.
 
-Exit codes: 0 success, 1 check failure, 2 config, input or OS error
-(a stream too long to allocate included), 3 numeric abort in every
-trial, 4 internal error (any other exception, one line, no traceback).
+Exit codes: 0 success, 1 check failure, 2 config, input or OS error,
+3 numeric abort in every trial, 4 internal error (any other exception,
+one line, no traceback).
 A run's config is the --config document, else _DEFAULT_CONFIG, with
 each given flag written over the key it sets; RunConfig.from_dict
 builds it. BLAS runs on one thread unless OPENBLAS_NUM_THREADS,

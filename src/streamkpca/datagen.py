@@ -9,17 +9,24 @@ redrawn from the same seed stream, so the guard holds exactly and the
 learning-rate precondition is never violated by an outlier. Samples are
 drawn ``linalg.BLOCK_ROWS`` at a time; the draws, their order and the
 samples kept are the same as one draw per sample would give.
+
+A stream is its spec, not an array: ``SpikedStream`` replays the draws
+from the sample seed each time its rows are read, so a pass over it
+holds O(BLOCK_ROWS * d) floats whatever n is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import linalg
 from .linalg import as_vector
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,9 @@ class SpikedSpec:
             raise ValueError("input_dim must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
+        # A certificate numbers its steps in int64.
+        if self.n > INT64_MAX:
+            raise ValueError(f"n = {self.n} exceeds the int64 maximum {INT64_MAX}")
         # Every comparison with NaN is false, so each test is written to
         # fail on it: a NaN spectrum keeps no sample and never ends.
         if not 0.0 < self.lambda1 < math.inf:
@@ -131,48 +141,75 @@ def random_orthonormal_basis(d: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def make_spiked_stream(spec: SpikedSpec) -> tuple[np.ndarray, SpikedGroundTruth]:
-    """Generate the stream and its population ground truth.
+@dataclass(frozen=True)
+class SpikedStream:
+    """The spec's n samples, replayed from its sample seed each time they
+    are read. ``mix``'s column k is sqrt(lambda_k) * u_k; a draw whose
+    squared norm exceeds ``guard`` is skipped."""
+
+    spec: SpikedSpec
+    mix: np.ndarray
+    guard: float
+
+    def __len__(self) -> int:
+        return self.spec.n
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows in arrival order, in new arrays of linalg.BLOCK_ROWS
+        rows from row 0, the last maybe shorter."""
+        rows = linalg.BLOCK_ROWS
+        n, d = self.spec.n, self.spec.input_dim
+        rng = np.random.default_rng(self.spec.sample_seed)
+        pending = np.empty((0, d))
+        count = 0
+        while count < n:
+            # Never more draws than samples still missing, so the seed stream
+            # is consumed exactly as far as a per-sample loop would.
+            k = min(rows, n - count)
+            g = rng.standard_normal((k, d))
+            # Batched GEMV and dot products: the same bits as mix @ g and
+            # x @ x per row, which one GEMM would not give.
+            x = np.matmul(self.mix, g[:, :, None])[:, :, 0]
+            norms_sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+            # Outliers are skipped; the stream keeps its place in the seed.
+            kept = x[norms_sq <= self.guard]
+            count += kept.shape[0]
+            # A draw keeps at most a block's rows, so at most one is full.
+            pending = np.concatenate((pending, kept))
+            if pending.shape[0] >= rows:
+                yield pending[:rows]
+                pending = pending[rows:]
+        if pending.shape[0]:
+            yield pending
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for block in self.blocks():
+            yield from block
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The (n, input_dim) array of the rows, a new one each call."""
+        if copy is False:
+            raise ValueError("a SpikedStream's array is always drawn anew")
+        return np.concatenate(tuple(self.blocks())).astype(dtype, copy=False)
+
+
+def make_spiked_stream(spec: SpikedSpec) -> tuple[SpikedStream, SpikedGroundTruth]:
+    """The stream and its population ground truth.
 
     Returns:
-        (xs, truth) where xs has shape (n, input_dim), rows in arrival
-        order, and every row satisfies ||x||^2 <= truth.norm_bound.
-
-    Raises:
-        ValueError: the stream cannot be allocated; the message names n.
+        (xs, truth) where xs replays the spec's n rows of input_dim in
+        arrival order, and every row satisfies ||x||^2 <= truth.norm_bound.
     """
     basis = random_orthonormal_basis(spec.input_dim, spec.basis_seed)
     lam = spec.spectrum()
-    sqrt_lam = np.sqrt(lam)
     guard = spec.norm_guard()
-
-    rng = np.random.default_rng(spec.sample_seed)
-    try:
-        xs = np.empty((spec.n, spec.input_dim))
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's sizes
-        raise ValueError(f"stream length n = {spec.n} cannot be allocated: {exc}") from None
-    mix = basis * sqrt_lam  # column k is sqrt(lambda_k) * u_k
-    count = 0
-    while count < spec.n:
-        # Never more draws than samples still missing, so the seed stream
-        # is consumed exactly as far as a per-sample loop would.
-        k = min(linalg.BLOCK_ROWS, spec.n - count)
-        g = rng.standard_normal((k, spec.input_dim))
-        # Batched GEMV and dot products: the same bits as mix @ g and
-        # x @ x per row, which one GEMM would not give.
-        x = np.matmul(mix, g[:, :, None])[:, :, 0]
-        norms_sq = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
-        # Outliers are skipped; the stream keeps its place in the seed.
-        kept = x[norms_sq <= guard]
-        xs[count : count + kept.shape[0]] = kept
-        count += kept.shape[0]
     truth = SpikedGroundTruth(
         spectrum=lam,
         basis=basis,
         top_direction=basis[:, 0].copy(),
         norm_bound=guard,
     )
-    return xs, truth
+    return SpikedStream(spec, basis * np.sqrt(lam), guard), truth
 
 
 def monte_carlo_offset_norm(

@@ -193,10 +193,11 @@ def trial_seeds(config: RunConfig, trial: int) -> tuple[int, int]:
 
 
 def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
-    """Execute one trial: generate, summarize, stream, measure, check.
-    The pass hands its rows to the certificate, if the config checks, and
-    to write_trajectory at csv_path, if given; one that raises leaves no
-    CSV."""
+    """Execute one trial: summarize, stream, measure, check. summarize
+    and the Oja pass each replay the trial's stream from its seed, so the
+    trial holds O(m^2 + d^2) floats whatever n is. The pass hands its rows
+    to the certificate, if the config checks, and to write_trajectory at
+    csv_path, if given; one that raises leaves no CSV."""
     sample_seed, init_seed = trial_seeds(config, trial)
     result = TrialResult(
         trial=trial,
@@ -204,13 +205,13 @@ def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
         init_seed=init_seed if config.init == "random" else None,
     )
     generator = replace(config.generator, sample_seed=sample_seed)
-    xs, truth = make_spiked_stream(generator)
+    stream, truth = make_spiked_stream(generator)
     phi = config.feature_map
     feature_bound = phi.norm_bound(truth.norm_bound)
     user_eta = None if config.eta_policy == "auto" else float(config.eta_policy)
     eta = select_learning_rate(feature_bound, user_eta)
 
-    summary = summarize(xs, phi)
+    summary = summarize(stream, phi)
     x_star = summary.top_vector
     energies = compute_alpha_beta(summary, eta)
 
@@ -219,7 +220,7 @@ def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
         start = init_state_at(x_star)
     else:
         start = init_state(phi.feature_dim, init_seed)
-    head = _Head(oja_config, start.origin, start.v_hat, len(xs), sample_seed)
+    head = _Head(oja_config, start.origin, start.v_hat, len(stream), sample_seed)
     certificate = None
     if config.run_checks:
         certificate = _Certificate(head, x_star, energies.alpha, energies.beta)
@@ -238,7 +239,7 @@ def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
                 readers.append(
                     stack.enter_context(write_trajectory(csv_path, head, **oracle))
                 )
-            final = run_stream(xs, oja_config, start, into=readers)
+            final = run_stream(stream, oja_config, start, into=readers)
     except NumericError as exc:
         result.error = str(exc)
         return TrialArtifacts(result=result)

@@ -15,7 +15,6 @@ pass and the trajectory writer).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +82,13 @@ def check_seed(seed, name: str) -> None:
 
 
 def row_blocks(xs):
-    """Yield the rows of ``xs`` in blocks of at most BLOCK_ROWS rows.
-
-    An ndarray is sliced without copying; any other iterable of rows is
-    grouped into lists. No empty block is yielded.
-    """
-    if isinstance(xs, np.ndarray) and xs.ndim > 0:
-        for start in range(0, xs.shape[0], BLOCK_ROWS):
-            yield xs[start : start + BLOCK_ROWS]
-        return
-    rows = iter(xs)
-    while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        yield block
+    """The rows of ``xs`` in blocks of at most BLOCK_ROWS rows: a
+    stream's own ``blocks()`` (datagen.SpikedStream), else slices of
+    np.asarray(xs), made without copying. No empty block is yielded."""
+    if hasattr(xs, "blocks"):
+        return xs.blocks()
+    xs, rows = np.asarray(xs), BLOCK_ROWS
+    return (xs[start : start + rows] for start in range(0, len(xs), rows))
 
 
 def symmetric_dense(a) -> np.ndarray:

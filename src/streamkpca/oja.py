@@ -32,13 +32,15 @@ rounding, not bit for bit. A block with a step too large for the
 closed form (eta * ||f||^2 > 1, never under a certified bound) or
 whose closed form is not finite is rerun through ``_update``, which
 raises the NumericError naming the step. The pass holds
-O(unit_rows(m) * m + BLOCK_ROWS * _SOLVE_ROWS) floats.
+O(unit_rows(m) * m + BLOCK_ROWS * _SOLVE_ROWS) floats, and with no
+reader O(BLOCK_ROWS * (m + _SOLVE_ROWS)).
 
 The pass keeps no record: it solves each block into the rows of one
-buffer of ``unit_rows(m)`` steps and hands each full unit to its readers
-(the certificate, the CSV writer). Row i holds step i's s, ||f||^2 and
-log ratio, then the direction after it; row 0 is three zeros, then the
-start. ``Trajectory.record`` collects the units into one table.
+buffer of ``unit_rows(m)`` steps (one block's, with no reader) and
+hands each full unit to its readers (the certificate, the CSV writer).
+Row i holds step i's s, ||f||^2 and log ratio, then the direction after
+it; row 0 is three zeros, then the start. ``Trajectory.record``
+collects the units into one table.
 """
 
 from __future__ import annotations
@@ -390,24 +392,27 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
     """Run the update over a finite stream in arrival order and return
     the final state; an empty stream returns ``init`` itself.
 
-    ``xs`` is any iterable of input vectors (rows of an (n, d) array
-    work). Each block of linalg.BLOCK_ROWS rows is lifted and validated
-    at once, so a malformed sample is reported before any step of its
-    block runs. Each block's steps are then taken in closed form by
-    _solve_block, _SOLVE_ROWS steps per triangular solve, or by _update,
-    row by row, where a step of the block is too large for the closed
-    form or it is not finite: the states and rows agree with a fold of
-    oja_step over xs to rounding, and a NumericError is the fold's,
-    naming the same step.
+    ``xs`` is a stream (datagen.SpikedStream) or an (n, d) array of
+    input vectors (see linalg.row_blocks). Each block of
+    linalg.BLOCK_ROWS rows is lifted and validated at once, so a
+    malformed sample is reported before any step of its block runs.
+    Each block's steps are then taken in closed form by _solve_block,
+    _SOLVE_ROWS steps per triangular solve, or by _update, row by row,
+    where a step of the block is too large for the closed form or it is
+    not finite: the states and rows agree with a fold of oja_step over
+    xs to rounding, and a NumericError is the fold's, naming the same
+    step.
 
     Each block is solved into the rows of one buffer of unit_rows(m)
-    steps. When it is full, and after the last block, each function in
-    the sequence ``into`` is called with the unit: the k + 1 rows from
-    the one before its first step (a view the next unit overwrites).
+    steps, or of one block with no function in ``into``. When it is
+    full, and after the last block, each function in the sequence
+    ``into`` is called with the unit: the k + 1 rows from the one before
+    its first step (a view the next unit overwrites).
     """
     _check_dims(cfg, init)
     m = init.v_hat.shape[0]
-    unit = np.empty((unit_rows(m) + 1, 3 + m))
+    steps = unit_rows(m) if into else linalg.BLOCK_ROWS
+    unit = np.empty((steps + 1, 3 + m))
     unit[0] = np.concatenate((np.zeros(3), init.v_hat))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)

@@ -85,8 +85,8 @@ class AlphaBeta:
 def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
     """One-pass spectral summary of a replayed stream in feature space.
 
-    ``xs`` is any iterable of input vectors (rows of an (n, d) array
-    work).
+    ``xs`` is a stream (datagen.SpikedStream) or an (n, d) array of
+    input vectors (see linalg.row_blocks).
 
     Raises:
         ValueError: empty or all-zero stream, or feature dim above the

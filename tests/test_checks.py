@@ -16,6 +16,7 @@ from streamkpca.oja import (
     STEP_COLUMNS,
     OjaConfig,
     Trajectory,
+    _Head,
     init_state,
     init_state_at,
     select_learning_rate,
@@ -398,6 +399,18 @@ class TestPairSampling:
                 n, seed, count
             )
 
+    @pytest.mark.parametrize("n", [603, 5 * 10**9, 10**12])
+    def test_certificate_far_pairs_are_the_drawn_ones(self, n):
+        # Keys a * (n + 1) + b overflow int64 above n of about 3.04e9 (at
+        # 5e9, 63 of 100 pairs decoded wrong), so the certificate sorts and
+        # dedupes the pairs as pairs; Python ints are the reference here.
+        config = OjaConfig(eta=0.01, feature_map=FeatureMapSpec.identity(2))
+        head = _Head(config, "vstar", np.array([1.0, 0.0]), n, 7)
+        cert = checks._Certificate(head, [1.0, 0.0], 1e-3, 1.0)
+        drawn = zip(*checks._drawn_pairs(n, 7, checks.CHECK_PAIR_COUNT).tolist())
+        expected = sorted({(a, b) for a, b in drawn if b > a + 1})
+        assert list(zip(*cert.far.tolist())) == expected
+
     def test_deterministic_from_seed(self):
         first, again = sample_check_pairs(50, 7), sample_check_pairs(50, 7)
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
@@ -620,7 +633,8 @@ def fold_case(kind, init_kind, n, stream_n=700):
         input_dim=phi.input_dim, n=stream_n, lambda1=1.0, lambda2=0.05,
         tail_decay=0.8, basis_seed=5, sample_seed=6,
     )
-    xs, truth = make_spiked_stream(gen)
+    stream, truth = make_spiked_stream(gen)
+    xs = np.asarray(stream)
     bound = phi.norm_bound(truth.norm_bound)
     eta = select_learning_rate(bound)
     energies = compute_alpha_beta(summarize(xs[:n], phi), eta)

@@ -55,6 +55,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(n=0)
 
+    def test_n_beyond_int64_rejected(self):
+        # Nothing is drawn before the stream is read, so any n a step
+        # index holds is a valid spec.
+        assert spec(n=2**63 - 1).n == 2**63 - 1
+        with pytest.raises(ValueError, match=f"^n = {2**63} exceeds the int64 maximum"):
+            spec(n=2**63)
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -87,11 +94,19 @@ class TestStreamGeneration:
 
     def test_shape_and_guard(self):
         s = spec(n=5000, input_dim=8, lambda1=2.0)
-        xs, truth = make_spiked_stream(s)
-        assert xs.shape == (5000, 8)
+        stream, truth = make_spiked_stream(s)
+        xs = np.asarray(stream)
+        assert len(stream) == 5000 and xs.shape == (5000, 8)
         norms = np.sum(xs**2, axis=1)
         assert norms.max() <= truth.norm_bound
         assert truth.norm_bound == 2.0 * (8 + 10 * math.sqrt(8) + 50)
+
+    def test_every_read_replays_the_same_rows(self):
+        stream, _ = make_spiked_stream(spec(n=600))
+        xs = np.asarray(stream)
+        assert np.array(list(stream)).tobytes() == xs.tobytes()
+        assert replayed(stream).tobytes() == xs.tobytes()
+        assert np.asarray(stream) is not xs
 
     def test_basis_orthonormal(self):
         b = random_orthonormal_basis(7, 3)
@@ -142,6 +157,15 @@ def per_sample_stream(s: SpikedSpec) -> np.ndarray:
     return xs
 
 
+def replayed(stream) -> np.ndarray:
+    """The stream's blocks() as one array, each block checked to be a
+    whole linalg.BLOCK_ROWS block but the last, which is not empty."""
+    blocks = list(stream.blocks())
+    assert {len(b) for b in blocks[:-1]} <= {linalg.BLOCK_ROWS}
+    assert 0 < len(blocks[-1]) <= linalg.BLOCK_ROWS
+    return np.concatenate(blocks)
+
+
 class TightGuardSpec(SpikedSpec):
     """A guard below the mean squared norm, so many draws are redrawn."""
 
@@ -163,7 +187,7 @@ class TestBlockedGeneration:
     def test_equals_the_per_sample_reference(self, kw, block_rows):
         s = spec(**kw)
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            xs, _ = make_spiked_stream(s)
+            xs = replayed(make_spiked_stream(s)[0])
         assert xs.tobytes() == per_sample_stream(s).tobytes()
 
     @pytest.mark.parametrize("block_rows", [1, 5, 1024])
@@ -177,7 +201,8 @@ class TestBlockedGeneration:
         draws = np.random.default_rng(9).standard_normal((600, 5)) @ mix.T
         assert np.mean(np.sum(draws**2, axis=1) > s.norm_guard()) > 0.2
         with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-            xs, truth = make_spiked_stream(s)
+            stream, truth = make_spiked_stream(s)
+            xs = replayed(stream)
         assert xs.tobytes() == reference.tobytes()
         assert np.sum(xs**2, axis=1).max() <= truth.norm_bound
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamkpca import linalg, oja
+from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.linalg import DimensionError
 from streamkpca.oja import (
@@ -414,17 +416,29 @@ class TestRunStream:
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm
 
-    def test_any_iterable_of_rows(self):
-        rng = np.random.default_rng(6)
-        xs = rng.standard_normal((12, 3))
+    def test_a_stream_and_its_array_agree(self):
+        # The pass reads a stream's own blocks, replayed from its seed.
+        stream, _ = make_spiked_stream(SpikedSpec(3, 12, 1.0, 0.3, sample_seed=6))
         cfg = identity_config(3, 0.02)
         init = init_state(3, 1)
         with mock.patch.object(linalg, "BLOCK_ROWS", 5):
-            from_array = Trajectory.record(xs, cfg, init)
-            from_list = Trajectory.record([list(x) for x in xs], cfg, init)
-            from_generator = Trajectory.record((x for x in xs), cfg, init)
-        for other in (from_list, from_generator):
-            assert other.table.tobytes() == from_array.table.tobytes()
+            from_array = Trajectory.record(np.asarray(stream), cfg, init)
+            from_stream = Trajectory.record(stream, cfg, init)
+        assert from_stream.table.tobytes() == from_array.table.tobytes()
+
+    def test_a_pass_without_readers_holds_one_block(self):
+        # With no reader the pass solves into one block's rows, not into
+        # a unit of unit_rows(20) = 5632 steps, about 1 MiB.
+        xs = np.random.default_rng(2).standard_normal((20_000, 20))
+        cfg = identity_config(20, 1e-3)
+        init = init_state(20, 1)
+        tracemalloc.start()
+        try:
+            run_stream(xs, cfg, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_numeric_abort_in_a_later_solve_is_the_folds(self):
         # A positive stream keeps v_hat near (1, 1, 1, 1) / 2, so at step

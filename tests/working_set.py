@@ -1,19 +1,20 @@
-"""A run's working set grows with its stream only; `check`'s not at all.
+"""Neither a run's working set nor `check`'s grows with n.
 
     PYTHONPATH=src python tests/working_set.py check N1 N2
+    PYTHONPATH=src python tests/working_set.py run N1 N2
     PYTHONPATH=src python tests/working_set.py run-check N1 N2
 
 Each mode measures one command at N1 and N2 steps in a child process
 that reads its own peak resident set (VmHWM in /proc/self/status; a
 parent's rusage would count the parent's image too), prints both peaks
-and exits 1 unless they hold:
+and exits 1 unless they differ by less than SLACK_MIB:
 
   * check: `check` of an identity d=6 at-v* trial saved by
-    --save-trajectories. Its peaks differ by less than SLACK_MIB.
-  * run-check: `run --check` of an identity d=RUN_DIM at-v* trial,
-    which also writes its CSV. Its peak grows by less than its stream's
-    n * RUN_DIM float64s grow, plus SLACK_MIB. Both n must exceed a few
-    units of run_stream (unit_rows(RUN_DIM) = 5632 steps), since its
+    --save-trajectories.
+  * run: `run` of an identity d=RUN_DIM at-v* trial, which replays its
+    stream from the seed once for the oracle and once for the Oja pass.
+  * run-check: the same trial under `run --check`. Both n must exceed a
+    few units of run_stream (unit_rows(RUN_DIM) = 5632 steps), since its
     unit buffer fills up to about 1 MiB first.
 
 Linux only, for /proc.
@@ -29,13 +30,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# How far apart the two peaks may be beyond what the stream accounts
-# for. `check` holds O(m) floats whatever n is, so only allocator noise
-# separates them (under 0.1 MiB between n = 2e4 and 2e5, where
-# whole-array reads differed by 25 MiB).
+# How far apart the two peaks may be. Each command holds O(m^2) floats
+# whatever n is, so only allocator noise separates them (under 0.1 MiB
+# for `check` between n = 2e4 and 2e5, where whole-array reads differed
+# by 25 MiB).
 SLACK_MIB = 1.0
 
-# The input dimension of the run-check mode's identity map.
+# The input dimension of the run modes' identity map.
 RUN_DIM = 20
 
 _CHILD = """
@@ -88,31 +89,30 @@ def check_peak_mib(n: int, work: Path) -> float:
     return _child_peak_mib(["check", str(out / "trial_000.csv"), "--out", str(work / f"n{n}.json")])
 
 
+def run_peak_mib(n: int, work: Path) -> float:
+    """The peak resident set of `run` of an identity d=RUN_DIM at-v*
+    trial of n steps, in MiB, written under work."""
+    return _child_peak_mib(_run_args(RUN_DIM, n, work / f"run{n}"))
+
+
 def run_check_peak_mib(n: int, work: Path) -> float:
-    """The peak resident set of `run --check` of an identity d=RUN_DIM
-    at-v* trial of n steps, in MiB, written under work."""
-    return _child_peak_mib(_run_args(RUN_DIM, n, work / f"run{n}", "--check"))
-
-
-def stream_mib(n: int) -> float:
-    """The MiB of the run-check mode's stream of n samples."""
-    return n * RUN_DIM * 8 / 2**20
+    """run_peak_mib's trial under `run --check`."""
+    return _child_peak_mib(_run_args(RUN_DIM, n, work / f"run-check{n}", "--check"))
 
 
 def main(argv: list[str]) -> int:
     mode, n1, n2 = argv[0], int(argv[1]), int(argv[2])
-    measure = {"check": check_peak_mib, "run-check": run_check_peak_mib}[mode]
+    measure = {
+        "check": check_peak_mib, "run": run_peak_mib, "run-check": run_check_peak_mib
+    }[mode]
     with tempfile.TemporaryDirectory() as work:
         peaks = [measure(n, Path(work)) for n in (n1, n2)]
     gap = peaks[1] - peaks[0]
-    stream = stream_mib(n2) - stream_mib(n1) if mode == "run-check" else 0.0
     print(
         f"{mode} peak: n={n1} {peaks[0]:.2f} MiB, n={n2} {peaks[1]:.2f} MiB, "
-        f"gap {gap:.2f} MiB (stream {stream:.2f} MiB, slack {SLACK_MIB} MiB)"
+        f"gap {gap:.2f} MiB (slack {SLACK_MIB} MiB)"
     )
-    if mode == "check":
-        return 0 if abs(gap) < SLACK_MIB else 1
-    return 0 if gap < stream + SLACK_MIB else 1
+    return 0 if abs(gap) < SLACK_MIB else 1
 
 
 if __name__ == "__main__":
