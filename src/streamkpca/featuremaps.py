@@ -167,8 +167,10 @@ class FeatureMapSpec:
         if self.kind == "identity":
             return float(generator_bound)
         if self.kind == "poly2":
-            # ||phi(x)||^2 = <x, x>^2 <= generator_bound^2
-            return float(generator_bound) ** 2
+            # ||phi(x)||^2 = <x, x>^2 <= generator_bound^2; g * g rounds
+            # as g ** 2 does but overflows to inf, not OverflowError.
+            g = float(generator_bound)
+            return g * g
         # sum_j (2/m) cos^2(...) <= 2 regardless of the input
         return 2.0
 

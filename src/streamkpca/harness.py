@@ -100,6 +100,15 @@ class RunConfig:
                 f"feature_map feature_dim {self.feature_map.feature_dim} "
                 f"exceeds the oracle cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
             )
+        # eta is 0.1 over this bound; refuse it here, before any draw
+        # could overflow on the way to it.
+        bound = self.feature_map.norm_bound(self.generator.norm_guard())
+        if not 0.0 < bound < math.inf:
+            raise ConfigError(
+                f"key 'lambda1' = {self.generator.lambda1!r} gives the "
+                f"{self.feature_map.kind} feature-norm bound {bound!r}, "
+                "which is not a positive finite float"
+            )
         if self.init not in ("random", "vstar"):
             raise ConfigError("init must be 'random' or 'vstar'")
         if self.trials < 1:

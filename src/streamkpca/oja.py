@@ -232,9 +232,15 @@ def init_state_at(v0) -> StreamState:
     ||v0||, so only the direction of v0 matters.
     """
     v = as_vector(v0)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("v0 must be nonzero")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if n == 0.0 or n == math.inf:
+        # The norm under- or overflowed: scale by the largest entry first.
+        peak = float(np.abs(v).max(initial=0.0))
+        if peak == 0.0:
+            raise ValueError("v0 must be nonzero")
+        v = v / peak
+        n = float(np.linalg.norm(v))
     return StreamState(v_hat=v / n, log_norm=0.0, step=0, origin="vstar")
 
 

@@ -189,6 +189,16 @@ class TestNormBound:
         assert float(norms4.max()) <= 16.0 + 1e-12
         assert worst <= 16.0 + 1e-12
 
+    @pytest.mark.parametrize("g", [1e-300, 3.7, 1e150, 1e160, 1.7e308])
+    def test_poly2_square_rounds_as_a_power(self, g):
+        # g * g keeps the bits of g ** 2 and overflows to inf (or
+        # underflows to 0), where g ** 2 raises OverflowError.
+        try:
+            want = g**2
+        except OverflowError:
+            want = math.inf
+        assert FeatureMapSpec.poly2(3).norm_bound(g) == want
+
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
             FeatureMapSpec.identity(3).norm_bound(0.0)

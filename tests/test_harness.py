@@ -1253,6 +1253,34 @@ class TestCli:
         assert "bandwidth 1e-320" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "kind, lambda1, bound",
+        [("poly2", 1e160, "inf"), ("poly2", 1e-300, "0.0"), ("identity", 1.7e308, "inf")],
+        ids=["poly2-overflow", "poly2-underflow", "identity-overflow"],
+    )
+    def test_spectrum_without_a_feature_norm_bound_is_config_error(
+        self, tmp_path, monkeypatch, capsys, kind, lambda1, bound
+    ):
+        # poly2 squares its guard, which overflowed with an OverflowError
+        # (exit 4) or underflowed to a bound of 0; identity's guard was
+        # inf and the draws warned. Each is refused with its config.
+        monkeypatch.chdir(tmp_path)
+        phi = FeatureMapSpec.poly2(2) if kind == "poly2" else FeatureMapSpec.identity(2)
+        gen = SpikedSpec(input_dim=2, n=200, lambda1=lambda1, lambda2=lambda1)
+        raw = {"feature_map": phi.to_dict(), "generator": gen.to_dict()}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", "cfg.json", "--out", "out"]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: bad config cfg.json: key 'lambda1' = {lambda1!r} gives the "
+            f"{kind} feature-norm bound {bound}, which is not a positive "
+            "finite float\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_dir_precedence(self, tmp_path, monkeypatch, command):
         # --out, then the config file's out_dir, then STREAMKPCA_OUT.

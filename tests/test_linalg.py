@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,11 +12,60 @@ from streamkpca.linalg import (
     ConvergenceError,
     DimensionError,
     as_unit_vector,
+    as_vector,
     eigendecomposition,
     symmetric_dense,
 )
 
 from reference_eigen import jacobi_eigendecomposition, power_iteration_top
+
+
+# Entries at every edge of the finite floats, beside ordinary ones.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, sys.float_info.max,
+        -sys.float_info.max, 5e-324, -5e-324, sys.float_info.min / 2,
+        -0.0, 0.0,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestAsVector:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(_EDGE_FLOATS, max_size=12),
+        form=st.sampled_from(["array", "list", "strided"]),
+    )
+    def test_accepts_exactly_the_finite_vectors(self, values, form):
+        x = np.array(values, dtype=np.float64)
+        if form == "list":
+            x = list(values)
+        elif form == "strided":
+            buf = np.zeros(2 * len(values))
+            buf[::2] = values
+            x = buf[::2]
+        before = np.array(x, dtype=np.float64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if np.isfinite(before).all():
+                v = as_vector(x)
+            else:
+                with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+                    as_vector(x)
+                v = None
+        assert caught == []
+        if v is None:
+            return
+        assert v.dtype == np.float64 and v.ndim == 1 and v.flags.c_contiguous
+        assert v.tobytes() == before.tobytes()
+        v[:] = 7.0
+        assert np.array(x, dtype=np.float64).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("x", [1.0, [[1.0, 2.0]], np.zeros((0, 2))])
+    def test_not_one_dimensional(self, x):
+        with pytest.raises(DimensionError, match="expected a 1-D vector"):
+            as_vector(x)
 
 
 class TestUnitVector:

@@ -141,8 +141,18 @@ class TestInit:
         assert np.allclose(st.v_hat, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^v0 must be nonzero$"):
             init_state_at([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_at_point_scale_free_where_the_norm_under_or_overflows(self, scale):
+        # Only the direction matters: a norm that would round to 0 or inf
+        # is taken after scaling by the largest entry, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = init_state_at([scale, scale])
+        assert np.allclose(st.v_hat, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
+        assert abs(np.linalg.norm(st.v_hat) - 1.0) <= 1e-15
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
