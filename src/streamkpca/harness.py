@@ -19,7 +19,8 @@ File formats:
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     whose width is m, oracle alpha/beta and v*) and its row count n;
-    write_trajectory writes both files as the run's units reach it.
+    write_trajectory writes both files as the run's units reach it, and
+    read_trajectory reads them back as one record, a TrajectoryFile.
 """
 
 from __future__ import annotations
@@ -517,13 +518,14 @@ def _read_json_object(path: Path, where: str) -> dict:
 
 
 @contextlib.contextmanager
-def write_trajectory(path, head, *, v_star=None, alpha=None, beta=None):
+def write_trajectory(path, head, *, v_star, alpha, beta):
     """Yield the function that writes a unit's rows after its first to
     a trajectory CSV (each step's s, phi_norm_sq and log ratio, then the
     direction after it as vhat_* columns); on exit, with head.n rows
     written, write the sidecar from ``head`` (a _Head or a Trajectory)
     and the oracle's v_star, alpha, beta, which check_trajectory_file
-    needs. If the block raises, neither file is left at the path.
+    certifies against. If the block raises, neither file is left at the
+    path.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
     which reads back bit for bit, written linalg.BLOCK_ROWS rows per
@@ -565,7 +567,7 @@ def write_trajectory(path, head, *, v_star=None, alpha=None, beta=None):
         "n": head.n,
         "alpha": alpha,
         "beta": beta,
-        "v_star": [float(v) for v in v_star] if v_star is not None else None,
+        "v_star": [float(v) for v in v_star],
     }
     _write_json(meta_path_for(path), _jsonable(meta))
 
@@ -601,19 +603,21 @@ def meta_path_for(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def read_trajectory(csv_path) -> tuple[TrajectoryFile, dict]:
-    """Open a trajectory CSV and its meta sidecar: the sidecar and the
-    CSV's header are read and checked here, the rows only as
-    ``TrajectoryFile.units`` reaches them. An older sidecar's m and
-    init_log_norm keys are ignored.
+def read_trajectory(csv_path) -> TrajectoryFile:
+    """Open a trajectory CSV and its meta sidecar as one record: every
+    sidecar key, and every width the sidecar and the CSV's header state,
+    is checked here, before any row is parsed; the rows are parsed only
+    as ``TrajectoryFile.units`` reaches them.
 
     Raises:
         TrajectoryParseError: a bad header, or a file too short for the
             sidecar's n rows; the message names the byte offset.
-        ConfigError: missing or malformed meta sidecar, one whose
-            feature_map or v_star width is not init_v_hat's, one
-            whose init_v_hat is not unit length, or one whose norm_bound
-            is not positive or is too large for its eta.
+        ConfigError: a missing or malformed sidecar, naming the file and
+            the key: a key missing, mistyped or unknown, a width other
+            than init_v_hat's (feature_map, v_star, the vhat_* columns),
+            an init_v_hat or v_star not of unit length, an at-v* start
+            other than v_star, or a norm_bound not positive or too large
+            for its eta.
     """
     csv_path = Path(csv_path)
     meta_file = meta_path_for(csv_path)
@@ -622,56 +626,67 @@ def read_trajectory(csv_path) -> tuple[TrajectoryFile, dict]:
     where = f"bad trajectory metadata {meta_file.name}"
     meta = _read_json_object(meta_file, where)
     _check_keys(meta, _META_KEYS, where)
-    init_v_hat = np.array(meta["init_v_hat"], dtype=np.float64)
-    # Every width the sidecar states is the start's, which the parse
-    # holds to the vhat_* columns. They are compared before the feature
+    m = len(meta["init_v_hat"])
+    # Every width the sidecar states is the start's, which the header's
+    # vhat_* columns must be too. They are compared before the feature
     # map is built, whose rff draws take time in its width.
     widths = {"feature_map": meta["feature_map"]["feature_dim"]}
-    if meta.get("v_star") is not None:
-        widths["v_star"] = len(meta["v_star"])
+    widths["v_star"] = len(meta["v_star"])
     for key, width in widths.items():
-        if width != init_v_hat.shape[0]:
+        if width != m:
             raise ConfigError(
-                f"{where}: key {key!r} gives width {width}, "
-                f"key 'init_v_hat' {init_v_hat.shape[0]}"
+                f"{where}: key {key!r} gives width {width}, key 'init_v_hat' {m}"
             )
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: key 'feature_map': {exc}") from exc
-    # Every run starts at a unit direction; the checks assume one.
+    # Every run starts at a unit direction, and the checks measure it
+    # against a unit v*.
+    unit = {}
+    for key in ("init_v_hat", "v_star"):
+        try:
+            unit[key] = linalg.as_unit_vector(meta[key], key)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{where}: key {key!r} must have unit norm, within "
+                f"{linalg.UNIT_NORM_TOL!r}"
+            ) from exc
+        unit[key].flags.writeable = False
+    init_v_hat, v_star = unit["init_v_hat"], unit["v_star"]
     try:
-        linalg.as_unit_vector(init_v_hat, "init_v_hat")
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}: key 'init_v_hat' must have unit norm, within "
-            f"{linalg.UNIT_NORM_TOL!r}"
-        ) from exc
-    try:
-        config = OjaConfig(
-            eta=float(meta["eta"]),
-            feature_map=feature_map,
-            norm_bound=meta.get("norm_bound"),
-        )
+        config = OjaConfig(meta["eta"], feature_map, norm_bound=meta["norm_bound"])
     except ValueError as exc:
         raise ConfigError(f"{where}: key 'norm_bound' with key 'eta': {exc}") from exc
-    init_v_hat.flags.writeable = False
-    traj = TrajectoryFile(
-        path=csv_path,
+    # A run started at v* records v* itself as its start; the checks
+    # gated on that start would otherwise judge a start it never had.
+    if meta["init"] == "vstar":
+        gap = float(np.abs(init_v_hat - v_star).max())
+        if not gap <= linalg.UNIT_NORM_TOL:
+            raise ConfigError(
+                f"{where}: key 'init' is 'vstar', but key 'init_v_hat' "
+                f"differs from key 'v_star' by {gap!r} in an entry, above "
+                f"{linalg.UNIT_NORM_TOL!r}"
+            )
+    return TrajectoryFile(
         config=config,
         init_kind=meta["init"],
         init_v_hat=init_v_hat,
         n=meta["n"],
-        seed=int(meta.get("seed", 0)),
-        data_start=_read_header(csv_path, init_v_hat.shape[0], meta["n"]),
+        seed=meta["seed"],
+        v_star=v_star,
+        alpha=float(meta["alpha"]),
+        beta=float(meta["beta"]),
+        path=csv_path,
+        data_start=_read_header(csv_path, m, meta["n"], where),
     )
-    return traj, meta
 
 
-def _read_header(csv_path: Path, m: int, n: int) -> int:
+def _read_header(csv_path: Path, m: int, n: int, where: str) -> int:
     """The byte offset where the rows of a trajectory CSV with m vhat_*
     columns start, once its header is checked and its size found large
-    enough for n rows."""
+    enough for n rows. Other than m columns is a ConfigError that begins
+    with where, the sidecar's."""
     width = len(TRAJECTORY_HEADER)
     # Lines split on "\n" only; a "\r" stays part of its field.
     with open(csv_path, "rb") as fh:
@@ -693,7 +708,7 @@ def _read_header(csv_path: Path, m: int, n: int) -> int:
             )
     if len(header) - width != m:
         raise ConfigError(
-            f"metadata init vector has {m} entries, the trajectory "
+            f"{where}: key 'init_v_hat' has {m} entries, the trajectory "
             f"{len(header) - width} vhat_* columns"
         )
     # A row of len(header) cells takes at least 2 * len(header) - 1
@@ -722,15 +737,16 @@ def _chunk_rows(n_fields: int) -> int:
 
 @dataclass
 class TrajectoryFile(_Head):
-    """A trajectory CSV whose sidecar and header read_trajectory checked:
-    the run's _Head, and ``units``, which parses the rows as it goes. Its
-    table's row 0 is three zeros and the sidecar's init_v_hat.
-    ``phi_norm_sq_sum`` is the sum of the phi_norm_sq column, added one
-    row at a time, once ``units`` has read every row, and NaN until then."""
+    """A trajectory CSV and its sidecar, checked by read_trajectory: the
+    run's _Head, the oracle's v_star, alpha and beta, and ``units``,
+    which parses the rows as it goes. Its table's row 0 is three zeros
+    and the sidecar's init_v_hat."""
 
+    v_star: np.ndarray  # read-only, unit norm
+    alpha: float
+    beta: float
     path: Path
     data_start: int  # byte offset of row 1
-    phi_norm_sq_sum: float = field(default=math.nan, init=False)
 
     def units(self):
         """The rows as units of linalg.BLOCK_ROWS steps, the first at
@@ -738,11 +754,13 @@ class TrajectoryFile(_Head):
         _chunk_rows rows at a time into one buffer that each unit
         reuses. A defect raises where the pass reaches it, so the error
         names the first defect in the file; so does a row count other
-        than n.
+        than n. Once every row is read, alpha + beta must be at most what
+        the rows allow.
 
         Raises:
             TrajectoryParseError: malformed rows, or a row count other
                 than n; the message names the byte offset.
+            ConfigError: alpha + beta above eta * sum(phi_norm_sq).
         """
         n, m = self.n, self.m
         n_fields = len(TRAJECTORY_HEADER) + m
@@ -788,7 +806,16 @@ class TrajectoryFile(_Head):
                     f"row {n + 1} at byte {offset}: beyond the n = {n} rows its "
                     "sidecar records"
                 )
-        self.phi_norm_sq_sum = trace
+        # For a unit v*, alpha + beta <= eta * trace(M), and the trace of
+        # the second moment is the sum of the recorded ||phi||^2; the
+        # 1e-9 relative slack absorbs the two sums' rounding.
+        most = self.config.eta * trace
+        if self.alpha + self.beta > most * (1.0 + 1e-9):
+            raise ConfigError(
+                f"bad trajectory metadata {meta_path_for(self.path).name}: "
+                f"key 'alpha' + key 'beta' = {self.alpha + self.beta!r} exceeds "
+                f"key 'eta' * sum(phi_norm_sq) = {most!r}, the most a run gives"
+            )
 
 
 # The bytes of a cell: a JSON number, with e as its only exponent mark.
@@ -929,7 +956,7 @@ def _nullable(test):
 
 # Key tables, checked by _check_keys: key -> (required, test, what the
 # test accepts), or (required, nested key table, None) for an object.
-# A key read and ignored, or one a constructor checks, takes any value.
+# A key a constructor checks takes any value here.
 _ANY_VALUE = (False, lambda v: True, "any value")
 
 # Feature map key, in a config or a meta sidecar.
@@ -964,7 +991,7 @@ _RUN_CONFIG_KEYS = {
     "out_dir": (False, _nullable(_is_str), "a string or null"),
 }
 
-# Meta sidecar key; m and init_log_norm are an older sidecar's.
+# Meta sidecar key: every one is required, and only norm_bound may be null.
 _META_KEYS = {
     "eta": (
         True,
@@ -974,18 +1001,12 @@ _META_KEYS = {
     "feature_map": (True, _FEATURE_MAP_KEYS, None),
     "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
-    "seed": (False, _is_nonnegative_integer, "an integer >= 0"),
+    "seed": (True, _is_nonnegative_integer, "an integer >= 0"),
     "n": (True, _is_nonnegative_integer, "an integer >= 0"),
-    "norm_bound": (False, _nullable(_is_finite_number), "null or finite"),
-    "alpha": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
-    "beta": (False, _nullable(_is_nonnegative_number), "null or finite >= 0"),
-    "v_star": (
-        False,
-        _nullable(_is_finite_vector),
-        "null or a list of finite numbers",
-    ),
-    "m": _ANY_VALUE,
-    "init_log_norm": _ANY_VALUE,
+    "norm_bound": (True, _nullable(_is_finite_number), "null or finite"),
+    "alpha": (True, _is_nonnegative_number, "finite >= 0"),
+    "beta": (True, _is_nonnegative_number, "finite >= 0"),
+    "v_star": (True, _is_finite_vector, "a list of finite numbers"),
 }
 
 
@@ -1012,51 +1033,23 @@ def _check_keys(obj, table: dict, where: str) -> None:
 
 
 def check_trajectory_file(csv_path) -> CheckReport:
-    """Certify a persisted trajectory in one pass over its rows.
+    """Certify a persisted trajectory against its sidecar's oracle:
+    read_trajectory, then run_all_checks in one pass over its rows.
 
     Raises:
         TrajectoryParseError: a malformed file (read_trajectory, units).
-        ConfigError: a sidecar without the oracle's v_star, alpha and
-            beta, an at-v* start other than v*, an alpha + beta above
-            what the rows allow, or an alpha that overflows a check.
+        ConfigError: a malformed sidecar (read_trajectory), an alpha +
+            beta above what the rows allow (units), or an alpha that
+            overflows a check.
     """
-    traj, meta = read_trajectory(csv_path)
-    where = f"bad trajectory metadata {meta_path_for(csv_path).name}"
-    for key in ("v_star", "alpha", "beta"):
-        if meta.get(key) is None:
-            state = "null" if key in meta else "missing"
-            raise ConfigError(f"{where}: key {key!r} is {state}; a check needs it")
-    v_star = np.array(meta["v_star"], dtype=np.float64)
-    # A run started at v* records v* itself as its start; the checks
-    # gated on that start would otherwise judge a start it never had.
-    if meta["init"] == "vstar":
-        gap = float(np.abs(traj.init_v_hat - v_star).max())
-        if not gap <= linalg.UNIT_NORM_TOL:
-            raise ConfigError(
-                f"{where}: key 'init' is 'vstar', but key 'init_v_hat' "
-                f"differs from key 'v_star' by {gap!r} in an entry, above "
-                f"{linalg.UNIT_NORM_TOL!r}"
-            )
-    alpha, beta = float(meta["alpha"]), float(meta["beta"])
-    overflow = None
+    traj = read_trajectory(csv_path)
     try:
-        report = run_all_checks(traj, v_star, alpha, beta)
+        return run_all_checks(traj, traj.v_star, traj.alpha, traj.beta)
     except OverflowError as exc:
         # Of the sidecar's values, only alpha can overflow a check: the
         # energy budget squares it, once every row is read, and raises
         # if that is not finite.
-        overflow = exc
-    # For a unit v*, alpha + beta <= eta * trace(M), and the trace of the
-    # second moment is the sum of the recorded ||phi||^2; the 1e-9
-    # relative slack absorbs the two sums' rounding.
-    most = traj.config.eta * traj.phi_norm_sq_sum
-    if alpha + beta > most * (1.0 + 1e-9):
         raise ConfigError(
-            f"{where}: key 'alpha' + key 'beta' = {alpha + beta!r} exceeds "
-            f"key 'eta' * sum(phi_norm_sq) = {most!r}, the most a run gives"
-        )
-    if overflow is not None:
-        raise ConfigError(
-            f"{where}: key 'alpha' overflows the certificate: {overflow}"
-        ) from overflow
-    return report
+            f"bad trajectory metadata {meta_path_for(csv_path).name}: "
+            f"key 'alpha' overflows the certificate: {exc}"
+        ) from exc

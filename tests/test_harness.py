@@ -154,18 +154,19 @@ def averaged_lists(draw) -> list[float]:
     return [zero if v == 0 else v for v in values]
 
 
-def read_whole(csv_path) -> tuple[Trajectory, dict]:
+def read_whole(csv_path) -> Trajectory:
     """read_trajectory's trajectory with every row read, as an in-memory
-    Trajectory, and its sidecar."""
-    traj, meta = read_trajectory(csv_path)
+    Trajectory."""
+    traj = read_trajectory(csv_path)
     rows = [np.concatenate(([0.0, 0.0, 0.0], traj.init_v_hat))[None, :]]
     rows += [unit[1:].copy() for unit in traj.units()]
-    whole = Trajectory(traj.config, traj.init_kind, np.concatenate(rows), traj.seed)
-    return whole, meta
+    return Trajectory(traj.config, traj.init_kind, np.concatenate(rows), traj.seed)
 
 
 def save(csv_path, traj, **oracle):
-    """write_trajectory of an in-memory trajectory, its table one unit."""
+    """write_trajectory of an in-memory trajectory, its table one unit,
+    with the oracle given, else v* = the start and alpha = beta = 0."""
+    oracle = oracle or dict(v_star=traj.table[0, 3:], alpha=0.0, beta=0.0)
     with write_trajectory(csv_path, traj, **oracle) as write:
         write(traj.table)
 
@@ -176,10 +177,26 @@ def read_outcome(csv_path, block_rows: int):
     linalg.BLOCK_ROWS = block_rows."""
     with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
         try:
-            traj, _ = read_whole(csv_path)
+            traj = read_whole(csv_path)
         except (TrajectoryParseError, ConfigError) as exc:
             return type(exc), str(exc)
     return traj.table[1:].tobytes()
+
+
+def expected_read(csv_path, table: np.ndarray, eta: float):
+    """read_outcome's result for a file of table's rows beside a sidecar
+    of alpha = beta = 0: the table's bytes, or, where eta times the sum
+    of its phi_norm_sq column is below 0, no run's, the refusal that
+    ends the pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        most = eta * float(np.cumsum(table[:, 1])[-1])
+    if not 0.0 > most * (1.0 + 1e-9):
+        return table.tobytes()
+    return ConfigError, (
+        f"bad trajectory metadata {harness.meta_path_for(csv_path).name}: "
+        f"key 'alpha' + key 'beta' = 0.0 exceeds key 'eta' * sum(phi_norm_sq) "
+        f"= {most!r}, the most a run gives"
+    )
 
 
 def blocked_read_outcome(csv_path):
@@ -500,7 +517,7 @@ class TestTrajectoryFiles:
         # Reads whose blocks split the rows every which way.
         for block_rows in (1, 7, 256):
             with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
-                loaded, meta = read_whole(csv_path)
+                loaded = read_whole(csv_path)
             assert loaded.n == traj.n == n
             assert loaded.config.eta == traj.config.eta
             assert loaded.init_kind == traj.init_kind
@@ -510,7 +527,9 @@ class TestTrajectoryFiles:
     def test_writer_leaves_no_file_of_a_short_run(self, tmp_path):
         traj = trajectory_of(PLAIN_TABLE)
         with pytest.raises(ValueError, match="wrote 1 steps of a run of n = 2"):
-            with write_trajectory(tmp_path / "short.csv", traj) as write:
+            with write_trajectory(
+                tmp_path / "short.csv", traj, v_star=np.eye(traj.m)[0], alpha=0.0, beta=0.0
+            ) as write:
                 write(traj.table[:2])
         assert list(tmp_path.iterdir()) == []
 
@@ -553,7 +572,8 @@ class TestTrajectoryFiles:
             # float() gives back each cell's bits, -0.0 included.
             assert np.array(list(map(float, cells))).tobytes() == row.tobytes()
         # The reader takes every spelling the writer makes, to the same bits.
-        assert read_outcome(csv_path, block_rows) == table.tobytes()
+        expected = expected_read(csv_path, table, traj.config.eta)
+        assert read_outcome(csv_path, block_rows) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_writer_refuses_non_finite_cell(self, bad):
@@ -734,28 +754,6 @@ class TestTrajectoryFiles:
             read_trajectory(csv_path)
         assert main(["check", str(csv_path)]) == 2
 
-    def test_sidecar_with_init_log_norm_still_reads(self, saved):
-        # Sidecars written before the key was dropped carry it still.
-        csv_path, _ = saved
-        meta_file = harness.meta_path_for(csv_path)
-        meta = json.loads(meta_file.read_text())
-        assert "init_log_norm" not in meta
-        expected = check_trajectory_file(csv_path).to_dict()
-        meta_file.write_text(json.dumps({**meta, "init_log_norm": 0.0}))
-        assert check_trajectory_file(csv_path).to_dict() == expected
-
-    @pytest.mark.parametrize("m", [4, 99, 4.0])
-    def test_sidecar_with_m_still_reads(self, saved, m):
-        # Sidecars written before the key was dropped carry it still; the
-        # width comes from init_v_hat, whatever m says.
-        csv_path, _ = saved
-        meta_file = harness.meta_path_for(csv_path)
-        meta = json.loads(meta_file.read_text())
-        assert "m" not in meta
-        expected = check_trajectory_file(csv_path).to_dict()
-        meta_file.write_text(json.dumps({**meta, "m": m}))
-        assert check_trajectory_file(csv_path).to_dict() == expected
-
     def test_meta_alpha_overflow_names_the_key(self, saved, capsys):
         # 1e308 would overflow alpha**2, and 1e154 the energy budget built
         # from it; both lie far above the most a run can give.
@@ -778,7 +776,7 @@ class TestTrajectoryFiles:
         csv_path = out / "trial_000.csv"
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
-        most = meta["eta"] * float(np.sum(read_whole(csv_path)[0].table[1:, 1]))
+        most = meta["eta"] * float(np.sum(read_whole(csv_path).table[1:, 1]))
         assert meta["alpha"] + meta["beta"] <= most
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
         capsys.readouterr()
@@ -830,36 +828,83 @@ class TestTrajectoryFiles:
         with pytest.raises(ConfigError, match="JSON object"):
             read_trajectory(csv_path)
 
-    def test_check_needs_beta(self, saved, capsys):
-        # And v_star and alpha: each null or missing is an input error
-        # that names the sidecar and the key, though the file still reads.
+    @staticmethod
+    def _first_row_malformed(csv_path) -> None:
+        """Spoil the s cell of the file's first data row: a refusal that
+        still comes first was made before any row was parsed."""
+        lines = csv_path.read_bytes().split(b"\n")
+        cells = lines[1].split(b",")
+        cells[1] = b"not-a-number"
+        lines[1] = b",".join(cells)
+        csv_path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "key, state",
+        [
+            *[(key, "missing") for key in ("seed", "norm_bound", "v_star", "alpha", "beta")],
+            *[(key, "null") for key in ("v_star", "alpha", "beta")],
+        ],
+    )
+    def test_check_needs_beta(self, saved, capsys, key, state):
+        # And every other sidecar key: one missing, or a null oracle, is
+        # an input error that names the sidecar and the key, made before
+        # any row is parsed.
         csv_path, _ = saved
+        self._first_row_malformed(csv_path)
         meta_file = harness.meta_path_for(csv_path)
-        original = json.loads(meta_file.read_text())
-        for key in ("v_star", "alpha", "beta"):
-            for state in ("null", "missing"):
-                meta = dict(original)
-                if state == "null":
-                    meta[key] = None
-                else:
-                    del meta[key]
-                meta_file.write_text(json.dumps(meta))
-                read_trajectory(csv_path)
-                expected = (
-                    f"bad trajectory metadata {meta_file.name}: key {key!r} "
-                    f"is {state}; a check needs it"
-                )
-                with pytest.raises(ConfigError) as err:
-                    check_trajectory_file(csv_path)
-                assert str(err.value) == expected
-                capsys.readouterr()
-                assert main(["check", str(csv_path)]) == 2
-                assert capsys.readouterr().err == f"error: {expected}\n"
+        meta = json.loads(meta_file.read_text())
+        if state == "null":
+            meta[key] = None
+            located = f"key {key!r} must be"
+        else:
+            del meta[key]
+            located = f"missing key {key!r}"
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=f"^bad trajectory metadata traj.meta.json: {located}"):
+            read_trajectory(csv_path)
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad trajectory metadata traj.meta.json: {located}"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"m": 4}, "unknown key 'm'"),
+            ({"init_log_norm": 0.0}, "unknown key 'init_log_norm'"),
+            (
+                {"v_star": [1.0, 1.0, 0.0, 0.0]},
+                f"key 'v_star' must have unit norm, within {linalg.UNIT_NORM_TOL!r}",
+            ),
+            (None, "key 'init_v_hat' has 4 entries, the trajectory 5 vhat_* columns"),
+        ],
+    )
+    def test_sidecar_refused_before_any_row(self, saved, capsys, edit, message):
+        # An older sidecar's m or init_log_norm key, a v* off unit length,
+        # and a header with one more vhat_* column than init_v_hat has
+        # entries (edit None): each names the sidecar and the key.
+        csv_path, _ = saved
+        self._first_row_malformed(csv_path)
+        meta_file = harness.meta_path_for(csv_path)
+        if edit is None:
+            raw = csv_path.read_bytes()
+            header_end = raw.index(b"\n")
+            csv_path.write_bytes(raw[:header_end] + b",vhat_4" + raw[header_end:])
+        else:
+            meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), **edit}))
+        expected = f"bad trajectory metadata traj.meta.json: {message}"
+        with pytest.raises(ConfigError) as err:
+            read_trajectory(csv_path)
+        assert str(err.value) == expected
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_written_pair_round_trips(self, tmp_path):
-        # write_trajectory writes the sidecar too: without the oracle's
-        # constants the pair reads back, and with them check_trajectory_file
-        # gives run_all_checks's report.
+        # write_trajectory writes the sidecar too: the pair reads back as
+        # one record, the oracle's constants with it, and
+        # check_trajectory_file gives run_all_checks's report.
         gen = SpikedSpec(input_dim=5, n=200, lambda1=1.0, lambda2=0.1,
                          basis_seed=3, sample_seed=4)
         xs, truth = make_spiked_stream(gen)
@@ -871,10 +916,6 @@ class TestTrajectoryFiles:
         cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
         traj = Trajectory.record(xs, cfg, init_state(phi.feature_dim, 6), seed=4)
         csv_path = tmp_path / "traj.csv"
-        save(csv_path, traj)
-        loaded, meta = read_whole(csv_path)
-        assert loaded.table.tobytes() == traj.table.tobytes()
-        assert (meta["v_star"], meta["alpha"], meta["beta"]) == (None, None, None)
         save(
             csv_path,
             traj,
@@ -882,6 +923,11 @@ class TestTrajectoryFiles:
             alpha=energies.alpha,
             beta=energies.beta,
         )
+        assert read_whole(csv_path).table.tobytes() == traj.table.tobytes()
+        record = read_trajectory(csv_path)
+        assert record.v_star.tobytes() == summary.top_vector.tobytes()
+        assert not record.v_star.flags.writeable
+        assert (record.alpha, record.beta) == (energies.alpha, energies.beta)
         expected = run_all_checks(
             traj, summary.top_vector, energies.alpha, energies.beta
         )
@@ -1032,8 +1078,8 @@ class TestCheckErrorsInOnePass:
         csv_path, out = saved
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
+        phi_norm_sq = read_whole(csv_path).table[1:, 1]
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
-        phi_norm_sq = read_whole(csv_path)[0].table[1:, 1]
         most = meta["eta"] * float(np.cumsum(phi_norm_sq)[-1])
         message = (
             f"bad trajectory metadata {meta_file.name}: key 'alpha' + key 'beta' = "
@@ -1104,7 +1150,7 @@ class TestOneLayout:
             cells = np.array([float(cell) for cell in line.split(",")[1:]])
             assert cells.tobytes() == row.tobytes()
 
-        from_file, _ = read_trajectory(csv_path)
+        from_file = read_trajectory(csv_path)
         # A file's unit is a buffer the next one overwrites: its bytes
         # are taken as it is given.
         file_units = [unit.tobytes() for unit in from_file.units()]
@@ -1633,7 +1679,7 @@ class TestCli:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert key in err and "unit norm" in err
+        assert f"trial_000.meta.json: key {key!r} must have unit norm" in err
 
     def test_config_file_merge_flags_win(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -2101,11 +2147,12 @@ class TestCheckFuzz:
             f"{step}," + ",".join(row) + "\n" for step, row in enumerate(rows, 1)
         )
         raw = header + b"\n" + body.encode()
-        self._write(originals, csv_path, raw, n=len(rows))
+        self._write(originals, csv_path, raw, n=len(rows), alpha=0.0, beta=0.0)
         table = np.array([[0.0 if c == "-0" else float(c) for c in row] for row in rows])
         outcome = blocked_read_outcome(csv_path)
         if np.isfinite(table).all():
-            assert outcome == table.tobytes()
+            eta = json.loads(originals[harness.meta_path_for(csv_path)])["eta"]
+            assert outcome == expected_read(csv_path, table, eta)
         else:
             i, j = np.argwhere(~np.isfinite(table))[0]
             cell, at = rows[i][j], cell_offset(raw, i + 1, j + 1)
