@@ -110,6 +110,15 @@ class RunConfig:
                 f"{self.feature_map.kind} feature-norm bound {bound!r}, "
                 "which is not a positive finite float"
             )
+        # trace(M) = sum ||phi||^2 <= n * bound, and the oracle forms
+        # M + M^T: refuse a bound whose second moment could overflow.
+        if not math.isfinite(2.0 * self.generator.n * bound):
+            raise ConfigError(
+                f"key 'lambda1' = {self.generator.lambda1!r} with key 'n' = "
+                f"{self.generator.n} gives the {self.feature_map.kind} "
+                f"feature-norm bound {bound!r}, whose second moment, up to "
+                f"2 * n * bound, overflows"
+            )
         if self.init not in ("random", "vstar"):
             raise ConfigError("init must be 'random' or 'vstar'")
         if self.trials < 1:

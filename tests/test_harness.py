@@ -1327,6 +1327,38 @@ class TestCli:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_spectrum_whose_second_moment_overflows_is_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # identity d=2, n=200: trace(M) <= n * bound and the oracle forms
+        # M + M^T, so 2 * n * bound must be finite. At 2e306 the second
+        # moment overflowed (exit 4 with warnings as errors). The largest
+        # lambda1 accepted runs without a warning; the next float up is
+        # refused with its config.
+        monkeypatch.chdir(tmp_path)
+        largest, smallest = 6.794810592029502e303, 6.794810592029504e303
+        assert math.nextafter(largest, math.inf) == smallest
+        phi = FeatureMapSpec.identity(2)
+        for lambda1 in (largest, smallest, 2e306):
+            gen = SpikedSpec(input_dim=2, n=200, lambda1=lambda1, lambda2=lambda1)
+            raw = {"feature_map": phi.to_dict(), "generator": gen.to_dict()}
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["run", "--config", "cfg.json", "--out", "out"])
+            assert caught == []
+            err = capsys.readouterr().err
+            if lambda1 == largest:
+                assert code == 0 and err == ""
+                continue
+            bound = phi.norm_bound(gen.norm_guard())
+            assert code == 2
+            assert err == (
+                f"error: bad config cfg.json: key 'lambda1' = {lambda1!r} with "
+                f"key 'n' = 200 gives the identity feature-norm bound {bound!r}, "
+                "whose second moment, up to 2 * n * bound, overflows\n"
+            )
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_dir_precedence(self, tmp_path, monkeypatch, command):
         # --out, then the config file's out_dir, then STREAMKPCA_OUT.
