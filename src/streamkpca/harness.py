@@ -283,10 +283,12 @@ def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
     return TrialArtifacts(result=result, check_report=check_report)
 
 
-def _quantiles(values: list[float]) -> dict:
-    if not values:
+def _quantiles(values) -> dict:
+    """The median, q10 and q90 of the finite floats among values (a None
+    is skipped), each _quantile's, or None if there are none."""
+    ordered = sorted(float(v) for v in values if v is not None)
+    if not ordered:
         return {"median": None, "q10": None, "q90": None}
-    ordered = sorted(map(float, values))
     q10, med, q90 = (_quantile(ordered, q) for q in (0.1, 0.5, 0.9))
     return {"median": med, "q10": q10, "q90": q90}
 
@@ -324,8 +326,8 @@ def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
         "trials": len(results),
         "aborted": len(results) - len(good),
         "alignment_error": _quantiles(errors),
-        "residual_median": _median([r.residual for r in good]),
-        "log_norm_median": _median([r.log_norm for r in good]),
+        "residual_median": _quantiles([r.residual for r in good])["median"],
+        "log_norm_median": _quantiles([r.log_norm for r in good])["median"],
         "envelope_failure_fraction": None,
         "envelope_slack_median": None,
         "alpha_hypothesis_fraction": None,
@@ -342,9 +344,9 @@ def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
             1 for r in judged if not r.within_envelope
         ) / len(judged)
     if good:
-        agg["envelope_slack_median"] = _median(
+        agg["envelope_slack_median"] = _quantiles(
             [envelope_slack(r.beta) for r in good]
-        )
+        )["median"]
         agg["alpha_hypothesis_fraction"] = sum(
             1 for r in good if alpha_hypothesis_ok(r.alpha, n)
         ) / len(good)
@@ -352,19 +354,6 @@ def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
             1 for r in good if beta_hypothesis_ok(r.beta, m)
         ) / len(good)
     return agg
-
-
-def _median(values):
-    """np.median of the finite floats among values, bit for bit, or None
-    if there are none. numpy averages the middle value or two with a sum
-    that starts at 0.0, which turns a -0.0 into 0.0."""
-    ordered = sorted(float(v) for v in values if v is not None)
-    if not ordered:
-        return None
-    half = len(ordered) // 2
-    if len(ordered) % 2:
-        return 0.0 + ordered[half]
-    return (0.0 + ordered[half - 1] + ordered[half]) / 2
 
 
 def run(config: RunConfig, out_dir=None) -> dict:
@@ -434,11 +423,11 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
             {
                 "r_target": target,
                 "no_spike": target == 1.0,
-                "empirical_r_median": _median(
+                "empirical_r_median": _quantiles(
                     t["ratio"]
                     for t in report["trials"]
                     if t["error"] is None and not isinstance(t["ratio"], str)
-                ),
+                )["median"],
                 "aggregate": report["aggregate"],
             }
         )

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
 from streamkpca import linalg
-from streamkpca.checks import envelope, run_all_checks
+from streamkpca.checks import envelope, envelope_slack, run_all_checks
 from streamkpca.cli import build_parser, config_from_args, main
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
@@ -339,9 +339,50 @@ class TestRun:
         assert all(type(v) is float for v in got)
         expected = np.quantile(np.array(values), [0.1, 0.5, 0.9])
         assert np.array(got).tobytes() == expected.tobytes()
-        median = harness._median(values)
-        assert type(median) is float
-        assert np.float64(median).tobytes() == np.median(values).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.integers(1, 8).flatmap(
+            lambda count: st.lists(
+                st.lists(st.floats(0.0, 1e6), min_size=count, max_size=count),
+                min_size=5,
+                max_size=5,
+            )
+        )
+    )
+    # Two values whose mean np.median and np.quantile round apart.
+    @example(columns=[[0.6776830036027994, 32.569344511099416]] * 5)
+    def test_every_median_is_numpys_quantile(self, columns):
+        # Each median field of the aggregate and of a sweep row, for odd
+        # and even trial counts: np.quantile(values, 0.5), bit for bit.
+        errors, residuals, log_norms, betas, ratios = (
+            [min(v, 1.0) for v in columns[0]], *columns[1:]
+        )
+        results = [
+            harness.TrialResult(
+                trial=k, sample_seed=k, init_seed=None, alignment_error=e,
+                residual=r, log_norm=log_norm, alpha=0.0, beta=beta,
+                within_envelope=True,
+            )
+            for k, (e, r, log_norm, beta) in enumerate(
+                zip(errors, residuals, log_norms, betas)
+            )
+        ]
+        agg = harness.aggregate_trials(results, n=100, m=4)
+        trials = [{"error": None, "ratio": ratio} for ratio in ratios]
+        fake = {"trials": trials, "aggregate": {}}
+        with mock.patch.object(harness, "run", lambda config: fake):
+            row = sweep(small_config(), [2.0, 5.0])["rows"][0]
+        slacks = [envelope_slack(beta) for beta in betas]
+        for got, values in (
+            (agg["alignment_error"]["median"], errors),
+            (agg["residual_median"], residuals),
+            (agg["log_norm_median"], log_norms),
+            (agg["envelope_slack_median"], slacks),
+            (row["empirical_r_median"], ratios),
+        ):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.quantile(values, 0.5).tobytes()
 
     def test_cli_leaves_numpy_ma_unimported(self, tmp_path):
         # np.quantile and np.median import numpy.ma, which costs a run
