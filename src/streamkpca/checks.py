@@ -359,7 +359,7 @@ class _Certificate:
         # The log ratio against the closed form recomputed from the
         # recorded scalars, and against ||u_i|| = (1 + eta*s_i^2) /
         # <v_hat_i, v_hat_{i-1}> from consecutive directions.
-        closed = np.log1p((2.0 * eta + eta * eta * phi_norm_sq) * s_sq)
+        closed = np.log1p(eta * (2.0 + eta * phi_norm_sq) * s_sq)
         diff_closed = np.abs(log_ratio - closed)
         dots = np.einsum("ij,ij->i", cur, prev)
         u_norm = np.where(dots > 0, (1.0 + eta_s_sq) / dots, np.nan)

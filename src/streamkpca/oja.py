@@ -5,10 +5,12 @@ Its norm grows exponentially along the stream, so the state keeps only the
 unit direction v_hat and the accumulated log norm L = log ||v_i|| (relative
 to ||v_0|| = 1). The per-step log increment uses the closed form
 
-    ||v_i||^2 / ||v_{i-1}||^2 = 1 + (2*eta + eta^2*||f||^2) * s^2,
+    ||v_i||^2 / ||v_{i-1}||^2 = 1 + eta * (2 + eta*||f||^2) * s^2,
 
 with f = phi(x_i) and s = <f, v_hat_{i-1}>, evaluated through log1p so tiny
-increments do not lose precision. The direction itself is renormalized
+increments do not lose precision. The factor is formed as written: at
+an eta near 1e-155, which a large spectrum scale gives, eta^2 alone
+would underflow and drop the eta^2*||f||^2 part of the growth. The direction itself is renormalized
 every step from the directly computed ||u||. That arithmetic, with its
 non-finite guard, is ``_update``, the spec: ``oja_step`` applies it to
 one sample.
@@ -18,7 +20,7 @@ at a time. Over k lifted rows F starting at unit v_hat, the
 unnormalized iterate is v_i = v_hat + eta * sum_{j<=i} t_j f_j with
 t_i = <f_i, v_{i-1}>, and these t solve the unit lower triangular
 system (I - eta * tril(F F^T, -1)) t = F v_hat; the norms follow as
-||v_i||^2 = 1 + sum_{j<=i} (2*eta + eta^2*||f_j||^2) t_j^2. This is the
+||v_i||^2 = 1 + sum_{j<=i} eta * (2 + eta*||f_j||^2) t_j^2. This is the
 compact-WY aggregation (Schreiber & Van Loan 1989) of Oja's rank-one
 factors I + eta f f^T. The block's system is solved ``_SOLVE_ROWS``
 rows at a time: one batched product gives the Gram matrix of every
@@ -258,7 +260,7 @@ def _update(
     phi_norm_sq = float(f.dot(f))
     u = v_hat + (eta * s) * f
     u_norm_sq = float(u.dot(u))
-    growth = (2.0 * eta + eta * eta * phi_norm_sq) * s * s
+    growth = eta * (2.0 + eta * phi_norm_sq) * s * s
     log_ratio = math.log1p(growth) if math.isfinite(growth) else math.inf
     if not (
         math.isfinite(s)
@@ -351,7 +353,7 @@ def _solve_block(
     except np.linalg.LinAlgError:  # an exactly zero pivot
         return False
     t = t.reshape(-1)[:k]
-    growth = (2.0 * eta + eta * eta * phi_norm_sq) * (t * t)
+    growth = eta * (2.0 + eta * phi_norm_sq) * (t * t)
     norm_sq = np.empty(k + 1)
     norm_sq[0] = 0.0
     np.cumsum(growth, out=norm_sq[1:])

@@ -92,7 +92,7 @@ def norm_update_identity(traj) -> CheckResult:
         return _vacuous(name, reason)
     snaps = traj.snapshots
     eta, s, log_ratio = traj.config.eta, traj.s, traj.log_ratio
-    closed = np.log1p((2.0 * eta + eta * eta * traj.phi_norm_sq) * s**2)
+    closed = np.log1p(eta * (2.0 + eta * traj.phi_norm_sq) * s**2)
     diff_closed = np.abs(log_ratio - closed)
     dots = np.einsum("ij,ij->i", snaps[1:], snaps[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):

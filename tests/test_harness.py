@@ -879,35 +879,31 @@ class TestTrajectoryFiles:
         lines[1] = b",".join(cells)
         csv_path.write_bytes(b"\n".join(lines))
 
-    @pytest.mark.parametrize(
-        "key, state",
-        [
-            *[(key, "missing") for key in ("seed", "norm_bound", "v_star", "alpha", "beta")],
-            *[(key, "null") for key in ("v_star", "alpha", "beta")],
-        ],
-    )
-    def test_check_needs_beta(self, saved, capsys, key, state):
+    def test_check_needs_beta(self, saved, capsys):
         # And every other sidecar key: one missing, or a null oracle, is
         # an input error that names the sidecar and the key, made before
         # any row is parsed.
         csv_path, _ = saved
         self._first_row_malformed(csv_path)
         meta_file = harness.meta_path_for(csv_path)
-        meta = json.loads(meta_file.read_text())
-        if state == "null":
-            meta[key] = None
-            located = f"key {key!r} must be"
-        else:
-            del meta[key]
-            located = f"missing key {key!r}"
-        meta_file.write_text(json.dumps(meta))
-        with pytest.raises(ConfigError, match=f"^bad trajectory metadata traj.meta.json: {located}"):
-            read_trajectory(csv_path)
-        capsys.readouterr()
-        assert main(["check", str(csv_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: bad trajectory metadata traj.meta.json: {located}"
-        )
+        original = json.loads(meta_file.read_text())
+        cases = [(key, "missing") for key in ("seed", "norm_bound", "v_star", "alpha", "beta")]
+        cases += [(key, "null") for key in ("v_star", "alpha", "beta")]
+        for key, state in cases:
+            meta = dict(original)
+            if state == "null":
+                meta[key] = None
+                located = f"key {key!r} must be"
+            else:
+                del meta[key]
+                located = f"missing key {key!r}"
+            meta_file.write_text(json.dumps(meta))
+            expected = f"bad trajectory metadata traj.meta.json: {located}"
+            with pytest.raises(ConfigError, match=f"^{expected}"):
+                read_trajectory(csv_path)
+            capsys.readouterr()
+            assert main(["check", str(csv_path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {expected}")
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1399,6 +1395,31 @@ class TestCli:
                 f"key 'n' = 200 gives the identity feature-norm bound {bound!r}, "
                 "whose second moment, up to 2 * n * bound, overflows\n"
             )
+
+    @pytest.mark.parametrize(
+        "kind, lambda1", [("identity", 1e160), ("identity", 1e300), ("poly2", 1e80)]
+    )
+    def test_large_spectrum_scale_certifies_as_unit_scale(
+        self, tmp_path, monkeypatch, kind, lambda1
+    ):
+        # d=2, n=200, lambda1 = lambda2: at these scales eta * eta
+        # underflowed, the recorded log ratios lost the eta^2 ||f||^2 s^2
+        # part of the growth, and norm_update_identity failed (exit 1).
+        # Each run certifies with the statuses of the lambda1 = 1 run.
+        monkeypatch.chdir(tmp_path)
+        phi = FeatureMapSpec.poly2(2) if kind == "poly2" else FeatureMapSpec.identity(2)
+        statuses = []
+        for scale in (1.0, lambda1):
+            gen = SpikedSpec(input_dim=2, n=200, lambda1=scale, lambda2=scale)
+            raw = {"feature_map": phi.to_dict(), "generator": gen.to_dict()}
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            out = f"out_{scale!r}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["run", "--config", "cfg.json", "--check", "--out", out]) == 0
+            report = json.loads((tmp_path / out / "trial_000.checks.json").read_text())
+            statuses.append([(c["name"], c["status"]) for c in report["checks"]])
+        assert statuses[1] == statuses[0]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_dir_precedence(self, tmp_path, monkeypatch, command):
