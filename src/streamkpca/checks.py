@@ -18,12 +18,11 @@ extreme with the first step where it occurs, the log norm, the interval
 floor's energy, every sum and the final norm floor's log-sum-exp, each
 carried from unit to unit by an accumulate over [carry, *unit] (np.add,
 np.logaddexp), so one term at a time, the orthogonal parts of the few
-rows the random drift pairs need (drawn from (n, seed) before the pass),
-the last direction, and at desk scale the whole run for the explicit
-reconstruction. Every per-row product is row-local (np.einsum, or a
-reduction along axis 1), so no bit of the report depends on where the
-units are cut: ``run --check`` feeds it run_stream's units as they are
-solved, ``check`` a file's as they are parsed, to the same bits.
+rows the random drift pairs need (drawn from (n, seed) before the pass)
+and the last direction. Every per-row product is row-local (np.einsum,
+or a reduction along axis 1), so no bit of the report depends on where
+the units are cut: ``run --check`` feeds it run_stream's units as they
+are solved, ``check`` a file's as they are parsed, to the same bits.
 ``tests/reference_checks.py`` keeps the whole-array checker this pass
 is tested against.
 """
@@ -153,6 +152,14 @@ def _budget_below_most(budget: float, most: float) -> str | None:
     return f"requires a budget below eta * sum(phi_norm_sq)={most:g}; budget={budget:g}"
 
 
+def _positive_beta(beta: float) -> str | None:
+    # At beta <= 0 the growth floor is at most 0, and L_n, a sum of log
+    # ratios, falls below 0 only where norm_never_decreases fails.
+    if not beta <= 0.0:  # NaN is judged, and fails
+        return None
+    return f"requires beta > 0; beta={beta:g}"
+
+
 def _nonzero_step(moved: bool) -> str | None:
     """moved: some step has s != 0."""
     if moved:
@@ -253,29 +260,6 @@ def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(out, axis=1))
 
 
-def _increment_reconstruction(eta: float, table: np.ndarray) -> CheckResult:
-    """Explicit unnormalized reconstruction of a whole run, from its
-    (n+1, 3+m) table: each increment must have the norm and the
-    alignment the update rule dictates, delta_i = eta * s_i *
-    ||v_{i-1}|| * f_i."""
-    s, phi_norm_sq, log_ratio = table[1:, :3].T
-    snaps = table[:, 3:]
-    scale = np.exp(np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio))))
-    deltas = np.diff(snaps * scale[:, None], axis=0)
-    expected_norm = eta * np.abs(s) * scale[:-1] * np.sqrt(phi_norm_sq)
-    norm_err = np.abs(np.linalg.norm(deltas, axis=1) - expected_norm)
-    expected_proj = eta * s**2 * scale[:-1]
-    proj_err = np.abs(np.einsum("ij,ij->i", deltas, snaps[:-1]) - expected_proj)
-    tol_steps = RECONSTRUCTION_REL_TOL * np.maximum(1.0, scale[1:])
-    worst_step = float(np.max(np.maximum(norm_err, proj_err) - tol_steps))
-    return _judged(
-        "increment_reconstruction",
-        -worst_step,
-        slack=0.0,
-        step_consistency_excess=worst_step,
-    )
-
-
 class _Certificate:
     """The certificate's state after the units fed so far: ``add`` takes
     the next unit's rows, ``report`` gives the entries once every unit is
@@ -316,10 +300,9 @@ class _Certificate:
         self.corollary = _Extreme()
         self.drift = _Extreme()
         self.last = np.array(traj.init_v_hat, dtype=np.float64)
+        self.recon_judged = not (_nonempty(traj) or _desk_scale(traj))
+        self.recon = _Extreme(largest=True)
         self.buffers = None  # (orth, work), each k + 1 rows of m
-        self.desk = None  # the rows fed so far, at desk scale
-        if not (_nonempty(traj) or _desk_scale(traj)):
-            self.desk = []
         # Random drift pairs that are not adjacent, the rows they need,
         # and those rows' orthogonal parts and log norms once passed.
         self.far = np.empty((2, 0), dtype=np.int64)
@@ -387,8 +370,18 @@ class _Certificate:
             self.interval_a = before.index
         self.d_max.feed(d[1:], first)
 
-        if self.desk is not None:
-            self.desk.append((rows[1:] if self.desk else rows).copy())
+        if self.recon_judged:
+            # Each increment of the unnormalized iterate against the
+            # norm and the alignment the update rule dictates, delta_i =
+            # eta * s_i * ||v_{i-1}|| * f_i.
+            scale = np.exp(log_norm)
+            deltas = np.diff(snaps * scale[:, None], axis=0)
+            expected_norm = eta * np.abs(s) * scale[:-1] * np.sqrt(phi_norm_sq)
+            norm_err = np.abs(np.linalg.norm(deltas, axis=1) - expected_norm)
+            expected_proj = eta_s_sq * scale[:-1]
+            proj_err = np.abs(np.einsum("ij,ij->i", deltas, prev) - expected_proj)
+            tol_steps = RECONSTRUCTION_REL_TOL * np.maximum(1.0, scale[1:])
+            self.recon.feed(np.maximum(norm_err, proj_err) - tol_steps, first)
 
         nonzero = s != 0.0
         if nonzero.any():
@@ -540,7 +533,10 @@ class _Certificate:
         if reason:
             out.append(_vacuous(name, reason))
         else:
-            out.append(_increment_reconstruction(eta, np.concatenate(self.desk)))
+            worst = self.recon.value
+            out.append(
+                _judged(name, -worst, slack=0.0, step_consistency_excess=worst)
+            )
 
         # The residual orthogonal to v* is bounded by sqrt(alpha) plus the
         # initial residual shrunk by the accumulated norm growth; for
@@ -562,9 +558,10 @@ class _Certificate:
         out.append(self._orthogonal_energy_budget(final_log_norm))
 
         # The final log norm is at least (beta/8) / (1 + C1 alpha^2
-        # log^2 n), for at-v* starts with alpha < 0.1 only.
+        # log^2 n), for at-v* starts with alpha < 0.1 only. Vacuous at
+        # beta <= 0, which puts the floor at 0 or below.
         name = "aligned_energy_growth_floor"
-        reason = _at_vstar(traj) or _small_alpha(alpha) or empty
+        reason = _at_vstar(traj) or _small_alpha(alpha) or empty or _positive_beta(beta)
         if reason:
             out.append(_vacuous(name, reason))
         else:

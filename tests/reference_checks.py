@@ -32,6 +32,7 @@ from streamkpca.checks import (
     _judged,
     _nonempty,
     _nonzero_step,
+    _positive_beta,
     _small_alpha,
     _sorted_unique,
     _vacuous,
@@ -253,7 +254,9 @@ def orthogonal_energy_budget(traj, v, alpha: float) -> CheckResult:
 
 def aligned_energy_growth_floor(traj, alpha: float, beta: float) -> CheckResult:
     name = "aligned_energy_growth_floor"
-    reason = _at_vstar(traj) or _small_alpha(alpha) or _nonempty(traj)
+    reason = (
+        _at_vstar(traj) or _small_alpha(alpha) or _nonempty(traj) or _positive_beta(beta)
+    )
     if reason:
         return _vacuous(name, reason)
     n, final = traj.n, float(traj.log_norm[-1])

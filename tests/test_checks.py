@@ -235,6 +235,24 @@ class TestHypothesisGating:
         assert floor.status == VACUOUS
         assert "alpha" in floor.details["reason"]
 
+    @pytest.mark.parametrize("beta", [0.0, -0.0, -1.0, -math.inf])
+    def test_growth_floor_requires_positive_beta(self, vstar_run, beta):
+        # At beta <= 0 the floor is at most 0, which L_n can miss only
+        # where norm_never_decreases fails: vacuous, naming beta. A NaN
+        # beta is judged, and fails.
+        traj, v_star, ab = vstar_run
+        assert 0.0 < ab.alpha < 0.1
+        floor = entry("aligned_energy_growth_floor", traj, v_star, ab.alpha, beta)
+        assert floor.status == VACUOUS and math.isnan(floor.margin)
+        assert floor.details == {"reason": f"requires beta > 0; beta={beta:g}"}
+        for b in (beta, math.nan):
+            assert_matches_reference(
+                run_all_checks(traj, v_star, ab.alpha, b),
+                reference_checks.run_all_checks(traj, v_star, ab.alpha, b),
+            )
+        judged = entry("aligned_energy_growth_floor", traj, v_star, ab.alpha, math.nan)
+        assert judged.status == FAIL and math.isnan(judged.margin)
+
     def test_missing_snapshots_is_an_input_error(self):
         traj, v_star, ab = make_run("vstar")
         with pytest.raises(ValueError):
@@ -623,12 +641,15 @@ FOLD_MAPS = {
 }
 
 
-def fold_case(kind, init_kind, n, stream_n=700):
+def fold_case(kind, init_kind, n, stream_n=700, feature_dim=None):
     """A recorded run of the first n samples of a stream, with alpha and
     beta from those n samples' oracle. An at-v* start takes v* from the
     whole stream's oracle, so that one step leaves it by more than
-    rounding (one sample's own oracle is that sample's direction)."""
+    rounding (one sample's own oracle is that sample's direction).
+    feature_dim, if given, replaces the map's m."""
     phi = FOLD_MAPS[kind]
+    if feature_dim is not None:
+        phi = dataclasses.replace(phi, feature_dim=feature_dim)
     gen = SpikedSpec(
         input_dim=phi.input_dim, n=stream_n, lambda1=1.0, lambda2=0.05,
         tail_decay=0.8, basis_seed=5, sample_seed=6,
@@ -666,7 +687,9 @@ class TestCertificateFold:
             report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
         )
         reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
-        assert (reconstruction.status == VACUOUS) == (n > checks.RECON_MAX_N)
+        assert (reconstruction.status == VACUOUS) == (
+            n > checks.RECON_MAX_N or traj.m > checks.RECON_MAX_M
+        )
         expected = json.dumps(report.to_dict(), sort_keys=True)
         path = tmp_path / "traj.csv"
         with write_trajectory(
@@ -678,22 +701,57 @@ class TestCertificateFold:
                 from_file = check_trajectory_file(path)
             assert json.dumps(from_file.to_dict(), sort_keys=True) == expected, rows
 
-    def test_where_units_are_cut_changes_no_bit(self):
+    @pytest.mark.parametrize(
+        "kind, init_kind, n",
+        [("identity", "vstar", 603)]
+        + [
+            (kind, init_kind, n)
+            for kind in FOLD_MAPS
+            for init_kind in ("random", "vstar")
+            for n in (37, checks.RECON_MAX_N)
+        ],
+    )
+    def test_where_units_are_cut_changes_no_bit(self, kind, init_kind, n):
         # run --check folds run_stream's units of unit_rows(m) steps,
-        # check a file's of BLOCK_ROWS steps. On this run a log-sum-exp
-        # rescaled to each unit's peak moved final_norm_floor's last bits
-        # at units of 1 and 7 steps; carried term by term it cannot.
-        traj, v_star, ab = fold_case("identity", "vstar", 603)
+        # check a file's of BLOCK_ROWS steps. On the n = 603 run a
+        # log-sum-exp rescaled to each unit's peak moved
+        # final_norm_floor's last bits at units of 1 and 7 steps;
+        # carried term by term it cannot. At desk scale the explicit
+        # reconstruction is judged, so its increments are cut too.
+        traj, v_star, ab = fold_case(kind, init_kind, n)
 
         def certify(size):
             certificate = checks._Certificate(traj, v_star, ab.alpha, ab.beta)
             for start in range(0, traj.n, size):
                 certificate.add(traj.table[start : start + size + 1])
-            return json.dumps(certificate.report().to_dict(), sort_keys=True)
+            return certificate.report()
 
         expected = certify(linalg.BLOCK_ROWS)
-        for size in (1, 7, 300, 603):
-            assert certify(size) == expected, size
+        reconstruction = expected.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
+        assert (reconstruction.status == PASS) == (n <= checks.RECON_MAX_N)
+        expected = json.dumps(expected.to_dict(), sort_keys=True)
+        for size in (1, 7, 64, 300, 603):
+            got = json.dumps(certify(size).to_dict(), sort_keys=True)
+            assert got == expected, size
+
+    @pytest.mark.parametrize("m", [checks.RECON_MAX_M, checks.RECON_MAX_M + 1])
+    def test_reconstruction_judged_up_to_desk_m(self, m):
+        # The gate's m bound, at the gate's n: rff with m = 32 is judged,
+        # with m = 33 vacuous, naming both sizes.
+        traj, v_star, ab = fold_case("rff", "vstar", checks.RECON_MAX_N, feature_dim=m)
+        report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        assert_matches_reference(
+            report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        )
+        reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
+        if m <= checks.RECON_MAX_M:
+            assert reconstruction.status == PASS
+        else:
+            assert reconstruction.status == VACUOUS
+            assert reconstruction.details == {
+                "reason": "explicit reconstruction gated to m<=32, n<=64; "
+                f"trajectory has m={m}, n=64"
+            }
 
     def test_chunk_rows_from_the_header_width(self):
         # 64 rows of the benchmark's poly2 m = 78 rows, whose text stays
