@@ -20,15 +20,14 @@ from streamkpca.checks import (
     CHECK_PAIR_COUNT,
     GROWTH_FLOOR_C1,
     IDENTITY_TOL,
-    RECONSTRUCTION_REL_TOL,
     VACUOUS,
     CheckReport,
     CheckResult,
     _at_vstar,
     _bound_below_one,
     _budget_below_most,
-    _desk_scale,
     _drawn_pairs,
+    _increment_tol,
     _judged,
     _nonempty,
     _nonzero_step,
@@ -157,20 +156,21 @@ def interval_growth_floor(traj) -> CheckResult:
 
 def increment_reconstruction(traj) -> CheckResult:
     name = "increment_reconstruction"
-    reason = _nonempty(traj) or _desk_scale(traj)
+    reason = _nonempty(traj)
     if reason:
         return _vacuous(name, reason)
     snaps = traj.snapshots
-    scale = np.exp(traj.log_norm)
-    deltas = np.diff(snaps * scale[:, None], axis=0)
-    eta, s = traj.config.eta, traj.s
-    expected_norm = eta * np.abs(s) * scale[:-1] * np.sqrt(traj.phi_norm_sq)
-    norm_err = np.abs(np.linalg.norm(deltas, axis=1) - expected_norm)
-    expected_proj = eta * s**2 * scale[:-1]
-    proj_err = np.abs(np.einsum("ij,ij->i", deltas, snaps[:-1]) - expected_proj)
-    tol_steps = RECONSTRUCTION_REL_TOL * np.maximum(1.0, scale[1:])
-    worst_step = float(np.max(np.maximum(norm_err, proj_err) - tol_steps))
-    return _judged(name, -worst_step, slack=0.0, step_consistency_excess=worst_step)
+    with np.errstate(all="ignore"):
+        growth = np.exp(0.5 * traj.log_ratio)
+        increments = growth[:, None] * snaps[1:] - snaps[:-1]
+        expected = traj.config.eta * np.abs(traj.s) * np.sqrt(traj.phi_norm_sq)
+        norms = np.sqrt(np.einsum("ij,ij->i", increments, increments))
+        excess = np.abs(norms - expected) / growth
+    tol, worst = _increment_tol(traj.m), float(excess.max())
+    return _judged(
+        name, tol - worst, slack=0.0, location=int(np.argmax(excess)) + 1,
+        max_increment_diff=worst, tolerance=tol,
+    )
 
 
 def orthogonal_parts(traj, v) -> np.ndarray:

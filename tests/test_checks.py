@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from unittest import mock
@@ -19,6 +20,7 @@ from streamkpca.oja import (
     _Head,
     init_state,
     init_state_at,
+    oja_step,
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
@@ -41,7 +43,7 @@ ALL_CHECK_NAMES = [
 ]
 
 
-def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
+def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3), kind="identity"):
     gen = SpikedSpec(
         input_dim=d,
         n=n,
@@ -52,7 +54,7 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
         sample_seed=seeds[1],
     )
     xs, truth = make_spiked_stream(gen)
-    phi = FeatureMapSpec.identity(d)
+    phi = getattr(FeatureMapSpec, kind)(d)
     bound = phi.norm_bound(truth.norm_bound)
     eta = select_learning_rate(bound)
     summary = summarize(xs, phi)
@@ -65,7 +67,7 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3)):
     if init_kind == "vstar":
         start = init_state_at(summary.top_vector)
     else:
-        start = init_state(d, seeds[2])
+        start = init_state(phi.feature_dim, seeds[2])
     traj = Trajectory.record(xs, cfg, start, seed=seeds[1])
     return traj, summary.top_vector, energies
 
@@ -127,7 +129,7 @@ class TestFullSuite:
         assert statuses["drift_requires_growth"] == PASS
         assert statuses["orthogonal_energy_budget"] == PASS
         assert statuses["aligned_energy_growth_floor"] == PASS
-        assert statuses["increment_reconstruction"] == PASS  # m=5, n=60
+        assert statuses["increment_reconstruction"] == PASS
 
     def test_random_init_gates_vstar_checks(self, random_run):
         traj, v_star, ab = random_run
@@ -500,8 +502,203 @@ class TestIncrementReconstruction:
         probe = dataclasses.replace(traj, table=table)
         bad = entry("increment_reconstruction", probe, v_star, ab.alpha)
         assert bad.status == FAIL
-        assert list(bad.details) == ["step_consistency_excess"]
-        assert bad.margin == -bad.details["step_consistency_excess"] < 0
+        assert list(bad.details) == ["max_increment_diff", "tolerance"]
+        assert bad.details["tolerance"] == checks._increment_tol(traj.m)
+        assert bad.margin == bad.details["tolerance"] - bad.details["max_increment_diff"]
+        assert bad.margin < 0
+
+
+# Maps of the tolerance's property test, up to m = 1024.
+TOLERANCE_MAPS = {
+    "identity-6": FeatureMapSpec.identity(6),
+    "identity-20": FeatureMapSpec.identity(20),
+    "poly2-6": FeatureMapSpec.poly2(3),
+    "poly2-78": FeatureMapSpec.poly2(12),
+    "rff-16": FeatureMapSpec.rff(5, 16, 2.0, 3),
+    "rff-128": FeatureMapSpec.rff(16, 128, 4.0, 3),
+    "rff-1024": FeatureMapSpec.rff(8, 1024, 4.0, 3),
+}
+
+
+@functools.cache
+def tolerance_stream(kind, lambda1=1.0):
+    """A stream for the map, its norm bound and its oracle's v*."""
+    phi = TOLERANCE_MAPS[kind]
+    gen = SpikedSpec(
+        input_dim=phi.input_dim, n=1000, lambda1=lambda1, lambda2=lambda1 / 20,
+        tail_decay=0.8, basis_seed=5, sample_seed=6,
+    )
+    stream, truth = make_spiked_stream(gen)
+    xs = np.asarray(stream)
+    return xs, phi.norm_bound(truth.norm_bound), summarize(xs, phi).top_vector
+
+
+def folded(xs, cfg, start):
+    """The table of a fold of oja_step, the per-sample reference."""
+    rows = [np.concatenate((np.zeros(3), start.v_hat))]
+    state = start
+    for x in xs:
+        state, record = oja_step(state, x, cfg)
+        rows.append(np.concatenate((record, state.v_hat)))
+    return Trajectory(cfg, start.origin, np.array(rows))
+
+
+class TestIncrementTolerance:
+    """Honest runs never exceed the increment identity's tolerance, from
+    run_stream's closed-form blocks and from the oja_step fold alike."""
+
+    @pytest.mark.parametrize("path", ["block", "fold"])
+    @pytest.mark.parametrize("init_kind", ["random", "vstar"])
+    @pytest.mark.parametrize("kind", list(TOLERANCE_MAPS))
+    def test_honest_steps_stay_within_tolerance(self, kind, init_kind, path):
+        xs, bound, v_star = tolerance_stream(kind)
+        phi = TOLERANCE_MAPS[kind]
+        cfg = OjaConfig(eta=select_learning_rate(bound), feature_map=phi, norm_bound=bound)
+        start = init_state_at(v_star) if init_kind == "vstar" else init_state(phi.feature_dim, 7)
+        if path == "block":
+            traj = Trajectory.record(xs, cfg, start)
+        else:
+            traj = folded(xs[:300], cfg, start)
+        increment = entry("increment_reconstruction", traj, v_star, 0.5)
+        assert increment.status == PASS
+        assert increment.details["tolerance"] == checks._increment_tol(phi.feature_dim)
+        assert 0.0 <= increment.details["max_increment_diff"] <= increment.details["tolerance"]
+
+    @pytest.mark.parametrize("lambda1", [10.0, 1e3])
+    def test_large_steps_stay_within_tolerance(self, lambda1):
+        # eta = 0.09 with no norm bound: steps whose growth exp(lr/2)
+        # reaches 10 at lambda1 = 10 and 796 at 1e3. At 1e3 the largest
+        # error not divided by the growth was 1536 eps, against a
+        # tolerance of 21 eps; divided, it was 3.4 eps.
+        xs, _, v_star = tolerance_stream("identity-6", lambda1)
+        cfg = OjaConfig(eta=0.09, feature_map=TOLERANCE_MAPS["identity-6"])
+        for traj in (
+            Trajectory.record(xs, cfg, init_state(6, 7)),
+            folded(xs[:300], cfg, init_state(6, 7)),
+        ):
+            assert np.exp(0.5 * traj.table[1:, 2].max()) > 5.0
+            increment = entry("increment_reconstruction", traj, v_star, 0.5)
+            assert increment.status == PASS
+
+
+# The runs the tamper matrix edits: (init kind, map, input d, n). The
+# other-seed edit swaps in the same config's run at sample seed 5.
+TAMPER_RUNS = {
+    "identity-random": ("random", "identity", 6, 600),
+    "identity-vstar": ("vstar", "identity", 6, 600),
+    "poly2-random": ("random", "poly2", 3, 3000),
+}
+
+
+@functools.cache
+def tamper_runs(name):
+    """The run, its oracle, and the same config's run at another sample
+    seed (its table only)."""
+    init_kind, kind, d, n = TAMPER_RUNS[name]
+    traj, v_star, ab = make_run(init_kind, d=d, n=n, kind=kind)
+    other, _, _ = make_run(init_kind, d=d, n=n, kind=kind, seeds=(1, 5, 3))
+    return traj, v_star, ab, other.table
+
+
+def edit_cell(column, factor):
+    def edit(table, j, v_star, other):
+        table[j, column] *= factor
+
+    return edit
+
+
+def edit_direction(table, j, v_star, other):
+    v = table[j, 3:] + 1e-4 * np.random.default_rng(0).standard_normal(len(v_star))
+    table[j, 3:] = v / np.linalg.norm(v)
+
+
+def edit_swap(table, j, v_star, other):
+    table[[j, j + 1]] = table[[j + 1, j]]
+
+
+def edit_last(table, j, v_star, other):
+    table[-1, 3:] = v_star
+
+
+def edit_phi_column(table, j, v_star, other):
+    table[1:, 1] *= 2.0
+
+
+def edit_other_seed(table, j, v_star, other):
+    table[...] = other
+
+
+IDENTITY, INCREMENT, DRIFT = (
+    "norm_update_identity", "increment_reconstruction", "drift_requires_growth"
+)
+BOTH = {IDENTITY, INCREMENT}
+
+# Each edit of one table, at one step j, and the entries it fails on
+# the three runs, in TAMPER_RUNS' order. "blind" is the step whose
+# eta^2 ||f||^2 s^2, the part of the closed form that ||f||^2 moves, is
+# least (below 1e-13 on all three runs): there norm_update_identity
+# cannot see a phi cell. There a log ratio edited by 1e-4 moves the
+# increment identity by less than its tolerance on all three runs, and
+# so does an s or a phi cell edited by 1e-4 on poly2, whose increment
+# at that step is 2.4e-12. "largest" is the step of the largest |s|.
+# Neither is the last step, so a next step is there to swap with. A
+# flipped s passes every entry: s enters each identity squared or as
+# |s|, and the orthogonal energy rebuilds phi_i from the directions
+# divided by eta s_i. So does a whole run of another sample seed. Only
+# a replay of the stream can catch those two.
+TAMPER_MATRIX = [
+    ("s x (1+1e-4)", edit_cell(0, 1 + 1e-4), "blind", [{INCREMENT}] * 2 + [set()]),
+    ("s x (1+1e-4)", edit_cell(0, 1 + 1e-4), "largest", [BOTH] * 3),
+    ("s sign flipped", edit_cell(0, -1.0), "blind", [set()] * 3),
+    ("s sign flipped", edit_cell(0, -1.0), "largest", [set()] * 3),
+    ("phi x 2", edit_cell(1, 2.0), "blind", [{INCREMENT}] * 3),
+    ("phi x 2", edit_cell(1, 2.0), "largest", [BOTH] * 3),
+    ("phi x 0.5", edit_cell(1, 0.5), "blind", [{INCREMENT}] * 3),
+    ("phi x 0.5", edit_cell(1, 0.5), "largest", [BOTH] * 3),
+    ("phi x (1+1e-4)", edit_cell(1, 1 + 1e-4), "blind", [{INCREMENT}] * 2 + [set()]),
+    ("phi x (1+1e-4)", edit_cell(1, 1 + 1e-4), "largest", [BOTH] * 3),
+    ("log ratio x (1+1e-4)", edit_cell(2, 1 + 1e-4), "blind", [set()] * 3),
+    ("log ratio x (1+1e-4)", edit_cell(2, 1 + 1e-4), "largest", [BOTH] * 3),
+    ("direction", edit_direction, "blind", [BOTH, BOTH | {DRIFT}, BOTH]),
+    ("rows swapped", edit_swap, "blind", [BOTH, BOTH | {DRIFT}, BOTH]),
+    ("last direction v*", edit_last, "blind", [BOTH] * 3),
+    ("phi column x 2", edit_phi_column, "blind", [BOTH] * 3),
+    ("other seed", edit_other_seed, "blind", [set()] * 3),
+]
+
+
+class TestTamperMatrix:
+    """One edit of an honest run's table against the exact set of
+    entries it fails: an entry that stops catching what it caught, or
+    starts failing what it passed, shows up here."""
+
+    @pytest.mark.parametrize("run", list(TAMPER_RUNS))
+    def test_honest_runs_fail_nothing(self, run):
+        traj, v_star, ab, _ = tamper_runs(run)
+        report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
+        assert report.ok
+        by_name = {e.name: e.status for e in report.entries}
+        assert by_name[INCREMENT] == PASS
+
+    @pytest.mark.parametrize(
+        "edit, at, failing",
+        [(edit, at, failing) for _, edit, at, failing in TAMPER_MATRIX],
+        ids=[f"{name}-{at}" for name, _, at, _ in TAMPER_MATRIX],
+    )
+    def test_each_edit_fails_exactly_its_entries(self, edit, at, failing):
+        for run, expected in zip(TAMPER_RUNS, failing, strict=True):
+            traj, v_star, ab, other = tamper_runs(run)
+            eta, table = traj.config.eta, traj.table.copy()
+            s, phi_norm_sq = table[1:-1, 0], table[1:-1, 1]
+            blind = eta * eta * phi_norm_sq * s**2
+            assert blind.min() < 1e-13
+            j = 1 + int(np.argmin(blind) if at == "blind" else np.argmax(np.abs(s)))
+            edit(table, j, v_star, other)
+            assert not np.array_equal(table, traj.table)
+            report = run_all_checks(
+                dataclasses.replace(traj, table=table), v_star, ab.alpha, ab.beta
+            )
+            assert {e.name for e in report.failures()} == expected, run
 
 
 class TestGrowthImpliesCorrectness:
@@ -641,15 +838,12 @@ FOLD_MAPS = {
 }
 
 
-def fold_case(kind, init_kind, n, stream_n=700, feature_dim=None):
+def fold_case(kind, init_kind, n, stream_n=700):
     """A recorded run of the first n samples of a stream, with alpha and
     beta from those n samples' oracle. An at-v* start takes v* from the
     whole stream's oracle, so that one step leaves it by more than
-    rounding (one sample's own oracle is that sample's direction).
-    feature_dim, if given, replaces the map's m."""
+    rounding (one sample's own oracle is that sample's direction)."""
     phi = FOLD_MAPS[kind]
-    if feature_dim is not None:
-        phi = dataclasses.replace(phi, feature_dim=feature_dim)
     gen = SpikedSpec(
         input_dim=phi.input_dim, n=stream_n, lambda1=1.0, lambda2=0.05,
         tail_decay=0.8, basis_seed=5, sample_seed=6,
@@ -675,8 +869,8 @@ class TestCertificateFold:
     certify to the same bytes, and both agree with the whole-array
     reference."""
 
-    # n = 1, n <= 64 (the reconstruction is judged), and n that is no
-    # multiple of BLOCK_ROWS, over one unit and over three.
+    # n = 1, n = 37, and n that is no multiple of BLOCK_ROWS, over one
+    # unit and over three. The increment identity is judged at every n.
     @pytest.mark.parametrize("n", [1, 37, 300, 603])
     @pytest.mark.parametrize("init_kind", ["random", "vstar"])
     @pytest.mark.parametrize("kind", list(FOLD_MAPS))
@@ -687,9 +881,7 @@ class TestCertificateFold:
             report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
         )
         reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
-        assert (reconstruction.status == VACUOUS) == (
-            n > checks.RECON_MAX_N or traj.m > checks.RECON_MAX_M
-        )
+        assert reconstruction.status == PASS
         expected = json.dumps(report.to_dict(), sort_keys=True)
         path = tmp_path / "traj.csv"
         with write_trajectory(
@@ -708,7 +900,7 @@ class TestCertificateFold:
             (kind, init_kind, n)
             for kind in FOLD_MAPS
             for init_kind in ("random", "vstar")
-            for n in (37, checks.RECON_MAX_N)
+            for n in (37, 64)
         ],
     )
     def test_where_units_are_cut_changes_no_bit(self, kind, init_kind, n):
@@ -716,8 +908,8 @@ class TestCertificateFold:
         # check a file's of BLOCK_ROWS steps. On the n = 603 run a
         # log-sum-exp rescaled to each unit's peak moved
         # final_norm_floor's last bits at units of 1 and 7 steps;
-        # carried term by term it cannot. At desk scale the explicit
-        # reconstruction is judged, so its increments are cut too.
+        # carried term by term it cannot. The increment identity is
+        # judged at every n, so each cut splits a judged entry's steps.
         traj, v_star, ab = fold_case(kind, init_kind, n)
 
         def certify(size):
@@ -728,30 +920,11 @@ class TestCertificateFold:
 
         expected = certify(linalg.BLOCK_ROWS)
         reconstruction = expected.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
-        assert (reconstruction.status == PASS) == (n <= checks.RECON_MAX_N)
+        assert reconstruction.status == PASS
         expected = json.dumps(expected.to_dict(), sort_keys=True)
         for size in (1, 7, 64, 300, 603):
             got = json.dumps(certify(size).to_dict(), sort_keys=True)
             assert got == expected, size
-
-    @pytest.mark.parametrize("m", [checks.RECON_MAX_M, checks.RECON_MAX_M + 1])
-    def test_reconstruction_judged_up_to_desk_m(self, m):
-        # The gate's m bound, at the gate's n: rff with m = 32 is judged,
-        # with m = 33 vacuous, naming both sizes.
-        traj, v_star, ab = fold_case("rff", "vstar", checks.RECON_MAX_N, feature_dim=m)
-        report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
-        assert_matches_reference(
-            report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
-        )
-        reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
-        if m <= checks.RECON_MAX_M:
-            assert reconstruction.status == PASS
-        else:
-            assert reconstruction.status == VACUOUS
-            assert reconstruction.details == {
-                "reason": "explicit reconstruction gated to m<=32, n<=64; "
-                f"trajectory has m={m}, n=64"
-            }
 
     def test_chunk_rows_from_the_header_width(self):
         # 64 rows of the benchmark's poly2 m = 78 rows, whose text stays
