@@ -10,8 +10,8 @@ first unmet one named; it never raises and is never silently skipped.
 Inequalities carry a 1e-9 additive slack on the deficient side to absorb
 float noise, and margins are reported signed so near-violations stay
 visible. The per-step identities are held to tolerances instead: the
-log ratio to 1e-12, each step's increment over its growth to
-(1.5 m + 12) eps.
+log ratio to 1e-12, and to be >= 0, each step's increment over its
+growth to (1.5 m + 12) eps.
 
 The certificate (``_Certificate``) is one pass over a run's units (the
 k + 1 table rows of a stretch of steps, from the row before its first;
@@ -160,7 +160,7 @@ def _budget_below_most(budget: float, most: float) -> str | None:
 
 def _positive_beta(beta: float) -> str | None:
     # At beta <= 0 the growth floor is at most 0, and L_n, a sum of log
-    # ratios, falls below 0 only where norm_never_decreases fails.
+    # ratios, falls below 0 only where norm_update_identity fails.
     if not beta <= 0.0:  # NaN is judged, and fails
         return None
     return f"requires beta > 0; beta={beta:g}"
@@ -286,9 +286,6 @@ class _Certificate:
         self.identity = _Extreme(largest=True)
         self.closed_diff = _Extreme(largest=True)
         self.direct_diff = _Extreme(largest=True)
-        self.log_ratio_min = _Extreme()
-        self.floor_stated = _Extreme()
-        self.floor_half = _Extreme()
         self.interval = _Extreme()
         self.interval_a = 0
         self.d_max = _Extreme(largest=True)  # 2 L_a minus the energy to a
@@ -337,14 +334,17 @@ class _Certificate:
 
         # The log ratio against the closed form recomputed from the
         # recorded scalars, and against ||u_i|| = (1 + eta*s_i^2) /
-        # <v_hat_i, v_hat_{i-1}> from consecutive directions.
+        # <v_hat_i, v_hat_{i-1}> from consecutive directions. A log
+        # ratio not >= 0 (NaN included) differs by inf: an honest one is
+        # log1p of a nonnegative growth.
         closed = np.log1p(eta * (2.0 + eta * phi_norm_sq) * s_sq)
         diff_closed = np.abs(log_ratio - closed)
         dots = np.einsum("ij,ij->i", cur, prev)
         u_norm = np.where(dots > 0, (1.0 + eta_s_sq) / dots, np.nan)
         diff_direct = np.abs(log_ratio - 2.0 * np.log(u_norm))
         diff_direct = np.where(np.isfinite(diff_direct), diff_direct, np.inf)
-        self.identity.feed(np.maximum(diff_closed, diff_direct), first)
+        worst = np.maximum(diff_closed, diff_direct)
+        self.identity.feed(np.where(log_ratio >= 0.0, worst, np.inf), first)
         self.closed_diff.feed(diff_closed, first)
         self.direct_diff.feed(diff_direct, first)
 
@@ -358,10 +358,6 @@ class _Certificate:
         norms = np.sqrt(np.einsum("ij,ij->i", increments, increments))
         expected = eta * np.abs(s) * np.sqrt(phi_norm_sq)
         self.increment.feed(np.abs(norms - expected) / growth, first)
-
-        self.log_ratio_min.feed(log_ratio, first)
-        self.floor_stated.feed(log_ratio - eta_s_sq, first)
-        self.floor_half.feed(log_ratio - 0.5 * eta * s_sq, first)
 
         # Interval floor: D_b = 2 L_b - sum_{i<=b} eta s_i^2 must not fall
         # below any earlier D_a; a is the first index of that maximum.
@@ -454,7 +450,7 @@ class _Certificate:
 
     @np.errstate(all="ignore")
     def report(self) -> CheckReport:
-        """The eleven entries, in report order, and their constants.
+        """The nine entries, in report order, and their constants.
 
         Raises:
             OverflowError: alpha is so large that the energy budget is
@@ -482,36 +478,10 @@ class _Certificate:
                 )
             )
 
-        # Every per-step log ratio is nonnegative.
-        name = "norm_never_decreases"
-        if empty:
-            out.append(_vacuous(name, empty))
-        else:
-            worst = self.log_ratio_min
-            out.append(_judged(name, worst.value, slack=0.0, location=worst.index))
-
-        # Per-step growth floor. The statement uses coefficient 1 on
-        # eta*s^2; the conservative proof constant is 1/2. Both margins
-        # are reported so either reading is visible in the output.
-        name = "step_growth_floor"
-        if empty:
-            out.append(_vacuous(name, empty))
-        else:
-            out.append(
-                _judged(
-                    name,
-                    self.floor_stated.value,
-                    slack=IDENTITY_TOL,
-                    location=self.floor_stated.index,
-                    margin_stated_coefficient=self.floor_stated.value,
-                    margin_half_coefficient=self.floor_half.value,
-                )
-            )
-
         # Interval growth floor for every pair a < b: 2(L_b - L_a) >=
-        # sum_{i=a+1}^{b} eta*s_i^2. It is the step floor summed, so it
-        # fails only where the step floor does; it is kept as the
-        # analysis's interval lemma.
+        # sum_{i=a+1}^{b} eta*s_i^2. Its pairs (i-1, i) judge each step's
+        # floor lr_i >= eta*s_i^2, which the identity's closed form
+        # implies wherever eta*s_i^2 <= 1.25.
         name = "interval_growth_floor"
         if empty:
             out.append(_vacuous(name, empty))

@@ -100,7 +100,7 @@ def norm_update_identity(traj) -> CheckResult:
         direct = 2.0 * np.log(u_norm)
     diff_direct = np.abs(log_ratio - direct)
     diff_direct = np.where(np.isfinite(diff_direct), diff_direct, np.inf)
-    worst = np.maximum(diff_closed, diff_direct)
+    worst = np.where(log_ratio >= 0.0, np.maximum(diff_closed, diff_direct), np.inf)
     return _judged(
         name,
         IDENTITY_TOL - float(worst.max()),
@@ -109,34 +109,6 @@ def norm_update_identity(traj) -> CheckResult:
         max_closed_form_diff=float(diff_closed.max()),
         max_direct_norm_diff=float(diff_direct.max()),
         tolerance=IDENTITY_TOL,
-    )
-
-
-def norm_never_decreases(traj) -> CheckResult:
-    name = "norm_never_decreases"
-    reason = _nonempty(traj)
-    if reason:
-        return _vacuous(name, reason)
-    log_ratio = traj.log_ratio
-    loc = int(np.argmin(log_ratio)) + 1
-    return _judged(name, float(log_ratio.min()), slack=0.0, location=loc)
-
-
-def step_growth_floor(traj) -> CheckResult:
-    name = "step_growth_floor"
-    reason = _nonempty(traj)
-    if reason:
-        return _vacuous(name, reason)
-    eta, s, log_ratio = traj.config.eta, traj.s, traj.log_ratio
-    floor_stated = log_ratio - eta * s**2
-    floor_half = log_ratio - 0.5 * eta * s**2
-    return _judged(
-        name,
-        float(floor_stated.min()),
-        slack=IDENTITY_TOL,
-        location=int(np.argmin(floor_stated)) + 1,
-        margin_stated_coefficient=float(floor_stated.min()),
-        margin_half_coefficient=float(floor_half.min()),
     )
 
 
@@ -317,13 +289,11 @@ def final_residual_bound(traj, v, alpha: float, beta: float) -> CheckResult:
 
 
 def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
-    """The eleven entries, in report order, from the whole arrays."""
+    """The nine entries, in report order, from the whole arrays."""
     v = as_unit_vector(v_star, "v_star")
     traj = columns(traj)
     entries = [
         norm_update_identity(traj),
-        norm_never_decreases(traj),
-        step_growth_floor(traj),
         interval_growth_floor(traj),
         increment_reconstruction(traj),
         residual_bounded_by_growth(traj, v, alpha),

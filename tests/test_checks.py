@@ -30,8 +30,6 @@ from reference_checks import sample_check_pairs
 
 ALL_CHECK_NAMES = [
     "norm_update_identity",
-    "norm_never_decreases",
-    "step_growth_floor",
     "interval_growth_floor",
     "increment_reconstruction",
     "residual_bounded_by_growth",
@@ -228,7 +226,12 @@ class TestHypothesisGating:
         assert named["drift_requires_growth"] == reasons[at_vstar_entries]
         assert named["orthogonal_energy_budget"] == reasons[at_vstar_entries or "budget"]
         assert named["aligned_energy_growth_floor"] == reasons[aligned_floor]
-        for name in ALL_CHECK_NAMES[:5] + ["final_norm_floor"]:
+        for name in (
+            "norm_update_identity",
+            "interval_growth_floor",
+            "increment_reconstruction",
+            "final_norm_floor",
+        ):
             assert named[name] == (reasons["empty"] if n == 0 else None)
 
     def test_growth_floor_requires_small_alpha(self, vstar_run):
@@ -240,7 +243,7 @@ class TestHypothesisGating:
     @pytest.mark.parametrize("beta", [0.0, -0.0, -1.0, -math.inf])
     def test_growth_floor_requires_positive_beta(self, vstar_run, beta):
         # At beta <= 0 the floor is at most 0, which L_n can miss only
-        # where norm_never_decreases fails: vacuous, naming beta. A NaN
+        # where norm_update_identity fails: vacuous, naming beta. A NaN
         # beta is judged, and fails.
         traj, v_star, ab = vstar_run
         assert 0.0 < ab.alpha < 0.1
@@ -476,14 +479,34 @@ class TestFaultInjection:
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert not report.ok
 
-    def test_negative_log_ratio_fails_monotonicity(self, vstar_run):
+    def test_negative_log_ratio_fails_the_identity(self, vstar_run):
         traj, v_star, ab = vstar_run
         table = traj.table.copy()
         table[4, 2] = -1e-6  # step 4's log ratio
         bad = dataclasses.replace(traj, table=table)
+        identity = entry("norm_update_identity", bad, v_star, ab.alpha, ab.beta)
+        assert (identity.status, identity.location) == (FAIL, 4)
+        assert identity.margin == -math.inf
+
+    def test_log_ratio_just_below_zero_fails_the_identity(self):
+        # The poly2 run's least log ratio is 4.8e-15: set to -5e-13 it
+        # stays within the identity's 1e-12 of both halves, so only the
+        # identity's lr >= 0 fails it.
+        traj, v_star, ab, _, _ = tamper_runs("poly2-random")
+        table = traj.table.copy()
+        j = 1 + int(np.argmin(table[1:, 2]))
+        assert table[j, 2] < 1e-13
+        table[j, 2] = -5e-13
+        bad = dataclasses.replace(traj, table=table)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
-        names = {e.name for e in report.failures()}
-        assert "norm_never_decreases" in names
+        assert_matches_reference(
+            report, reference_checks.run_all_checks(bad, v_star, ab.alpha, ab.beta)
+        )
+        assert {e.name for e in report.failures()} == {"norm_update_identity"}
+        identity = report.entries[0]
+        assert (identity.location, identity.margin) == (j, -math.inf)
+        assert identity.details["max_closed_form_diff"] < checks.IDENTITY_TOL
+        assert identity.details["max_direct_norm_diff"] < checks.IDENTITY_TOL
 
 
 class TestIncrementReconstruction:
@@ -592,12 +615,12 @@ TAMPER_RUNS = {
 
 @functools.cache
 def tamper_runs(name):
-    """The run, its oracle, and the same config's run at another sample
-    seed (its table only)."""
+    """The run, its oracle, and the table and v* of the same config's
+    run at another sample seed."""
     init_kind, kind, d, n = TAMPER_RUNS[name]
     traj, v_star, ab = make_run(init_kind, d=d, n=n, kind=kind)
-    other, _, _ = make_run(init_kind, d=d, n=n, kind=kind, seeds=(1, 5, 3))
-    return traj, v_star, ab, other.table
+    other, other_v_star, _ = make_run(init_kind, d=d, n=n, kind=kind, seeds=(1, 5, 3))
+    return traj, v_star, ab, other.table, other_v_star
 
 
 def edit_cell(column, factor):
@@ -667,6 +690,25 @@ TAMPER_MATRIX = [
 ]
 
 
+def nudged(v_star):
+    v = v_star + 1e-4 * np.random.default_rng(0).standard_normal(len(v_star))
+    return v / np.linalg.norm(v)
+
+
+# Each edit of the sidecar's oracle, as the (alpha, beta, v*) handed to
+# run_all_checks, and the entries it fails on the three runs. None fails
+# anything: every entry takes alpha, beta and v* as given, and each
+# bound they enter still holds, or stays vacuous, on these runs. Only a
+# replay of the stream that recomputes the oracle can catch them.
+SIDECAR_MATRIX = [
+    ("alpha x 6, beta / 2", lambda a, b, v, other: (6 * a, b / 2, v), [set()] * 3),
+    ("alpha / 6", lambda a, b, v, other: (a / 6, b, v), [set()] * 3),
+    ("beta x 2", lambda a, b, v, other: (a, 2 * b, v), [set()] * 3),
+    ("v* nudged by 1e-4", lambda a, b, v, other: (a, b, nudged(v)), [set()] * 3),
+    ("v* of another seed", lambda a, b, v, other: (a, b, other), [set()] * 3),
+]
+
+
 class TestTamperMatrix:
     """One edit of an honest run's table against the exact set of
     entries it fails: an entry that stops catching what it caught, or
@@ -674,7 +716,7 @@ class TestTamperMatrix:
 
     @pytest.mark.parametrize("run", list(TAMPER_RUNS))
     def test_honest_runs_fail_nothing(self, run):
-        traj, v_star, ab, _ = tamper_runs(run)
+        traj, v_star, ab, _, _ = tamper_runs(run)
         report = run_all_checks(traj, v_star, ab.alpha, ab.beta)
         assert report.ok
         by_name = {e.name: e.status for e in report.entries}
@@ -687,7 +729,7 @@ class TestTamperMatrix:
     )
     def test_each_edit_fails_exactly_its_entries(self, edit, at, failing):
         for run, expected in zip(TAMPER_RUNS, failing, strict=True):
-            traj, v_star, ab, other = tamper_runs(run)
+            traj, v_star, ab, other, _ = tamper_runs(run)
             eta, table = traj.config.eta, traj.table.copy()
             s, phi_norm_sq = table[1:-1, 0], table[1:-1, 1]
             blind = eta * eta * phi_norm_sq * s**2
@@ -699,6 +741,51 @@ class TestTamperMatrix:
                 dataclasses.replace(traj, table=table), v_star, ab.alpha, ab.beta
             )
             assert {e.name for e in report.failures()} == expected, run
+
+    @pytest.mark.parametrize(
+        "edit, failing",
+        [(edit, failing) for _, edit, failing in SIDECAR_MATRIX],
+        ids=[name for name, _, _ in SIDECAR_MATRIX],
+    )
+    def test_each_sidecar_edit_fails_exactly_its_entries(self, edit, failing):
+        for run, expected in zip(TAMPER_RUNS, failing, strict=True):
+            traj, v_star, ab, _, other_v_star = tamper_runs(run)
+            alpha, beta, v = edit(ab.alpha, ab.beta, v_star, other_v_star)
+            assert (alpha, beta) != (ab.alpha, ab.beta) or not np.array_equal(v, v_star)
+            report = run_all_checks(traj, v, alpha, beta)
+            assert {e.name for e in report.failures()} == expected, run
+
+
+class TestOutOfRegime:
+    """eta = 0.09 with no norm bound, where some eta s_i^2 exceeds 1.25:
+    there the identity's closed form no longer implies the step floor
+    lr_i >= eta s_i^2, and interval_growth_floor, whose pairs (i-1, i)
+    judge that floor, fails alone."""
+
+    @pytest.mark.parametrize("init_kind", ["random", "vstar"])
+    def test_step_floor_fails_in_its_sum(self, init_kind):
+        gen = SpikedSpec(
+            input_dim=6, n=600, lambda1=10.0, lambda2=0.5, tail_decay=0.8,
+            basis_seed=1, sample_seed=2,
+        )
+        xs, _ = make_spiked_stream(gen)
+        phi = FeatureMapSpec.identity(6)
+        summary = summarize(xs, phi)
+        ab = compute_alpha_beta(summary, 0.09)
+        if init_kind == "vstar":
+            start = init_state_at(summary.top_vector)
+        else:
+            start = init_state(6, 3)
+        traj = Trajectory.record(xs, OjaConfig(eta=0.09, feature_map=phi), start, seed=2)
+        s, log_ratio = traj.table[1:, 0], traj.table[1:, 2]
+        floor = log_ratio - 0.09 * s**2
+        assert (0.09 * s**2).max() > 1.25 and floor.min() < -checks.SLACK
+        report = run_all_checks(traj, summary.top_vector, ab.alpha, ab.beta)
+        by_name = {e.name: e for e in report.entries}
+        assert by_name["norm_update_identity"].status == PASS
+        assert by_name["increment_reconstruction"].status == PASS
+        assert {e.name for e in report.failures()} == {"interval_growth_floor"}
+        assert by_name["interval_growth_floor"].margin <= floor.min() + 1e-12
 
 
 class TestGrowthImpliesCorrectness:
