@@ -30,7 +30,6 @@ from streamkpca.checks import (
     _increment_tol,
     _judged,
     _nonempty,
-    _nonzero_step,
     _positive_beta,
     _small_alpha,
     _sorted_unique,
@@ -92,15 +91,16 @@ def norm_update_identity(traj) -> CheckResult:
         return _vacuous(name, reason)
     snaps = traj.snapshots
     eta, s, log_ratio = traj.config.eta, traj.s, traj.log_ratio
+    floor = eta * s**2
     closed = np.log1p(eta * (2.0 + eta * traj.phi_norm_sq) * s**2)
     diff_closed = np.abs(log_ratio - closed)
     dots = np.einsum("ij,ij->i", snaps[1:], snaps[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_norm = np.where(dots > 0, (1.0 + eta * s**2) / dots, np.nan)
+        u_norm = np.where(dots > 0, (1.0 + floor) / dots, np.nan)
         direct = 2.0 * np.log(u_norm)
     diff_direct = np.abs(log_ratio - direct)
     diff_direct = np.where(np.isfinite(diff_direct), diff_direct, np.inf)
-    worst = np.where(log_ratio >= 0.0, np.maximum(diff_closed, diff_direct), np.inf)
+    worst = np.where(log_ratio >= floor, np.maximum(diff_closed, diff_direct), np.inf)
     return _judged(
         name,
         IDENTITY_TOL - float(worst.max()),
@@ -110,20 +110,6 @@ def norm_update_identity(traj) -> CheckResult:
         max_direct_norm_diff=float(diff_direct.max()),
         tolerance=IDENTITY_TOL,
     )
-
-
-def interval_growth_floor(traj) -> CheckResult:
-    name = "interval_growth_floor"
-    reason = _nonempty(traj)
-    if reason:
-        return _vacuous(name, reason)
-    energy = np.concatenate(([0.0], np.cumsum(traj.config.eta * traj.s**2)))
-    d_arr = 2.0 * traj.log_norm - energy
-    run_max = np.maximum.accumulate(d_arr)[:-1]
-    margins = d_arr[1:] - run_max
-    b_worst = int(np.argmin(margins)) + 1
-    a_worst = int(np.argmax(d_arr[:b_worst]))
-    return _judged(name, float(margins.min()), location=[a_worst, b_worst])
 
 
 def increment_reconstruction(traj) -> CheckResult:
@@ -237,20 +223,6 @@ def aligned_energy_growth_floor(traj, alpha: float, beta: float) -> CheckResult:
     return _judged(name, final - floor, log_norm=final, floor=floor)
 
 
-def final_norm_floor(traj) -> CheckResult:
-    name = "final_norm_floor"
-    reason = _nonempty(traj) or _nonzero_step(bool(np.any(traj.s != 0.0)))
-    if reason:
-        return _vacuous(name, reason)
-    s, log_norm = traj.s, traj.log_norm
-    nonzero = s != 0.0
-    terms = 2.0 * np.log(np.abs(s[nonzero])) + 2.0 * log_norm[:-1][nonzero]
-    peak = float(terms.max())
-    lse = peak + math.log(float(np.sum(np.exp(terms - peak))))
-    rhs = math.log(traj.config.eta) + lse
-    return _judged(name, 2.0 * float(log_norm[-1]) - rhs, log_domain_rhs=rhs)
-
-
 def final_residual_bound(traj, v, alpha: float, beta: float) -> CheckResult:
     final = traj.snapshots[-1]
     resid_vec = final - float(final @ v) * v
@@ -289,18 +261,16 @@ def final_residual_bound(traj, v, alpha: float, beta: float) -> CheckResult:
 
 
 def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
-    """The nine entries, in report order, from the whole arrays."""
+    """The seven entries, in report order, from the whole arrays."""
     v = as_unit_vector(v_star, "v_star")
     traj = columns(traj)
     entries = [
         norm_update_identity(traj),
-        interval_growth_floor(traj),
         increment_reconstruction(traj),
         residual_bounded_by_growth(traj, v, alpha),
         drift_requires_growth(traj, v, alpha),
         orthogonal_energy_budget(traj, v, alpha),
         aligned_energy_growth_floor(traj, alpha, beta),
-        final_norm_floor(traj),
         final_residual_bound(traj, v, alpha, beta),
     ]
     constants = {

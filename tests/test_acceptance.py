@@ -27,7 +27,6 @@ TRAJECTORY_INEQUALITY_CHECKS = (
     "drift_requires_growth",
     "orthogonal_energy_budget",
     "aligned_energy_growth_floor",
-    "final_norm_floor",
 )
 
 

@@ -30,13 +30,11 @@ from reference_checks import sample_check_pairs
 
 ALL_CHECK_NAMES = [
     "norm_update_identity",
-    "interval_growth_floor",
     "increment_reconstruction",
     "residual_bounded_by_growth",
     "drift_requires_growth",
     "orthogonal_energy_budget",
     "aligned_energy_growth_floor",
-    "final_norm_floor",
     "final_residual_bound",
 ]
 
@@ -226,12 +224,7 @@ class TestHypothesisGating:
         assert named["drift_requires_growth"] == reasons[at_vstar_entries]
         assert named["orthogonal_energy_budget"] == reasons[at_vstar_entries or "budget"]
         assert named["aligned_energy_growth_floor"] == reasons[aligned_floor]
-        for name in (
-            "norm_update_identity",
-            "interval_growth_floor",
-            "increment_reconstruction",
-            "final_norm_floor",
-        ):
+        for name in ("norm_update_identity", "increment_reconstruction"):
             assert named[name] == (reasons["empty"] if n == 0 else None)
 
     def test_growth_floor_requires_small_alpha(self, vstar_run):
@@ -293,10 +286,11 @@ class TestHypothesisGating:
         with pytest.raises(OverflowError):
             run_all_checks(traj, v_star, 1e200, ab.beta)
 
-    def test_final_norm_floor_without_a_moving_step_is_vacuous(self, tmp_path):
+    def test_without_a_moving_step_the_identity_passes(self, tmp_path):
         # Samples orthogonal to the start: every s and log_ratio is 0 and
-        # the snapshots stay put, so the floor's right side is log(0).
-        # Through the file path, as the command line's check reads it.
+        # the snapshots stay put, so each log ratio sits exactly on its
+        # step floor eta s^2 = 0. Through the file path, as the command
+        # line's check reads it.
         cfg = OjaConfig(
             eta=0.05, feature_map=FeatureMapSpec.identity(3)
         )
@@ -309,13 +303,8 @@ class TestHypothesisGating:
         ) as write:
             write(traj.table)
         report = check_trajectory_file(path)
-        by_name = {e.name: e for e in report.entries}
-        floor = by_name["final_norm_floor"]
-        assert floor.status == VACUOUS
-        assert floor.details == {
-            "reason": "no step has s != 0, so the floor is log(0) = -inf"
-        }
-        assert by_name["norm_update_identity"].status == PASS
+        identity = report.entries[0]
+        assert (identity.name, identity.status) == ("norm_update_identity", PASS)
         assert report.ok
 
     def test_final_bound_probabilistic_exceedance_is_vacuous(self, random_run):
@@ -491,12 +480,25 @@ class TestFaultInjection:
     def test_log_ratio_just_below_zero_fails_the_identity(self):
         # The poly2 run's least log ratio is 4.8e-15: set to -5e-13 it
         # stays within the identity's 1e-12 of both halves, so only the
-        # identity's lr >= 0 fails it.
+        # identity's lr >= eta s^2 fails it.
+        self._fails_only_the_floor(lambda floor: -5e-13)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_log_ratio_below_the_step_floor_fails_the_identity(self, fraction):
+        # At the same step the floor eta s^2 is 2.4e-15, half the log
+        # ratio. A log ratio of 0, or of half the floor, also stays
+        # within 1e-12 of both halves, so only the floor fails it.
+        self._fails_only_the_floor(lambda floor: fraction * floor)
+
+    def _fails_only_the_floor(self, edited):
+        """poly2-random's least log ratio, set to edited(its step floor),
+        fails exactly norm_update_identity there, in both checkers."""
         traj, v_star, ab, _, _ = tamper_runs("poly2-random")
         table = traj.table.copy()
         j = 1 + int(np.argmin(table[1:, 2]))
-        assert table[j, 2] < 1e-13
-        table[j, 2] = -5e-13
+        floor = traj.config.eta * table[j, 0] ** 2
+        assert j == 507 and 1e-15 < floor < table[j, 2] < 1e-14
+        table[j, 2] = edited(floor)
         bad = dataclasses.replace(traj, table=table)
         report = run_all_checks(bad, v_star, ab.alpha, ab.beta)
         assert_matches_reference(
@@ -586,6 +588,9 @@ class TestIncrementTolerance:
         assert increment.status == PASS
         assert increment.details["tolerance"] == checks._increment_tol(phi.feature_dim)
         assert 0.0 <= increment.details["max_increment_diff"] <= increment.details["tolerance"]
+        # Each honest log ratio is at least its step floor eta s^2.
+        s, log_ratio = traj.table[1:, 0], traj.table[1:, 2]
+        assert (log_ratio >= cfg.eta * s**2).all()
 
     @pytest.mark.parametrize("lambda1", [10.0, 1e3])
     def test_large_steps_stay_within_tolerance(self, lambda1):
@@ -758,12 +763,12 @@ class TestTamperMatrix:
 
 class TestOutOfRegime:
     """eta = 0.09 with no norm bound, where some eta s_i^2 exceeds 1.25:
-    there the identity's closed form no longer implies the step floor
-    lr_i >= eta s_i^2, and interval_growth_floor, whose pairs (i-1, i)
-    judge that floor, fails alone."""
+    there an honest log ratio can fall below the step floor eta s_i^2,
+    and norm_update_identity, which judges that floor at every step,
+    fails alone, at the first such step."""
 
     @pytest.mark.parametrize("init_kind", ["random", "vstar"])
-    def test_step_floor_fails_in_its_sum(self, init_kind):
+    def test_step_floor_fails_the_identity(self, init_kind):
         gen = SpikedSpec(
             input_dim=6, n=600, lambda1=10.0, lambda2=0.5, tail_decay=0.8,
             basis_seed=1, sample_seed=2,
@@ -778,14 +783,20 @@ class TestOutOfRegime:
             start = init_state(6, 3)
         traj = Trajectory.record(xs, OjaConfig(eta=0.09, feature_map=phi), start, seed=2)
         s, log_ratio = traj.table[1:, 0], traj.table[1:, 2]
-        floor = log_ratio - 0.09 * s**2
-        assert (0.09 * s**2).max() > 1.25 and floor.min() < -checks.SLACK
+        below = log_ratio < 0.09 * s**2
+        assert (0.09 * s**2).max() > 1.25 and below.any()
         report = run_all_checks(traj, summary.top_vector, ab.alpha, ab.beta)
-        by_name = {e.name: e for e in report.entries}
-        assert by_name["norm_update_identity"].status == PASS
-        assert by_name["increment_reconstruction"].status == PASS
-        assert {e.name for e in report.failures()} == {"interval_growth_floor"}
-        assert by_name["interval_growth_floor"].margin <= floor.min() + 1e-12
+        assert_matches_reference(
+            report,
+            reference_checks.run_all_checks(traj, summary.top_vector, ab.alpha, ab.beta),
+        )
+        assert {e.name for e in report.failures()} == {"norm_update_identity"}
+        identity = report.entries[0]
+        assert (identity.location, identity.margin) == (
+            1 + int(np.argmax(below)), -math.inf
+        )
+        assert identity.details["max_closed_form_diff"] < checks.IDENTITY_TOL
+        assert identity.details["max_direct_norm_diff"] < checks.IDENTITY_TOL
 
 
 class TestGrowthImpliesCorrectness:
@@ -899,25 +910,6 @@ class TestEmptyTrajectory:
         assert [e.name for e in report.entries] == ALL_CHECK_NAMES
 
 
-class TestSingleStepFloor:
-    def test_one_step_norm_floor_matches_hand_value(self):
-        # n=1 stream on the fixed point: both sides of the log-domain
-        # floor reduce to closed forms.
-        eta = 0.05
-        phi = FeatureMapSpec.identity(2)
-        cfg = OjaConfig(
-            eta=eta, feature_map=phi
-        )
-        traj = Trajectory.record(
-            np.array([[1.0, 0.0]]), cfg, init_state_at([1.0, 0.0])
-        )
-        floor = entry("final_norm_floor", traj, np.array([1.0, 0.0]), 0.0, eta)
-        assert floor.name == "final_norm_floor"
-        assert floor.status == PASS
-        expected_margin = math.log1p(2 * eta + eta * eta) - math.log(eta)
-        assert abs(floor.margin - expected_margin) <= 1e-12
-
-
 FOLD_MAPS = {
     "identity": FeatureMapSpec.identity(5),
     "poly2": FeatureMapSpec.poly2(4),
@@ -992,11 +984,10 @@ class TestCertificateFold:
     )
     def test_where_units_are_cut_changes_no_bit(self, kind, init_kind, n):
         # run --check folds run_stream's units of unit_rows(m) steps,
-        # check a file's of BLOCK_ROWS steps. On the n = 603 run a
-        # log-sum-exp rescaled to each unit's peak moved
-        # final_norm_floor's last bits at units of 1 and 7 steps;
-        # carried term by term it cannot. The increment identity is
-        # judged at every n, so each cut splits a judged entry's steps.
+        # check a file's of BLOCK_ROWS steps. Every sum is carried term
+        # by term, so no cut may move a bit of any entry. The increment
+        # identity is judged at every n, so each cut splits a judged
+        # entry's steps.
         traj, v_star, ab = fold_case(kind, init_kind, n)
 
         def certify(size):
