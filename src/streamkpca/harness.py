@@ -10,12 +10,12 @@ File formats:
     and a sidecar read by one reader, _read_json_object, and checked by
     one walk, _check_keys, over its key table: a missing, mistyped or
     unknown key is a ConfigError naming the file, the object and the key;
-  * trajectories -- CSV with header ``step,s,phi_norm_sq,log_ratio``
-    and the direction columns ``vhat_0..vhat_{m-1}``; row i holds step i
-    and the run's table row i (oja.Trajectory), each cell orjson's shortest
-    round-trip spelling of the float64, which float() reads back bit for
-    bit (1e16 and 0.00001 where repr writes 1e+16 and 1e-05), in the one
-    grammar the reader takes (_parse_block);
+  * trajectories -- CSV with header ``s,phi_norm_sq,log_ratio`` and
+    the direction columns ``vhat_0..vhat_{m-1}``; line i holds the run's
+    table row i (oja.Trajectory), each cell orjson's shortest round-trip
+    spelling of the float64, which float() reads back bit for bit (1e16
+    and 0.00001 where repr writes 1e+16 and 1e-05), in the one grammar
+    the reader takes (_parse_block);
   * each trajectory CSV has a ``<name>.meta.json`` sidecar carrying the
     constants a post-hoc check needs (eta, feature map, init direction,
     whose width is m, oracle alpha/beta and v*) and its row count n;
@@ -29,6 +29,7 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 import os
 import reprlib
 from dataclasses import dataclass, field, replace
@@ -66,8 +67,6 @@ from .oja import (
 from .spectral import alignment_error, compute_alpha_beta, summarize
 
 REPORT_SCHEMA_ID = "streamkpca-run-report/1"
-
-TRAJECTORY_HEADER = ["step", *STEP_COLUMNS]
 
 
 class ConfigError(ValueError):
@@ -402,12 +401,12 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     with the target ratio, whether it is 1 (no spike) and the median of
     the trials' finite empirical ratios. Given an output directory
     (out_dir, else config.out_dir), sweep.json and sweep.csv are
-    written there.
+    written there. Each ratio is taken as a Python float before any
+    trial runs, so a numpy scalar writes as its float does.
     """
+    ratios = [check_target_ratio(target, "target ratio") for target in ratios]
     if len(ratios) < 2:
         raise ConfigError("a sweep needs at least two target ratios")
-    for target in ratios:
-        check_target_ratio(target, "target ratio")
     resolved = _out_path(out_dir, config)
     rows = []
     for target in ratios:
@@ -434,7 +433,7 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     out = {
         "schema": "streamkpca-sweep/2",
         "config": _jsonable(config.to_dict()),
-        "ratios": list(ratios),
+        "ratios": ratios,
         "rows": _jsonable(rows),
     }
     if resolved is not None:
@@ -444,11 +443,14 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     return out
 
 
-def check_target_ratio(ratio: float, name: str) -> float:
-    """ratio if it is finite and >= 1, else a ConfigError naming name."""
+def check_target_ratio(ratio, name: str) -> float:
+    """ratio as a float if it is a real number (not a bool), finite and
+    >= 1, else a ConfigError naming name."""
+    if isinstance(ratio, (bool, np.bool_)) or not isinstance(ratio, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {ratio!r}")
     if not 1.0 <= ratio < math.inf:  # NaN fails too
         raise ConfigError(f"{name} must be finite and >= 1, got {ratio!r}")
-    return ratio
+    return float(ratio)
 
 
 def sweep_csv(sweep_report: dict) -> str:
@@ -522,8 +524,9 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
     direction after it as vhat_* columns); on exit, with head.n rows
     written, write the sidecar from ``head`` (a _Head or a Trajectory)
     and the oracle's v_star, alpha, beta, which check_trajectory_file
-    certifies against. If the block raises, neither file is left at the
-    path.
+    certifies against. The sidecar is held to read_trajectory's rules
+    before the CSV is opened. If the block raises, neither file is left
+    at the path.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
     which reads back bit for bit, written linalg.BLOCK_ROWS rows per
@@ -532,11 +535,27 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
     back to never do.
 
     Raises:
+        ConfigError: a sidecar read_trajectory refuses (_sidecar_fields).
         ValueError: a non-finite cell (_csv_rows), or other than head.n
             rows written.
     """
     path = Path(path)
-    header = TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(head.m)]
+    meta = _jsonable(
+        {
+            "eta": head.config.eta,
+            "norm_bound": head.config.norm_bound,
+            "feature_map": head.config.feature_map.to_dict(),
+            "init": head.init_kind,
+            "init_v_hat": [float(v) for v in head.init_v_hat],
+            "seed": head.seed,
+            "n": head.n,
+            "alpha": alpha,
+            "beta": beta,
+            "v_star": [float(v) for v in v_star],
+        }
+    )
+    _sidecar_fields(meta, f"bad trajectory metadata {meta_path_for(path).name}")
+    header = [*STEP_COLUMNS, *(f"vhat_{k}" for k in range(head.m))]
     written = 0
 
     def write(unit: np.ndarray) -> None:
@@ -555,24 +574,12 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
         path.unlink(missing_ok=True)
         meta_path_for(path).unlink(missing_ok=True)
         raise
-    meta = {
-        "eta": head.config.eta,
-        "norm_bound": head.config.norm_bound,
-        "feature_map": head.config.feature_map.to_dict(),
-        "init": head.init_kind,
-        "init_v_hat": [float(v) for v in head.init_v_hat],
-        "seed": head.seed,
-        "n": head.n,
-        "alpha": alpha,
-        "beta": beta,
-        "v_star": [float(v) for v in v_star],
-    }
-    _write_json(meta_path_for(path), _jsonable(meta))
+    _write_json(meta_path_for(path), meta)
 
 
 def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
-    """CSV lines ``step,cell,...`` of a finite float64 block, numbered
-    from first_step, in one orjson pass.
+    """CSV lines of a finite float64 block, the table rows of steps
+    first_step, ..., in one orjson pass.
 
     orjson spells each cell with the shortest digits that round-trip,
     in the bytes 0-9 . e - only, so _parse_block reads every block the
@@ -581,20 +588,18 @@ def _csv_rows(block: np.ndarray, first_step: int) -> bytes:
 
     Raises:
         ValueError: a cell is NaN or infinite; the message names its
-            step and its CSV column (0 is the step column).
+            step and its CSV column (0 is the s column).
     """
     finite = np.isfinite(block)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(
             f"cannot write the non-finite cell {float(block[i, j])!r} "
-            f"at step {first_step + i}, column {j + 1}"
+            f"at step {first_step + i}, column {j}"
         )
     doc = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    return b"".join(
-        b"%d,%b\n" % line
-        for line in enumerate(doc[2:-2].split(b"],["), first_step)
-    )
+    # A split and join outruns bytes.replace of the 3-byte separator.
+    return b"\n".join(doc[2:-2].split(b"],[")) + b"\n"
 
 
 def meta_path_for(path) -> Path:
@@ -610,19 +615,31 @@ def read_trajectory(csv_path) -> TrajectoryFile:
     Raises:
         TrajectoryParseError: a bad header, or a file too short for the
             sidecar's n rows; the message names the byte offset.
-        ConfigError: a missing or malformed sidecar, naming the file and
-            the key: a key missing, mistyped or unknown, a width other
-            than init_v_hat's (feature_map, v_star, the vhat_* columns),
-            an init_v_hat or v_star not of unit length, an at-v* start
-            other than v_star, or a norm_bound not positive or too large
-            for its eta.
+        ConfigError: a missing or malformed sidecar (_sidecar_fields), or
+            other than its init_v_hat's width of vhat_* columns.
     """
     csv_path = Path(csv_path)
     meta_file = meta_path_for(csv_path)
     if not meta_file.exists():
         raise ConfigError(f"missing trajectory metadata: {meta_file}")
     where = f"bad trajectory metadata {meta_file.name}"
-    meta = _read_json_object(meta_file, where)
+    fields = _sidecar_fields(_read_json_object(meta_file, where), where)
+    data_start = _read_header(csv_path, len(fields["init_v_hat"]), fields["n"], where)
+    return TrajectoryFile(**fields, path=csv_path, data_start=data_start)
+
+
+def _sidecar_fields(meta: dict, where: str) -> dict:
+    """The _Head and oracle fields of a TrajectoryFile from a sidecar
+    document, checked by every rule a sidecar keeps; write_trajectory
+    holds the sidecar it writes to the same rules.
+
+    Raises:
+        ConfigError: beginning with where and naming the key: a key
+            missing, mistyped or unknown, a width other than
+            init_v_hat's (feature_map, v_star), an init_v_hat or v_star
+            not of unit length, a norm_bound not positive or too large
+            for its eta, or an at-v* start other than v_star.
+    """
     _check_keys(meta, _META_KEYS, where)
     m = len(meta["init_v_hat"])
     # Every width the sidecar states is the start's, which the header's
@@ -666,17 +683,10 @@ def read_trajectory(csv_path) -> TrajectoryFile:
                 f"differs from key 'v_star' by {gap!r} in an entry, above "
                 f"{linalg.UNIT_NORM_TOL!r}"
             )
-    return TrajectoryFile(
-        config=config,
-        init_kind=meta["init"],
-        init_v_hat=init_v_hat,
-        n=meta["n"],
-        seed=meta["seed"],
-        v_star=v_star,
-        alpha=float(meta["alpha"]),
+    return dict(
+        config=config, init_kind=meta["init"], init_v_hat=init_v_hat, n=meta["n"],
+        seed=meta["seed"], v_star=v_star, alpha=float(meta["alpha"]),
         beta=float(meta["beta"]),
-        path=csv_path,
-        data_start=_read_header(csv_path, m, meta["n"], where),
     )
 
 
@@ -685,7 +695,7 @@ def _read_header(csv_path: Path, m: int, n: int, where: str) -> int:
     columns start, once its header is checked and its size found large
     enough for n rows. Other than m columns is a ConfigError that begins
     with where, the sidecar's."""
-    width = len(TRAJECTORY_HEADER)
+    width = len(STEP_COLUMNS)
     # Lines split on "\n" only; a "\r" stays part of its field.
     with open(csv_path, "rb") as fh:
         raw_header = fh.readline()
@@ -694,9 +704,9 @@ def _read_header(csv_path: Path, m: int, n: int, where: str) -> int:
         raise TrajectoryParseError("empty trajectory file at byte 0")
     header_line = _decode_line(raw_header, 0)
     header = header_line.split(",")
-    if header[:width] != TRAJECTORY_HEADER:
+    if tuple(header[:width]) != STEP_COLUMNS:
         raise TrajectoryParseError(
-            f"bad header at byte 0: expected {','.join(TRAJECTORY_HEADER)}"
+            f"bad header at byte 0: expected {','.join(STEP_COLUMNS)}"
         )
     for k, name in enumerate(header[width:]):
         if name != f"vhat_{k}":
@@ -761,11 +771,11 @@ class TrajectoryFile(_Head):
             ConfigError: alpha + beta above eta * sum(phi_norm_sq).
         """
         n, m = self.n, self.m
-        n_fields = len(TRAJECTORY_HEADER) + m
+        n_fields = len(STEP_COLUMNS) + m
         chunk = _chunk_rows(n_fields)
         unit_rows = linalg.BLOCK_ROWS
         # Row 0 holds the row before the unit's first step.
-        buffer = np.empty((min(unit_rows, n) + 1, n_fields - 1))
+        buffer = np.empty((min(unit_rows, n) + 1, n_fields))
         buffer[0, :3] = 0.0
         buffer[0, 3:] = self.init_v_hat
         trace = 0.0
@@ -787,7 +797,7 @@ class TrajectoryFile(_Head):
                             f"trajectory ends at byte {offset} after row {row - 1}, "
                             f"short of the n = {n} rows its sidecar records"
                         )
-                    values = _parse_block(lines, row, n_fields)
+                    values = _parse_block(lines, n_fields)
                     if values is None:
                         _raise_at_defect(lines, row, n_fields, offset)
                     buffer[1 + filled : 1 + filled + len(lines)] = values
@@ -820,13 +830,10 @@ class TrajectoryFile(_Head):
 _NUMBER_BYTES = b"0123456789.e+-"
 
 
-def _parse_block(
-    lines: list[bytes], first_row: int, n_fields: int
-) -> np.ndarray | None:
-    """The (len(lines), n_fields - 1) values of data rows first_row, ...,
-    or None unless every row is in the trajectory grammar: n_fields
-    JSON numbers spelled in _NUMBER_BYTES, split by commas, the first the
-    row's number as a JSON integer and the others finite.
+def _parse_block(lines: list[bytes], n_fields: int) -> np.ndarray | None:
+    """The (len(lines), n_fields) values of data rows, or None unless
+    every row is in the trajectory grammar: n_fields finite JSON numbers
+    spelled in _NUMBER_BYTES, split by commas.
 
     The lines are parsed as one JSON array of rows. k rows of numbers
     take exactly the frame's k + 1 opening brackets, so no line held a
@@ -839,18 +846,12 @@ def _parse_block(
     if doc.translate(None, _NUMBER_BYTES + b",\n[]"):
         return None
     try:
-        rows = orjson.loads(doc)
-        block = np.array(rows, dtype=np.float64)
+        block = np.array(orjson.loads(doc), dtype=np.float64)
     except ValueError:  # not JSON, or rows of unequal shape
         return None
     if block.shape != (len(lines), n_fields) or not np.isfinite(block).all():
         return None
-    row_steps = [row[0] for row in rows]
-    if row_steps != list(range(first_row, first_row + len(lines))) or not all(
-        type(step) is int for step in row_steps
-    ):
-        return None
-    return block[:, 1:]
+    return block
 
 
 def _raise_at_defect(
@@ -869,7 +870,7 @@ def _raise_at_defect(
                 f"expected {n_fields} fields, found {len(cells)}"
             )
         for j, cell in enumerate(cells):
-            defect = _cell_defect(cell, row if j == 0 else None)
+            defect = _cell_defect(cell)
             if defect:
                 at = _byte_offset(line_start, line, j)
                 raise TrajectoryParseError(f"{defect} at byte {at}")
@@ -877,19 +878,15 @@ def _raise_at_defect(
     raise AssertionError(f"_parse_block refused rows {first_row}.. in the grammar")
 
 
-def _cell_defect(cell: str, step: int | None) -> str | None:
-    """Why a cell is out of the grammar, or None. The step cell (step
-    not None) with a fraction or exponent is unparseable, and a data
-    cell that float() reads as inf or nan non-finite."""
+def _cell_defect(cell: str) -> str | None:
+    """Why a cell is out of the grammar, or None: a cell that float()
+    reads as inf or nan is non-finite, any other not a JSON number
+    unparseable."""
     raw = cell.encode("utf-8")
     try:  # orjson reads a cell in _NUMBER_BYTES to a number, or raises
         number = not raw.translate(None, _NUMBER_BYTES) and orjson.loads(raw) is not None
     except ValueError:
         number = False
-    if step is not None:
-        if not number or "." in cell or "e" in cell:
-            return f"unparseable field {cell!r}"
-        return None if int(cell) == step else "non-consecutive step index"
     try:
         if not math.isfinite(float(cell)):
             return f"non-finite field {cell!r}"

@@ -441,8 +441,9 @@ def test_criterion_8_fault_sensitivity(tmp_path, monkeypatch):
 
     lines = source.read_text().split("\n")
     rows = [ln.split(",") for ln in lines[1:] if ln]
-    target = max(range(len(rows)), key=lambda i: abs(float(rows[i][3])))
-    rows[target][3] = repr(float(rows[target][3]) * (1.0 + 1e-3))
+    # The largest log ratio, scaled by 1 + 1e-3.
+    target = max(range(len(rows)), key=lambda i: abs(float(rows[i][2])))
+    rows[target][2] = repr(float(rows[target][2]) * (1.0 + 1e-3))
     tampered = tmp_path / "tampered.csv"
     tampered.write_text(
         lines[0] + "\n" + "\n".join(",".join(r) for r in rows) + "\n"

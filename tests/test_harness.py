@@ -34,6 +34,7 @@ from streamkpca.harness import (
     write_trajectory,
 )
 from streamkpca.oja import (
+    STEP_COLUMNS,
     NumericError,
     OjaConfig,
     Trajectory,
@@ -124,8 +125,8 @@ JSON_EDGE_CELLS = [
     "-0.0",
     "1e-0",
 ]
-# The JSON_EDGE_CELLS that the trajectory grammar takes as data cells.
-# It takes none of them as a step, nor any other edge cell anywhere.
+# The JSON_EDGE_CELLS that the trajectory grammar takes; it takes no
+# other edge cell anywhere.
 GRAMMAR_EDGE_CELLS = {"-0", "1.0", "-0.0", "1e-0"}
 
 
@@ -593,8 +594,8 @@ class TestTrajectoryFiles:
     # The floats next to both ends of the range.
     @example(table=extreme_table(4, 4, EDGE_CELLS), block_rows=256)
     @example(table=extreme_table(4, 5, EDGE_CELLS), block_rows=1)
-    # Cells outside it first and last in a row, beside the step's comma
-    # and the newline, in the first and the last row of the file.
+    # Cells outside it first and last in a row, at the line's start and
+    # beside the newline, in the first and the last row of the file.
     @example(table=ROW_ENDS_TABLE, block_rows=256)
     def test_cells_round_trip(self, tmp_path_factory, table, block_rows):
         csv_path = tmp_path_factory.getbasetemp() / "round_trip.csv"
@@ -603,25 +604,48 @@ class TestTrajectoryFiles:
             save(csv_path, traj)
         header, *lines = csv_path.read_text(encoding="utf-8").split("\n")
         assert header == ",".join(
-            harness.TRAJECTORY_HEADER + [f"vhat_{k}" for k in range(traj.m)]
+            [*STEP_COLUMNS, *(f"vhat_{k}" for k in range(traj.m))]
         )
         assert lines.pop() == ""
         assert len(lines) == len(table)
-        for step, (line, row) in enumerate(zip(lines, table), start=1):
-            step_cell, *cells = line.split(",")
-            assert step_cell == str(step)
+        for line, row in zip(lines, table):
             # float() gives back each cell's bits, -0.0 included.
+            cells = line.split(",")
             assert np.array(list(map(float, cells))).tobytes() == row.tobytes()
         # The reader takes every spelling the writer makes, to the same bits.
         expected = expected_read(csv_path, table, traj.config.eta)
         assert read_outcome(csv_path, block_rows) == expected
+
+    @pytest.mark.parametrize(
+        "oracle, message",
+        [
+            (
+                dict(v_star=[2.0, 0.0, 0.0]),
+                f"key 'v_star' must have unit norm, within {linalg.UNIT_NORM_TOL!r}",
+            ),
+            (dict(alpha=-0.5), "key 'alpha' must be finite >= 0, got -0.5"),
+            (dict(v_star=[1.0, 0.0]), "key 'v_star' gives width 2, key 'init_v_hat' 3"),
+        ],
+    )
+    def test_writer_refuses_a_sidecar_check_refuses(self, tmp_path, oracle, message):
+        # Held to read_trajectory's rules before the CSV is opened: the
+        # refusal names the key and leaves no file.
+        cfg = OjaConfig(eta=0.01, feature_map=FeatureMapSpec.identity(3))
+        xs = np.random.default_rng(2).standard_normal((40, 3))
+        traj = Trajectory.record(xs, cfg, init_state(3, 5), seed=2)
+        oracle = dict(v_star=[1.0, 0.0, 0.0], alpha=0.0, beta=0.0) | oracle
+        with pytest.raises(ConfigError) as err:
+            with write_trajectory(tmp_path / "traj.csv", traj, **oracle) as write:
+                write(traj.table)
+        assert str(err.value) == f"bad trajectory metadata traj.meta.json: {message}"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_writer_refuses_non_finite_cell(self, bad):
         # Trajectory refuses such a column, so the writer is called directly.
         block = extreme_table(4, 6)
         block[2, 5] = block[3, 0] = bad
-        with pytest.raises(ValueError, match=f"{bad!r} at step 12, column 6$"):
+        with pytest.raises(ValueError, match=f"{bad!r} at step 12, column 5$"):
             harness._csv_rows(block, 10)
 
     def test_writer_leaves_its_block_unchanged(self):
@@ -630,29 +654,30 @@ class TestTrajectoryFiles:
         harness._csv_rows(block, 1)
         assert block.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("column", ["step", "s", "vhat_3"])
+    # The first, a middle and the last cell of a row.
+    @pytest.mark.parametrize("column", ["s", "log_ratio", "vhat_3"])
     @pytest.mark.parametrize("cell", JSON_EDGE_CELLS)
     def test_json_edge_cells_read_as_the_line_parser(self, saved, column, cell):
         # The cell goes into the first and the last row, and the file
         # loses its final newline, so the cell ends a field, a line and
-        # the file in turn. A data cell in the grammar reads as a float()
+        # the file in turn. A cell in the grammar reads as a float()
         # line parser reads it, but -0 reads as 0.0; any other cell is
         # refused at its byte, or at its row's where its commas change
         # the row's width.
         csv_path, _ = saved
         lines = csv_path.read_bytes().split(b"\n")[:-1]
         j = lines[0].split(b",").index(column.encode())
-        table = np.array([[float(c) for c in line.split(b",")[1:]] for line in lines[1:]])
+        table = np.array([[float(c) for c in line.split(b",")] for line in lines[1:]])
         for row in (1, len(lines) - 1):
             cells = lines[row].split(b",")
             cells[j] = cell.encode()
             lines[row] = b",".join(cells)
-            if j > 0 and cell in GRAMMAR_EDGE_CELLS:
-                table[row - 1, j - 1] = 0.0 if cell == "-0" else float(cell)
+            if cell in GRAMMAR_EDGE_CELLS:
+                table[row - 1, j] = 0.0 if cell == "-0" else float(cell)
         raw = b"\n".join(lines)
         csv_path.write_bytes(raw)
         outcome = blocked_read_outcome(csv_path)
-        if j > 0 and cell in GRAMMAR_EDGE_CELLS:
+        if cell in GRAMMAR_EDGE_CELLS:
             assert outcome == table.tobytes()
             return
         at = cell_offset(raw, 1, 0 if "," in cell else j)
@@ -671,14 +696,13 @@ class TestTrajectoryFiles:
             ("s", " 0.5"),
             ("s", "00.5"),
             ("s", "5E-1"),
-            ("step", "+2"),
         ],
     )
     def test_cells_outside_the_grammar_are_unparseable(
         self, saved, capsys, column, cell
     ):
-        # float() reads each data cell and int() the step, and the reader
-        # once took them; in row 2 each is now a located parse error.
+        # float() reads each cell, and the reader once took them; in
+        # row 2 each is now a located parse error.
         csv_path, _ = saved
         lines = csv_path.read_bytes().split(b"\n")
         j = lines[0].split(b",").index(column.encode())
@@ -875,7 +899,7 @@ class TestTrajectoryFiles:
         still comes first was made before any row was parsed."""
         lines = csv_path.read_bytes().split(b"\n")
         cells = lines[1].split(b",")
-        cells[1] = b"not-a-number"
+        cells[0] = b"not-a-number"
         lines[1] = b",".join(cells)
         csv_path.write_bytes(b"\n".join(lines))
 
@@ -1006,30 +1030,44 @@ class TestTrajectoryFiles:
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         last_row = raw[raw.rindex(b"\n", 0, -1) + 1 :]
+        n = meta["n"]
+        # The last row cut, a row appended after it, no row, or an n no
+        # file of this size holds: each is refused against the sidecar.
         if cut == "short":
             raw = raw[: -len(last_row)]
+            refusal = f"short of the n = {n} rows"
         elif cut == "extra":
             raw += last_row
             offset = len(raw) - len(last_row)
+            refusal = f"beyond the n = {n} rows"
         elif cut == "header_only":
             raw = raw[: raw.index(b"\n") + 1]
+            refusal = f"too short for the n = {n} rows"
         else:
             meta_file.write_text(json.dumps({**meta, "n": 10**30}))
+            refusal = f"too short for the n = {10**30} rows"
         csv_path.write_bytes(raw)
         if cut != "extra":
             offset = len(raw)  # where the rows run out
-        with pytest.raises(TrajectoryParseError, match=f"at byte {offset}\\b"):
+        with pytest.raises(TrajectoryParseError, match=f"at byte {offset}\\b") as err:
             read_whole(csv_path)
+        assert refusal in str(err.value)
         capsys.readouterr()
         assert main(["check", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert refusal in err
 
     def test_bad_header(self, saved):
         csv_path, _ = saved
-        body = csv_path.read_text().split("\n", 1)[1]
+        header, body = csv_path.read_text().split("\n", 1)
         csv_path.write_text("a,b,c\n" + body)
         with pytest.raises(TrajectoryParseError):
+            read_trajectory(csv_path)
+        # An older file, whose lines start with a step cell.
+        rows = "".join(f"{i},{line}\n" for i, line in enumerate(body.splitlines(), 1))
+        csv_path.write_text(f"step,{header}\n{rows}")
+        with pytest.raises(TrajectoryParseError, match="^bad header at byte 0: "):
             read_trajectory(csv_path)
 
     def test_ragged_row(self, saved):
@@ -1040,15 +1078,20 @@ class TestTrajectoryFiles:
         with pytest.raises(TrajectoryParseError):
             read_whole(csv_path)
 
-    def test_non_consecutive_steps(self, saved):
+    def test_non_consecutive_steps(self, saved, capsys):
+        # Rows 2 and 3 swapped: each row is in the grammar, so the file
+        # reads, but steps 2 to 4 no longer join their directions, and
+        # both per-step identities fail there.
         csv_path, _ = saved
-        lines = csv_path.read_text().split("\n")
-        cells = lines[2].split(",")
-        cells[0] = "99"
-        lines[2] = ",".join(cells)
-        csv_path.write_text("\n".join(lines))
-        with pytest.raises(TrajectoryParseError):
-            read_whole(csv_path)
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[2], lines[3] = lines[3], lines[2]
+        csv_path.write_bytes(b"\n".join(lines))
+        report = check_trajectory_file(csv_path)
+        failed = {e.name: e.location for e in report.failures()}
+        for name in ("norm_update_identity", "increment_reconstruction"):
+            assert failed[name] in (2, 3, 4)
+        capsys.readouterr()
+        assert main(["check", str(csv_path)]) == 1
 
 
 class TestCheckErrorsInOnePass:
@@ -1184,7 +1227,7 @@ class TestOneLayout:
         lines = csv_path.read_text(encoding="utf-8").split("\n")[1:-1]
         assert len(lines) == n
         for row, line in zip(traj.table[1:], lines):
-            cells = np.array([float(cell) for cell in line.split(",")[1:]])
+            cells = np.array([float(cell) for cell in line.split(",")])
             assert cells.tobytes() == row.tobytes()
 
         from_file = read_trajectory(csv_path)
@@ -1208,6 +1251,28 @@ class TestSweep:
     def test_nan_ratio_rejected(self):
         with pytest.raises(ConfigError, match="nan"):
             sweep(small_config(), [math.nan, 5.0])
+
+    @pytest.mark.parametrize("bad", ["2.0", True, np.True_])
+    def test_ratio_not_a_real_number_rejected(self, tmp_path, monkeypatch, bad):
+        # Refused before any trial runs.
+        monkeypatch.setattr(harness, "run", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match="target ratio must be a real number"):
+            sweep(small_config(), [20.0, bad], out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [np.array([2.0, 20.0]), np.array([2, 20]), [np.float32(2.0), 20.0]],
+        ids=["float64", "int64", "float32"],
+    )
+    def test_numpy_ratios_write_as_python_floats(self, tmp_path, ratios):
+        files = {}
+        for name, given in (("floats", [2.0, 20.0]), ("numpy", ratios)):
+            sweep(small_config(), given, out_dir=tmp_path / name)
+            files[name] = [
+                (tmp_path / name / f).read_bytes() for f in ("sweep.json", "sweep.csv")
+            ]
+        assert files["numpy"] == files["floats"]
 
     def test_rows_and_csv(self, tmp_path):
         out = sweep(small_config(trials=2), [4.0, 40.0], out_dir=tmp_path)
@@ -1600,7 +1665,7 @@ class TestCli:
         assert main(["check", str(csv_path)]) == 0
         lines = csv_path.read_text().splitlines()
         csv_path.write_text(
-            "".join(",".join(line.split(",")[:4]) + "\n" for line in lines)
+            "".join(",".join(line.split(",")[:3]) + "\n" for line in lines)
         )
         code = main(["check", str(csv_path)])
         assert code == 2
@@ -2237,9 +2302,7 @@ class TestCheckFuzz:
         # large for a float64 is refused as non-finite, at the first.
         csv_path, originals = saved
         header = originals[csv_path].split(b"\n", 1)[0]
-        body = "".join(
-            f"{step}," + ",".join(row) + "\n" for step, row in enumerate(rows, 1)
-        )
+        body = "".join(",".join(row) + "\n" for row in rows)
         raw = header + b"\n" + body.encode()
         self._write(originals, csv_path, raw, n=len(rows), alpha=0.0, beta=0.0)
         table = np.array([[0.0 if c == "-0" else float(c) for c in row] for row in rows])
@@ -2249,7 +2312,7 @@ class TestCheckFuzz:
             assert outcome == expected_read(csv_path, table, eta)
         else:
             i, j = np.argwhere(~np.isfinite(table))[0]
-            cell, at = rows[i][j], cell_offset(raw, i + 1, j + 1)
+            cell, at = rows[i][j], cell_offset(raw, i + 1, j)
             assert outcome == (TrajectoryParseError, f"non-finite field {cell!r} at byte {at}")
 
     @staticmethod
