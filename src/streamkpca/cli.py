@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 check failure, 2 config, input or OS error,
 one line, no traceback).
 A run's config is the --config document, else _DEFAULT_CONFIG, with
 each given flag written over the key it sets; RunConfig.from_dict
-builds it. BLAS runs on one thread unless OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS is set.
+builds it. Which files are written where is not part of it: they go
+to --out, else STREAMKPCA_OUT, else skpca-out, and run's
+--save-trajectories adds the trajectory CSVs. BLAS runs on one thread
+unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one configuration")
     _add_run_flags(run_p)
+    run_p.add_argument(
+        "--save-trajectories", action="store_true",
+        help="persist trajectory CSVs",
+    )
 
     sweep_p = sub.add_parser("sweep", help="sweep the target spectral ratio")
     _add_run_flags(sweep_p)
@@ -87,10 +93,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--check", action="store_true", default=None,
         help="run the invariant suite per trial",
-    )
-    p.add_argument(
-        "--save-trajectories", action="store_true", default=None,
-        help="persist trajectory CSVs",
     )
     p.add_argument("--out", type=str, default=None, help="output directory")
 
@@ -144,8 +146,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fm.setdefault("seed", gen["basis_seed"] + 7)
 
     _write_flags(
-        doc, args, eta="eta_policy", init="init", trials="trials", out="out_dir",
-        check="run_checks", save_trajectories="save_trajectories",
+        doc, args, eta="eta_policy", init="init", trials="trials", check="run_checks"
     )
     return RunConfig.from_dict(doc)
 
@@ -157,17 +158,18 @@ def _write_flags(section: dict, args: argparse.Namespace, **keys: str) -> None:
             section[key] = getattr(args, flag)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    """--out (already in config.out_dir), else the config file's out_dir,
-    else STREAMKPCA_OUT, else skpca-out."""
-    if config.out_dir is not None:
-        return Path(config.out_dir)
+def _out_dir(args: argparse.Namespace) -> Path:
+    """--out, else STREAMKPCA_OUT, else skpca-out."""
+    if args.out is not None:
+        return Path(args.out)
     return Path(os.environ.get(OUT_DIR_ENV) or "skpca-out")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    report = run(config, out_dir=_out_dir(config))
+    report = run(
+        config, out_dir=_out_dir(args), save_trajectories=args.save_trajectories
+    )
     agg = report["aggregate"]
     print(f"trials: {agg['trials']}  aborted: {agg['aborted']}")
     if agg["alignment_error"]["median"] is not None:
@@ -194,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for ratio in ratios:
         check_target_ratio(ratio, "--ratios")
     config = config_from_args(args)
-    out = sweep(config, ratios, out_dir=_out_dir(config))
+    out = sweep(config, ratios, out_dir=_out_dir(args))
     print(sweep_csv(out), end="")
     aggs = [row["aggregate"] for row in out["rows"]]
     if all(agg["aborted"] == agg["trials"] for agg in aggs):

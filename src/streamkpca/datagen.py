@@ -55,7 +55,7 @@ class SpikedSpec:
             raise ValueError(f"n = {self.n} exceeds the int64 maximum {INT64_MAX}")
         # Every comparison with NaN is false, so each test is written to
         # fail on it: a NaN spectrum keeps no sample and never ends.
-        if not 0.0 < self.lambda1 < math.inf:
+        if not (0.0 < self.lambda1 and linalg.is_finite_float(self.lambda1)):
             raise ValueError(
                 f"lambda1 must be finite and positive, got {self.lambda1!r}"
             )

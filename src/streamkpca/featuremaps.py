@@ -67,7 +67,9 @@ class FeatureMapSpec:
         else:
             if self.feature_dim < 1:
                 raise ValueError("rff feature_dim must be positive")
-            if self.bandwidth is None or not 0.0 < self.bandwidth < math.inf:
+            if self.bandwidth is None or not (
+                0.0 < self.bandwidth and linalg.is_finite_float(self.bandwidth)
+            ):
                 raise ValueError(
                     f"rff bandwidth must be finite and positive, "
                     f"got {self.bandwidth!r}"

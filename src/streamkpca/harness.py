@@ -66,7 +66,7 @@ from .oja import (
 )
 from .spectral import alignment_error, compute_alpha_beta, summarize
 
-REPORT_SCHEMA_ID = "streamkpca-run-report/1"
+REPORT_SCHEMA_ID = "streamkpca-run-report/2"
 
 
 class ConfigError(ValueError):
@@ -87,8 +87,6 @@ class RunConfig:
     init: str = "random"
     trials: int = 1
     run_checks: bool = False
-    save_trajectories: bool = False
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.feature_map.input_dim != self.generator.input_dim:
@@ -139,8 +137,6 @@ class RunConfig:
             "init": self.init,
             "trials": self.trials,
             "run_checks": self.run_checks,
-            "save_trajectories": self.save_trajectories,
-            "out_dir": self.out_dir,
         }
 
     @classmethod
@@ -355,30 +351,28 @@ def aggregate_trials(results: list[TrialResult], n: int, m: int) -> dict:
     return agg
 
 
-def run(config: RunConfig, out_dir=None) -> dict:
+def run(config: RunConfig, out_dir=None, *, save_trajectories=False) -> dict:
     """Run all trials, aggregate, optionally persist artifacts.
 
     Returns the report as a plain dict (already JSON-safe). Given an
-    output directory (out_dir, else config.out_dir), each trial's
-    trajectory CSV (when the config checks or saves trajectories) is
-    written there during its pass, its check report when it ends, and
-    report.json last; given none, nothing is written.
+    output directory, each trial's trajectory CSV (when the config
+    checks or save_trajectories is set) is written there during its
+    pass, its check report when it ends, and report.json last; given
+    none, nothing is written.
     """
-    resolved = _out_path(out_dir, config)
-    writes = resolved is not None and (config.run_checks or config.save_trajectories)
+    out = None if out_dir is None else Path(out_dir)
+    writes = out is not None and (config.run_checks or save_trajectories)
     results = []
     for t in range(config.trials):
-        a = run_trial(config, t, resolved / f"trial_{t:03d}.csv" if writes else None)
+        a = run_trial(config, t, out / f"trial_{t:03d}.csv" if writes else None)
         results.append(a.result)
-        if resolved is None:
+        if out is None:
             continue
         # Made once a trial has run its pass (there is at least one), so
         # a run refused in its first trial leaves no directory behind.
-        resolved.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         if a.check_report is not None:
-            _write_json(
-                resolved / f"trial_{t:03d}.checks.json", a.check_report.to_dict()
-            )
+            _write_json(out / f"trial_{t:03d}.checks.json", a.check_report.to_dict())
     agg = aggregate_trials(
         results, config.generator.n, config.feature_map.feature_dim
     )
@@ -388,8 +382,8 @@ def run(config: RunConfig, out_dir=None) -> dict:
         "trials": [r.to_dict() for r in results],
         "aggregate": _jsonable(agg),
     }
-    if resolved is not None:
-        _write_json(resolved / "report.json", report)
+    if out is not None:
+        _write_json(out / "report.json", report)
     return report
 
 
@@ -399,25 +393,21 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
     Seeds are held fixed across ratios, so rows are paired comparisons:
     only lambda2 changes between them. Each row is its run's aggregate,
     with the target ratio, whether it is 1 (no spike) and the median of
-    the trials' finite empirical ratios. Given an output directory
-    (out_dir, else config.out_dir), sweep.json and sweep.csv are
-    written there. Each ratio is taken as a Python float before any
-    trial runs, so a numpy scalar writes as its float does.
+    the trials' finite empirical ratios. Given an output directory,
+    sweep.json and sweep.csv are written there. Each ratio is taken as
+    a Python float before any trial runs, so a numpy scalar writes as
+    its float does.
     """
     ratios = [check_target_ratio(target, "target ratio") for target in ratios]
     if len(ratios) < 2:
         raise ConfigError("a sweep needs at least two target ratios")
-    resolved = _out_path(out_dir, config)
     rows = []
     for target in ratios:
         generator = replace(
             config.generator, lambda2=config.generator.lambda1 / target
         )
         # Nothing is written: only the checks read the pass's rows.
-        sub = replace(
-            config, generator=generator, out_dir=None, save_trajectories=False
-        )
-        report = run(sub)
+        report = run(replace(config, generator=generator))
         rows.append(
             {
                 "r_target": target,
@@ -431,15 +421,16 @@ def sweep(config: RunConfig, ratios: list[float], out_dir=None) -> dict:
             }
         )
     out = {
-        "schema": "streamkpca-sweep/2",
+        "schema": "streamkpca-sweep/3",
         "config": _jsonable(config.to_dict()),
         "ratios": ratios,
         "rows": _jsonable(rows),
     }
-    if resolved is not None:
-        resolved.mkdir(parents=True, exist_ok=True)
-        _write_json(resolved / "sweep.json", out)
-        (resolved / "sweep.csv").write_bytes(sweep_csv(out).encode("utf-8"))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "sweep.json", out)
+        (out_dir / "sweep.csv").write_bytes(sweep_csv(out).encode("utf-8"))
     return out
 
 
@@ -448,7 +439,7 @@ def check_target_ratio(ratio, name: str) -> float:
     >= 1, else a ConfigError naming name."""
     if isinstance(ratio, (bool, np.bool_)) or not isinstance(ratio, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {ratio!r}")
-    if not 1.0 <= ratio < math.inf:  # NaN fails too
+    if not (1.0 <= ratio and linalg.is_finite_float(ratio)):  # NaN fails too
         raise ConfigError(f"{name} must be finite and >= 1, got {ratio!r}")
     return float(ratio)
 
@@ -479,12 +470,6 @@ def _format_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _out_path(out_dir, config: RunConfig) -> Path | None:
-    """out_dir, else config.out_dir, else None: write nowhere."""
-    chosen = out_dir if out_dir is not None else config.out_dir
-    return None if chosen is None else Path(chosen)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -924,17 +909,10 @@ def _is_bool(v) -> bool:
     return isinstance(v, bool)
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
 def _is_finite_number(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+    return linalg.is_finite_float(v)
 
 
 def _is_nonnegative_number(v) -> bool:
@@ -982,8 +960,6 @@ _RUN_CONFIG_KEYS = {
     "init": _ANY_VALUE,
     "trials": (False, _is_integer, "an integer"),
     "run_checks": (False, _is_bool, "a boolean"),
-    "save_trajectories": (False, _is_bool, "a boolean"),
-    "out_dir": (False, _nullable(_is_str), "a string or null"),
 }
 
 # Meta sidecar key: every one is required, and only norm_bound may be null.

@@ -15,6 +15,7 @@ pass and the trajectory writer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,15 @@ def as_unit_vector(x, name: str) -> np.ndarray:
     ):
         raise ValueError(f"{name} must have unit norm")
     return v
+
+
+def is_finite_float(x) -> bool:
+    """math.isfinite(x), and False, not OverflowError, for an int or a
+    Fraction beyond float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def check_seed(seed, name: str) -> None:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ class TestSpecValidation:
             ("lambda1", math.inf),
             ("lambda2", math.nan),
             ("tail_decay", math.nan),
+            # Beyond float range: refused, not an OverflowError later.
+            ("lambda1", 10**400),
+            ("lambda1", Fraction(10**400)),
+            ("lambda2", 10**400),
+            ("tail_decay", 10**400),
         ],
     )
     def test_non_finite_spectrum_rejected(self, key, value):

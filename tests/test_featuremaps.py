@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,9 +45,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FeatureMapSpec.rff(3, 8, bandwidth=0.0, seed=1)
 
-    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "bandwidth", [math.nan, math.inf, 10**400, Fraction(10**400)]
+    )
     def test_rff_finite_bandwidth(self, bandwidth):
-        with pytest.raises(ValueError, match=f"got {bandwidth!r}"):
+        # Beyond float range too: refused, not an OverflowError in apply.
+        with pytest.raises(ValueError, match=re.escape(f"got {bandwidth!r}")):
             FeatureMapSpec.rff(3, 8, bandwidth=bandwidth, seed=1)
 
     def test_rff_seed_must_be_nonnegative(self):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -307,9 +308,11 @@ class TestRunConfig:
         ],
     )
     def test_mistyped_config_key(self, key, value):
+        # out_dir and save_trajectories are no config keys: unknown.
         raw = small_config().to_dict()
+        refusal = f"key '{key}' must be" if key in raw else f"unknown key '{key}'"
         raw[key] = value
-        with pytest.raises(ConfigError, match=f"^bad config: key '{key}' must be"):
+        with pytest.raises(ConfigError, match=f"^bad config: {refusal}"):
             RunConfig.from_dict(raw)
 
     def test_bad_config_file(self, tmp_path):
@@ -414,6 +417,29 @@ class TestRun:
         r1 = run(small_config())
         r2 = run(small_config())
         assert r1 == r2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--dim", "4", "--n", "300", "--trials", "2", "--check"],
+            ["sweep", "--dim", "4", "--n", "300", "--trials", "2", "--ratios", "5,20"],
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_files_do_not_depend_on_where_they_are_written(
+        self, tmp_path, monkeypatch, argv
+    ):
+        # The output directory is not the experiment's: report.json and
+        # sweep.json do not record it.
+        monkeypatch.chdir(tmp_path)
+        dirs = [Path("a"), tmp_path / "elsewhere" / "b"]
+        for out in dirs:
+            assert main([*argv, "--out", str(out)]) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        assert ("report.json" if argv[0] == "run" else "sweep.json") in names
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_trials_use_distinct_seeds(self):
         report = run(small_config(trials=3, init="random"))
@@ -532,7 +558,7 @@ class TestRun:
 class TestTrajectoryFiles:
     @pytest.fixture()
     def saved(self, tmp_path):
-        cfg = small_config(trials=1, save_trajectories=True)
+        cfg = small_config(trials=1)
         csv_path = tmp_path / "traj.csv"
         art = run_trial(cfg, 0, csv_path)
         return csv_path, art
@@ -728,7 +754,7 @@ class TestTrajectoryFiles:
     def test_write_is_deterministic(self, saved, tmp_path):
         csv_path, art = saved
         again = tmp_path / "again.csv"
-        run_trial(small_config(trials=1, save_trajectories=True), 0, again)
+        run_trial(small_config(trials=1), 0, again)
         assert again.read_bytes() == csv_path.read_bytes()
 
     def test_missing_meta(self, saved):
@@ -1252,6 +1278,19 @@ class TestSweep:
         with pytest.raises(ConfigError, match="nan"):
             sweep(small_config(), [math.nan, 5.0])
 
+    @pytest.mark.parametrize(
+        "bad", [10**400, Fraction(10**400)], ids=["int", "Fraction"]
+    )
+    def test_ratio_beyond_float_range_rejected(self, tmp_path, monkeypatch, bad):
+        # Refused by name, not with float()'s OverflowError.
+        refusal = "target ratio must be finite and >= 1"
+        with pytest.raises(ConfigError, match=refusal):
+            harness.check_target_ratio(bad, "target ratio")
+        monkeypatch.setattr(harness, "run", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match=refusal):
+            sweep(small_config(), [20.0, bad], out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", ["2.0", True, np.True_])
     def test_ratio_not_a_real_number_rejected(self, tmp_path, monkeypatch, bad):
         # Refused before any trial runs.
@@ -1276,7 +1315,7 @@ class TestSweep:
 
     def test_rows_and_csv(self, tmp_path):
         out = sweep(small_config(trials=2), [4.0, 40.0], out_dir=tmp_path)
-        assert out["schema"] == "streamkpca-sweep/2"
+        assert out["schema"] == "streamkpca-sweep/3"
         assert json.loads((tmp_path / "sweep.json").read_text()) == out
         assert [row["r_target"] for row in out["rows"]] == [4.0, 40.0]
         for row in out["rows"]:
@@ -1488,38 +1527,48 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_dir_precedence(self, tmp_path, monkeypatch, command):
-        # --out, then the config file's out_dir, then STREAMKPCA_OUT.
+        # --out, then STREAMKPCA_OUT.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("STREAMKPCA_OUT", "from_env")
-        small_config(trials=1, out_dir="from_config").save(tmp_path / "cfg.json")
+        small_config(trials=1).save(tmp_path / "cfg.json")
         argv = [command, "--config", "cfg.json"]
         if command == "sweep":
             argv += ["--ratios", "5,20"]
         written = "report.json" if command == "run" else "sweep.json"
-        assert main(argv) == 0
-        assert (tmp_path / "from_config" / written).exists()
         assert main([*argv, "--out", "from_flag"]) == 0
         assert (tmp_path / "from_flag" / written).exists()
         assert not (tmp_path / "from_env").exists()
+        assert main(argv) == 0
+        assert (tmp_path / "from_env" / written).exists()
         assert not (tmp_path / "skpca-out").exists()
 
     @pytest.mark.parametrize(
         "key, value",
-        [("eta_policy", True), ("eta_policy", "0.01"), ("out_dir", 5)],
+        [
+            ("eta_policy", True),
+            ("eta_policy", "0.01"),
+            ("out_dir", 5),
+            ("save_trajectories", True),
+        ],
     )
     def test_mistyped_run_key_is_config_error(
         self, tmp_path, monkeypatch, capsys, key, value
     ):
-        # Not coerced: true and "0.01" are no learning rate, 5 no path.
+        # Not coerced: true and "0.01" are no learning rate. Where files
+        # go is no config key: out_dir and save_trajectories are unknown.
         monkeypatch.chdir(tmp_path)
         raw = small_config(trials=1).to_dict()
+        known = key in raw
         raw[key] = value
         (tmp_path / "cfg.json").write_text(json.dumps(raw))
         assert main(["run", "--config", "cfg.json", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"bad config cfg.json: key {key!r} must be" in err
-        assert repr(value) in err
+        if known:
+            assert f"bad config cfg.json: key {key!r} must be" in err
+            assert repr(value) in err
+        else:
+            assert err == f"error: bad config cfg.json: unknown key {key!r}\n"
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -1566,6 +1615,14 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         code = main(["sweep", "--phi", "identity", "--dim", "4", "--n", "50"])
         assert code == 2
+
+    def test_sweep_refuses_save_trajectories(self, tmp_path, monkeypatch):
+        # A sweep writes no trajectories, so it takes no flag for them.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--ratios", "5,20", "--save-trajectories", "--out", "sw"])
+        assert exit_.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_trajectory_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1925,7 +1982,6 @@ IN_FILE = RunConfig(
     ),
     eta_policy=0.003,
     trials=2,
-    out_dir="from_file",
 )
 
 
@@ -1976,14 +2032,9 @@ FLAG_GRID = {
         dataclasses.replace(NO_FILE, run_checks=True),
         dataclasses.replace(IN_FILE, run_checks=True),
     ),
-    "--save-trajectories": (
-        dataclasses.replace(NO_FILE, save_trajectories=True),
-        dataclasses.replace(IN_FILE, save_trajectories=True),
-    ),
-    "--out o": (
-        dataclasses.replace(NO_FILE, out_dir="o"),
-        dataclasses.replace(IN_FILE, out_dir="o"),
-    ),
+    # Which files are written where is not the experiment's.
+    "--save-trajectories": (NO_FILE, IN_FILE),
+    "--out o": (NO_FILE, IN_FILE),
     "--phi identity": (NO_FILE, changed(IN_FILE, FeatureMapSpec.identity(5))),
     "--phi poly2": (
         changed(NO_FILE, FeatureMapSpec.poly2(8)),
