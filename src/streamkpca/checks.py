@@ -33,7 +33,7 @@ is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,13 +78,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "margin": _jsonable(self.margin),
-            "location": self.location,
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
-        }
+        return _jsonable(asdict(self))
 
 
 @dataclass

@@ -18,7 +18,7 @@ holds O(BLOCK_ROWS * d) floats whatever n is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -90,29 +90,15 @@ class SpikedSpec:
         return self.lambda1 * (d + 10.0 * math.sqrt(d) + 50.0)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "n": self.n,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "tail_decay": self.tail_decay,
-            "basis_seed": self.basis_seed,
-            "sample_seed": self.sample_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpikedSpec":
-        """The spec of to_dict's keys. Values are taken as given, not
-        coerced: the harness checks a config file's JSON types first."""
-        return cls(
-            input_dim=d["input_dim"],
-            n=d["n"],
-            lambda1=float(d["lambda1"]),
-            lambda2=float(d["lambda2"]),
-            tail_decay=float(d["tail_decay"]),
-            basis_seed=d["basis_seed"],
-            sample_seed=d["sample_seed"],
-        )
+        """The spec of to_dict's keys. lambda1, lambda2 and tail_decay
+        become floats, so a config's 1 is echoed as 1.0; other values are
+        taken as given: the harness checks a config file's JSON types first."""
+        spectrum = {k: float(d[k]) for k in ("lambda1", "lambda2", "tail_decay")}
+        return cls(**(d | spectrum))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ each input bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -177,28 +177,15 @@ class FeatureMapSpec:
         return 2.0
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "feature_dim": self.feature_dim,
-        }
-        if self.kind == "rff":
-            out["bandwidth"] = self.bandwidth
-            out["seed"] = self.seed
-        return out
+        """The fields that are not None: only rff has bandwidth and seed."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
         """The spec of to_dict's keys. Values are taken as given, not
         coerced: the harness checks the JSON types of a config file's
         or a trajectory sidecar's feature map first."""
-        return cls(
-            kind=d["kind"],
-            input_dim=d["input_dim"],
-            feature_dim=d["feature_dim"],
-            bandwidth=d.get("bandwidth"),
-            seed=d.get("seed"),
-        )
+        return cls(**d)
 
 
 @lru_cache(maxsize=64)

@@ -32,7 +32,8 @@ import math
 import numbers
 import os
 import reprlib
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -93,11 +94,14 @@ class RunConfig:
             raise ConfigError(
                 "feature map input_dim does not match the generator"
             )
-        if self.feature_map.feature_dim > linalg.MAX_ORACLE_DIM:
-            raise ConfigError(
-                f"feature_map feature_dim {self.feature_map.feature_dim} "
-                f"exceeds the oracle cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
-            )
+        # The oracle holds m x m floats, the generator's basis d x d.
+        for key in ("feature_dim", "input_dim"):
+            dim = getattr(self.feature_map, key)
+            if dim > linalg.MAX_ORACLE_DIM:
+                raise ConfigError(
+                    f"feature_map {key} {dim} exceeds the oracle "
+                    f"cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
+                )
         # eta is 0.1 over this bound; refuse it here, before any draw
         # could overflow on the way to it.
         bound = self.feature_map.norm_bound(self.generator.norm_guard())
@@ -130,14 +134,7 @@ class RunConfig:
             object.__setattr__(self, "eta_policy", float(self.eta_policy))
 
     def to_dict(self) -> dict:
-        return {
-            "feature_map": self.feature_map.to_dict(),
-            "generator": self.generator.to_dict(),
-            "eta_policy": self.eta_policy,
-            "init": self.init,
-            "trials": self.trials,
-            "run_checks": self.run_checks,
-        }
+        return asdict(self) | {"feature_map": self.feature_map.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "bad config") -> "RunConfig":
@@ -480,8 +477,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _read_json_object(path: Path, where: str) -> dict:
     """The JSON object in the file at path. Text that is not UTF-8 or
-    JSON, or a document that is not an object, is a ConfigError that
-    begins with where and locates the defect."""
+    JSON, an integer past int's digit limit, or a document that is not
+    an object, is a ConfigError that begins with where."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -493,6 +490,11 @@ def _read_json_object(path: Path, where: str) -> dict:
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"{where}: nested too deeply to parse") from exc
+    except ValueError as exc:  # json's one other error: int()'s digit limit
+        raise ConfigError(
+            f"{where}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {reprlib.repr(doc)}")
     return doc
@@ -639,7 +641,7 @@ def _sidecar_fields(meta: dict, where: str) -> dict:
             )
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: key 'feature_map': {exc}") from exc
     # Every run starts at a unit direction, and the checks measure it
     # against a unit v*.

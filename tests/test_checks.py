@@ -165,6 +165,19 @@ class TestFullSuite:
         r2 = run_all_checks(traj, v_star, ab.alpha, ab.beta).to_dict()
         assert r1 == r2
 
+    def test_entry_json(self):
+        # NaN as null, inf as a string, numpy numbers as Python's.
+        result = checks.CheckResult(
+            "drift_requires_growth", FAIL, math.nan, [3, 7],
+            {"lhs": np.float64(1.5), "gap": np.float64(-np.inf),
+             "pairs_checked": np.int64(4), "reason": None},
+        )
+        assert json.dumps(result.to_dict(), sort_keys=True) == (
+            '{"details": {"gap": "-inf", "lhs": 1.5, "pairs_checked": 4, '
+            '"reason": null}, "location": [3, 7], "margin": null, '
+            '"name": "drift_requires_growth", "status": "fail"}'
+        )
+
     def test_constants_recorded(self, vstar_run):
         traj, v_star, ab = vstar_run
         report = run_all_checks(traj, v_star, ab.alpha, ab.beta)

@@ -89,6 +89,14 @@ class TestSpecValidation:
     def test_dict_round_trip(self):
         s = spec(lambda2=0.05, tail_decay=0.7)
         assert SpikedSpec.from_dict(s.to_dict()) == s
+        # A config's integer spectrum is echoed as floats: 1 as 1.0.
+        ints = s.to_dict() | {"lambda1": 3, "lambda2": 1, "tail_decay": 1}
+        echoed = SpikedSpec.from_dict(ints).to_dict()
+        assert echoed == ints
+        assert {k: type(v) for k, v in echoed.items()} == {
+            k: float if k in ("lambda1", "lambda2", "tail_decay") else int
+            for k in ints
+        }
 
 
 class TestStreamGeneration:

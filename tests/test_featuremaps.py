@@ -72,11 +72,15 @@ class TestSpecValidation:
             FeatureMapSpec(kind="nystrom", input_dim=3, feature_dim=3)
 
     def test_dict_round_trip(self):
-        for spec in (
-            FeatureMapSpec.identity(4),
-            FeatureMapSpec.poly2(3),
-            FeatureMapSpec.rff(4, 16, 1.5, 77),
+        # Only rff writes bandwidth and seed: a config or sidecar of
+        # another kind has three keys.
+        three = {"kind", "input_dim", "feature_dim"}
+        for spec, keys in (
+            (FeatureMapSpec.identity(4), three),
+            (FeatureMapSpec.poly2(3), three),
+            (FeatureMapSpec.rff(4, 16, 1.5, 77), three | {"bandwidth", "seed"}),
         ):
+            assert spec.to_dict().keys() == keys
             assert FeatureMapSpec.from_dict(spec.to_dict()) == spec
 
 

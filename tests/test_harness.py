@@ -1821,7 +1821,9 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["flags", "config"])
     @pytest.mark.parametrize(
-        "phi, dim, feature_dim", [("rff", 6, 3000), ("poly2", 64, 2080)]
+        "phi, dim, feature_dim",
+        # rff bounds d by nothing else; the generator holds a d x d basis.
+        [("rff", 6, 3000), ("poly2", 64, 2080), ("rff", 2049, 16)],
     )
     def test_oracle_cap_is_refused_before_the_stream(
         self, tmp_path, monkeypatch, capsys, source, phi, dim, feature_dim
@@ -1848,7 +1850,10 @@ class TestCli:
         assert main([*argv, "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"feature_dim {feature_dim}" in err
+        if feature_dim > linalg.MAX_ORACLE_DIM:
+            assert f"feature_dim {feature_dim}" in err
+        else:
+            assert f"input_dim {dim}" in err
         assert str(linalg.MAX_ORACLE_DIM) in err
         assert not (tmp_path / "out").exists()
 
@@ -2127,8 +2132,11 @@ class TestConfigFromArgs:
             (b'{"n": "\xff"}', "invalid UTF-8 at byte 7"),
             (b'{"eta": 0.01,\n "n": }', "parse error at line 2, column 7: "
              "Expecting value"),
+            # json's int() raises a plain ValueError past the digit limit.
+            (b'{"seed": 1' + b"0" * 4999 + b"}",
+             f"an integer has more than {sys.get_int_max_str_digits()} digits"),
         ],
-        ids=["deep", "utf8", "parse"],
+        ids=["deep", "utf8", "parse", "digits"],
     )
     def test_unreadable_json_is_input_error(self, tmp_path, capsys, name, raw, message):
         assert main(PROBE_RUN + ["--out", str(tmp_path)]) == 0
