@@ -4,16 +4,17 @@ Every growth inequality the analysis guarantees is rechecked here from
 the run's step table (per-step scalars and directions), with the
 oracle's (alpha, beta) supplied by the caller. Each hypothesis a
 statement needs (e.g. starting exactly at v*) is tested by one predicate
-below, which returns None or the reason it fails. A check whose
-hypotheses a trajectory does not meet reports status "vacuous" with the
-first unmet one named; it never raises and is never silently skipped.
-Inequalities carry a 1e-9 additive slack on the deficient side to absorb
-float noise, and margins are reported signed so near-violations stay
-visible. The per-step identities are held to tolerances instead: the
-log ratio to 1e-12, and to be at least the step floor eta s_i^2, each
-step's increment over its growth to (1.5 m + 12) eps. The analysis's
-interval floor and final norm floor are sums of that step floor, so
-they are implied and not listed.
+below, which returns None or the reason it fails; a run starts at v*
+when its start is v* in every entry, within linalg.UNIT_NORM_TOL. A
+check whose hypotheses a trajectory does not meet reports status
+"vacuous" with the first unmet one named; it never raises and is never
+silently skipped. Inequalities carry a 1e-9 additive slack on the
+deficient side to absorb float noise, and margins are reported signed
+so near-violations stay visible. The per-step identities are held to
+tolerances instead: the log ratio to 1e-12, and to be at least the step
+floor eta s_i^2, each step's increment over its growth to
+(1.5 m + 12) eps. The analysis's interval floor and final norm floor
+are sums of that step floor, so they are implied and not listed.
 
 The certificate (``_Certificate``) is one pass over a run's units (the
 k + 1 table rows of a stretch of steps, from the row before its first;
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import as_unit_vector
+from .linalg import UNIT_NORM_TOL, as_unit_vector
 
 PASS = "pass"
 FAIL = "fail"
@@ -123,8 +124,12 @@ def _jsonable(v):
     return v
 
 
-def _at_vstar(traj) -> str | None:
-    return None if traj.init_kind == "vstar" else "initializer is not at-v*"
+def _at_vstar(start: np.ndarray, v: np.ndarray) -> str | None:
+    """None where the start is v, the unit v*, in every entry within
+    UNIT_NORM_TOL: the one rule for a start at v*."""
+    if np.abs(start - v).max() <= UNIT_NORM_TOL:
+        return None
+    return "initializer is not at-v*"
 
 
 def _nonempty(traj) -> str | None:
@@ -245,8 +250,10 @@ def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Certificate:
     """The certificate's state after the units fed so far: ``add`` takes
     the next unit's rows, ``report`` gives the entries once every unit is
-    fed. ``traj`` is a _Head (or a Trajectory or TrajectoryFile). A
-    non-finite value fails its entry, without a numpy warning.
+    fed. ``traj`` is a _Head (or a Trajectory or TrajectoryFile). The
+    run starts at v* when its init_v_hat is v_star (_at_vstar), decided
+    once here. A non-finite value fails its entry, without a numpy
+    warning.
 
     Raises:
         ValueError: v_star is not a unit vector.
@@ -256,11 +263,11 @@ class _Certificate:
         v = as_unit_vector(v_star, "v_star")
         self.traj, self.v, self.alpha, self.beta = traj, v, alpha, beta
         self.eta = traj.config.eta
-        self.at_vstar = _at_vstar(traj) is None
+        self.off_vstar = _at_vstar(traj.init_v_hat, v)  # None at v*
         self.sqrt_alpha = math.sqrt(alpha)
         # Which entries need the orthogonal parts of the directions.
         self.growth_judged = _bound_below_one("sqrt(alpha)", self.sqrt_alpha) is None
-        self.drift_judged = not (_at_vstar(traj) or _nonempty(traj))
+        self.drift_judged = not (self.off_vstar or _nonempty(traj))
         self.ratio_sum = 0.0  # sum of log ratios so far; L = half of it
         self.phi_sum = 0.0
         self.orth_energy = 0.0  # sum of <phi_i, P v_{i-1}>^2 so far
@@ -295,7 +302,7 @@ class _Certificate:
     def _feed_residuals(self, residuals, log_norm, first_index: int) -> None:
         bounds = self.sqrt_alpha + self.initial_residual * np.exp(-log_norm)
         self.growth.feed(bounds - residuals, first_index)
-        if self.at_vstar:
+        if not self.off_vstar:
             self.corollary.feed(self.sqrt_alpha - residuals, first_index)
 
     @np.errstate(all="ignore")
@@ -381,7 +388,7 @@ class _Certificate:
         ones. The worst pair is np.argmin's over all pairs in ascending
         (a, b) order. Vacuous unless the run starts at v* and has a step."""
         name = "drift_requires_growth"
-        reason = _at_vstar(self.traj) or _nonempty(self.traj)
+        reason = self.off_vstar or _nonempty(self.traj)
         if reason:
             return _vacuous(name, reason)
         adjacent = self.drift
@@ -465,7 +472,7 @@ class _Certificate:
         else:
             margin, location = self.growth.value, self.growth.index
             details = {"initial_residual": float(self.initial_residual)}
-            if self.at_vstar:
+            if not self.off_vstar:
                 details["corollary_margin"] = self.corollary.value
                 if self.corollary.value < margin:
                     margin, location = self.corollary.value, self.corollary.index
@@ -478,7 +485,7 @@ class _Certificate:
         # log^2 n), for at-v* starts with alpha < 0.1 only. Vacuous at
         # beta <= 0, which puts the floor at 0 or below.
         name = "aligned_energy_growth_floor"
-        reason = _at_vstar(traj) or _small_alpha(alpha) or empty or _positive_beta(beta)
+        reason = self.off_vstar or _small_alpha(alpha) or empty or _positive_beta(beta)
         if reason:
             out.append(_vacuous(name, reason))
         else:
@@ -492,12 +499,11 @@ class _Certificate:
 
         out.append(
             _final_residual_bound(
-                self.last, self.v, alpha, beta, n, traj.m, self.at_vstar
+                self.last, self.v, alpha, beta, n, traj.m, not self.off_vstar
             )
         )
-        constants = dict(
-            alpha=alpha, beta=beta, eta=eta, n=n, m=traj.m, init=traj.init_kind
-        )
+        init = "random" if self.off_vstar else "vstar"
+        constants = dict(alpha=alpha, beta=beta, eta=eta, n=n, m=traj.m, init=init)
         return CheckReport(entries=out, constants=constants)
 
     def _orthogonal_energy_budget(self, final_log_norm: float) -> CheckResult:
@@ -513,7 +519,7 @@ class _Certificate:
         """
         name = "orthogonal_energy_budget"
         traj, alpha, n = self.traj, self.alpha, self.traj.n
-        reason = _at_vstar(traj) or _nonempty(traj)
+        reason = self.off_vstar or _nonempty(traj)
         if reason:
             return _vacuous(name, reason)
         rhs = 0.0

@@ -94,14 +94,7 @@ class RunConfig:
             raise ConfigError(
                 "feature map input_dim does not match the generator"
             )
-        # The oracle holds m x m floats, the generator's basis d x d.
-        for key in ("feature_dim", "input_dim"):
-            dim = getattr(self.feature_map, key)
-            if dim > linalg.MAX_ORACLE_DIM:
-                raise ConfigError(
-                    f"feature_map {key} {dim} exceeds the oracle "
-                    f"cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
-                )
+        _check_oracle_cap(self.feature_map.to_dict())
         # eta is 0.1 over this bound; refuse it here, before any draw
         # could overflow on the way to it.
         bound = self.feature_map.norm_bound(self.generator.norm_guard())
@@ -141,6 +134,7 @@ class RunConfig:
         """The config of a document in to_dict's keys; a key it leaves
         out takes the field's default. Every ConfigError begins with where."""
         _check_keys(d, _RUN_CONFIG_KEYS, where)
+        _check_oracle_cap(d["feature_map"], f"{where}: ")
         specs = {}
         for key, spec in (("feature_map", FeatureMapSpec), ("generator", SpikedSpec)):
             try:
@@ -159,6 +153,20 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         where = f"bad config {path}"
         return cls.from_dict(_read_json_object(Path(path), where), where)
+
+
+def _check_oracle_cap(feature_map: dict, prefix: str = "") -> None:
+    """Refuse a feature map's document wider than the oracle holds (m x m
+    floats, and the generator's d x d basis), with a ConfigError that
+    begins with prefix, before FeatureMapSpec builds it: an rff map's
+    check of a bandwidth below 1 draws rows of input_dim floats. d comes
+    first, as identity and poly2 derive m from it."""
+    for key in ("input_dim", "feature_dim"):
+        if feature_map[key] > linalg.MAX_ORACLE_DIM:
+            raise ConfigError(
+                f"{prefix}feature_map {key} {feature_map[key]} exceeds the "
+                f"oracle cap MAX_ORACLE_DIM {linalg.MAX_ORACLE_DIM}"
+            )
 
 
 @dataclass
@@ -231,7 +239,7 @@ def run_trial(config: RunConfig, trial: int, csv_path=None) -> TrialArtifacts:
         start = init_state_at(x_star)
     else:
         start = init_state(phi.feature_dim, init_seed)
-    head = _Head(oja_config, start.origin, start.v_hat, len(stream), sample_seed)
+    head = _Head(oja_config, start.v_hat, len(stream), sample_seed)
     certificate = None
     if config.run_checks:
         certificate = _Certificate(head, x_star, energies.alpha, energies.beta)
@@ -532,7 +540,6 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
             "eta": head.config.eta,
             "norm_bound": head.config.norm_bound,
             "feature_map": head.config.feature_map.to_dict(),
-            "init": head.init_kind,
             "init_v_hat": [float(v) for v in head.init_v_hat],
             "seed": head.seed,
             "n": head.n,
@@ -624,8 +631,8 @@ def _sidecar_fields(meta: dict, where: str) -> dict:
         ConfigError: beginning with where and naming the key: a key
             missing, mistyped or unknown, a width other than
             init_v_hat's (feature_map, v_star), an init_v_hat or v_star
-            not of unit length, a norm_bound not positive or too large
-            for its eta, or an at-v* start other than v_star.
+            not of unit length, a feature map wider than the oracle
+            cap, or a norm_bound not positive or too large for its eta.
     """
     _check_keys(meta, _META_KEYS, where)
     m = len(meta["init_v_hat"])
@@ -639,6 +646,7 @@ def _sidecar_fields(meta: dict, where: str) -> dict:
             raise ConfigError(
                 f"{where}: key {key!r} gives width {width}, key 'init_v_hat' {m}"
             )
+    _check_oracle_cap(meta["feature_map"], f"{where}: ")
     try:
         feature_map = FeatureMapSpec.from_dict(meta["feature_map"])
     except (TypeError, ValueError) as exc:
@@ -655,24 +663,13 @@ def _sidecar_fields(meta: dict, where: str) -> dict:
                 f"{linalg.UNIT_NORM_TOL!r}"
             ) from exc
         unit[key].flags.writeable = False
-    init_v_hat, v_star = unit["init_v_hat"], unit["v_star"]
     try:
         config = OjaConfig(meta["eta"], feature_map, norm_bound=meta["norm_bound"])
     except ValueError as exc:
         raise ConfigError(f"{where}: key 'norm_bound' with key 'eta': {exc}") from exc
-    # A run started at v* records v* itself as its start; the checks
-    # gated on that start would otherwise judge a start it never had.
-    if meta["init"] == "vstar":
-        gap = float(np.abs(init_v_hat - v_star).max())
-        if not gap <= linalg.UNIT_NORM_TOL:
-            raise ConfigError(
-                f"{where}: key 'init' is 'vstar', but key 'init_v_hat' "
-                f"differs from key 'v_star' by {gap!r} in an entry, above "
-                f"{linalg.UNIT_NORM_TOL!r}"
-            )
     return dict(
-        config=config, init_kind=meta["init"], init_v_hat=init_v_hat, n=meta["n"],
-        seed=meta["seed"], v_star=v_star, alpha=float(meta["alpha"]),
+        config=config, init_v_hat=unit["init_v_hat"], n=meta["n"],
+        seed=meta["seed"], v_star=unit["v_star"], alpha=float(meta["alpha"]),
         beta=float(meta["beta"]),
     )
 
@@ -972,7 +969,6 @@ _META_KEYS = {
         "a number strictly inside (0, 0.1)",
     ),
     "feature_map": (True, _FEATURE_MAP_KEYS, None),
-    "init": (True, lambda v: v in ("random", "vstar"), "'random' or 'vstar'"),
     "init_v_hat": (True, _is_finite_vector, "a list of finite numbers"),
     "seed": (True, _is_nonnegative_integer, "an integer >= 0"),
     "n": (True, _is_nonnegative_integer, "an integer >= 0"),

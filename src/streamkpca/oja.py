@@ -122,16 +122,11 @@ class OjaConfig:
 
 @dataclass(frozen=True)
 class StreamState:
-    """Normalized iterate plus accumulated log norm; O(m) memory total.
-
-    origin records how the state was initialized ("random" or "vstar")
-    so trajectory checks can gate on the start-at-v* hypothesis.
-    """
+    """Normalized iterate plus accumulated log norm; O(m) memory total."""
 
     v_hat: np.ndarray
     log_norm: float
     step: int
-    origin: str = "random"
 
 
 STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
@@ -143,7 +138,6 @@ class _Head:
     checker's pair sampling; the harness sets it to the trial seed."""
 
     config: OjaConfig
-    init_kind: str
     init_v_hat: np.ndarray
     n: int
     seed: int
@@ -155,7 +149,7 @@ class _Head:
 
 @dataclass
 class Trajectory:
-    """A run held in memory: config, start kind and its step table.
+    """A run held in memory: config and its step table.
 
     ``table`` is (n+1, 3+m): row i holds step i's s, ||f||^2 and log
     ratio, then the direction after it; row 0 holds three zeros, then
@@ -170,7 +164,6 @@ class Trajectory:
     """
 
     config: OjaConfig
-    init_kind: str
     table: np.ndarray
     seed: int = 0
 
@@ -193,7 +186,7 @@ class Trajectory:
         """run_stream over xs from init, its units collected into a table."""
         rows = [np.concatenate((np.zeros(3), init.v_hat))[None, :]]
         run_stream(xs, cfg, init, into=[lambda unit: rows.append(unit[1:].copy())])
-        return cls(cfg, init.origin, np.concatenate(rows), seed=seed)
+        return cls(cfg, np.concatenate(rows), seed=seed)
 
     @property
     def n(self) -> int:
@@ -224,15 +217,13 @@ def init_state(m: int, seed: int) -> StreamState:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
-    return StreamState(v_hat=v, log_norm=0.0, step=0, origin="random")
+    return StreamState(v_hat=v, log_norm=0.0, step=0)
 
 
 def init_state_at(v0) -> StreamState:
-    """Start exactly at a given direction (the at-v* initializer).
-
-    The normalized representation makes the trajectory independent of
-    ||v0||, so only the direction of v0 matters.
-    """
+    """Start exactly at the direction of v0, whatever its norm: the
+    normalized representation makes the trajectory independent of
+    ||v0||. A start at v* is one whose direction is v* (see checks)."""
     v = as_vector(v0)
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(v))
@@ -243,7 +234,7 @@ def init_state_at(v0) -> StreamState:
             raise ValueError("v0 must be nonzero")
         v = v / peak
         n = float(np.linalg.norm(v))
-    return StreamState(v_hat=v / n, log_norm=0.0, step=0, origin="vstar")
+    return StreamState(v_hat=v / n, log_norm=0.0, step=0)
 
 
 def _update(
@@ -301,10 +292,7 @@ def oja_step(
             state.v_hat, f, cfg.eta, state.step + 1
         )
     new_state = StreamState(
-        v_hat=v_hat,
-        log_norm=state.log_norm + 0.5 * log_ratio,
-        step=state.step + 1,
-        origin=state.origin,
+        v_hat=v_hat, log_norm=state.log_norm + 0.5 * log_ratio, step=state.step + 1
     )
     return new_state, (s, phi_norm_sq, log_ratio)
 
@@ -450,6 +438,4 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
         return init
     for reader in into:
         reader(unit[: j + 1])
-    return StreamState(
-        v_hat=v_hat, log_norm=log_norm, step=init.step + i, origin=init.origin
-    )
+    return StreamState(v_hat=v_hat, log_norm=log_norm, step=init.step + i)

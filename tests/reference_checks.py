@@ -47,7 +47,8 @@ from streamkpca.linalg import as_unit_vector
 class Columns:
     """A Trajectory's table as whole arrays: the step columns (index i
     is step i + 1), the (n+1, m) snapshots (row 0 the start) and the
-    log norm, n + 1 entries relative to step 0."""
+    log norm, n + 1 entries relative to step 0. ``init_kind`` is
+    "vstar" where the start is v* by checks._at_vstar, else "random"."""
 
     config: object
     init_kind: str
@@ -61,13 +62,18 @@ class Columns:
     log_norm: np.ndarray
 
 
-def columns(traj) -> Columns:
+def columns(traj, v) -> Columns:
     s, phi_norm_sq, log_ratio = traj.table[1:, :3].T
+    init_kind = "random" if _at_vstar(traj.init_v_hat, v) else "vstar"
     return Columns(
-        traj.config, traj.init_kind, traj.seed, traj.n, traj.m, s, phi_norm_sq,
+        traj.config, init_kind, traj.seed, traj.n, traj.m, s, phi_norm_sq,
         log_ratio, np.ascontiguousarray(traj.table[:, 3:]),
         np.concatenate(([0.0], 0.5 * np.cumsum(log_ratio))),
     )
+
+
+def _not_at_vstar(traj) -> str | None:
+    return None if traj.init_kind == "vstar" else "initializer is not at-v*"
 
 
 def sample_check_pairs(
@@ -159,7 +165,7 @@ def residual_bounded_by_growth(traj, v, alpha: float) -> CheckResult:
 
 def drift_requires_growth(traj, v, alpha: float) -> CheckResult:
     name = "drift_requires_growth"
-    reason = _at_vstar(traj) or _nonempty(traj)
+    reason = _not_at_vstar(traj) or _nonempty(traj)
     if reason:
         return _vacuous(name, reason)
     orth = orthogonal_parts(traj, v)
@@ -178,7 +184,7 @@ def drift_requires_growth(traj, v, alpha: float) -> CheckResult:
 
 def orthogonal_energy_budget(traj, v, alpha: float) -> CheckResult:
     name = "orthogonal_energy_budget"
-    reason = _at_vstar(traj) or _nonempty(traj)
+    reason = _not_at_vstar(traj) or _nonempty(traj)
     if reason:
         return _vacuous(name, reason)
     n, s = traj.n, traj.s
@@ -213,7 +219,10 @@ def orthogonal_energy_budget(traj, v, alpha: float) -> CheckResult:
 def aligned_energy_growth_floor(traj, alpha: float, beta: float) -> CheckResult:
     name = "aligned_energy_growth_floor"
     reason = (
-        _at_vstar(traj) or _small_alpha(alpha) or _nonempty(traj) or _positive_beta(beta)
+        _not_at_vstar(traj)
+        or _small_alpha(alpha)
+        or _nonempty(traj)
+        or _positive_beta(beta)
     )
     if reason:
         return _vacuous(name, reason)
@@ -263,7 +272,7 @@ def final_residual_bound(traj, v, alpha: float, beta: float) -> CheckResult:
 def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
     """The seven entries, in report order, from the whole arrays."""
     v = as_unit_vector(v_star, "v_star")
-    traj = columns(traj)
+    traj = columns(traj, v)
     entries = [
         norm_update_identity(traj),
         increment_reconstruction(traj),

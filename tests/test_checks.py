@@ -60,12 +60,19 @@ def make_run(init_kind="vstar", d=5, n=60, ratio=20.0, seeds=(1, 2, 3), kind="id
         feature_map=phi,
         norm_bound=bound,
     )
-    if init_kind == "vstar":
-        start = init_state_at(summary.top_vector)
-    else:
-        start = init_state(phi.feature_dim, seeds[2])
+    start = start_at(init_kind, summary.top_vector, seeds[2])
     traj = Trajectory.record(xs, cfg, start, seed=seeds[1])
     return traj, summary.top_vector, energies
+
+
+def start_at(init_kind, v_star, seed):
+    """A run's start: v* ("vstar"), a seeded random draw ("random"), or
+    init_state_at of a fixed direction that is not v* ("given")."""
+    if init_kind == "vstar":
+        return init_state_at(v_star)
+    if init_kind == "given":
+        return init_state_at(np.ones(len(v_star)))
+    return init_state(len(v_star), seed)
 
 
 def entry(name, traj, v_star, alpha, beta=1.0):
@@ -126,6 +133,26 @@ class TestFullSuite:
         assert statuses["orthogonal_energy_budget"] == PASS
         assert statuses["aligned_energy_growth_floor"] == PASS
         assert statuses["increment_reconstruction"] == PASS
+
+    def test_start_off_vstar_certifies_as_random(self, tmp_path):
+        # init_state_at of a direction other than v* (identity d=4,
+        # n=2000, lambda2/lambda1 = 0.05) is a random start: the run
+        # certifies in memory and from its file, its at-v* entries
+        # vacuous.
+        traj, v_star, ab = make_run("given", d=4, n=2000)
+        path = tmp_path / "traj.csv"
+        with write_trajectory(
+            path, traj, v_star=v_star, alpha=ab.alpha, beta=ab.beta
+        ) as write:
+            write(traj.table)
+        for report in (
+            run_all_checks(traj, v_star, ab.alpha, ab.beta),
+            check_trajectory_file(path),
+        ):
+            assert report.ok and report.constants["init"] == "random"
+            reasons = {e.name: e.details.get("reason") for e in report.entries}
+            for name in ALL_CHECK_NAMES[3:6]:
+                assert reasons[name] == "initializer is not at-v*"
 
     def test_random_init_gates_vstar_checks(self, random_run):
         traj, v_star, ab = random_run
@@ -219,7 +246,7 @@ class TestHypothesisGating:
         # can be, which alpha = 0.5 is not.
         traj, v_star, _ = make_run(init_kind)
         traj = first_steps(traj, n)
-        whole = reference_checks.columns(traj)
+        whole = reference_checks.columns(traj, v_star)
         most = traj.config.eta * float(np.sum(whole.phi_norm_sq))
         budget = 100.0 * alpha**2 * math.log(max(n, 1)) ** 2 * float(whole.log_norm[-1])
         reasons = {
@@ -276,7 +303,7 @@ class TestHypothesisGating:
         # eta * sum ||phi_i||^2 cannot fail: a plain vacuous entry naming
         # both numbers. The run's own alpha is judged.
         traj, v_star, ab = vstar_run
-        whole = reference_checks.columns(traj)
+        whole = reference_checks.columns(traj, v_star)
         most = traj.config.eta * float(np.sum(whole.phi_norm_sq))
         judged = entry("orthogonal_energy_budget", traj, v_star, ab.alpha)
         assert judged.status == PASS and judged.details["rhs"] < most
@@ -430,7 +457,7 @@ class TestPairSampling:
         # 5e9, 63 of 100 pairs decoded wrong), so the certificate sorts and
         # dedupes the pairs as pairs; Python ints are the reference here.
         config = OjaConfig(eta=0.01, feature_map=FeatureMapSpec.identity(2))
-        head = _Head(config, "vstar", np.array([1.0, 0.0]), n, 7)
+        head = _Head(config, np.array([1.0, 0.0]), n, 7)
         cert = checks._Certificate(head, [1.0, 0.0], 1e-3, 1.0)
         drawn = zip(*checks._drawn_pairs(n, 7, checks.CHECK_PAIR_COUNT).tolist())
         expected = sorted({(a, b) for a, b in drawn if b > a + 1})
@@ -578,7 +605,7 @@ def folded(xs, cfg, start):
     for x in xs:
         state, record = oja_step(state, x, cfg)
         rows.append(np.concatenate((record, state.v_hat)))
-    return Trajectory(cfg, start.origin, np.array(rows))
+    return Trajectory(cfg, np.array(rows))
 
 
 class TestIncrementTolerance:
@@ -883,7 +910,7 @@ class TestBlockedChecks:
 
         # Both against the whole-array formulas they were blocked from,
         # with each row projected on its own.
-        whole = reference_checks.columns(traj)
+        whole = reference_checks.columns(traj, v_star)
         alpha, snaps, eta, s = energies.alpha, whole.snapshots, traj.config.eta, whole.s
         orth = snaps - np.einsum("ij,j->i", snaps, v_star)[:, None] * v_star
         keep = s != 0.0
@@ -947,11 +974,7 @@ def fold_case(kind, init_kind, n, stream_n=700):
     energies = compute_alpha_beta(summarize(xs[:n], phi), eta)
     cfg = OjaConfig(eta=eta, feature_map=phi, norm_bound=bound)
     v_star = summarize(xs, phi).top_vector
-    if init_kind == "vstar":
-        start = init_state_at(v_star)
-    else:
-        start = init_state(phi.feature_dim, 7)
-    traj = Trajectory.record(xs[:n], cfg, start, seed=11)
+    traj = Trajectory.record(xs[:n], cfg, start_at(init_kind, v_star, 7), seed=11)
     return traj, v_star, energies
 
 
@@ -963,8 +986,9 @@ class TestCertificateFold:
 
     # n = 1, n = 37, and n that is no multiple of BLOCK_ROWS, over one
     # unit and over three. The increment identity is judged at every n.
+    # A run started by init_state_at off v* ("given") is a random start.
     @pytest.mark.parametrize("n", [1, 37, 300, 603])
-    @pytest.mark.parametrize("init_kind", ["random", "vstar"])
+    @pytest.mark.parametrize("init_kind", ["random", "vstar", "given"])
     @pytest.mark.parametrize("kind", list(FOLD_MAPS))
     def test_file_and_memory_agree_with_the_reference(self, tmp_path, kind, init_kind, n):
         traj, v_star, ab = fold_case(kind, init_kind, n)
@@ -972,6 +996,8 @@ class TestCertificateFold:
         assert_matches_reference(
             report, reference_checks.run_all_checks(traj, v_star, ab.alpha, ab.beta)
         )
+        init = "vstar" if init_kind == "vstar" else "random"
+        assert report.constants["init"] == init
         reconstruction = report.entries[ALL_CHECK_NAMES.index("increment_reconstruction")]
         assert reconstruction.status == PASS
         expected = json.dumps(report.to_dict(), sort_keys=True)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
-from streamkpca import linalg
+from streamkpca import featuremaps, linalg
 from streamkpca.checks import envelope, envelope_slack, run_all_checks
 from streamkpca.cli import build_parser, config_from_args, main
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
@@ -162,7 +163,7 @@ def read_whole(csv_path) -> Trajectory:
     traj = read_trajectory(csv_path)
     rows = [np.concatenate(([0.0, 0.0, 0.0], traj.init_v_hat))[None, :]]
     rows += [unit[1:].copy() for unit in traj.units()]
-    return Trajectory(traj.config, traj.init_kind, np.concatenate(rows), traj.seed)
+    return Trajectory(traj.config, np.concatenate(rows), traj.seed)
 
 
 def save(csv_path, traj, **oracle):
@@ -256,7 +257,6 @@ def trajectory_of(table: np.ndarray) -> Trajectory:
             eta=0.01,
             feature_map=FeatureMapSpec.identity(m),
         ),
-        init_kind="random",
         table=np.vstack([start, table]),
     )
 
@@ -588,7 +588,6 @@ class TestTrajectoryFiles:
                 loaded = read_whole(csv_path)
             assert loaded.n == traj.n == n
             assert loaded.config.eta == traj.config.eta
-            assert loaded.init_kind == traj.init_kind
             assert loaded.seed == traj.seed
             assert loaded.table.tobytes() == traj.table.tobytes()
 
@@ -798,7 +797,7 @@ class TestTrajectoryFiles:
         assert main(["check", str(csv_path)]) == 2
 
     @pytest.mark.parametrize(
-        "key", ["eta", "feature_map", "init", "init_v_hat", "n", "kind"]
+        "key", ["eta", "feature_map", "v_star", "init_v_hat", "n", "kind"]
     )
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
@@ -817,7 +816,7 @@ class TestTrajectoryFiles:
             ("eta", "0.01"),
             ("eta", float("nan")),
             ("init_v_hat", 1.0),
-            ("init", "warm"),
+            ("v_star", "warm"),
             ("seed", 1.5),
             ("beta", [1.0]),
             ("feature_map", {"kind": "identity"}),
@@ -1819,34 +1818,46 @@ class TestCli:
         assert maps[0] == maps[1]
         assert maps[0]["feature_dim"] == 24
 
-    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("source", ["flags", "config", "sidecar"])
     @pytest.mark.parametrize(
         "phi, dim, feature_dim",
         # rff bounds d by nothing else; the generator holds a d x d basis.
-        [("rff", 6, 3000), ("poly2", 64, 2080), ("rff", 2049, 16)],
+        [("rff", 6, 3000), ("poly2", 64, 2080), ("rff", 2049, 16),
+         ("rff", 10**8, 16)],
     )
     def test_oracle_cap_is_refused_before_the_stream(
         self, tmp_path, monkeypatch, capsys, source, phi, dim, feature_dim
     ):
-        def no_stream(*args, **kwargs):
-            raise AssertionError("the stream was generated")
+        # Refused before the map is built, too: an rff bandwidth below 1
+        # has its frozen frequencies drawn, (rows, d) floats at a time.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the stream or the rff frequencies were drawn")
 
-        monkeypatch.setattr(harness, "make_spiked_stream", no_stream)
+        monkeypatch.setattr(harness, "make_spiked_stream", no_draw)
+        monkeypatch.setattr(featuremaps, "_frequencies_finite", no_draw)
         monkeypatch.chdir(tmp_path)
+        feature_map = {"kind": phi, "input_dim": dim, "feature_dim": feature_dim}
+        if phi == "rff":
+            feature_map.update(bandwidth=0.5, seed=3)
         if source == "flags":
             argv = ["run", "--phi", phi, "--dim", str(dim), "--n", "200000"]
             if phi == "rff":
-                argv += ["--feature-dim", str(feature_dim)]
-        else:
+                argv += ["--feature-dim", str(feature_dim), "--bandwidth", "0.5"]
+        elif source == "config":
             raw = small_config(trials=1).to_dict()
             raw["generator"]["input_dim"] = dim
-            raw["feature_map"] = {
-                "kind": phi, "input_dim": dim, "feature_dim": feature_dim
-            }
-            if phi == "rff":
-                raw["feature_map"].update(bandwidth=1.0, seed=3)
+            raw["feature_map"] = feature_map
             Path("cfg.json").write_text(json.dumps(raw))
             argv = ["run", "--config", "cfg.json"]
+        else:
+            # The sidecar's widths agree, so only the cap refuses it.
+            start = [1.0] + [0.0] * (feature_dim - 1)
+            Path("t.meta.json").write_text(json.dumps({
+                "eta": 0.01, "norm_bound": None, "feature_map": feature_map,
+                "init_v_hat": start, "seed": 0, "n": 0, "alpha": 0.0,
+                "beta": 0.0, "v_star": start,
+            }))
+            argv = ["check", "t.csv"]
         assert main([*argv, "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1855,25 +1866,45 @@ class TestCli:
         else:
             assert f"input_dim {dim}" in err
         assert str(linalg.MAX_ORACLE_DIM) in err
+        if source == "sidecar":
+            assert err.startswith("error: bad trajectory metadata t.meta.json: ")
         assert not (tmp_path / "out").exists()
 
-    def test_vstar_claim_without_its_start_is_input_error(self, tmp_path, capsys):
-        # A random start relabelled "vstar" would fail the checks gated
-        # on a v* start: not a verdict on the run, a contradictory file.
-        argv = ["run", "--phi", "identity", "--dim", "6", "--n", "300",
-                "--seed", "3", "--check", "--out", str(tmp_path / "out")]
+    @pytest.mark.parametrize("edit", ["label", "nudged"])
+    def test_vstar_is_read_from_the_start(self, tmp_path, capsys, edit):
+        # An at-v* run's sidecar (identity d=6, n=300, seed 3). An older
+        # sidecar's "init" label is an unknown key. A v* nudged 1e-4 off
+        # the start, still of unit length, makes the run a random start:
+        # its at-v* entries are vacuous, and it certifies.
+        argv = ["run", "--phi", "identity", "--dim", "6", "--n", "300", "--seed",
+                "3", "--init", "vstar", "--check", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         csv_path = tmp_path / "out" / "trial_000.csv"
         meta_file = harness.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
-        meta["init"] = "vstar"
+        if edit == "label":
+            meta["init"] = "vstar"
+        else:
+            v_star = np.array(meta["v_star"])
+            v_star[0] += 1e-4
+            meta["v_star"] = (v_star / np.linalg.norm(v_star)).tolist()
         meta_file.write_text(json.dumps(meta))
         capsys.readouterr()
-        assert main(["check", str(csv_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        for key in ("init", "init_v_hat", "v_star"):
-            assert f"key {key!r}" in err
+        out = tmp_path / "recheck.json"
+        code = main(["check", str(csv_path), "--out", str(out)])
+        if edit == "label":
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: bad trajectory metadata trial_000.meta.json: unknown key 'init'\n"
+            )
+            return
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["constants"]["init"] == "random"
+        reasons = {c["name"]: c["details"].get("reason") for c in report["checks"]}
+        for name in ("drift_requires_growth", "orthogonal_energy_budget",
+                     "aligned_energy_growth_floor"):
+            assert reasons[name] == "initializer is not at-v*"
 
     @pytest.mark.parametrize("warning_action", ["default", "error"])
     @pytest.mark.parametrize(
@@ -2300,6 +2331,115 @@ def corrupted(draw, raw: bytes) -> bytes:
     pos = draw(st.integers(0, len(raw) - 1))
     flipped = raw[pos] ^ draw(st.integers(1, 255))
     return raw[:pos] + bytes([flipped]) + raw[pos + 1 :]
+
+
+# A config key's mutations: type swaps, edges of int and float, NaN and
+# infinities, nesting, and two texts json.loads refuses, which stand in
+# the document as a placeholder string until it is written.
+_UNPARSED = {'"@digits@"': "1" + "0" * 4999, '"@deep@"': "[" * 10**5 + "]" * 10**5}
+CONFIG_VALUES = [
+    0, -1, 10**400, *_UNPARSED, [[[[[1]]]]], math.nan, math.inf, -math.inf,
+    "3", True, None, [], {}, 1.5, 0.5, "rff",
+]
+CONFIG_KEYS = [
+    *((None, key) for key in ("feature_map", "generator", "eta_policy", "init",
+                              "trials", "run_checks", "extra")),
+    *(("feature_map", key) for key in ("kind", "input_dim", "feature_dim",
+                                       "bandwidth", "seed", "extra")),
+    *(("generator", key) for key in ("input_dim", "n", "lambda1", "lambda2",
+                                     "tail_decay", "basis_seed", "sample_seed")),
+]
+INT_FLAG_VALUES = ["0", "-1", str(10**400), "3", str(10**8)]
+FLOAT_FLAG_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e400", "1e-320", "0.5", "4"]
+# Each run flag, its values, and the keys a refusal of it may name. n and
+# trials are bounded: each value is refused or runs in milliseconds.
+RUN_FLAGS = {
+    "--phi": (["identity", "poly2", "rff"], ["kind"]),
+    "--dim": (INT_FLAG_VALUES, ["input_dim", "feature_dim"]),
+    "--feature-dim": (INT_FLAG_VALUES, ["feature_dim"]),
+    "--bandwidth": (FLOAT_FLAG_VALUES, ["bandwidth"]),
+    "--n": (["0", "-1", str(10**400), "50"], ["n"]),
+    "--ratio": (FLOAT_FLAG_VALUES, []),
+    "--tail-decay": (FLOAT_FLAG_VALUES, ["tail_decay"]),
+    "--seed": (INT_FLAG_VALUES, ["basis_seed", "sample_seed"]),
+    "--eta": (FLOAT_FLAG_VALUES, ["eta_policy"]),
+    "--trials": (["0", "-1", "1"], ["trials"]),
+    "--init": (["random", "vstar"], ["init"]),
+}
+
+
+def cli_outcome(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr, once its stdout is checked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+    return code, err
+
+
+class TestConfigFuzz:
+    """A run's config, from a file mutated key by key or from flags of
+    any value, ends in a run or a located input error: exit 0, 1 or 2,
+    never 4, and one stderr line naming the file or the flag."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_config_file(self, tmp_path_factory, data):
+        doc = small_config(trials=1).to_dict()
+        if data.draw(st.booleans(), label="rff"):
+            doc["feature_map"] = FeatureMapSpec.rff(4, 16, 0.5, 3).to_dict()
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            section, key = data.draw(st.sampled_from(CONFIG_KEYS), label="key")
+            obj = doc if section is None else doc.get(section)
+            if not isinstance(obj, dict):
+                continue
+            values = [v for v in CONFIG_VALUES if key != "trials" or v != 10**400]
+            value = data.draw(st.sampled_from(["delete", *values]), label=key)
+            if value == "delete":
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+        text = json.dumps(doc)
+        for placeholder, raw in _UNPARSED.items():
+            text = text.replace(placeholder, raw)
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_text(text)
+        code, err = cli_outcome(["run", "--config", str(path), "--out", str(path.parent)])
+        if code == 2:
+            assert err.startswith(f"error: bad config {path}: "), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flags=st.dictionaries(
+            st.sampled_from(sorted(RUN_FLAGS)),
+            st.integers(0, 8),
+            min_size=1,
+            max_size=5,
+        ),
+        check=st.booleans(),
+    )
+    def test_flags(self, tmp_path_factory, flags, check):
+        # rff at a bandwidth below 1 with a dimension of 1e8 is refused
+        # by the oracle cap before its frequencies are drawn.
+        argv = ["run", "--out", str(tmp_path_factory.mktemp("fuzz"))]
+        for flag, pick in flags.items():
+            values = RUN_FLAGS[flag][0]
+            argv.append(f"{flag}={values[pick % len(values)]}")
+        if check:
+            argv.append("--check")
+        code, err = cli_outcome(argv)
+        if code == 2:
+            names = [*flags, *(key for flag in flags for key in RUN_FLAGS[flag][1])]
+            assert any(
+                re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err)
+                for name in names
+            ), err
 
 
 class TestCheckFuzz:

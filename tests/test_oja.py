@@ -120,7 +120,6 @@ class TestInit:
         st = init_state(3, 7)
         assert abs(np.linalg.norm(st.v_hat) - 1.0) <= 1e-12
         assert st.log_norm == 0.0 and st.step == 0
-        assert st.origin == "random"
 
     def test_rotational_symmetry_monte_carlo(self):
         draws = np.array([init_state(2, seed).v_hat for seed in range(10**4)])
@@ -129,7 +128,6 @@ class TestInit:
     def test_at_point_basis_vector(self):
         st = init_state_at([1.0, 0.0])
         assert np.array_equal(st.v_hat, [1.0, 0.0])
-        assert st.origin == "vstar"
 
     def test_at_point_scale_free(self):
         st = init_state_at([2.0, 0.0])
@@ -281,7 +279,6 @@ class TestRunStream:
         assert_close(final.v_hat, state.v_hat)
         assert_close(final.log_norm, state.log_norm)
         assert final.step == n
-        assert final.origin == init.origin
         if n == 0:
             assert final is init
         if not record:
