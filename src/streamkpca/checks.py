@@ -256,11 +256,16 @@ class _Certificate:
     warning.
 
     Raises:
-        ValueError: v_star is not a unit vector.
+        ValueError: v_star is not a unit vector, or not of the run's
+            width m.
     """
 
     def __init__(self, traj, v_star, alpha: float, beta: float):
         v = as_unit_vector(v_star, "v_star")
+        if v.shape[0] != traj.m:
+            raise ValueError(
+                f"v_star has width {v.shape[0]}, the run's directions {traj.m}"
+            )
         self.traj, self.v, self.alpha, self.beta = traj, v, alpha, beta
         self.eta = traj.config.eta
         self.off_vstar = _at_vstar(traj.init_v_hat, v)  # None at v*
@@ -623,7 +628,8 @@ def run_all_checks(traj, v_star, alpha: float, beta: float) -> CheckReport:
     this adds no gate or verdict of its own.
 
     Raises:
-        ValueError: v_star is not a unit vector.
+        ValueError: v_star is not a unit vector, or not of the run's
+            width m.
         OverflowError: alpha is so large that the energy budget is not
             finite.
     """

@@ -11,8 +11,8 @@ Three maps are shipped:
   the map is one fixed deterministic function for the whole stream.
 
 ``apply`` lifts one sample; ``apply_batch`` lifts a block of rows with
-one validation and one vectorized pass, and its rows equal ``apply`` of
-each input bit for bit.
+one validation and one vectorized pass, into a caller's buffer if given
+one, and its rows equal ``apply`` of each input bit for bit.
 """
 
 from __future__ import annotations
@@ -121,18 +121,23 @@ class FeatureMapSpec:
         w_freq, b = rff_parameters(self)
         return cosine_features(w_freq, b, v)
 
-    def apply_batch(self, xs) -> np.ndarray:
+    def apply_batch(self, xs, out=None) -> np.ndarray:
         """Map a (k, input_dim) block of inputs to (k, feature_dim) rows.
 
-        Shape and finiteness are checked once for the block. The result
-        is a new C-contiguous array whose row i equals apply(xs[i]) bit
+        Shape and finiteness are checked once for the block. The rows go
+        into a new C-contiguous array, or, given ``out``, into out[:k],
+        which is returned: a caller lifting block after block into one
+        C-contiguous float64 buffer of at least k rows allocates no
+        (k, feature_dim) array per block. Row i equals apply(xs[i]) bit
         for bit: each row's numbers come from the same per-sample
         operations, and a later dot product over a contiguous row rounds
         as it would over apply's vector.
 
         Raises:
             DimensionError: xs is not 2-D with input_dim columns.
-            ValueError: an entry is NaN or infinite.
+            ValueError: an entry is NaN or infinite, or out is not a
+                C-contiguous float64 array of k rows or more and
+                feature_dim columns.
         """
         try:
             x = np.array(xs, dtype=np.float64, order="C")
@@ -144,19 +149,44 @@ class FeatureMapSpec:
             )
         if not np.isfinite(x).all():
             raise ValueError("input block has non-finite entries")
+        k, m = x.shape[0], self.feature_dim
+        if out is None:
+            if self.kind == "identity":
+                return x
+            out = np.empty((k, m))
+        elif (
+            out.dtype != np.float64 or out.ndim != 2 or out.shape[0] < k
+            or out.shape[1] != m or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of at least "
+                f"({k}, {m}), got {out.dtype} {out.shape}"
+            )
+        res = out[:k]
         if self.kind == "identity":
-            return x
-        if self.kind == "poly2":
-            i, j, w = _poly2_layout(self.input_dim)
-            # w * x[:, i] * x[:, j] alone would come out column-major.
-            out = np.empty((x.shape[0], self.feature_dim))
-            np.multiply(w * x[:, i], x[:, j], out=out)
-            return out
-        w_freq, b = rff_parameters(self)
-        # One GEMV per row, as in apply; x @ w_freq.T (one GEMM) would
-        # round differently.
-        proj = np.matmul(w_freq, x[:, :, None])[:, :, 0]
-        return math.sqrt(2.0 / self.feature_dim) * np.cos(proj + b)
+            res[...] = x
+        elif self.kind == "poly2":
+            # (w * x_i) * x_j in apply's order, with no (k, m) temporary.
+            # mode="clip" (the indices are in range) lets take write out
+            # directly; its default buffers the result.
+            i, _, w = _poly2_layout(self.input_dim)
+            np.take(x, i, axis=1, out=res, mode="clip")
+            res *= w
+            # Entries [start, stop) are the pairs (a, a), ..., (a, d - 1).
+            start = 0
+            for a in range(self.input_dim):
+                stop = start + self.input_dim - a
+                res[:, start:stop] *= x[:, a:]
+                start = stop
+        else:
+            w_freq, b = rff_parameters(self)
+            # One GEMV per row, as in apply; x @ w_freq.T (one GEMM) would
+            # round differently.
+            np.matmul(w_freq, x[:, :, None], out=res[:, :, None])
+            res += b
+            np.cos(res, out=res)
+            res *= math.sqrt(2.0 / m)
+        return res
 
     def norm_bound(self, generator_bound: float) -> float:
         """Certified bound on ||phi(x)||^2 given a bound on ||x||^2.

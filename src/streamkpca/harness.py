@@ -524,7 +524,7 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
     at the path.
 
     Each cell is orjson's shortest round-trip spelling of the float64,
-    which reads back bit for bit, written linalg.BLOCK_ROWS rows per
+    which reads back bit for bit, written half of _chunk_rows' rows per
     orjson call. Reruns on one install write the same bytes. The
     spelling may differ between orjson versions, the values it reads
     back to never do.
@@ -550,12 +550,15 @@ def write_trajectory(path, head, *, v_star, alpha, beta):
     )
     _sidecar_fields(meta, f"bad trajectory metadata {meta_path_for(path).name}")
     header = [*STEP_COLUMNS, *(f"vhat_{k}" for k in range(head.m))]
+    # orjson reserves about twice the text it returns, so half a parse
+    # chunk's rows keep the reserve, like the text, below _CHUNK_BYTES.
+    rows = max(1, _chunk_rows(len(header)) // 2)
     written = 0
 
     def write(unit: np.ndarray) -> None:
         nonlocal written
-        for start in range(1, len(unit), linalg.BLOCK_ROWS):
-            fh.write(_csv_rows(unit[start : start + linalg.BLOCK_ROWS], written + start))
+        for start in range(1, len(unit), rows):
+            fh.write(_csv_rows(unit[start : start + rows], written + start))
         written += len(unit) - 1
 
     try:
@@ -713,9 +716,11 @@ def _read_header(csv_path: Path, m: int, n: int, where: str) -> int:
     return len(raw_header)
 
 
-# A parse chunk's text stays below this many bytes: glibc's default mmap
-# threshold, so a chunk's text and values are heap memory that the next
-# chunk reuses. The most bytes a cell takes, with its comma, is about 24.
+# A chunk's text, parsed by units or written by write_trajectory, stays
+# below this many bytes: glibc's default mmap threshold, so the text and
+# its values are heap memory that the next chunk reuses, where a larger
+# one is a fresh mapping whose pages fault in again each time. The most
+# bytes a cell takes, with its comma, is about 24.
 _CHUNK_BYTES = 1 << 17
 _CELL_BYTES = 24
 

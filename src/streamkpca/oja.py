@@ -37,9 +37,11 @@ raises the NumericError naming the step. The pass holds
 O(unit_rows(m) * m + BLOCK_ROWS * _SOLVE_ROWS) floats, and with no
 reader O(BLOCK_ROWS * (m + _SOLVE_ROWS)).
 
-The pass keeps no record: it solves each block into the rows of one
-buffer of ``unit_rows(m)`` steps (one block's, with no reader) and
-hands each full unit to its readers (the certificate, the CSV writer).
+The pass keeps no record: it lifts each block into one buffer of
+BLOCK_ROWS rows, solves it into the rows of one buffer of
+``unit_rows(m)`` steps (one block's, with no reader), both allocated
+once, and hands each full unit to its readers (the certificate, the CSV
+writer).
 Row i holds step i's s, ||f||^2 and log ratio, then the direction after
 it; row 0 is three zeros, then the start. ``Trajectory.record``
 collects the units into one table.
@@ -412,12 +414,13 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
     unit[0] = np.concatenate((np.zeros(3), init.v_hat))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
+    lift = np.empty((linalg.BLOCK_ROWS, m))  # every block's lifted rows
     v_hat = init.v_hat
     log_norm = init.log_norm
     i = 0  # steps taken
     j = 0  # steps in the unit
     for block in linalg.row_blocks(xs):
-        feats = cfg.feature_map.apply_batch(block)
+        feats = cfg.feature_map.apply_batch(block, out=lift)
         k = feats.shape[0]
         if j + k >= len(unit):
             for reader in into:

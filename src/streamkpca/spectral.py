@@ -4,7 +4,9 @@ Everything here is deliberately offline and desk-scale. One pass over a
 replayed stream accumulates the feature-space second moment as a dense
 matrix: each block of ``linalg.BLOCK_ROWS`` lifted rows adds F^T F (one
 BLAS product), and Kahan compensation across blocks keeps the sum of
-blocks from drifting with the stream length. One LAPACK eigensolve of M
+blocks from drifting with the stream length. The pass lifts every block
+into one buffer and updates the sum in place, in four m x m arrays
+allocated once. One LAPACK eigensolve of M
 (``linalg.eigendecomposition``, checked by its orthonormality and
 reconstruction postconditions) answers every oracle question: x* is its
 top eigenvector, R = lambda_1/lambda_2, beta = eta * lambda_1 and
@@ -96,16 +98,20 @@ def summarize(xs, feature_map: FeatureMapSpec) -> SpectralSummary:
     m = feature_map.feature_dim
     if m > MAX_ORACLE_DIM:
         raise ValueError(f"oracle summary capped at feature dim {MAX_ORACLE_DIM}")
-    second_moment = np.zeros((m, m))
-    comp = np.zeros((m, m))
+    # Every block writes into these, allocated once for the pass.
+    second_moment, comp, y, t = (np.zeros((m, m)) for _ in range(4))
+    feats = np.empty((linalg.BLOCK_ROWS, m))
     n = 0
     for block in linalg.row_blocks(xs):
-        f = feature_map.apply_batch(block)
-        # Kahan step over the blocks' (exactly symmetric) F^T F.
-        y = f.T @ f - comp
-        t = second_moment + y
-        comp = (t - second_moment) - y
-        second_moment = t
+        f = feature_map.apply_batch(block, out=feats)
+        # Kahan step over the blocks' (exactly symmetric) F^T F:
+        # y = F^T F - comp, t = M + y, comp = (t - M) - y, M = t.
+        np.matmul(f.T, f, out=y)
+        y -= comp
+        np.add(second_moment, y, out=t)
+        np.subtract(t, second_moment, out=comp)
+        comp -= y
+        second_moment, t = t, second_moment
         n += f.shape[0]
     if n == 0:
         raise ValueError("cannot summarize an empty stream")

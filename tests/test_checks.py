@@ -186,6 +186,13 @@ class TestFullSuite:
             with pytest.raises(ValueError, match="v_star"):
                 run_all_checks(traj, 2.0 * v_star, ab.alpha, ab.beta)
 
+    @pytest.mark.parametrize("init_kind", ["random", "vstar"])
+    def test_vstar_of_another_width_raises_naming_both(self, init_kind):
+        traj, _, ab = make_run(init_kind, d=5)
+        with pytest.raises(ValueError) as err:
+            run_all_checks(traj, np.eye(3)[0], ab.alpha, ab.beta)
+        assert str(err.value) == "v_star has width 3, the run's directions 5"
+
     def test_report_is_deterministic(self, vstar_run):
         traj, v_star, ab = vstar_run
         r1 = run_all_checks(traj, v_star, ab.alpha, ab.beta).to_dict()

@@ -134,20 +134,43 @@ class TestApplyBatch:
         m=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
         fortran=st.booleans(),
+        buffered=st.booleans(),
     )
-    def test_rows_equal_apply_bit_for_bit(self, kind, k, d, m, seed, fortran):
+    def test_rows_equal_apply_bit_for_bit(self, kind, k, d, m, seed, fortran, buffered):
         spec = _any_spec(kind, d, m, seed)
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
         if fortran:
             xs = np.asfortranarray(xs)
-        feats = spec.apply_batch(xs)
-        assert feats.shape == (k, spec.feature_dim)
-        assert feats.dtype == np.float64
-        assert feats.flags.c_contiguous
-        for x, row in zip(xs, feats):
-            assert row.tobytes() == spec.apply(x).tobytes()
-        assert not np.shares_memory(feats, xs)
+        if buffered:
+            # One buffer of k rows lifts a full block, a shorter one,
+            # then a full one again, as a pass reuses it.
+            out = np.full((k, spec.feature_dim), np.nan)
+            blocks = [xs[::-1], xs[: max(1, k // 2)], xs]
+        else:
+            out, blocks = None, [xs]
+        for block in blocks:
+            feats = spec.apply_batch(block, out=out)
+            assert feats.shape == (len(block), spec.feature_dim)
+            assert feats.dtype == np.float64
+            assert feats.flags.c_contiguous
+            for x, row in zip(block, feats):
+                assert row.tobytes() == spec.apply(x).tobytes()
+            assert not np.shares_memory(feats, xs)
+            assert out is None or np.shares_memory(feats, out)
+
+    @pytest.mark.parametrize("kind", ["identity", "poly2", "rff"])
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((3, 6)), np.empty((4, 5)), np.empty((4, 6), dtype=np.float32),
+         np.empty((6, 4)).T, np.empty(24)],
+        ids=["rows", "columns", "dtype", "order", "1-D"],
+    )
+    def test_unfit_out_is_refused(self, kind, out):
+        spec = {"identity": FeatureMapSpec.identity(6), "poly2": FeatureMapSpec.poly2(3),
+                "rff": FeatureMapSpec.rff(2, 6, 1.0, 0)}[kind]
+        with pytest.raises(ValueError, match="out must be"):
+            spec.apply_batch(np.ones((4, spec.input_dim)), out=out)
 
     def test_accepts_a_list_of_rows(self):
         spec = FeatureMapSpec.poly2(2)

@@ -679,6 +679,20 @@ class TestTrajectoryFiles:
         harness._csv_rows(block, 1)
         assert block.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("m", [3, 300])
+    def test_writer_chunks_write_the_bytes_of_whole_blocks(self, tmp_path, m):
+        # The writer's orjson calls take fewer rows than a block at
+        # m = 300; the file is still one _csv_rows call per block.
+        table = np.random.default_rng(m).standard_normal((700, 3 + m))
+        save(tmp_path / "traj.csv", trajectory_of(table))
+        header = ",".join([*STEP_COLUMNS, *(f"vhat_{k}" for k in range(m))])
+        rows = linalg.BLOCK_ROWS
+        expected = (header + "\n").encode() + b"".join(
+            harness._csv_rows(table[start : start + rows], start + 1)
+            for start in range(0, len(table), rows)
+        )
+        assert (tmp_path / "traj.csv").read_bytes() == expected
+
     # The first, a middle and the last cell of a row.
     @pytest.mark.parametrize("column", ["s", "log_ratio", "vhat_3"])
     @pytest.mark.parametrize("cell", JSON_EDGE_CELLS)

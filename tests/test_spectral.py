@@ -116,6 +116,27 @@ class TestSummarize:
         )
         assert summary.n == 500
 
+    @pytest.mark.parametrize(
+        "phi",
+        [FeatureMapSpec.poly2(2), FeatureMapSpec.poly2(12), FeatureMapSpec.rff(6, 300, 2.0, 5)],
+        ids=["m3", "m78", "m300"],
+    )
+    def test_in_place_sum_is_the_out_of_place_kahan_sum(self, phi):
+        # The same Kahan terms in the same order, block by block, with
+        # the last block ragged: the same bits as new arrays per block.
+        xs = np.random.default_rng(8).standard_normal((3 * 256 + 77, phi.input_dim))
+        m = phi.feature_dim
+        second_moment, comp = np.zeros((m, m)), np.zeros((m, m))
+        for start in range(0, len(xs), linalg.BLOCK_ROWS):
+            f = phi.apply_batch(xs[start : start + linalg.BLOCK_ROWS])
+            y = f.T @ f - comp
+            t = second_moment + y
+            comp = (t - second_moment) - y
+            second_moment = t
+        summary = summarize(xs, phi)
+        assert summary.second_moment.tobytes() == second_moment.tobytes()
+        assert summary.n == len(xs)
+
     def test_a_stream_and_its_array_agree(self):
         # summarize reads a stream's own blocks, replayed from its seed.
         stream, _ = make_spiked_stream(SpikedSpec(3, 40, 1.0, 0.3, sample_seed=3))

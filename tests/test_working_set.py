@@ -9,11 +9,11 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def assert_flat(measure, n1, n2, work):
+def assert_flat(measure, n1, n2, work, slack=working_set.SLACK_MIB):
     # The n = 2e4 against 2e5 version of each mode runs as a CI step
     # (python tests/working_set.py MODE 20000 200000).
-    peaks = [measure(n, work) for n in (n1, n2)]
-    assert abs(peaks[1] - peaks[0]) < working_set.SLACK_MIB, peaks
+    figures = [measure(n, work) for n in (n1, n2)]
+    assert abs(figures[1] - figures[0]) < slack, figures
 
 
 @needs_proc
@@ -30,3 +30,10 @@ def test_run_peak_is_flat_in_n(tmp_path):
 @needs_proc
 def test_run_check_peak_is_flat_in_n(tmp_path):
     assert_flat(working_set.run_check_peak_mib, 20_000, 100_000, tmp_path)
+
+
+@needs_proc
+def test_run_check_faults_are_flat_in_n(tmp_path):
+    assert_flat(
+        working_set.run_check_faults, 2_000, 20_000, tmp_path, working_set.SLACK_FAULTS
+    )
