@@ -7,8 +7,9 @@ Three maps are shipped:
 * ``poly2`` -- homogeneous degree-2 monomials with sqrt(2)-scaled cross
   terms, so <phi(x), phi(y)> = <x, y>^2 exactly (m = d(d+1)/2).
 * ``rff`` -- random Fourier cosine features approximating an RBF kernel;
-  frequencies and phases are frozen from a seed at spec construction, so
-  the map is one fixed deterministic function for the whole stream.
+  frequencies and phases are drawn from the seed once per spec and kept
+  on it, so the map is one fixed deterministic function for the whole
+  stream, and its parameters live and die with the spec.
 
 ``apply`` lifts one sample; ``apply_batch`` lifts a block of rows with
 one validation and one vectorized pass, into a caller's buffer if given
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class FeatureMapSpec:
                 )
             linalg.check_seed(self.seed, "rff seed")
             # z / bandwidth is finite for a bandwidth >= 1.
-            if self.bandwidth < 1.0 and not _frequencies_finite(self):
+            if self.bandwidth < 1.0 and not np.isfinite(self.rff_parameters[0]).all():
                 raise ValueError(
                     f"rff bandwidth {self.bandwidth!r} overflows a frozen "
                     "frequency: it must be larger"
@@ -116,10 +117,10 @@ class FeatureMapSpec:
         if self.kind == "identity":
             return v
         if self.kind == "poly2":
-            i, j, w = _poly2_layout(self.input_dim)
+            i, j, w = self._poly2_layout
             return w * v[i] * v[j]
-        w_freq, b = rff_parameters(self)
-        return cosine_features(w_freq, b, v)
+        w_freq, b = self.rff_parameters
+        return math.sqrt(2.0 / self.feature_dim) * np.cos(w_freq @ v + b)
 
     def apply_batch(self, xs, out=None) -> np.ndarray:
         """Map a (k, input_dim) block of inputs to (k, feature_dim) rows.
@@ -169,7 +170,7 @@ class FeatureMapSpec:
             # (w * x_i) * x_j in apply's order, with no (k, m) temporary.
             # mode="clip" (the indices are in range) lets take write out
             # directly; its default buffers the result.
-            i, _, w = _poly2_layout(self.input_dim)
+            i, _, w = self._poly2_layout
             np.take(x, i, axis=1, out=res, mode="clip")
             res *= w
             # Entries [start, stop) are the pairs (a, a), ..., (a, d - 1).
@@ -179,7 +180,7 @@ class FeatureMapSpec:
                 res[:, start:stop] *= x[:, a:]
                 start = stop
         else:
-            w_freq, b = rff_parameters(self)
+            w_freq, b = self.rff_parameters
             # One GEMV per row, as in apply; x @ w_freq.T (one GEMM) would
             # round differently.
             np.matmul(w_freq, x[:, :, None], out=res[:, :, None])
@@ -187,6 +188,23 @@ class FeatureMapSpec:
             np.cos(res, out=res)
             res *= math.sqrt(2.0 / m)
         return res
+
+    @cached_property
+    def rff_parameters(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen frequency matrix (m, d) and phase vector (m,) of an rff
+        spec, drawn from its seed on first use and kept on the spec."""
+        if self.kind != "rff":
+            raise ValueError(f"rff parameters are for an rff map only, not {self.kind}")
+        m, rng = self.feature_dim, np.random.default_rng(self.seed)
+        with np.errstate(over="ignore"):  # __post_init__ refuses an inf
+            freqs = rng.standard_normal((m, self.input_dim)) / float(self.bandwidth)
+        return freqs, rng.uniform(0.0, 2.0 * math.pi, size=m)
+
+    @cached_property
+    def _poly2_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entry k of poly2's map is weights[k] * x[i[k]] * x[j[k]]."""
+        i, j = np.triu_indices(self.input_dim)
+        return i, j, np.where(i == j, 1.0, math.sqrt(2.0))
 
     def norm_bound(self, generator_bound: float) -> float:
         """Certified bound on ||phi(x)||^2 given a bound on ||x||^2.
@@ -216,49 +234,3 @@ class FeatureMapSpec:
         coerced: the harness checks the JSON types of a config file's
         or a trajectory sidecar's feature map first."""
         return cls(**d)
-
-
-@lru_cache(maxsize=64)
-def _poly2_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(d)
-    weights = np.where(i == j, 1.0, math.sqrt(2.0))
-    return i, j, weights
-
-
-def _frequencies_finite(spec: FeatureMapSpec) -> bool:
-    """Whether every frozen frequency z / bandwidth of an rff spec is
-    finite. The draws z are replayed a block of rows at a time: a spec
-    may yet be refused for its size, so the (m, d) draws are not held."""
-    rng = np.random.default_rng(spec.seed)
-    largest = 0.0
-    for start in range(0, spec.feature_dim, linalg.BLOCK_ROWS):
-        rows = min(linalg.BLOCK_ROWS, spec.feature_dim - start)
-        draws = rng.standard_normal((rows, spec.input_dim))
-        largest = max(largest, float(np.abs(draws).max()))
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.float64(largest) / spec.bandwidth))
-
-
-@lru_cache(maxsize=64)
-def _rff_parameters_cached(
-    d: int, m: int, bandwidth: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    freqs = rng.standard_normal((m, d)) / bandwidth
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    return freqs, phases
-
-
-def rff_parameters(spec: FeatureMapSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen frequency matrix (m, d) and phase vector (m,) of an rff spec."""
-    if spec.kind != "rff":
-        raise ValueError("rff_parameters only applies to rff specs")
-    return _rff_parameters_cached(
-        spec.input_dim, spec.feature_dim, float(spec.bandwidth), int(spec.seed)
-    )
-
-
-def cosine_features(freqs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sqrt(2/m) * cos(freqs @ x + phases) for given frozen parameters."""
-    m = freqs.shape[0]
-    return math.sqrt(2.0 / m) * np.cos(freqs @ x + phases)

@@ -469,12 +469,8 @@ def sweep_csv(sweep_report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _format_cell(v: float | None) -> str:
+    return "" if v is None else repr(v)
 
 
 def _write_json(path: Path, payload: dict) -> None:

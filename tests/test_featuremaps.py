@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamkpca.featuremaps import (
-    FeatureMapSpec,
-    cosine_features,
-    poly2_dim,
-    rff_parameters,
-)
+from streamkpca.featuremaps import FeatureMapSpec, poly2_dim
 from streamkpca.linalg import DimensionError
 
 
@@ -65,7 +60,37 @@ class TestSpecValidation:
                 FeatureMapSpec.rff(3, 8, bandwidth=1e-320, seed=1)
             spec = FeatureMapSpec.rff(3, 8, bandwidth=1e-300, seed=1)
         assert caught == []
-        assert np.isfinite(rff_parameters(spec)[0]).all()
+        assert np.isfinite(spec.rff_parameters[0]).all()
+
+    @pytest.mark.parametrize(
+        "spec", [FeatureMapSpec.identity(3), FeatureMapSpec.poly2(3)], ids=["identity", "poly2"]
+    )
+    def test_rff_parameters_refused_on_other_maps(self, spec):
+        with pytest.raises(ValueError, match=f"for an rff map only, not {spec.kind}$"):
+            spec.rff_parameters
+
+    def test_rff_parameters_drawn_once_per_spec(self, monkeypatch):
+        # A bandwidth below 1 has its frequencies tested at construction:
+        # the test reads the same draw that apply and apply_batch use.
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        spec = FeatureMapSpec.rff(3, 8, 0.5, 11)
+        assert draws == [11]
+        x = np.array([0.3, -1.2, 0.7])
+        row = spec.apply(x)
+        assert spec.apply_batch(x[None, :])[0].tobytes() == row.tobytes()
+        assert spec.rff_parameters is spec.rff_parameters
+        assert draws == [11]
+        # An equal spec draws its own, the same numbers.
+        other = FeatureMapSpec.rff(3, 8, 0.5, 11)
+        assert draws == [11, 11]
+        assert other.apply(x).tobytes() == row.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -97,7 +122,9 @@ class TestApply:
 
     def test_rff_degenerate_frequency(self):
         # A frozen zero draw collapses every input to sqrt(2)*cos(0).
-        feats = cosine_features(np.zeros((1, 2)), np.zeros(1), np.array([5.0, -3.0]))
+        spec = FeatureMapSpec.rff(2, 1, 1.0, 0)
+        vars(spec)["rff_parameters"] = (np.zeros((1, 2)), np.zeros(1))
+        feats = spec.apply(np.array([5.0, -3.0]))
         assert np.allclose(feats, [math.sqrt(2.0)], atol=0)
 
     def test_dimension_mismatch(self):
@@ -273,7 +300,7 @@ class TestKernelConsistency:
         estimates = np.zeros((50, 100))
         for s in range(50):
             spec = FeatureMapSpec.rff(d, m, sigma, 1000 + s)
-            freqs, phases = rff_parameters(spec)
+            freqs, phases = spec.rff_parameters
             xs = np.array([p[0] for p in pairs])
             ys = np.array([p[1] for p in pairs])
             fx = math.sqrt(2.0 / m) * np.cos(xs @ freqs.T + phases)

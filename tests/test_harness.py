@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
-from streamkpca import featuremaps, linalg
+from streamkpca import checks, linalg
 from streamkpca.checks import envelope, envelope_slack, run_all_checks
 from streamkpca.cli import build_parser, config_from_args, main
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
@@ -871,6 +871,35 @@ class TestTrajectoryFiles:
             assert main(["check", str(csv_path)]) == 2
             assert "key 'alpha' + key 'beta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", [1e200, 1e154])
+    def test_meta_alpha_overflowing_the_certificate_exits_2(self, tmp_path, capsys, alpha):
+        # Two phi_norm_sq cells of 1e308 make the trace bound inf, so no
+        # alpha is refused before the checks; there alpha**2 raises
+        # (1e200) or the energy budget is inf (1e154).
+        out = tmp_path / "out"
+        argv = ["run", "--phi", "poly2", "--dim", "2", "--n", "5", "--init", "vstar",
+                "--save-trajectories", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        csv_path = out / "trial_000.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        for row in (1, 2):
+            cells = lines[row].split(",")
+            cells[1] = "1e308"
+            lines[row] = ",".join(cells)
+        csv_path.write_text("".join(lines))
+        meta_file = harness.meta_path_for(csv_path)
+        meta = json.loads(meta_file.read_text())
+        meta_file.write_text(json.dumps({**meta, "alpha": alpha}))
+        capsys.readouterr()
+        assert main(["check", str(csv_path), "--out", str(tmp_path / "recheck.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: bad trajectory metadata {meta_file.name}: key 'alpha' "
+            "overflows the certificate: "
+        )
+        assert err.count("\n") == 1
+        assert not (tmp_path / "recheck.json").exists()
+
     def test_meta_alpha_no_run_gives_is_refused(self, tmp_path, capsys):
         # An at-v* identity run: alpha = 1e100 keeps every arithmetic
         # step finite, yet alpha + beta <= eta * sum(phi_norm_sq) for
@@ -1404,11 +1433,15 @@ class TestCli:
             (["run", "--phi", "rff", "--bandwidth", "nan"], "bandwidth"),
             (["run", "--phi", "rff", "--bandwidth", "inf"], "inf"),
             (["run", "--seed", "-1"], "--seed"),
+            (["sweep", "--ratios", "2,abc"], "bad --ratios: "),
+            (["run", "--phi", "rff", "--feature-dim", "0"],
+             "rff feature_dim must be positive"),
         ],
         ids=[
             "ratio-nan", "ratio-inf", "ratios-nan", "ratios-below-one",
             "ratios-inf", "eta-nan", "eta-inf", "bandwidth-nan",
-            "bandwidth-inf", "seed-negative",
+            "bandwidth-inf", "seed-negative", "ratios-unparsed",
+            "feature-dim-zero",
         ],
     )
     def test_non_finite_flag_is_config_error(
@@ -1420,6 +1453,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch, capsys):
+        # No honest run fails a check; a negative tolerance fails
+        # norm_update_identity for every run.
+        monkeypatch.setattr(checks, "IDENTITY_TOL", -1.0)
+        argv = ["run", "--phi", "identity", "--dim", "4", "--n", "50", "--check",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.endswith("check failures in 1 trial(s)\n")
 
     @pytest.mark.parametrize("n", [10**30])
     def test_stream_too_long_to_allocate_is_config_error(
@@ -1843,12 +1885,12 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, source, phi, dim, feature_dim
     ):
         # Refused before the map is built, too: an rff bandwidth below 1
-        # has its frozen frequencies drawn, (rows, d) floats at a time.
+        # has the spec's one (m, d) draw of frequencies tested.
         def no_draw(*args, **kwargs):
             raise AssertionError("the stream or the rff frequencies were drawn")
 
         monkeypatch.setattr(harness, "make_spiked_stream", no_draw)
-        monkeypatch.setattr(featuremaps, "_frequencies_finite", no_draw)
+        monkeypatch.setattr(FeatureMapSpec, "rff_parameters", property(no_draw))
         monkeypatch.chdir(tmp_path)
         feature_map = {"kind": phi, "input_dim": dim, "feature_dim": feature_dim}
         if phi == "rff":
