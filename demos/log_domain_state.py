@@ -9,6 +9,8 @@ pass keeps no record of its steps either: run_stream returns the final
 state alone.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from streamkpca import (
@@ -49,7 +51,9 @@ print(f"float64 overflows near 10^308 -> materializing v_n directly "
 print(f"state kept instead: {final.v_hat.shape[0]} direction entries, "
       f"one log-norm scalar, one step counter")
 
-offline = summarize(np.asarray(xs)[:5000], phi)  # oracle stays desk-scale on a prefix
+# The oracle stays desk-scale on a prefix: the stream of the same spec
+# cut to 5000 samples replays the same first rows.
+offline = summarize(make_spiked_stream(replace(gen, n=5000))[0], phi)
 align = float(final.v_hat @ offline.top_vector) ** 2
 print(f"squared alignment with the offline oracle on a 5000-sample prefix: "
       f"{align:.6f}")

@@ -20,13 +20,13 @@ The certificate (``_Certificate``) is one pass over a run's units (the
 k + 1 table rows of a stretch of steps, from the row before its first;
 the first unit starts at step 1) that holds O(m) state: each running
 extreme with the first step where it occurs, the log norm and every
-sum, each carried from unit to unit by np.add.accumulate over
-[carry, *unit], so one term at a time, the orthogonal parts of the few
-rows the random drift pairs need (drawn from (n, seed) before the pass)
-and the last direction. Every per-row product is row-local (np.einsum,
-or a reduction along axis 1), so no bit of the report depends on where
-the units are cut: ``run --check`` feeds it run_stream's units as they
-are solved, ``check`` a file's as they are parsed, to the same bits.
+sum, each carried from unit to unit by linalg.carried, so one term at
+a time, the orthogonal parts of the few rows the random drift pairs
+need (drawn from (n, seed) before the pass) and the last direction.
+Every per-row product is row-local (np.einsum, or a reduction along
+axis 1), so no bit of the report depends on where the units are cut:
+``run --check`` feeds it run_stream's units as they are solved,
+``check`` a file's as they are parsed, to the same bits.
 ``tests/reference_checks.py`` keeps the whole-array checker this pass
 is tested against.
 """
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import UNIT_NORM_TOL, as_unit_vector
+from .linalg import UNIT_NORM_TOL, as_unit_vector, carried
 
 PASS = "pass"
 FAIL = "fail"
@@ -115,8 +115,6 @@ def _jsonable(v):
         return _jsonable(float(v))
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, list):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -203,13 +201,6 @@ def _sorted_unique_pairs(pairs: np.ndarray) -> np.ndarray:
     ordered = pairs[:, np.lexsort(pairs[::-1])]
     repeat = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
     return ordered[:, np.concatenate(([True], ~repeat))]
-
-
-def _carried(carry: float, values: np.ndarray) -> np.ndarray:
-    """carry, then carry plus each prefix sum of values, added one value
-    at a time: a sum carried from unit to unit this way has the bits of
-    np.cumsum over the whole run, however the run is cut."""
-    return np.add.accumulate(np.concatenate(([carry], values)))
 
 
 class _Extreme:
@@ -317,7 +308,7 @@ class _Certificate:
         s, phi_norm_sq, log_ratio = rows[1:, 0], rows[1:, 1], rows[1:, 2]
         snaps = rows[:, 3:]
         prev, cur = snaps[:-1], snaps[1:]
-        ratio_sums = _carried(self.ratio_sum, log_ratio)
+        ratio_sums = carried(self.ratio_sum, log_ratio)
         self.ratio_sum = float(ratio_sums[-1])
         log_norm = 0.5 * ratio_sums  # L at rows first - 1, ..., first - 1 + k
         s_sq = s**2
@@ -361,7 +352,7 @@ class _Certificate:
             self._feed_residuals(_row_norms(orth[1:], work), log_norm[1:], first)
         if not self.drift_judged:
             return
-        self.phi_sum = float(_carried(self.phi_sum, phi_norm_sq)[-1])
+        self.phi_sum = float(carried(self.phi_sum, phi_norm_sq)[-1])
         diff = np.subtract(orth[1:], orth[:-1], out=work)
         drift = _row_norms(diff, diff)
         rhs = 50.0 * self.alpha * (log_norm[1:] - log_norm[:-1])
@@ -383,7 +374,7 @@ class _Certificate:
             phi /= np.where(nonzero, eta * s, 1.0)[:, None]
             energies = np.einsum("ij,ij->i", phi, orth[:-1])
             self.orth_energy = float(
-                _carried(self.orth_energy, energies[nonzero] ** 2)[-1]
+                carried(self.orth_energy, energies[nonzero] ** 2)[-1]
             )
 
     def _drift_requires_growth(self) -> CheckResult:

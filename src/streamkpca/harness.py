@@ -44,7 +44,6 @@ from . import linalg
 from .checks import (
     CheckReport,
     _Certificate,
-    _carried,
     _jsonable,
     alpha_hypothesis_ok,
     beta_hypothesis_ok,
@@ -790,7 +789,7 @@ class TrajectoryFile(_Head):
                     filled += len(lines)
                 rows = buffer[: k + 1]
                 with np.errstate(over="ignore"):
-                    trace = float(_carried(trace, rows[1:, 1])[-1])
+                    trace = float(linalg.carried(trace, rows[1:, 1])[-1])
                 yield rows
                 buffer[0] = rows[k]
                 first += k
@@ -864,20 +863,17 @@ def _raise_at_defect(
 
 
 def _cell_defect(cell: str) -> str | None:
-    """Why a cell is out of the grammar, or None: a cell that float()
-    reads as inf or nan is non-finite, any other not a JSON number
+    """Why _parse_block refuses a cell as a row of one field, or None if
+    it takes it: non-finite where float() reads inf or nan, else
     unparseable."""
-    raw = cell.encode("utf-8")
-    try:  # orjson reads a cell in _NUMBER_BYTES to a number, or raises
-        number = not raw.translate(None, _NUMBER_BYTES) and orjson.loads(raw) is not None
-    except ValueError:
-        number = False
+    if _parse_block([cell.encode("utf-8")], 1) is not None:
+        return None
     try:
         if not math.isfinite(float(cell)):
             return f"non-finite field {cell!r}"
     except ValueError:
         pass
-    return None if number else f"unparseable field {cell!r}"
+    return f"unparseable field {cell!r}"
 
 
 def _decode_line(raw: bytes, line_start: int) -> str:

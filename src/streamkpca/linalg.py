@@ -103,6 +103,14 @@ def row_blocks(xs):
     return (xs[start : start + rows] for start in range(0, len(xs), rows))
 
 
+def carried(carry: float, values: np.ndarray) -> np.ndarray:
+    """carry, then carry plus each prefix sum of values, added one value
+    at a time: the one running sum (run_stream's log norm, the
+    certificate's sums, the trajectory reader's trace), whose bits do
+    not depend on where a run is cut into blocks."""
+    return np.add.accumulate(np.concatenate(([carry], values)))
+
+
 def symmetric_dense(a) -> np.ndarray:
     """(A + A^T)/2 of a near-symmetric square array, as float64.
 

@@ -432,8 +432,7 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
             if not _solve_block(feats, v_hat, eta, weights, out):
                 _step_rows(feats, v_hat, eta, init.step + i + 1, out)
         # One addition per step, in the fold's order.
-        halves = np.concatenate(([log_norm], 0.5 * out[:, 2]))
-        log_norm = float(np.cumsum(halves)[-1])
+        log_norm = float(linalg.carried(log_norm, 0.5 * out[:, 2])[-1])
         v_hat = out[-1, 3:].copy()
         i += k
         j += k

@@ -56,6 +56,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(n=0)
 
+    def test_zero_input_dim_rejected(self):
+        with pytest.raises(ValueError, match="^input_dim must be positive$"):
+            spec(input_dim=0)
+
     def test_n_beyond_int64_rejected(self):
         # Nothing is drawn before the stream is read, so any n a step
         # index holds is a valid spec.
@@ -121,6 +125,10 @@ class TestStreamGeneration:
         assert np.array(list(stream)).tobytes() == xs.tobytes()
         assert replayed(stream).tobytes() == xs.tobytes()
         assert np.asarray(stream) is not xs
+        # What numpy 2's np.asarray(stream, copy=False) asks for: no copy
+        # of rows that exist only as a replay.
+        with pytest.raises(ValueError, match="always drawn anew"):
+            stream.__array__(copy=False)
 
     def test_basis_orthonormal(self):
         b = random_orthonormal_basis(7, 3)
@@ -134,6 +142,8 @@ class TestStreamGeneration:
         xs, truth = make_spiked_stream(spec())
         assert np.array_equal(truth.top_direction, truth.basis[:, 0])
         assert truth.ratio == 10.0
+        # A d = 1 truth has no second eigenvalue.
+        assert make_spiked_stream(spec(input_dim=1))[1].ratio == math.inf
 
     def test_empirical_top_direction_converges(self):
         # Median alignment error between the population spike and the
@@ -247,6 +257,10 @@ class TestOffsetNormMonteCarlo:
     def test_zero_u_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo_offset_norm(np.zeros(2), np.ones(2), 0.5, 10**4, 0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            monte_carlo_offset_norm(np.ones(2), np.zeros(3), 0.5, 10**4, 0)
 
     def test_delta_domain(self):
         with pytest.raises(ValueError):

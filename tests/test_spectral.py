@@ -320,6 +320,10 @@ class TestAlignmentError:
         with pytest.raises(ValueError):
             alignment_error(E1, 2.0 * E2)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            alignment_error(E1, np.array([0.0, 0.0, 1.0]))
+
     def test_matches_squared_residual(self):
         # Residual-to-inner-product conversion holds as an identity.
         rng = np.random.default_rng(2)

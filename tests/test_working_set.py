@@ -37,3 +37,11 @@ def test_run_check_faults_are_flat_in_n(tmp_path):
     assert_flat(
         working_set.run_check_faults, 2_000, 20_000, tmp_path, working_set.SLACK_FAULTS
     )
+
+
+# The m = 512 against 2048 version runs as a CI step
+# (python tests/working_set.py m 512 2048).
+@needs_proc
+def test_pass_peak_is_linear_in_m(tmp_path):
+    peaks = [working_set.pass_peak_mib(m, tmp_path) for m in (128, 512)]
+    assert peaks[1] - peaks[0] < working_set.pass_slack_mib(128, 512), peaks
