@@ -19,6 +19,10 @@ _PUBLIC = {
         "CheckResult",
         "run_all_checks",
     ),
+    "config": (
+        "ConfigError",
+        "RunConfig",
+    ),
     "datagen": (
         "SpikedGroundTruth",
         "SpikedSpec",
@@ -29,15 +33,10 @@ _PUBLIC = {
         "FeatureMapSpec",
     ),
     "harness": (
-        "ConfigError",
-        "RunConfig",
-        "TrajectoryParseError",
         "check_trajectory_file",
-        "read_trajectory",
         "run",
         "run_trial",
         "sweep",
-        "write_trajectory",
     ),
     "linalg": (
         "ConvergenceError",
@@ -49,7 +48,6 @@ _PUBLIC = {
         "NumericError",
         "OjaConfig",
         "StreamState",
-        "Trajectory",
         "init_state",
         "init_state_at",
         "oja_step",
@@ -62,6 +60,12 @@ _PUBLIC = {
         "alignment_error",
         "compute_alpha_beta",
         "summarize",
+    ),
+    "trajectory": (
+        "Trajectory",
+        "TrajectoryParseError",
+        "read_trajectory",
+        "write_trajectory",
     ),
 }
 

@@ -224,11 +224,14 @@ class _Extreme:
             self.value, self.index = value, first_index + j
 
 
-def _orthogonal_into(out: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out = rows minus their v components, each row on its own."""
+def _orthogonal_into(
+    out: np.ndarray, rows: np.ndarray, v: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """out = rows minus their v components, each row on its own, the
+    components formed in work (which may be out, unless out is rows)."""
     proj = np.einsum("ij,j->i", rows, v)
-    np.multiply(proj[:, None], v, out=out)
-    return np.subtract(rows, out, out=out)
+    np.multiply(proj[:, None], v, out=work)
+    return np.subtract(rows, work, out=out)
 
 
 def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -277,7 +280,7 @@ class _Certificate:
         self.drift = _Extreme()
         self.increment = _Extreme(largest=True)
         self.last = np.array(traj.init_v_hat, dtype=np.float64)
-        self.buffers = None  # (increments, work, orth), each k + 1 rows of m
+        self.buffers = None  # (increments, work, directions then orth), k + 1 rows of m
         # Random drift pairs that are not adjacent, the rows they need,
         # and those rows' orthogonal parts and log norms once passed.
         self.far = np.empty((2, 0), dtype=np.int64)
@@ -288,7 +291,8 @@ class _Certificate:
             self.far = far[:, far[1] > far[0] + 1]
         self.needed = _sorted_unique(self.far.ravel())
         if self.growth_judged or self.drift_judged:
-            orth = _orthogonal_into(np.empty((1, traj.m)), self.last[None, :], v)
+            orth = np.empty((1, traj.m))
+            _orthogonal_into(orth, self.last[None, :], v, orth)
             if self.needed.size and self.needed[0] == 0:
                 self.pair_rows[0] = (orth[0].copy(), 0.0)
             self.initial_residual = _row_norms(orth, orth)[0]
@@ -306,7 +310,13 @@ class _Certificate:
         first, k, eta = self.steps + 1, len(rows) - 1, self.eta
         self.steps += k
         s, phi_norm_sq, log_ratio = rows[1:, 0], rows[1:, 1], rows[1:, 2]
-        snaps = rows[:, 3:]
+        if self.buffers is None or len(self.buffers[0]) < k + 1:
+            self.buffers = np.empty((3, k + 1, self.traj.m))
+        # The directions, copied into the buffer that then holds their
+        # orthogonal parts: numpy runs an elementwise op on rows' strided
+        # columns through three buffers of up to 64 KiB, allocated per call.
+        snaps = self.buffers[2][: k + 1]
+        np.copyto(snaps, rows[:, 3:])
         prev, cur = snaps[:-1], snaps[1:]
         ratio_sums = carried(self.ratio_sum, log_ratio)
         self.ratio_sum = float(ratio_sums[-1])
@@ -333,8 +343,6 @@ class _Certificate:
 
         # exp(lr_i/2) v_hat_i - v_hat_{i-1} = eta s_i f_i, the increment
         # over ||v_{i-1}||: its norm's error, over the growth exp(lr_i/2).
-        if self.buffers is None or len(self.buffers[0]) < k + 1:
-            self.buffers = np.empty((3, k + 1, self.traj.m))
         growth = np.exp(0.5 * log_ratio)
         increments = np.multiply(growth[:, None], cur, out=self.buffers[0][:k])
         increments -= prev
@@ -346,7 +354,7 @@ class _Certificate:
 
         if not (self.growth_judged or self.drift_judged):
             return
-        orth = _orthogonal_into(self.buffers[2][: k + 1], snaps, self.v)
+        orth = _orthogonal_into(snaps, snaps, self.v, self.buffers[1][: k + 1])
         work = self.buffers[1][:k]
         if self.growth_judged:
             self._feed_residuals(_row_norms(orth[1:], work), log_norm[1:], first)

@@ -24,17 +24,14 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .featuremaps import poly2_dim  # noqa: E402
-from .harness import (  # noqa: E402
+from .config import (  # noqa: E402
     ConfigError,
     RunConfig,
     _write_json,
     check_target_ratio,
-    check_trajectory_file,
-    run,
-    sweep,
-    sweep_csv,
 )
+from .featuremaps import poly2_dim  # noqa: E402
+from .harness import check_trajectory_file, run, sweep, sweep_csv  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1

@@ -96,7 +96,7 @@ class SpikedSpec:
     def from_dict(cls, d: dict) -> "SpikedSpec":
         """The spec of to_dict's keys. lambda1, lambda2 and tail_decay
         become floats, so a config's 1 is echoed as 1.0; other values are
-        taken as given: the harness checks a config file's JSON types first."""
+        taken as given: config checks a config file's JSON types first."""
         spectrum = {k: float(d[k]) for k in ("lambda1", "lambda2", "tail_decay")}
         return cls(**(d | spectrum))
 

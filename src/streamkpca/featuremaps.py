@@ -231,6 +231,6 @@ class FeatureMapSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
         """The spec of to_dict's keys. Values are taken as given, not
-        coerced: the harness checks the JSON types of a config file's
+        coerced: config checks the JSON types of a config file's
         or a trajectory sidecar's feature map first."""
         return cls(**d)

@@ -38,20 +38,20 @@ O(unit_rows(m) * m + BLOCK_ROWS * _SOLVE_ROWS) floats, and with no
 reader O(BLOCK_ROWS * (m + _SOLVE_ROWS)).
 
 The pass keeps no record: it lifts each block into one buffer of
-BLOCK_ROWS rows, solves it into the rows of one buffer of
-``unit_rows(m)`` steps (one block's, with no reader), both allocated
+BLOCK_ROWS rows, forms the block's Gram matrices in one buffer and its
+directions in the lifted rows, solves it into the rows of one buffer of
+``unit_rows(m)`` steps (one block's, with no reader), all allocated
 once, and hands each full unit to its readers (the certificate, the CSV
 writer).
 Row i holds step i's s, ||f||^2 and log ratio, then the direction after
-it; row 0 is three zeros, then the start. ``Trajectory.record``
-collects the units into one table.
+it; row 0 is three zeros, then the start.
+``trajectory.Trajectory.record`` collects the units into one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -129,87 +129,6 @@ class StreamState:
     v_hat: np.ndarray
     log_norm: float
     step: int
-
-
-STEP_COLUMNS = ("s", "phi_norm_sq", "log_ratio")
-
-
-@dataclass
-class _Head:
-    """What a run's readers need before step 1. ``seed`` keys the
-    checker's pair sampling; the harness sets it to the trial seed."""
-
-    config: OjaConfig
-    init_v_hat: np.ndarray
-    n: int
-    seed: int
-
-    @property
-    def m(self) -> int:
-        return int(self.init_v_hat.shape[0])
-
-
-@dataclass
-class Trajectory:
-    """A run held in memory: config and its step table.
-
-    ``table`` is (n+1, 3+m): row i holds step i's s, ||f||^2 and log
-    ratio, then the direction after it; row 0 holds three zeros, then
-    the start ``init_v_hat``. ``seed`` is _Head's.
-
-    The table is kept in C order (a copy is made of any other), so each
-    row is contiguous, and made read-only.
-
-    Raises:
-        ValueError: a table that is not 2-D with a row and at least 4
-            columns, or that holds a non-finite value.
-    """
-
-    config: OjaConfig
-    table: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64, order="C")
-        if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 4:
-            raise ValueError(
-                f"table has shape {table.shape}, not (n+1, 3+m) with n >= 0, m >= 1"
-            )
-        # The checks' inequalities compare against NaN as false or pass
-        # it through min/max, so a non-finite value is refused here.
-        if not np.isfinite(table).all():
-            cell = np.argwhere(~np.isfinite(table))[0].tolist()
-            raise ValueError(f"non-finite value in table at {cell}")
-        table.flags.writeable = False
-        self.table = table
-
-    @classmethod
-    def record(cls, xs, cfg: OjaConfig, init: StreamState, *, seed: int = 0):
-        """run_stream over xs from init, its units collected into a table."""
-        rows = [np.concatenate((np.zeros(3), init.v_hat))[None, :]]
-        run_stream(xs, cfg, init, into=[lambda unit: rows.append(unit[1:].copy())])
-        return cls(cfg, np.concatenate(rows), seed=seed)
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0] - 1
-
-    @property
-    def m(self) -> int:
-        return self.table.shape[1] - 3
-
-    @property
-    def init_v_hat(self) -> np.ndarray:
-        """The start, row 0's direction (a read-only view)."""
-        return self.table[0, 3:]
-
-    def units(self) -> Iterator[np.ndarray]:
-        """The steps as units of linalg.BLOCK_ROWS steps, the first
-        starting at step 1, the last maybe shorter: each the k + 1 table
-        rows from the one before its first step to its last (views)."""
-        rows = linalg.BLOCK_ROWS
-        for start in range(0, self.n, rows):
-            yield self.table[start : start + rows + 1]
 
 
 def init_state(m: int, seed: int) -> StreamState:
@@ -301,17 +220,21 @@ def oja_step(
 
 def _solve_block(
     feats: np.ndarray, v_hat: np.ndarray, eta: float, weights: np.ndarray,
-    out: np.ndarray,
+    systems: np.ndarray, out: np.ndarray,
 ) -> bool:
     """Take the steps of the lifted rows ``feats`` from unit ``v_hat`` in
     closed form, _SOLVE_ROWS rows per solve (see the module docstring).
 
-    ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1). Writes each step's
-    row into ``out`` (k, 3+m): s, ||f||^2, log ratio and the direction
-    after it. Returns False, leaving ``out`` partly written, when a step
-    is too large for the closed form, a value is not finite or a norm is
-    zero. The caller suppresses numpy's overflow and invalid warnings, as
-    for _update.
+    ``weights`` is -eta * np.tri(_SOLVE_ROWS, k=-1), and ``systems`` a
+    buffer of at least k / _SOLVE_ROWS (rounded up) of its shape. Writes
+    each step's row into ``out`` (k, 3+m): s, ||f||^2, log ratio and the
+    direction after it, each formed in ``feats``' own contiguous rows
+    first, so that no elementwise op reads ``out``'s strided direction
+    columns (numpy would run it through three buffers of up to 64 KiB,
+    allocated per call). Returns False, leaving ``out`` partly written
+    and ``feats`` perhaps overwritten, when a step is too large for the
+    closed form, a value is not finite or a norm is zero. The caller
+    suppresses numpy's overflow and invalid warnings, as for _update.
     """
     k, m = feats.shape
     subs = -(-k // _SOLVE_ROWS)
@@ -322,7 +245,7 @@ def _solve_block(
         padded = np.zeros((subs * _SOLVE_ROWS, m))
         padded[:k] = feats
     rows = padded.reshape(subs, _SOLVE_ROWS, m)
-    systems = np.matmul(rows, rows.transpose(0, 2, 1))
+    systems = np.matmul(rows, rows.transpose(0, 2, 1), out=systems[:subs])
     diagonals = systems.reshape(subs, -1)[:, :: _SOLVE_ROWS + 1]
     phi_norm_sq = diagonals.reshape(-1)[:k].copy()
     # With eta * ||f||^2 <= 1 no entry of a system exceeds its unit
@@ -356,14 +279,15 @@ def _solve_block(
     out[:, 1] = phi_norm_sq
     out[:, 2] = np.log1p(growth / norm_sq[:-1])
     # Each direction is v_i, divided by its own computed norm.
-    v = out[:, 3:]
-    np.multiply((eta * t)[:, None], feats, out=v)
+    v = feats
+    v *= (eta * t)[:, None]
     np.cumsum(v, axis=0, out=v)
     v += v_hat
     u_norm_sq = np.einsum("ij,ij->i", v, v)
     if not (np.isfinite(u_norm_sq).all() and u_norm_sq.min() > 0.0):
         return False
     v /= np.sqrt(u_norm_sq)[:, None]
+    out[:, 3:] = v
     return True
 
 
@@ -414,6 +338,7 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
     unit[0] = np.concatenate((np.zeros(3), init.v_hat))
     eta = cfg.eta
     weights = -eta * np.tri(_SOLVE_ROWS, k=-1)
+    systems = np.empty((-(-linalg.BLOCK_ROWS // _SOLVE_ROWS), *weights.shape))
     lift = np.empty((linalg.BLOCK_ROWS, m))  # every block's lifted rows
     v_hat = init.v_hat
     log_norm = init.log_norm
@@ -429,7 +354,9 @@ def run_stream(xs, cfg: OjaConfig, init: StreamState, *, into=()) -> StreamState
             j = 0
         out = unit[j + 1 : j + 1 + k]
         with np.errstate(over="ignore", invalid="ignore"):
-            if not _solve_block(feats, v_hat, eta, weights, out):
+            if not _solve_block(feats, v_hat, eta, weights, systems, out):
+                # _solve_block may have left its directions in the lift.
+                feats = cfg.feature_map.apply_batch(block, out=lift)
                 _step_rows(feats, v_hat, eta, init.step + i + 1, out)
         # One addition per step, in the fold's order.
         log_norm = float(linalg.carried(log_norm, 0.5 * out[:, 2])[-1])

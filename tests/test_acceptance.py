@@ -15,10 +15,12 @@ from unittest import mock
 import numpy as np
 
 from streamkpca.cli import build_parser, config_from_args, main
+from streamkpca.config import RunConfig
 from streamkpca.datagen import SpikedSpec, make_spiked_stream, monte_carlo_offset_norm
 from streamkpca.featuremaps import FeatureMapSpec
-from streamkpca.harness import RunConfig, run, run_trial, sweep
-from streamkpca.oja import OjaConfig, Trajectory, init_state, init_state_at, select_learning_rate
+from streamkpca.harness import run, run_trial, sweep
+from streamkpca.oja import OjaConfig, init_state, init_state_at, select_learning_rate
+from streamkpca.trajectory import Trajectory
 
 SLACK = 1e-9
 

@@ -11,19 +11,17 @@ from streamkpca import checks, linalg
 from streamkpca.checks import FAIL, PASS, VACUOUS, run_all_checks
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
-from streamkpca import harness
-from streamkpca.harness import check_trajectory_file, write_trajectory
+from streamkpca import trajectory
+from streamkpca.harness import check_trajectory_file
 from streamkpca.oja import (
-    STEP_COLUMNS,
     OjaConfig,
-    Trajectory,
-    _Head,
     init_state,
     init_state_at,
     oja_step,
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
+from streamkpca.trajectory import STEP_COLUMNS, Trajectory, _Head, write_trajectory
 
 import reference_checks
 from reference_checks import sample_check_pairs
@@ -1014,7 +1012,7 @@ class TestCertificateFold:
         ) as write:
             write(traj.table)
         for rows in (1, 7, 64, 256):
-            with mock.patch.object(harness, "_chunk_rows", lambda n_fields: rows):
+            with mock.patch.object(trajectory, "_chunk_rows", lambda n_fields: rows):
                 from_file = check_trajectory_file(path)
             assert json.dumps(from_file.to_dict(), sort_keys=True) == expected, rows
 
@@ -1053,12 +1051,12 @@ class TestCertificateFold:
     def test_chunk_rows_from_the_header_width(self):
         # 64 rows of the benchmark's poly2 m = 78 rows, whose text stays
         # below the byte budget; a power of two, so chunks tile a unit.
-        assert harness._chunk_rows(4 + 78) == 64
+        assert trajectory._chunk_rows(4 + 78) == 64
         for n_fields in (5, 24, 82, 132, 2052, 10**6):
-            rows = harness._chunk_rows(n_fields)
+            rows = trajectory._chunk_rows(n_fields)
             assert rows & (rows - 1) == 0
-            text_bytes = rows * n_fields * harness._CELL_BYTES
-            assert rows == 1 or text_bytes <= harness._CHUNK_BYTES
+            text_bytes = rows * n_fields * trajectory._CELL_BYTES
+            assert rows == 1 or text_bytes <= trajectory._CHUNK_BYTES
 
     def test_units_are_contiguous_rows_from_step_one(self):
         # A unit's table rows run from the one before its first step to

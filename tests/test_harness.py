@@ -19,33 +19,29 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import streamkpca.harness as harness
-from streamkpca import checks, linalg
+from streamkpca import checks, linalg, trajectory
 from streamkpca.checks import envelope, envelope_slack, run_all_checks
 from streamkpca.cli import build_parser, config_from_args, main
+from streamkpca.config import ConfigError, RunConfig, check_target_ratio
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
-from streamkpca.harness import (
-    ConfigError,
-    RunConfig,
-    TrajectoryParseError,
-    check_trajectory_file,
-    read_trajectory,
-    run,
-    run_trial,
-    sweep,
-    write_trajectory,
-)
+from streamkpca.harness import check_trajectory_file, run, run_trial, sweep
 from streamkpca.oja import (
-    STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    Trajectory,
     init_state,
     init_state_at,
     oja_step,
     select_learning_rate,
 )
 from streamkpca.spectral import compute_alpha_beta, summarize
+from streamkpca.trajectory import (
+    STEP_COLUMNS,
+    Trajectory,
+    TrajectoryParseError,
+    read_trajectory,
+    write_trajectory,
+)
 
 from schema_util import validate
 
@@ -196,7 +192,7 @@ def expected_read(csv_path, table: np.ndarray, eta: float):
     if not 0.0 > most * (1.0 + 1e-9):
         return table.tobytes()
     return ConfigError, (
-        f"bad trajectory metadata {harness.meta_path_for(csv_path).name}: "
+        f"bad trajectory metadata {trajectory.meta_path_for(csv_path).name}: "
         f"key 'alpha' + key 'beta' = 0.0 exceeds key 'eta' * sum(phi_norm_sq) "
         f"= {most!r}, the most a run gives"
     )
@@ -671,12 +667,12 @@ class TestTrajectoryFiles:
         block = extreme_table(4, 6)
         block[2, 5] = block[3, 0] = bad
         with pytest.raises(ValueError, match=f"{bad!r} at step 12, column 5$"):
-            harness._csv_rows(block, 10)
+            trajectory._csv_rows(block, 10)
 
     def test_writer_leaves_its_block_unchanged(self):
         block = extreme_table(12, 12)
         before = block.copy()
-        harness._csv_rows(block, 1)
+        trajectory._csv_rows(block, 1)
         assert block.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("m", [3, 300])
@@ -688,7 +684,7 @@ class TestTrajectoryFiles:
         header = ",".join([*STEP_COLUMNS, *(f"vhat_{k}" for k in range(m))])
         rows = linalg.BLOCK_ROWS
         expected = (header + "\n").encode() + b"".join(
-            harness._csv_rows(table[start : start + rows], start + 1)
+            trajectory._csv_rows(table[start : start + rows], start + 1)
             for start in range(0, len(table), rows)
         )
         assert (tmp_path / "traj.csv").read_bytes() == expected
@@ -772,7 +768,7 @@ class TestTrajectoryFiles:
 
     def test_missing_meta(self, saved):
         csv_path, _ = saved
-        harness.meta_path_for(csv_path).unlink()
+        trajectory.meta_path_for(csv_path).unlink()
         with pytest.raises(ConfigError):
             read_trajectory(csv_path)
 
@@ -815,7 +811,7 @@ class TestTrajectoryFiles:
     )
     def test_meta_missing_key(self, saved, key):
         csv_path, _ = saved
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         # "kind" is the feature map's own key.
         del (meta["feature_map"] if key == "kind" else meta)[key]
@@ -850,7 +846,7 @@ class TestTrajectoryFiles:
     )
     def test_meta_mistyped_key(self, saved, key, value):
         csv_path, _ = saved
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         meta[key] = value
         meta_file.write_text(json.dumps(meta))
@@ -862,7 +858,7 @@ class TestTrajectoryFiles:
         # 1e308 would overflow alpha**2, and 1e154 the energy budget built
         # from it; both lie far above the most a run can give.
         csv_path, _ = saved
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         original = json.loads(meta_file.read_text())
         for alpha in (1e308, 1e154):
             meta_file.write_text(json.dumps({**original, "alpha": alpha}))
@@ -887,7 +883,7 @@ class TestTrajectoryFiles:
             cells[1] = "1e308"
             lines[row] = ",".join(cells)
         csv_path.write_text("".join(lines))
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         meta_file.write_text(json.dumps({**meta, "alpha": alpha}))
         capsys.readouterr()
@@ -907,7 +903,7 @@ class TestTrajectoryFiles:
         out = tmp_path / "out"
         assert main(PROBE_RUN + ["--out", str(out)]) == 0
         csv_path = out / "trial_000.csv"
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         most = meta["eta"] * float(np.sum(read_whole(csv_path).table[1:, 1]))
         assert meta["alpha"] + meta["beta"] <= most
@@ -941,7 +937,7 @@ class TestTrajectoryFiles:
         out = tmp_path / "out"
         assert main(PROBE_RUN + ["--out", str(out)]) == 0
         csv_path = out / "trial_000.csv"
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         meta_file.write_text(json.dumps({**meta, **edit}))
         expected = (
@@ -957,7 +953,7 @@ class TestTrajectoryFiles:
 
     def test_meta_not_an_object(self, saved):
         csv_path, _ = saved
-        harness.meta_path_for(csv_path).write_text("[1, 2]")
+        trajectory.meta_path_for(csv_path).write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             read_trajectory(csv_path)
 
@@ -977,7 +973,7 @@ class TestTrajectoryFiles:
         # any row is parsed.
         csv_path, _ = saved
         self._first_row_malformed(csv_path)
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         original = json.loads(meta_file.read_text())
         cases = [(key, "missing") for key in ("seed", "norm_bound", "v_star", "alpha", "beta")]
         cases += [(key, "null") for key in ("v_star", "alpha", "beta")]
@@ -1015,7 +1011,7 @@ class TestTrajectoryFiles:
         # entries (edit None): each names the sidecar and the key.
         csv_path, _ = saved
         self._first_row_malformed(csv_path)
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         if edit is None:
             raw = csv_path.read_bytes()
             header_end = raw.index(b"\n")
@@ -1095,7 +1091,7 @@ class TestTrajectoryFiles:
     def test_rows_other_than_n_are_located(self, saved, cut, capsys):
         csv_path, _ = saved
         raw = csv_path.read_bytes()
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         last_row = raw[raw.rindex(b"\n", 0, -1) + 1 :]
         n = meta["n"]
@@ -1197,7 +1193,7 @@ class TestCheckErrorsInOnePass:
         with contextlib.ExitStack() as stack:
             if chunk_rows:
                 stack.enter_context(
-                    mock.patch.object(harness, "_chunk_rows", lambda n_fields: chunk_rows)
+                    mock.patch.object(trajectory, "_chunk_rows", lambda n_fields: chunk_rows)
                 )
             self._refused(csv_path, out, capsys, message)
 
@@ -1224,7 +1220,7 @@ class TestCheckErrorsInOnePass:
         # The cross-check needs the sum of every row's phi_norm_sq, so it
         # runs once the pass has read them, one row at a time.
         csv_path, out = saved
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         phi_norm_sq = read_whole(csv_path).table[1:, 1]
         meta_file.write_text(json.dumps({**meta, "alpha": 1e100}))
@@ -1327,7 +1323,7 @@ class TestSweep:
         # Refused by name, not with float()'s OverflowError.
         refusal = "target ratio must be finite and >= 1"
         with pytest.raises(ConfigError, match=refusal):
-            harness.check_target_ratio(bad, "target ratio")
+            check_target_ratio(bad, "target ratio")
         monkeypatch.setattr(harness, "run", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ConfigError, match=refusal):
             sweep(small_config(), [20.0, bad], out_dir=tmp_path)
@@ -1812,8 +1808,8 @@ class TestCli:
         csv_path, out_dir = saved_pair
         as_dir = out_dir / "dir.csv"
         as_dir.mkdir()
-        harness.meta_path_for(as_dir).write_bytes(
-            harness.meta_path_for(csv_path).read_bytes()
+        trajectory.meta_path_for(as_dir).write_bytes(
+            trajectory.meta_path_for(csv_path).read_bytes()
         )
         self._assert_os_error_exit(["check", str(as_dir)], capsys)
 
@@ -1936,7 +1932,7 @@ class TestCli:
                 "3", "--init", "vstar", "--check", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         csv_path = tmp_path / "out" / "trial_000.csv"
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         if edit == "label":
             meta["init"] = "vstar"
@@ -1976,7 +1972,7 @@ class TestCli:
                 "--seed", "3", "--check", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         csv_path = tmp_path / "out" / "trial_000.csv"
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         meta = json.loads(meta_file.read_text())
         meta[key][0] = value
         meta_file.write_text(json.dumps(meta))
@@ -2044,7 +2040,7 @@ class TestCli:
             small_config(trials=1).save(path)
             argv = ["run", "--config", str(path), "--out", str(out_dir / "run")]
         else:
-            path = harness.meta_path_for(csv_path)
+            path = trajectory.meta_path_for(csv_path)
             argv = ["check", str(csv_path), "--out", str(out_dir / "checks.json")]
         raw = json.loads(path.read_text())
         raw[section][key] = value
@@ -2507,7 +2503,7 @@ class TestCheckFuzz:
         out = tmp_path_factory.mktemp("fuzz")
         run(small_config(trials=1), out_dir=out)
         csv_path = out / "trial_000.csv"
-        paths = (csv_path, harness.meta_path_for(csv_path))
+        paths = (csv_path, trajectory.meta_path_for(csv_path))
         return csv_path, {path: path.read_bytes() for path in paths}
 
     @settings(max_examples=120, deadline=None)
@@ -2563,7 +2559,7 @@ class TestCheckFuzz:
         table = np.array([[0.0 if c == "-0" else float(c) for c in row] for row in rows])
         outcome = blocked_read_outcome(csv_path)
         if np.isfinite(table).all():
-            eta = json.loads(originals[harness.meta_path_for(csv_path)])["eta"]
+            eta = json.loads(originals[trajectory.meta_path_for(csv_path)])["eta"]
             assert outcome == expected_read(csv_path, table, eta)
         else:
             i, j = np.argwhere(~np.isfinite(table))[0]
@@ -2595,7 +2591,7 @@ class TestCheckFuzz:
         # sets them apart.
         csv_path, originals = saved
         self._write(originals, csv_path, originals[csv_path])
-        meta_file = harness.meta_path_for(csv_path)
+        meta_file = trajectory.meta_path_for(csv_path)
         for value in (1e308, -1e308, -1.0, 0.0, 5e-324, -5e-324, 1e200, 10**30):
             meta = json.loads(originals[meta_file])
             # An older sidecar's m, which the reader ignores.

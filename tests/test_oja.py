@@ -15,16 +15,15 @@ from streamkpca.featuremaps import FeatureMapSpec
 from streamkpca.linalg import DimensionError
 from streamkpca.oja import (
     ETA_CEILING,
-    STEP_COLUMNS,
     NumericError,
     OjaConfig,
-    Trajectory,
     init_state,
     init_state_at,
     oja_step,
     run_stream,
     select_learning_rate,
 )
+from streamkpca.trajectory import STEP_COLUMNS, Trajectory
 
 
 def identity_config(d, eta, **kw):
@@ -376,6 +375,27 @@ class TestRunStream:
                 warnings.simplefilter("error")
                 final, traj = run_and_record(xs, cfg, init)
         assert spy.call_count == 2
+        state, table = fold(xs, cfg, init)
+        assert final.v_hat.tobytes() == state.v_hat.tobytes()
+        assert final.log_norm == state.log_norm
+        assert traj.table.tobytes() == table.tobytes()
+
+    def test_a_block_refused_late_is_lifted_again(self):
+        # _solve_block forms a block's directions in its lifted rows, so
+        # a block it refuses after that is lifted again for _update: the
+        # run is the fold's, bit for bit.
+        solve_block = oja._solve_block
+
+        def refuse_late(*args):
+            solve_block(*args)
+            return False
+
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal((100, 3))
+        cfg = identity_config(3, 0.01)
+        init = init_state(3, 2)
+        with mock.patch.object(oja, "_solve_block", refuse_late):
+            final, traj = run_and_record(xs, cfg, init)
         state, table = fold(xs, cfg, init)
         assert final.v_hat.tobytes() == state.v_hat.tobytes()
         assert final.log_norm == state.log_norm

